@@ -19,6 +19,7 @@ seed, and package version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -363,10 +364,9 @@ def _sl4x4_payload():
 # command dispatch
 
 
-def _execute(command: list[str]):
-    """Run a normalized command echo; returns (results, entries, cited, seed)."""
-    head = command[0]
-    args = _parse_args(command)
+def _execute(args):
+    """Run parsed arguments; returns (results, entries, cited, seed)."""
+    head = args.command
     if head == "inv3":
         return _inv3_results(args.preset), _inv3_entries(args.preset), [], None
     if head == "chow2":
@@ -395,7 +395,7 @@ def _execute(command: list[str]):
 
 
 def certificate_payload(command: list[str]) -> dict:
-    _, entries, _, seed = _execute(command)
+    _, entries, _, seed = _execute(_parse_args(command))
     return {
         "format": certmod.CERT_FORMAT,
         "command": list(command),
@@ -412,10 +412,16 @@ def _normalized_command(args) -> list[str]:
     if head == "chow2":
         return ["chow2", "--preset", args.preset]
     if head == "gamma" and args.gamma_command == "member":
+        # Parsing the echo again would read a separate value with a leading
+        # minus as an option; glued to its flag it stays a value.
+        if args.element.startswith("-"):
+            element = [f"--element={args.element}"]
+        else:
+            element = ["--element", args.element]
         return [
             "gamma", "member",
             "--preset", args.preset,
-            "--element", args.element,
+            *element,
             "--degree", str(args.degree),
         ]
     if head == "gamma":
@@ -445,7 +451,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The command line grammar, built once per process; parsing does not
+    change it."""
     parser = _ArgumentParser(prog="sdinv", description=__doc__)
     parser.add_argument("--check-certificate", metavar="FILE", default=None)
     sub = parser.add_subparsers(dest="command")
@@ -534,7 +543,7 @@ def run(argv=None, out=None) -> int:
 
     command = _normalized_command(args)
     try:
-        results, entries, cited, seed = _execute(command)
+        results, entries, cited, seed = _execute(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

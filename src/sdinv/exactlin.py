@@ -1,10 +1,12 @@
-"""Exact integer linear algebra: Hermite and Smith normal forms, lattice
-membership with checkable certificates, and invariant-factor structure of
-finitely generated abelian groups presented as subquotients of lattices.
+"""Exact integer linear algebra built around the Hermite normal form:
+canonical lattice bases, kernels, lattice membership with checkable
+certificates, indices, and the invariant-factor structure of finitely
+generated abelian groups presented as subquotients of lattices.
 
-All arithmetic uses arbitrary-precision integers.  The only modular
-arithmetic appears inside non-membership certificates, which are verified
-independently of the code that produced them.
+All arithmetic uses arbitrary-precision integers.  Modular arithmetic
+appears only in non-membership certificates, which are verified
+independently of the code that produced them, and in the rank lower bound
+that proves a kernel complete.
 
 Conventions
 -----------
@@ -14,9 +16,21 @@ Conventions
   form: pivots positive, pivot rows strictly increasing, and every entry in
   a pivot row lying in ``[0, pivot)``.  Two lattices are equal iff their
   canonical bases are identical, which is how every "generated by" claim in
-  this package is decided.
-* Smith normal form is computed with explicit transform accumulation so the
-  decomposition itself is a certificate (``U * A * V == D``).
+  this package is decided.  ``Lattice.canonical()`` is idempotent and shares
+  the cached basis data with the lattice it came from.
+
+Hermite form does the routine work: YES membership is back-substitution down
+the triangular canonical basis, with generator coordinates from one transform
+kept per lattice; an index of equal-rank lattices is the product of the
+diagonal of their triangular relation matrix; a kernel is computed from the
+row-compressed (Hermite) matrix, so Smith form never sees more rows than
+columns.
+
+Smith normal form, computed with explicit transform accumulation so that the
+decomposition is a certificate (``U * A * V == D``), is kept where its
+output is needed: NO membership certificates, the group structure and
+torsion witnesses of ``subquotient_presentation``, and the saturation of a
+kernel.
 """
 
 from __future__ import annotations
@@ -142,8 +156,12 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
+def rational_inverse(m: IntMatrix) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular square matrix, by Gauss-Jordan over Q.
+
+    Rows of the result are rows of the inverse; a unimodular input gives
+    integral entries.
+    """
     n = m.rows
     if n != m.cols:
         raise InputError("inverse of a non-square matrix")
@@ -160,13 +178,7 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise InputError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return IntMatrix(tuple(out))
+    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +388,64 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return dec
 
 
+# Moduli for the rank lower bound in ``kernel_basis``.  A prime falls short
+# of the rank over Q only when it divides every minor of that size, so a
+# later prime is almost never tried.
+_RANK_PRIMES = (2**61 - 1, 2**31 - 1, 1_000_000_007)
+
+
+def _rank_mod(rows, p: int, target: int) -> int:
+    """Rank of ``rows`` over ``F_p``, counted up to ``target`` at most.
+
+    It never exceeds the rank over Q, so it is a lower bound for that rank.
+    """
+    work = [[x % p for x in r] for r in rows]
+    work = [r for r in work if any(r)]
+    rank = 0
+    ncols = len(work[0]) if work else 0
+    for c in range(ncols):
+        if rank >= target:
+            break
+        k = next((i for i, r in enumerate(work) if r[c]), None)
+        if k is None:
+            continue
+        piv = work.pop(k)
+        inv = pow(piv[c], -1, p)
+        piv = [x * inv % p for x in piv]
+        work = [
+            [(x - f * y) % p for x, y in zip(r, piv)] if (f := r[c]) else r
+            for r in work
+        ]
+        rank += 1
+    return rank
+
+
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the saturated integer kernel ``{x : m @ x == 0}``."""
-    dec = smith_normal_form(m)
-    out = []
-    for j in range(m.cols):
-        dj = dec.D.entries[j][j] if j < m.rows else 0
-        if dj == 0:
-            out.append(dec.V.column(j))
+    """Basis of the saturated integer kernel ``{x : m @ x == 0}``.
+
+    The rows are first compressed to their Hermite form, which has at most
+    ``m.cols`` rows, and Smith form runs on that.  The answer is proved
+    without trusting the compression: the returned vectors are columns of a
+    verified unimodular ``V`` (so they span a saturated lattice), the
+    original matrix annihilates each of them, and their number is
+    ``cols - rank(compressed)`` with ``rank(m) >= rank(compressed)`` shown
+    by a rank modulo a prime.  A saturated lattice inside the kernel with at
+    least the kernel's rank is the kernel.
+    """
+    n = m.cols
+    compressed = row_hermite(m.entries)
+    if compressed:
+        dec = smith_normal_form(IntMatrix(compressed))
+        rank = dec.rank
+        out = [dec.V.column(j) for j in range(rank, n)]
+    else:
+        rank = 0
+        out = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    zero = (0,) * m.rows
+    if any(m.matvec(v) != zero for v in out):
+        raise InternalInconsistencyError("kernel vector is not annihilated by the matrix")
+    if not any(_rank_mod(m.entries, p, rank) >= rank for p in _RANK_PRIMES):
+        raise InternalInconsistencyError("compressed matrix has a larger rank than its source")
     return out
 
 
@@ -433,7 +495,17 @@ class Lattice:
         return self.basis.cols
 
     def canonical(self) -> "Lattice":
-        return Lattice(self.ambient_rank, self.basis)
+        """The lattice generated by its canonical basis; ``self`` when the
+        generators already are that basis, and the same object every call."""
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> "Lattice":
+        if self.generators.entries == self.basis.entries:
+            return self
+        lat = Lattice(self.ambient_rank, self.basis)
+        lat.__dict__["basis"] = self.basis
+        return lat
 
     def same_lattice(self, other: "Lattice") -> bool:
         return (
@@ -443,17 +515,61 @@ class Lattice:
 
     @cached_property
     def _basis_smith(self) -> SmithDecomposition:
-        return smith_normal_form(self.basis)
+        canon = self.canonical()
+        return smith_normal_form(self.basis) if canon is self else canon._basis_smith
 
     @cached_property
-    def _generator_smith(self) -> SmithDecomposition:
-        return smith_normal_form(self.generators)
+    def _echelon(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(pivot position, column)`` for each canonical basis column."""
+        canon = self.canonical()
+        if canon is not self:
+            return canon._echelon
+        return tuple(
+            (next(i for i, x in enumerate(col) if x), col)
+            for col in self.basis.columns()
+        )
+
+    @cached_property
+    def _generator_transform(self) -> tuple[tuple[int, ...], ...]:
+        """Rows ``t_i`` with ``generators @ t_i == basis column i``.
+
+        Read off the Hermite form of the generators augmented by an identity
+        block: its first ``rank`` rows are the canonical basis followed by
+        the combinations that produce it.
+        """
+        gens = self.generators.columns()
+        r = self.ambient_rank
+        aug = [g + tuple(int(i == j) for i in range(len(gens))) for j, g in enumerate(gens)]
+        rows = row_hermite(aug)[: self.rank]
+        if [row[:r] for row in rows] != self.basis.columns():
+            raise InternalInconsistencyError("augmented Hermite form lost the basis")
+        return tuple(row[r:] for row in rows)
+
+    def _basis_coordinates(self, v) -> tuple[int, ...] | None:
+        """Coordinates of ``v`` in the canonical basis, or None when ``v`` is
+        outside; back-substitution down the triangular basis."""
+        rest = list(v)
+        coords = []
+        start = 0
+        for p, col in self._echelon:
+            if any(rest[start:p]):
+                return None
+            q, r = divmod(rest[p], col[p])
+            if r:
+                return None
+            if q:
+                rest[p:] = [x - q * y for x, y in zip(rest[p:], col[p:])]
+            coords.append(q)
+            start = p + 1
+        if any(rest[start:]):
+            return None
+        return tuple(coords)
 
     def membership(self, v) -> "MembershipResult":
         return lattice_membership(v, self)
 
     def contains(self, v) -> bool:
-        return self.membership(v).member
+        return self._basis_coordinates(_ambient_vector(v, self)) is not None
 
     def basis_columns(self) -> list[tuple[int, ...]]:
         return self.basis.columns()
@@ -496,85 +612,61 @@ class MembershipResult:
         return self.certificate.check(v, lattice)
 
 
-def lattice_membership(v, lattice: Lattice) -> MembershipResult:
-    """Decide ``v in lattice`` with an independently checkable certificate.
-
-    YES answers come with integer coordinates in the *generator* matrix; NO
-    answers carry either a rank obstruction or a prime-power congruence that
-    every lattice element satisfies and ``v`` violates.
-    """
+def _ambient_vector(v, lattice: Lattice) -> tuple[int, ...]:
     v = tuple(int(x) for x in v)
     if len(v) != lattice.ambient_rank:
         raise InputError(
             f"vector has length {len(v)}, ambient rank is {lattice.ambient_rank}"
         )
+    return v
+
+
+def lattice_membership(v, lattice: Lattice) -> MembershipResult:
+    """Decide ``v in lattice`` with an independently checkable certificate.
+
+    YES is decided by back-substitution on the triangular canonical basis
+    and answered with integer coordinates in the *generator* matrix, through
+    a transform kept per lattice.  NO answers carry either a rank
+    obstruction or a prime-power congruence that every lattice element
+    satisfies and ``v`` violates, read off the Smith form of the basis.
+    """
+    v = _ambient_vector(v, lattice)
+    coords = lattice._basis_coordinates(v)
+    if coords is None:
+        return MembershipResult(False, certificate=_non_membership_certificate(v, lattice))
+    if lattice.generators.entries != lattice.basis.entries:
+        transform = lattice._generator_transform
+        coords = tuple(
+            sum(c * t[j] for c, t in zip(coords, transform))
+            for j in range(lattice.generators.cols)
+        )
+        if lattice.generators.matvec(coords) != v:
+            raise InternalInconsistencyError("generator coordinates failed to rebuild")
+    return MembershipResult(True, coordinates=coords)
+
+
+def _non_membership_certificate(v, lattice: Lattice) -> NonMembershipCertificate:
+    """The first Smith row of the basis on which ``v`` fails to be integral."""
     basis = lattice.basis
     if basis.cols == 0:
-        if any(v):
-            first = next(i for i, x in enumerate(v) if x)
-            unit = tuple(int(i == first) for i in range(len(v)))
-            return MembershipResult(
-                False, certificate=NonMembershipCertificate("rank", unit)
-            )
-        return MembershipResult(True, coordinates=(0,) * lattice.generators.cols)
-
+        first = next(i for i, x in enumerate(v) if x)
+        return NonMembershipCertificate("rank", tuple(int(i == first) for i in range(len(v))))
     dec = lattice._basis_smith
     w = dec.U.matvec(v)
-    k = basis.cols
-    coords = [0] * k
     for i in range(basis.rows):
-        d = dec.D.entries[i][i] if i < k else 0
+        d = dec.D.entries[i][i] if i < basis.cols else 0
         if d == 0:
             if w[i] != 0:
-                return MembershipResult(
-                    False,
-                    certificate=NonMembershipCertificate("rank", dec.U.row(i)),
-                )
+                return NonMembershipCertificate("rank", dec.U.row(i))
             continue
         if w[i] % d:
-            t = d // math.gcd(d, w[i])
-            p = smallest_prime_factor(t)
+            p = smallest_prime_factor(d // math.gcd(d, w[i]))
             e = 0
-            dd = d
-            while dd % p == 0:
-                dd //= p
+            while d % p == 0:
+                d //= p
                 e += 1
-            return MembershipResult(
-                False,
-                certificate=NonMembershipCertificate("modular", dec.U.row(i), p, e),
-            )
-        coords[i] = w[i] // d
-    basis_coords = dec.V.matvec(coords)
-    if basis.matvec(basis_coords) != v:
-        raise InternalInconsistencyError("membership solve failed to reconstruct")
-    gen_coords = _coords_in_generators(lattice, basis_coords)
-    return MembershipResult(True, coordinates=gen_coords)
-
-
-def _coords_in_generators(lattice: Lattice, basis_coords) -> tuple[int, ...]:
-    """Rewrite coordinates w.r.t. the canonical basis as generator coordinates."""
-    gens = lattice.generators
-    if gens.entries == lattice.basis.entries:
-        return tuple(basis_coords)
-    target = lattice.basis.matvec(basis_coords)
-    # Solve gens @ x = target; the generator matrix spans the same lattice,
-    # so a solution exists.  Reuse the Smith machinery on the generators.
-    dec = lattice._generator_smith
-    w = dec.U.matvec(target)
-    x = [0] * gens.cols
-    for i in range(gens.rows):
-        d = dec.D.entries[i][i] if i < gens.cols else 0
-        if d == 0:
-            if w[i] != 0:
-                raise InternalInconsistencyError("generator solve lost the target")
-            continue
-        if w[i] % d:
-            raise InternalInconsistencyError("generator solve lost the target")
-        x[i] = w[i] // d
-    coords = dec.V.matvec(x)
-    if gens.matvec(coords) != tuple(target):
-        raise InternalInconsistencyError("generator coordinates failed to rebuild")
-    return tuple(coords)
+            return NonMembershipCertificate("modular", dec.U.row(i), p, e)
+    raise InternalInconsistencyError("smith form holds a vector the hermite basis rejects")
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +757,23 @@ class SubquotientData:
 
 
 def _relation_matrix(sub: Lattice, sup: Lattice) -> tuple[IntMatrix, list, Lattice]:
+    """Columns: the canonical basis of ``sub`` in the canonical basis of
+    ``sup``, each vector decided once."""
     if sub.ambient_rank != sup.ambient_rank:
         raise InputError("sub and sup live in different ambient ranks")
-    sup_basis = sup.canonical()
-    for idx, g in enumerate(sub.generators.columns()):
-        if not sup_basis.contains(g):
+    sup = sup.canonical()
+    # The canonical basis of the sublattice spans the same group as its
+    # generators and keeps the relation matrix small.
+    sub_c = sub.canonical()
+    cols = []
+    for g in sub_c.generators.columns():
+        coords = sup._basis_coordinates(g)
+        if coords is None:
+            idx = next(i for i, h in enumerate(sub.generators.columns()) if not sup.contains(h))
             raise ContainmentError(
                 f"generator {idx} of the sublattice is outside the superlattice"
             )
-    # Work with the canonical basis of the sublattice from here on; it spans
-    # the same group and keeps the relation matrix small.
-    sub_c = sub.canonical()
-    cols = [sup_basis.membership(g).coordinates for g in sub_c.generators.columns()]
+        cols.append(coords)
     k = sup.rank
     mat = IntMatrix.from_columns(cols) if cols else IntMatrix(tuple(() for _ in range(k)))
     return mat, cols, sub_c
@@ -693,13 +790,13 @@ def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
 
     witnesses = []
     if factors:
-        uinv = invert_unimodular(dec.U)
+        uinv = rational_inverse(dec.U)
         sup_basis = sup.basis
         diag = dec.diagonal
         for i, d in enumerate(diag):
             if d <= 1:
                 continue
-            vec = sup_basis.matvec(uinv.column(i))
+            vec = sup_basis.matvec([int(row[i]) for row in uinv])
             scaled = tuple(d * x for x in vec)
             yes = lattice_membership(scaled, sub)
             if not yes.member:
@@ -749,11 +846,18 @@ def saturation_torsion(sub: Lattice, sup: Lattice):
 
 
 def lattice_index(sub: Lattice, sup: Lattice) -> int | None:
-    """``[sup : sub]`` when finite, None when the ranks differ."""
-    data = subquotient_presentation(sub, sup)
-    if data.group.free_rank:
+    """``[sup : sub]`` when finite, None when the ranks differ.
+
+    Equal ranks give both canonical bases the same pivot rows, so the
+    relation matrix is triangular and the index is the product of its
+    diagonal; no Smith form is needed.
+    """
+    _, cols, sub_c = _relation_matrix(sub, sup)
+    if sub_c.rank != sup.rank:
         return None
     out = 1
-    for d in data.smith.diagonal:
-        out *= d
+    for j, col in enumerate(cols):
+        if any(col[:j]):
+            raise InternalInconsistencyError("relation matrix of equal ranks is not triangular")
+        out *= col[j]
     return out

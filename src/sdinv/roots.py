@@ -31,6 +31,7 @@ from .exactlin import (
     det,
     kernel_basis,
     lattice_index,
+    rational_inverse,
     subquotient_presentation,
 )
 
@@ -355,7 +356,7 @@ def ambient_to_basis_quad(L: CharacterLattice, ambient_coeffs) -> QuadSpaceEleme
     if basis.rows != m or r != m:
         # Full-rank lattices only: every preset here has finite index.
         raise InputError("basis change requires a full-rank character lattice")
-    inv = _rational_inverse(basis)
+    inv = rational_inverse(basis)
     # column i of `inv` expresses ambient e_i in the lattice basis
     cols = [tuple(inv[t][i] for t in range(r)) for i in range(m)]
     out = sym2_substitute(list(ambient_coeffs), cols, m, r)
@@ -372,24 +373,6 @@ def basis_to_ambient_quad(L: CharacterLattice, q: QuadSpaceElement) -> tuple[int
     cols = [tuple(col) for col in L.lattice.basis.columns()]
     out = sym2_substitute(list(q.coefficients), cols, L.rank, L.ambient_rank)
     return tuple(int(x) for x in out)
-
-
-def _rational_inverse(m: IntMatrix) -> list[list[Fraction]]:
-    n = m.rows
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise InputError("singular basis matrix")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r2 in range(n):
-            if r2 != col and a[r2][col] != 0:
-                f = a[r2][col]
-                a[r2] = [x - f * y for x, y in zip(a[r2], a[col])]
-    return [row[n:] for row in a]
 
 
 def chern2_of_character(mult: WeightMultiset, L: CharacterLattice) -> QuadSpaceElement:

@@ -1,10 +1,14 @@
+import hashlib
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from sdinv import certificate as certmod
-from sdinv import cli
+from sdinv import cli, exactlin, roots
+from sdinv.roots import sym2_size
 
 
 def run(args):
@@ -49,6 +53,28 @@ def test_gamma_member_yes():
     )
     assert rep["results"]["member"] is True
     assert "coordinates" in rep["results"]
+
+
+def test_gamma_member_element_with_leading_minus():
+    rep = run_json(["gamma", "member", "--preset", "conics4", "--element=-2*y1", "--degree", "1"])
+    assert rep["command"] == [
+        "gamma", "member", "--preset", "conics4", "--element=-2*y1", "--degree", "1"
+    ]
+    assert rep["results"]["element"] == "-2*y1"
+    assert rep["results"]["member"] is True
+    y = rep["results"]["element_y_coordinates"]
+    assert sorted(y) == [-2] + [0] * (len(y) - 1)
+
+
+def test_gamma_member_leading_minus_certificate_roundtrip(tmp_path):
+    path = tmp_path / "minus.json"
+    argv = ["gamma", "member", "--preset", "deg4pair", "--element=-3*y1^2+y2", "--degree", "2"]
+    code, _ = run(argv + ["--certificate", str(path), "--json"])
+    assert code == 0
+    assert json.loads(path.read_text())["command"] == argv
+    code, out = run(["--check-certificate", str(path)])
+    assert code == 0, out
+    assert "certificate OK" in out
 
 
 def test_gamma_report_full():
@@ -142,6 +168,44 @@ def test_json_report_roundtrip():
     code, out = run(["chow2", "--preset", "conics3", "--json"])
     rep = json.loads(out)
     assert json.loads(json.dumps(rep)) == rep
+
+
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+CLASSIFY_REPORTS = [["inv3", "--preset", f"sl2n:{n}", "--json"] for n in range(2, 9)] + [
+    ["inv3", "--preset", "sl4x4", "--json"],
+    ["sl4x4", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", CLASSIFY_REPORTS, ids=" ".join)
+def test_classification_reports_match_recorded_digests(argv):
+    recorded = json.loads(DIGESTS.read_text())["commands"][" ".join(argv)]
+    code, out = run(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == recorded
+
+
+def test_inv3_sl2n_8_keeps_smith_and_det_inputs_small(monkeypatch):
+    """The tall stacked (w - 1) matrix is row-compressed before Smith form,
+    so no Smith input or determinant outgrows the quadratic monomials."""
+    limit = sym2_size(8)
+    smith_rows, det_sizes = [], []
+    originals = {"smith_normal_form": exactlin.smith_normal_form, "det": exactlin.det}
+    counting = {
+        "smith_normal_form": lambda m: smith_rows.append(m.rows) or originals["smith_normal_form"](m),
+        "det": lambda m: det_sizes.append(max(m.rows, m.cols)) or originals["det"](m),
+    }
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("sdinv"):
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting[name])
+    roots._indecomposable_cached.cache_clear()
+    code, _ = run(["inv3", "--preset", "sl2n:8", "--json"])
+    assert code == 0
+    assert smith_rows and det_sizes
+    assert max(smith_rows) <= limit
+    assert max(det_sizes) <= limit
 
 
 # --- certificates -----------------------------------------------------------------

@@ -1,19 +1,23 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdinv import exactlin
 from sdinv.exactlin import (
     ContainmentError,
     FinAbelianGroup,
     InputError,
     IntMatrix,
+    InternalInconsistencyError,
     Lattice,
     det,
-    invert_unimodular,
+    kernel_basis,
     lattice_index,
     lattice_membership,
+    rational_inverse,
     row_hermite,
     saturation_torsion,
     smith_normal_form,
@@ -284,5 +288,133 @@ def test_fin_abelian_group_labels():
 
 def test_invert_unimodular_roundtrip():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
-    inv = invert_unimodular(m)
+    inv = IntMatrix.from_rows(rational_inverse(m))
     assert m.mul(inv).entries == IntMatrix.identity(2).entries
+
+
+def test_rational_inverse_of_a_non_unimodular_matrix():
+    inv = rational_inverse(IntMatrix.from_rows([[2, 0], [1, 4]]))
+    assert inv == [[Fraction(1, 2), 0], [Fraction(-1, 8), Fraction(1, 4)]]
+    with pytest.raises(InputError):
+        rational_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+# --- Hermite-first kernels ----------------------------------------------------
+
+
+def kernel_oracle(m: IntMatrix) -> list[tuple[int, ...]]:
+    """The kernel read off the Smith form of the full, uncompressed matrix."""
+    dec = smith_normal_form(m)
+    return [
+        dec.V.column(j)
+        for j in range(m.cols)
+        if (dec.D.entries[j][j] if j < m.rows else 0) == 0
+    ]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+small = st.integers(min_value=-9, max_value=9)
+tall_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda c: st.tuples(
+        st.integers(min_value=c, max_value=c + 10),
+        st.integers(min_value=1, max_value=c),
+    ).flatmap(
+        # rows x inner times inner x c: tall, and of rank at most ``inner``
+        lambda shape: st.tuples(
+            st.lists(st.lists(small, min_size=shape[1], max_size=shape[1]),
+                     min_size=shape[0], max_size=shape[0]),
+            st.lists(st.lists(small, min_size=c, max_size=c),
+                     min_size=shape[1], max_size=shape[1]),
+        )
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_matrices)
+def test_kernel_basis_matches_full_smith_kernel(factors):
+    m = IntMatrix.from_rows(_product(*factors))
+    ker = kernel_basis(m)
+    assert Lattice.from_columns(m.cols, ker).same_lattice(
+        Lattice.from_columns(m.cols, kernel_oracle(m))
+    )
+    assert len(ker) == len(kernel_oracle(m))
+
+
+def test_kernel_basis_rejects_a_compression_that_drops_a_row(monkeypatch):
+    m = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3], [1, 1, 1]])
+    honest = exactlin.row_hermite
+    monkeypatch.setattr(exactlin, "row_hermite", lambda rows: honest(rows)[:-1])
+    with pytest.raises(InternalInconsistencyError):
+        kernel_basis(m)
+
+
+def test_kernel_basis_rejects_a_compression_that_adds_rank(monkeypatch):
+    m = IntMatrix.from_rows([[1, 1, 0], [2, 2, 0], [3, 3, 0]])
+    honest = exactlin.row_hermite
+    monkeypatch.setattr(exactlin, "row_hermite", lambda rows: honest(rows) + ((0, 0, 1),))
+    with pytest.raises(InternalInconsistencyError):
+        kernel_basis(m)
+
+
+# --- canonical lattices and membership ------------------------------------------
+
+
+def test_canonical_is_idempotent_and_shares_its_caches():
+    lat = Lattice.from_columns(2, [(4, 4), (2, 6), (6, 10)])
+    canon = lat.canonical()
+    assert canon is not lat
+    assert canon.canonical() is canon
+    assert lat.canonical().canonical() is lat.canonical()
+    assert canon.basis is lat.basis
+    assert lat._basis_smith is canon._basis_smith
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(vectors2, min_size=1, max_size=4), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_yes_coordinates_on_redundant_generators_rebuild(gens, mix):
+    # a vector known to lie in the lattice, and two redundant generators
+    v = tuple(sum(c * g[i] for c, g in zip(mix, gens)) for i in range(2))
+    extra = [tuple(a + b for a, b in zip(gens[0], gens[-1])), (0, 0)]
+    lat = Lattice.from_columns(2, gens + extra)
+    res = lattice_membership(v, lat)
+    assert res.member
+    assert lat.generators.matvec(res.coordinates) == v
+    assert lat.contains(v)
+
+
+# Certificates the Smith-form decision gave before YES moved to the Hermite
+# basis: (ambient rank, generators, vector, kind, functional, prime, power).
+NO_CERTIFICATES = [
+    (2, [(2, 0), (0, 2)], (1, 0), "modular", (1, 0), 2, 1),
+    (2, [(4, 4), (2, 6)], (1, 1), "modular", (1, 0), 2, 1),
+    (2, [(1, 1)], (1, 0), "rank", (-1, 1), None, None),
+    (3, [(2, 1, 0), (0, 3, 1), (2, 4, 1)], (1, 1, 1), "rank", (1, -2, 6), None, None),
+    (3, [(6, 0, 0), (0, 4, 2)], (3, 2, 1), "modular", (0, 0, 1), 2, 1),
+    (3, [(6, 0, 0), (0, 4, 2)], (0, 0, 1), "modular", (0, 0, 1), 2, 1),
+    (3, [], (0, 5, 0), "rank", (0, 1, 0), None, None),
+    (4, [(3, 0, 0, 0), (1, 9, 0, 0), (0, 0, 12, 6), (0, 0, 0, 5)], (1, 1, 6, 1),
+     "modular", (-720, 80, 27, -324), 2, 2),
+    (4, [(3, 0, 0, 0), (1, 9, 0, 0), (0, 0, 12, 6), (0, 0, 0, 5)], (0, 3, 0, 0),
+     "modular", (-720, 80, 27, -324), 3, 3),
+]
+
+
+@pytest.mark.parametrize("rank, gens, v, kind, functional, prime, power", NO_CERTIFICATES)
+def test_no_certificates_are_unchanged(rank, gens, v, kind, functional, prime, power):
+    lat = Lattice.from_columns(rank, gens)
+    res = lattice_membership(v, lat)
+    assert not res.member and not lat.contains(v)
+    cert = res.certificate
+    assert (cert.kind, cert.functional, cert.prime, cert.power) == (kind, functional, prime, power)
+    assert res.check(v, lat)
+
+
+def test_kernel_basis_rejects_a_compression_that_drops_every_row(monkeypatch):
+    monkeypatch.setattr(exactlin, "row_hermite", lambda rows: ())
+    with pytest.raises(InternalInconsistencyError):
+        kernel_basis(IntMatrix.from_rows([[0, 1], [0, 2]]))
+    assert kernel_basis(IntMatrix.from_rows([[0, 0], [0, 0]])) == [(1, 0), (0, 1)]
