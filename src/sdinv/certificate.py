@@ -42,8 +42,8 @@ CERT_FORMAT = "sdinv-cert/1"
 # entry builders
 
 
-def _cols(mat: IntMatrix) -> list[list[int]]:
-    return [list(c) for c in mat.columns()]
+def _cols(lattice: Lattice) -> list[list[int]]:
+    return [list(c) for c in lattice.basis_columns]
 
 
 def lattice_basis_entry(label: str, ambient_rank: int, generators, canonical) -> dict:
@@ -61,7 +61,7 @@ def membership_entry(label: str, lattice: Lattice, vector, result: MembershipRes
         "kind": "membership",
         "label": label,
         "ambient_rank": lattice.ambient_rank,
-        "lattice_basis": _cols(lattice.basis),
+        "lattice_basis": _cols(lattice),
         "vector": list(map(int, vector)),
         "member": result.member,
     }
@@ -101,8 +101,8 @@ def subquotient_entry(label: str, data: SubquotientData) -> dict:
         "kind": "subquotient",
         "label": label,
         "ambient_rank": data.sup.ambient_rank,
-        "sup_basis": _cols(data.sup.basis),
-        "sub_basis": _cols(data.sub.basis),
+        "sup_basis": _cols(data.sup),
+        "sub_basis": _cols(data.sub),
         "relation": [list(r) for r in data.relation.entries],
         "smith": {
             "U": [list(r) for r in data.smith.U.entries],
@@ -183,7 +183,7 @@ def _as_lattice(ambient_rank: int, cols) -> Lattice:
 def _verify_lattice_basis(entry) -> None:
     lat = _as_lattice(entry["ambient_rank"], entry["generators"])
     canonical = [tuple(c) for c in entry["canonical_basis"]]
-    if list(lat.basis.columns()) != canonical:
+    if list(lat.basis_columns) != canonical:
         raise CertificateError(f"{entry['label']}: canonical basis mismatch")
     recanon = row_hermite(canonical)
     if [list(r) for r in recanon] != [list(c) for c in canonical]:
@@ -220,11 +220,11 @@ def _verify_subquotient(entry) -> None:
     if not smith.verify():
         raise CertificateError(f"{entry['label']}: smith decomposition invalid")
     # relation columns must express the sub basis in the sup basis
-    sub_cols = sub.basis.columns()
+    sub_cols = sub.basis_columns
     if relation.cols != len(sub_cols):
         raise CertificateError(f"{entry['label']}: relation shape mismatch")
-    for j, col in enumerate(sub_cols):
-        rebuilt = sup.basis.matvec(relation.column(j))
+    for j, (col, coords) in enumerate(zip(sub_cols, relation.transpose().entries)):
+        rebuilt = sup.basis.matvec(coords)
         if rebuilt != col:
             raise CertificateError(f"{entry['label']}: relation column {j} wrong")
     diag = smith.diagonal

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, certificate as certmod
-from .exactlin import InputError, InternalInconsistencyError, subquotient_presentation
+from .exactlin import InputError, InternalInconsistencyError, Lattice
 from .kgamma import (
     filtration_membership,
     gamma_filtration,
@@ -83,7 +83,7 @@ def _inv3_entries(preset_name: str) -> list[dict]:
             "reductive character lattice",
             data.datum.ambient_rank,
             [v for _, v in data.display_basis],
-            reductive.lattice.basis.columns(),
+            reductive.lattice.basis_columns,
         )
     )
     if data.kind != "semisimple":
@@ -94,7 +94,7 @@ def _inv3_entries(preset_name: str) -> list[dict]:
             "semisimple character lattice",
             lat.ambient_rank,
             [v for _, v in data.semisimple_display],
-            lat.lattice.basis.columns(),
+            lat.lattice.basis_columns,
         )
     )
     res = indecomposable_group(preset_name)
@@ -105,23 +105,21 @@ def _inv3_entries(preset_name: str) -> list[dict]:
         certmod.fixed_vectors_entry(
             "weyl invariance of the invariant quadratic lattice",
             actions,
-            res.invariant_lattice.basis.columns(),
+            res.invariant_lattice.basis_columns,
         )
     )
-    for j, col in enumerate(res.dec_lattice.basis.columns()):
+    inv = res.invariant_lattice.canonical()
+    for j, col in enumerate(res.dec_lattice.basis_columns):
         entries.append(
             certmod.membership_entry(
                 f"chern generator {j} lies in the invariant lattice",
-                res.invariant_lattice.canonical(),
+                inv,
                 col,
-                res.invariant_lattice.canonical().membership(col),
+                inv.membership(col),
             )
         )
     entries.append(
-        certmod.subquotient_entry(
-            "indecomposable invariant group",
-            subquotient_presentation(res.dec_lattice, res.invariant_lattice),
-        )
+        certmod.subquotient_entry("indecomposable invariant group", res.presentation)
     )
     return entries
 
@@ -132,8 +130,8 @@ def _inv3_results(preset_name: str) -> dict:
         "preset": preset_name,
         "group": res.group.label(),
         "witnesses": [list(w.vector) for w in res.witnesses],
-        "invariant_basis": [list(c) for c in res.invariant_lattice.basis.columns()],
-        "dec_basis": [list(c) for c in res.dec_lattice.basis.columns()],
+        "invariant_basis": [list(c) for c in res.invariant_lattice.basis_columns],
+        "dec_basis": [list(c) for c in res.dec_lattice.basis_columns],
     }
     if preset_name == "sl4x4" and res.witnesses:
         q1, q2 = sl4_block_form(0), sl4_block_form(1)
@@ -147,6 +145,15 @@ def _inv3_results(preset_name: str) -> dict:
     return out
 
 
+def _counting_entry(report) -> dict:
+    return certmod.counting_entry(
+        report.torsion_orders(),
+        report.split_index,
+        report.epsilon,
+        report.counting_identity_holds,
+    )
+
+
 def _graded_entries(config_name: str) -> list[dict]:
     filt = gamma_filtration(config_name)
     report = graded_torsion(config_name)
@@ -156,17 +163,17 @@ def _graded_entries(config_name: str) -> list[dict]:
             "descended subring",
             ring.rank,
             [el.y_vector() for el in quillen_basis_elements(filt.config)],
-            filt.level(0).basis.columns(),
+            filt.level(0).basis_columns,
         ),
         certmod.index_entry(
             "split index",
             ring.rank,
-            filt.level(0).basis.columns(),
+            filt.level(0).basis_columns,
             report.split_index,
         ),
     ]
     for d in range(1, filt.dim + 2):
-        for j, col in enumerate(filt.level(d).basis.columns()):
+        for j, col in enumerate(filt.level(d).basis_columns):
             entries.append(
                 certmod.membership_entry(
                     f"filtration step {d} vector {j} nests into step {d - 1}",
@@ -175,37 +182,26 @@ def _graded_entries(config_name: str) -> list[dict]:
                     filt.level(d - 1).membership(col),
                 )
             )
+    # graded_torsion already computed and checked each piece's presentation
     for piece in report.pieces:
         entries.append(
             certmod.subquotient_entry(
-                f"graded piece at degree {piece.degree}",
-                subquotient_presentation(
-                    filt.level(piece.degree + 1), filt.level(piece.degree)
-                ),
+                f"graded piece at degree {piece.degree}", piece.presentation
             )
         )
     degs = ring.degrees()
     for d in range(1, filt.dim + 1):
         rows = [i for i, deg in enumerate(degs) if deg == d]
-        proj = [tuple(c[i] for i in rows) for c in filt.level(d).basis.columns()]
-        from .exactlin import Lattice
-
+        proj = [tuple(c[i] for i in rows) for c in filt.level(d).basis_columns]
         entries.append(
             certmod.index_entry(
                 f"split image index at degree {d}",
                 len(rows),
-                Lattice.from_columns(len(rows), proj).basis.columns(),
+                Lattice.from_columns(len(rows), proj).basis_columns,
                 report.epsilon[d - 1],
             )
         )
-    entries.append(
-        certmod.counting_entry(
-            report.torsion_orders(),
-            report.split_index,
-            report.epsilon,
-            report.counting_identity_holds,
-        )
-    )
+    entries.append(_counting_entry(report))
     return entries
 
 
@@ -260,20 +256,21 @@ def _member_payload(config_name: str, expr: str, degree: int):
             "power": res.certificate.power,
             "functional": list(res.certificate.functional),
         }
-    entries = [
-        certmod.lattice_basis_entry(
-            f"filtration step {degree}",
-            filt.config.ring.rank,
-            filt.level(degree).basis.columns(),
-            filt.level(degree).basis.columns(),
-        ),
-        certmod.membership_entry(
-            f"membership at filtration degree {degree}",
-            filt.level(degree),
-            element.y_vector(),
-            res,
-        ),
-    ]
+
+    def entries():
+        lat = filt.level(degree)
+        return [
+            certmod.lattice_basis_entry(
+                f"filtration step {degree}",
+                filt.config.ring.rank,
+                lat.basis_columns,
+                lat.basis_columns,
+            ),
+            certmod.membership_entry(
+                f"membership at filtration degree {degree}", lat, element.y_vector(), res
+            ),
+        ]
+
     return results, entries
 
 
@@ -287,7 +284,7 @@ def _witt_payload(identity: str, trials: int, seed: int):
         "level": cases[0].congruence_level,
         "all_pass": all(c.verdict for c in cases),
     }
-    return results, [certmod.witt_trials_entry(cases)]
+    return results, lambda: [certmod.witt_trials_entry(cases)]
 
 
 def _theorem_payload(n: int, trials: int, seed: int):
@@ -302,35 +299,25 @@ def _theorem_payload(n: int, trials: int, seed: int):
         "exactness_holds": row.exactness_holds,
         "alpha_suites": [_suite_payload(s) for s in row.alpha_suites],
     }
-    entries = [
-        certmod.subquotient_entry(
-            "indecomposable invariant group",
-            subquotient_presentation(
-                row.indecomposable.dec_lattice, row.indecomposable.invariant_lattice
-            ),
-        )
-    ]
-    if row.chow is not None:
-        rep = row.chow.report
-        entries.append(
-            certmod.counting_entry(
-                rep.torsion_orders(),
-                rep.split_index,
-                rep.epsilon,
-                rep.counting_identity_holds,
+
+    def entries():
+        out = [
+            certmod.subquotient_entry(
+                "indecomposable invariant group", row.indecomposable.presentation
             )
-        )
-        filt = gamma_filtration(row.chow.config.name)
-        if filt.dim >= 2:
-            entries.append(
-                certmod.subquotient_entry(
-                    "graded piece at degree 2",
-                    subquotient_presentation(filt.level(3), filt.level(2)),
+        ]
+        if row.chow is not None:
+            rep = row.chow.report
+            out.append(_counting_entry(rep))
+            if rep.config.dim >= 2:
+                out.append(
+                    certmod.subquotient_entry(
+                        "graded piece at degree 2", rep.pieces[2].presentation
+                    )
                 )
-            )
-    for suite in row.alpha_suites:
-        cases = verify_identity(suite.identity_id, suite.trials, suite.seed)
-        entries.append(certmod.witt_trials_entry(cases))
+        out.extend(certmod.witt_trials_entry(s.cases) for s in row.alpha_suites)
+        return out
+
     cited = [_fact_payload(f) for f in row.cited_facts]
     return results, entries, cited
 
@@ -346,16 +333,10 @@ def _sl4x4_payload():
         "inconsistencies": list(rep.inconsistencies),
         "variety_config": rep.chow.config.name,
     }
-    entries = _inv3_entries("sl4x4")
-    grep = rep.chow.report
-    entries.append(
-        certmod.counting_entry(
-            grep.torsion_orders(),
-            grep.split_index,
-            grep.epsilon,
-            grep.counting_identity_holds,
-        )
-    )
+
+    def entries():
+        return _inv3_entries("sl4x4") + [_counting_entry(rep.chow.report)]
+
     cited = [_fact_payload(f) for f in rep.cited_facts]
     return results, entries, cited
 
@@ -365,23 +346,28 @@ def _sl4x4_payload():
 
 
 def _execute(args):
-    """Run parsed arguments; returns (results, entries, cited, seed)."""
+    """Run parsed arguments; returns (results, entries, cited, seed).
+
+    ``entries`` is a function that builds the certificate entries; it runs
+    only when a certificate is written or replayed.
+    """
     head = args.command
     if head == "inv3":
-        return _inv3_results(args.preset), _inv3_entries(args.preset), [], None
+        entries = functools.partial(_inv3_entries, args.preset)
+        return _inv3_results(args.preset), entries, [], None
     if head == "chow2":
         results = _graded_results(args.preset, full=False)
         cited = [
             _fact_payload(cited_fact(fid))
             for fid in ("chow_reduction", "chow_gamma", "index_tables")
         ]
-        return results, _graded_entries(args.preset), cited, None
+        return results, functools.partial(_graded_entries, args.preset), cited, None
     if head == "gamma":
         if args.gamma_command == "member":
             results, entries = _member_payload(args.preset, args.element, args.degree)
             return results, entries, [], None
         results = _graded_results(args.preset, full=True)
-        return results, _graded_entries(args.preset), [], None
+        return results, functools.partial(_graded_entries, args.preset), [], None
     if head == "witt":
         results, entries = _witt_payload(args.identity, args.trials, args.seed)
         return results, entries, [], args.seed
@@ -401,7 +387,7 @@ def certificate_payload(command: list[str]) -> dict:
         "command": list(command),
         "seed": seed,
         "versions": {"sdinv": __version__},
-        "entries": entries,
+        "entries": entries(),
     }
 
 
@@ -561,6 +547,7 @@ def run(argv=None, out=None) -> int:
         "cited_facts": cited,
     }
     if args.certificate:
+        entries = entries()
         payload = {
             "format": certmod.CERT_FORMAT,
             "command": command,

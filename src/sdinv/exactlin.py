@@ -36,6 +36,7 @@ kernel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -113,9 +114,10 @@ class IntMatrix:
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
         bt = other.transpose().entries
+        mul = operator.mul
         return IntMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                tuple(sum(map(mul, row, col)) for col in bt)
                 for row in self.entries
             )
         )
@@ -123,7 +125,8 @@ class IntMatrix:
     def matvec(self, v) -> tuple[int, ...]:
         if self.cols != len(v):
             raise InputError("matrix/vector shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        mul = operator.mul
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -207,17 +210,21 @@ def row_hermite(rows) -> tuple[tuple[int, ...], ...]:
             if mat[top][c] < 0:
                 mat[top] = [-x for x in mat[top]]
             p = mat[top][c]
+            # every row from ``top`` on is zero left of column c, so the
+            # row operations only touch columns c onwards
+            tail = mat[top][c:]
             dirty = False
             for i in range(top + 1, len(mat)):
-                if mat[i][c]:
-                    q = mat[i][c] // p
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
-                    dirty = dirty or bool(mat[i][c])
+                row = mat[i]
+                if row[c]:
+                    q = row[c] // p
+                    row[c:] = [x - q * y for x, y in zip(row[c:], tail)]
+                    dirty = dirty or bool(row[c])
             if not dirty:
                 for i in range(top):
                     q = mat[i][c] // p
                     if q:
-                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
+                        mat[i][c:] = [x - q * y for x, y in zip(mat[i][c:], tail)]
                 top += 1
                 break
     return tuple(tuple(r) for r in mat[:top] if any(r))
@@ -466,13 +473,15 @@ class Lattice:
 
     @classmethod
     def from_columns(cls, ambient_rank: int, cols) -> "Lattice":
-        cols = [tuple(c) for c in cols]
+        cols = tuple(tuple(map(int, c)) for c in cols)
         for c in cols:
             if len(c) != ambient_rank:
                 raise InputError("generator length does not match ambient rank")
         if not cols:
             return cls(ambient_rank, IntMatrix(tuple(() for _ in range(ambient_rank))))
-        return cls(ambient_rank, IntMatrix.from_columns(cols))
+        lat = cls(ambient_rank, IntMatrix(tuple(zip(*cols))))
+        lat.__dict__["generator_columns"] = cols
+        return lat
 
     @classmethod
     def standard(cls, ambient_rank: int) -> "Lattice":
@@ -483,16 +492,25 @@ class Lattice:
         return cls.from_columns(ambient_rank, [])
 
     @cached_property
+    def generator_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The generators as column tuples."""
+        return tuple(self.generators.columns())
+
+    @cached_property
+    def basis_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical Hermite basis as column tuples, the row Hermite form
+        of the generator columns."""
+        return row_hermite(self.generator_columns)
+
+    @cached_property
     def basis(self) -> IntMatrix:
         """Canonical Hermite basis, columns."""
-        rows = row_hermite(self.generators.columns())
-        return IntMatrix.from_columns(list(rows)) if rows else IntMatrix(
-            tuple(() for _ in range(self.ambient_rank))
-        )
+        cols = self.basis_columns
+        return IntMatrix(tuple(zip(*cols)) if cols else tuple(() for _ in range(self.ambient_rank)))
 
     @property
     def rank(self) -> int:
-        return self.basis.cols
+        return len(self.basis_columns)
 
     def canonical(self) -> "Lattice":
         """The lattice generated by its canonical basis; ``self`` when the
@@ -505,6 +523,7 @@ class Lattice:
             return self
         lat = Lattice(self.ambient_rank, self.basis)
         lat.__dict__["basis"] = self.basis
+        lat.__dict__["basis_columns"] = lat.__dict__["generator_columns"] = self.basis_columns
         return lat
 
     def same_lattice(self, other: "Lattice") -> bool:
@@ -526,7 +545,7 @@ class Lattice:
             return canon._echelon
         return tuple(
             (next(i for i, x in enumerate(col) if x), col)
-            for col in self.basis.columns()
+            for col in self.basis_columns
         )
 
     @cached_property
@@ -537,11 +556,11 @@ class Lattice:
         block: its first ``rank`` rows are the canonical basis followed by
         the combinations that produce it.
         """
-        gens = self.generators.columns()
+        gens = self.generator_columns
         r = self.ambient_rank
         aug = [g + tuple(int(i == j) for i in range(len(gens))) for j, g in enumerate(gens)]
         rows = row_hermite(aug)[: self.rank]
-        if [row[:r] for row in rows] != self.basis.columns():
+        if tuple(row[:r] for row in rows) != self.basis_columns:
             raise InternalInconsistencyError("augmented Hermite form lost the basis")
         return tuple(row[r:] for row in rows)
 
@@ -571,9 +590,6 @@ class Lattice:
     def contains(self, v) -> bool:
         return self._basis_coordinates(_ambient_vector(v, self)) is not None
 
-    def basis_columns(self) -> list[tuple[int, ...]]:
-        return self.basis.columns()
-
 
 @dataclass(frozen=True)
 class NonMembershipCertificate:
@@ -592,11 +608,11 @@ class NonMembershipCertificate:
     def check(self, v, lattice: Lattice) -> bool:
         pair = lambda w: sum(a * b for a, b in zip(self.functional, w))
         if self.kind == "rank":
-            return all(pair(g) == 0 for g in lattice.generators.columns()) and pair(v) != 0
+            return all(pair(g) == 0 for g in lattice.generator_columns) and pair(v) != 0
         mod = self.prime ** self.power
         if pair(v) % mod == 0:
             return False
-        return all(pair(g) % mod == 0 for g in lattice.generators.columns())
+        return all(pair(g) % mod == 0 for g in lattice.generator_columns)
 
 
 @dataclass(frozen=True)
@@ -766,10 +782,10 @@ def _relation_matrix(sub: Lattice, sup: Lattice) -> tuple[IntMatrix, list, Latti
     # generators and keeps the relation matrix small.
     sub_c = sub.canonical()
     cols = []
-    for g in sub_c.generators.columns():
+    for g in sub_c.basis_columns:
         coords = sup._basis_coordinates(g)
         if coords is None:
-            idx = next(i for i, h in enumerate(sub.generators.columns()) if not sup.contains(h))
+            idx = next(i for i, h in enumerate(sub.generator_columns) if not sup.contains(h))
             raise ContainmentError(
                 f"generator {idx} of the sublattice is outside the superlattice"
             )

@@ -13,6 +13,18 @@ twisted form is spanned by ``ind(i) * x^i`` over all monomial exponents
 operations of rank-zero elements of that subring, enumerated finitely via
 the observation that gamma_k lands in y-degree >= k (machine-checked) and
 everything above the total degree truncates to zero.
+
+Products are index-additive.  Monomials are indexed in mixed-radix order
+with the last variable fastest, so when no factor truncates, the product of
+monomials i and k sits at index i + k.  A per-ring table of packed exponents
+with one guard bit per variable decides truncation with a single integer
+test.  The filtration builds the ring elements of each level's basis and
+each gamma value once, and drops repeated product columns before the Hermite
+form, which leaves the span unchanged.
+
+Each graded piece keeps the subquotient presentation its structure was read
+from.  Certificate entries are built from it, and only when a certificate is
+written or replayed; a plain report builds none.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactlin import (
     FinAbelianGroup,
@@ -29,6 +41,7 @@ from .exactlin import (
     InternalInconsistencyError,
     Lattice,
     MembershipResult,
+    SubquotientData,
     TorsionWitness,
     kernel_basis,
     lattice_index,
@@ -63,10 +76,7 @@ class TruncatedPolyRing:
 
     @property
     def rank(self) -> int:
-        out = 1
-        for d in self.factor_degrees:
-            out *= d
-        return out
+        return math.prod(self.factor_degrees)
 
     @property
     def dim(self) -> int:
@@ -90,6 +100,29 @@ class TruncatedPolyRing:
     @lru_cache(maxsize=None)
     def degrees(self) -> tuple[int, ...]:
         return tuple(sum(e) for e in self.exponents())
+
+    @lru_cache(maxsize=None)
+    def _product_table(self) -> tuple[tuple[int, ...], int, int]:
+        """``(packed, bias, guard)`` for the index-additive product.
+
+        Exponent ``e_j`` sits in a field of ``b_j + 1`` bits with
+        ``2**b_j >= d_j``.  ``bias`` puts ``2**b_j - d_j`` into every field,
+        so in ``packed[i] + packed[k] + bias`` the top bit of field j is set
+        exactly when the two exponents sum to ``d_j`` or more, and no field
+        carries into the next: the product of monomials i and k survives
+        the truncation iff that sum has no bit of ``guard`` set.
+        """
+        shifts, bias, guard, at = [], 0, 0, 0
+        for d in self.factor_degrees:
+            b = (d - 1).bit_length()
+            shifts.append(at)
+            bias += ((1 << b) - d) << at
+            guard |= 1 << (at + b)
+            at += b + 1
+        packed = tuple(
+            sum(e << s for e, s in zip(exps, shifts)) for exps in self.exponents()
+        )
+        return packed, bias, guard
 
     def zero(self) -> "RingElement":
         return RingElement(self, (0,) * self.rank, "y")
@@ -216,22 +249,25 @@ class RingElement:
         return RingElement(self.ring, tuple(c * x for x in a.coefficients), "y")
 
     def __mul__(self, other: "RingElement") -> "RingElement":
+        # Monomial indices are mixed-radix with the last variable fastest, so
+        # a product that no factor truncates sits at the sum of the indices.
         a, b = self._same(other)
         ring = self.ring
-        exps = ring.exponents()
-        degs = ring.factor_degrees
+        _, bias, guard = ring._product_table()
         out = [0] * ring.rank
-        index_of = ring._index()
-        nz_b = [(exps[j], cb) for j, cb in enumerate(b.coefficients) if cb]
-        for i, ca in enumerate(a.coefficients):
-            if not ca:
-                continue
-            ea = exps[i]
-            for eb, cb in nz_b:
-                ne = tuple(p + q for p, q in zip(ea, eb))
-                if all(p < d for p, d in zip(ne, degs)):
-                    out[index_of[ne]] += ca * cb
+        terms_b = b._terms
+        for i, ca, pa in a._terms:
+            pa += bias
+            for k, cb, pb in terms_b:
+                if not (pa + pb) & guard:
+                    out[i + k] += ca * cb
         return RingElement(ring, tuple(out), "y")
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, int], ...]:
+        """``(index, coefficient, packed exponent)`` of each nonzero term."""
+        packed = self.ring._product_table()[0]
+        return tuple((i, c, packed[i]) for i, c in enumerate(self.coefficients) if c)
 
     # -- structure
 
@@ -378,10 +414,7 @@ class _Parser:
             kind2, e, at2 = self.advance()
             if kind2 != "int":
                 raise ParseError("exponent must be an integer literal", at2)
-            out = self.ring.one()
-            for _ in range(e):
-                out = out * base
-            return out
+            return _power(base, e)
         return base
 
     def atom(self) -> RingElement:
@@ -408,6 +441,25 @@ class _Parser:
                 raise ParseError("expected closing parenthesis", at2)
             return node
         raise ParseError("expected a value", at)
+
+
+def _power(base: RingElement, e: int) -> RingElement:
+    """``base ** e`` by repeated squaring, zero as soon as a square is.
+
+    Never more products than ``e - 1``, so a huge exponent on a nilpotent
+    element costs a few products and on a unit ``log2(e)`` of them.
+    """
+    out = None
+    square = base
+    while True:
+        if e & 1:
+            out = square if out is None else out * square
+        e >>= 1
+        if not e:
+            return base.ring.one() if out is None else out
+        square = square * square
+        if square.is_zero():
+            return square
 
 
 def parse_element(expr: str, ring: TruncatedPolyRing) -> RingElement:
@@ -486,7 +538,7 @@ def _table_from_rule(degrees, periods, rule) -> tuple:
     return tuple((c, rule(c)) for c in classes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def get_config(name: str) -> SeveriBrauerConfig:
     """Named index configurations.
 
@@ -660,7 +712,7 @@ def _gamma_generators(config: SeveriBrauerConfig) -> list[RingElement]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltration:
     """Filtration lattices through degree ``min(d_max, dim) + 1``.
 
@@ -678,6 +730,7 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
     # gamma values of every generator through degree dim, with the y-order
     # bound and membership in the descended subring checked as we go
     table = []
+    nonzero = []  # (k, gamma_k(g)) over all generators g, nonzero values only
     for g in gens:
         series = gamma_series(g, dim)
         row = []
@@ -693,6 +746,8 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
                     "gamma value escapes the descended subring"
                 )
             row.append(gk.y_vector())
+            if mind is not None:
+                nonzero.append((k, gk))
         table.append(tuple(row))
 
     one_cols = [g.y_vector() for g in gens]
@@ -702,25 +757,22 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
     # over all generators g and 1 <= k <= dim, plus the bare gamma_k(g) with
     # k >= d.  Peeling one factor off any product of gamma operations of
     # total degree >= d lands the remainder in one of those lower levels, so
-    # the finite span equals the full ideal.
+    # the finite span equals the full ideal.  Many products coincide; the
+    # span, and so the canonical basis, is the same without the repeats.
     levels: dict[int, Lattice] = {0: k0, 1: gamma1}
+    basis_elements = {1: [RingElement(ring, b, "y") for b in gamma1.basis_columns]}
     for d in range(2, top + 2):
-        cols = []
-        for gi, g in enumerate(gens):
-            for k in range(1, dim + 1):
-                gk_vec = table[gi][k - 1]
-                if not any(gk_vec):
-                    continue
-                if k >= d:
-                    cols.append(gk_vec)
-                gk = RingElement(ring, gk_vec, "y")
-                lower = levels[max(d - k, 1)]
-                for b in lower.basis.columns():
-                    prod = gk * RingElement(ring, b, "y")
-                    if not prod.is_zero():
-                        cols.append(prod.y_vector())
+        cols: dict[tuple[int, ...], None] = {}
+        for k, gk in nonzero:
+            if k >= d:
+                cols[gk.coefficients] = None
+            for b in basis_elements[max(d - k, 1)]:
+                prod = (gk * b).coefficients
+                if any(prod):
+                    cols[prod] = None
         levels[d] = Lattice.from_columns(ring.rank, cols).canonical()
-        for col in levels[d].basis.columns():
+        basis_elements[d] = [RingElement(ring, b, "y") for b in levels[d].basis_columns]
+        for col in levels[d].basis_columns:
             if not levels[d - 1].contains(col):
                 raise InternalInconsistencyError("filtration levels fail to nest")
 
@@ -754,6 +806,8 @@ class GradedPiece:
     structure: FinAbelianGroup
     torsion: FinAbelianGroup
     witnesses: tuple[TorsionWitness, ...]
+    # the presentation the structure was read from, kept for certificates
+    presentation: SubquotientData = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -781,7 +835,7 @@ def _project_to_degree(ring: TruncatedPolyRing, cols, d: int) -> Lattice:
     return Lattice.from_columns(len(rows), proj).canonical()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def graded_torsion(config_name: str) -> GradedTorsionReport:
     """Per-degree torsion, image indices, and the exact counting identity.
 
@@ -801,12 +855,18 @@ def graded_torsion(config_name: str) -> GradedTorsionReport:
         tor = data.torsion
         total *= tor.order()
         pieces.append(
-            GradedPiece(degree=d, structure=data.group, torsion=tor, witnesses=data.witnesses)
+            GradedPiece(
+                degree=d,
+                structure=data.group,
+                torsion=tor,
+                witnesses=data.witnesses,
+                presentation=data,
+            )
         )
 
     epsilon = []
     for d in range(1, dim + 1):
-        proj = _project_to_degree(ring, filt.level(d).basis.columns(), d)
+        proj = _project_to_degree(ring, filt.level(d).basis_columns, d)
         idx = lattice_index(proj, Lattice.standard(len(_degree_slice(ring, d))))
         if idx is None:
             raise InternalInconsistencyError("split image of a filtration step has deficient rank")
@@ -824,7 +884,7 @@ def graded_torsion(config_name: str) -> GradedTorsionReport:
             ker = kernel_basis(sel.mul(k0.basis))
             cols = [k0.basis.matvec(v) for v in ker]
         else:
-            cols = k0.basis.columns()
+            cols = k0.basis_columns
         piece = _project_to_degree(ring, cols, d)
         idx = lattice_index(piece, Lattice.standard(len(_degree_slice(ring, d))))
         eta.append(idx)

@@ -18,7 +18,7 @@ must equal the order of the middle group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactlin import FinAbelianGroup, InputError, InternalInconsistencyError
 from .kgamma import Chow2Result, chow2_torsion
@@ -150,22 +150,24 @@ class SuiteSummary:
     seed: int
     passes: int
     congruence_level: str
+    # the decided cases, kept for certificates
+    cases: tuple[IdentityCase, ...] = field(repr=False, compare=False)
 
     @property
     def all_pass(self) -> bool:
         return self.passes == self.trials
 
 
-def _run_suite(identity_id: str, trials: int, seed: int) -> tuple[SuiteSummary, list[IdentityCase]]:
+def _run_suite(identity_id: str, trials: int, seed: int) -> SuiteSummary:
     cases = verify_identity(identity_id, trials, seed)
-    summary = SuiteSummary(
+    return SuiteSummary(
         identity_id=identity_id,
         trials=trials,
         seed=seed,
         passes=sum(1 for c in cases if c.verdict),
         congruence_level=cases[0].congruence_level,
+        cases=tuple(cases),
     )
-    return summary, cases
 
 
 @dataclass(frozen=True)
@@ -245,7 +247,7 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
 
     suites = []
     for identity_id in ALPHA_SUITES_BY_N.get(n, ()):
-        summary, _ = _run_suite(identity_id, trials, seed)
+        summary = _run_suite(identity_id, trials, seed)
         suites.append(summary)
         if not summary.all_pass:
             raise InternalInconsistencyError(

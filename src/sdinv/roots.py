@@ -16,7 +16,7 @@ which would leave the integral structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,6 +27,7 @@ from .exactlin import (
     IntMatrix,
     InternalInconsistencyError,
     Lattice,
+    SubquotientData,
     TorsionWitness,
     det,
     kernel_basis,
@@ -248,7 +249,8 @@ class WeightMultiset:
         for w in weyl.generators:
             image = {}
             for v, m in bag.items():
-                image[w.matvec(v)] = image.get(w.matvec(v), 0) + m
+                wv = w.matvec(v)
+                image[wv] = image.get(wv, 0) + m
             if image != bag:
                 return False
         return True
@@ -468,6 +470,8 @@ class IndecomposableResult:
     character_lattice: CharacterLattice
     invariant_lattice: Lattice
     dec_lattice: Lattice
+    # the presentation the group was read from, kept for certificates
+    presentation: SubquotientData = field(repr=False, compare=False)
 
 
 def indecomposable_group(preset: "GroupData | str") -> IndecomposableResult:
@@ -506,6 +510,7 @@ def _indecomposable_impl(data: "GroupData") -> IndecomposableResult:
         character_lattice=lat,
         invariant_lattice=inv,
         dec_lattice=dec,
+        presentation=pres,
     )
 
 

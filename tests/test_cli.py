@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sdinv import certificate as certmod
-from sdinv import cli, exactlin, roots
+from sdinv import cli, exactlin, kgamma, roots
 from sdinv.roots import sym2_size
 
 
@@ -177,35 +177,116 @@ CLASSIFY_REPORTS = [["inv3", "--preset", f"sl2n:{n}", "--json"] for n in range(2
 ]
 
 
-@pytest.mark.parametrize("argv", CLASSIFY_REPORTS, ids=" ".join)
-def test_classification_reports_match_recorded_digests(argv):
+GAMMA_REPORTS = [
+    ["gamma", "report", "--preset", p, "--json"]
+    for p in ("conic1", "conics3", "conics4", "deg4pair", "split:2,2,2,2,2", "split:3,3,3",
+              "split:6,6")
+] + [["chow2", "--preset", p, "--json"] for p in ("conics3", "conics4", "deg4pair")]
+
+
+def _assert_recorded_digest(argv):
     recorded = json.loads(DIGESTS.read_text())["commands"][" ".join(argv)]
     code, out = run(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == recorded
 
 
+@pytest.mark.parametrize("argv", CLASSIFY_REPORTS, ids=" ".join)
+def test_classification_reports_match_recorded_digests(argv):
+    _assert_recorded_digest(argv)
+
+
+@pytest.mark.parametrize("argv", GAMMA_REPORTS, ids=" ".join)
+def test_gamma_reports_match_recorded_digests(argv):
+    _assert_recorded_digest(argv)
+
+
+def _count_calls(monkeypatch, name):
+    """Replace the sdinv function ``name`` in every sdinv module that holds
+    it by a wrapper that records the positional arguments of each call."""
+    calls = []
+    original = getattr(exactlin, name, None) or getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("sdinv"):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_inv3_sl2n_8_keeps_smith_and_det_inputs_small(monkeypatch):
     """The tall stacked (w - 1) matrix is row-compressed before Smith form,
     so no Smith input or determinant outgrows the quadratic monomials."""
     limit = sym2_size(8)
-    smith_rows, det_sizes = [], []
-    originals = {"smith_normal_form": exactlin.smith_normal_form, "det": exactlin.det}
-    counting = {
-        "smith_normal_form": lambda m: smith_rows.append(m.rows) or originals["smith_normal_form"](m),
-        "det": lambda m: det_sizes.append(max(m.rows, m.cols)) or originals["det"](m),
-    }
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("sdinv"):
-            for name, fn in originals.items():
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, counting[name])
+    smith_calls = _count_calls(monkeypatch, "smith_normal_form")
+    det_calls = _count_calls(monkeypatch, "det")
     roots._indecomposable_cached.cache_clear()
     code, _ = run(["inv3", "--preset", "sl2n:8", "--json"])
     assert code == 0
-    assert smith_rows and det_sizes
-    assert max(smith_rows) <= limit
-    assert max(det_sizes) <= limit
+    assert smith_calls and det_calls
+    assert max(m.rows for m, in smith_calls) <= limit
+    assert max(max(m.rows, m.cols) for m, in det_calls) <= limit
+
+
+def _clear_gamma_caches():
+    kgamma.gamma_filtration.cache_clear()
+    kgamma.graded_torsion.cache_clear()
+
+
+def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_path):
+    _clear_gamma_caches()
+    calls = _count_calls(monkeypatch, "subquotient_presentation")
+    argv = ["gamma", "report", "--preset", "split:3,3,3", "--json"]
+    code, _ = run(argv)
+    assert code == 0
+    assert len(calls) == kgamma.get_config("split:3,3,3").dim + 1 == 7
+    path = tmp_path / "gamma.json"
+    code, out = run(argv + ["--certificate", str(path)])
+    assert code == 0
+    assert len(json.loads(path.read_text())["entries"]) == 97
+    code, out = run(["--check-certificate", str(path)])
+    assert code == 0 and "certificate OK" in out
+
+
+def test_theorem_runs_each_suite_once(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, "verify_identity")
+    argv = ["theorem", "--n", "3", "--json"]
+    code, _ = run(argv)
+    assert code == 0
+    assert [c[0] for c in calls] == ["twofold", "lemma_alpha3_exact", "lemma_alpha3_modI4"]
+    calls.clear()
+    path = tmp_path / "theorem.json"
+    code, _ = run(argv + ["--certificate", str(path)])
+    assert code == 0
+    assert len(calls) == 3
+    assert len(json.loads(path.read_text())["entries"]) == 6
+    code, out = run(["--check-certificate", str(path)])
+    assert code == 0 and "certificate OK" in out
+
+
+# SHA-256 of the certificate files as the code before the lazy entries and the
+# index-additive product wrote them; the entries must not change.
+CERTIFICATE_DIGESTS = {
+    "inv3 --preset sl2n:7": "51900247fd8e89c89234e5adfc00ece39c2ce4bf6d55ba8615c2351d2b8e5819",
+    "sl4x4": "9fbb62f2c87323b040ab83c1b370a2bdd6c3de97451d04c8cd7d02ef1209b6b9",
+    "chow2 --preset conics4": "4c0207f634329beae1e1c12c3cb2ca7d7be268c6f1e82617b0e9ffe0a4cc7610",
+    "gamma report --preset deg4pair":
+        "cd146194b8f7c18d6b9f2386e0ea625ac5e3e09379a424c4dc629dd0366ffb19",
+    "gamma report --preset split:3,3,3":
+        "0ffa22e88f92739c127f0addb3c0bc29cf2dbc72b5d508c126ba14ed03008536",
+}
+
+
+@pytest.mark.parametrize("command", CERTIFICATE_DIGESTS)
+def test_certificate_files_are_byte_identical(command, tmp_path):
+    path = tmp_path / "cert.json"
+    code, _ = run(command.split() + ["--json", "--certificate", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTIFICATE_DIGESTS[command]
 
 
 # --- certificates -----------------------------------------------------------------

@@ -1,9 +1,12 @@
+import io
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdinv import cli
 from sdinv.exactlin import InputError, Lattice, lattice_index, lattice_membership
 from sdinv.kgamma import (
     ParseError,
@@ -65,6 +68,54 @@ def test_rank_homomorphism():
     assert parse("y1*y2", ring).rank_value() == 0
 
 
+# --- the index-additive product against the exponent-tuple product ---------------
+
+
+PRODUCT_RINGS = [(2, 3, 5), (6, 6), (4, 4), (2, 2, 2, 2, 2), (7,)]
+
+
+def tuple_product(a, b):
+    """Reference product: add exponent tuples, drop what truncates, look the
+    sum up by its tuple."""
+    ring = a.ring
+    exps = ring.exponents()
+    out = [0] * ring.rank
+    for i, ca in enumerate(a.y_vector()):
+        if not ca:
+            continue
+        for j, cb in enumerate(b.y_vector()):
+            if not cb:
+                continue
+            ne = tuple(p + q for p, q in zip(exps[i], exps[j]))
+            if all(p < d for p, d in zip(ne, ring.factor_degrees)):
+                out[ring.index_of(ne)] += ca * cb
+    return tuple(out)
+
+
+def sparse_elements(ring):
+    return st.dictionaries(
+        st.integers(0, ring.rank - 1), st.integers(-60, 60), max_size=8
+    ).map(lambda terms: RingElement(ring, tuple(terms.get(i, 0) for i in range(ring.rank)), "y"))
+
+
+@pytest.mark.parametrize("degrees", PRODUCT_RINGS, ids=str)
+def test_product_of_every_monomial_pair(degrees):
+    ring = TruncatedPolyRing(degrees)
+    monomials = [ring.monomial(e, "y") for e in ring.exponents()]
+    for a in monomials:
+        for b in monomials:
+            assert (a * b).coefficients == tuple_product(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_matches_tuple_product(data):
+    ring = TruncatedPolyRing(data.draw(st.sampled_from(PRODUCT_RINGS)))
+    a = data.draw(sparse_elements(ring))
+    b = data.draw(sparse_elements(ring))
+    assert (a * b).coefficients == tuple_product(a, b)
+
+
 # --- parser ----------------------------------------------------------------------
 
 
@@ -84,6 +135,28 @@ def test_parse_zero_and_power():
     ring = TruncatedPolyRing((2, 2))
     assert parse("0", ring).is_zero()
     assert parse("x1^2", ring).y_vector() == parse("2*y1 + 1", ring).y_vector()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 12))
+def test_parsed_power_equals_repeated_multiplication(data, e):
+    ring = TruncatedPolyRing(data.draw(st.sampled_from(PRODUCT_RINGS)))
+    b = data.draw(sparse_elements(ring))
+    expected = ring.one()
+    for _ in range(e):
+        expected = expected * b
+    assert parse(f"({b.pretty()})^{e}", ring).y_vector() == expected.y_vector()
+
+
+@pytest.mark.parametrize("element", ["y1^1000000000", "x1^1000000000"])
+def test_huge_exponent_answers_quickly(element):
+    start = time.perf_counter()
+    code = cli.run(
+        ["gamma", "member", "--preset", "conics4", "--element", element, "--degree", "1"],
+        out=io.StringIO(),
+    )
+    assert code == 0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_parse_mixed_bases_rejected():
@@ -402,6 +475,20 @@ def test_split_graded_everything_free():
         monomials = sum(1 for deg in ring.degrees() if deg == p.degree)
         assert p.structure.free_rank == monomials
         assert not p.structure.invariant_factors
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["split:2,2", "split:2,3", "split:3,4", "split:2,2,2", "split:2,2,3", "split:5,5",
+     "split:2,2,2,2"],
+)
+def test_split_known_answers(name):
+    rep = graded_torsion(name)
+    assert rep.split_index == 1
+    assert all(p.torsion.is_trivial for p in rep.pieces)
+    assert rep.epsilon == (1,) * rep.config.dim
+    assert rep.total_torsion_order == 1
+    assert rep.counting_identity_holds
 
 
 # --- chow2 ---------------------------------------------------------------------------
