@@ -51,7 +51,7 @@ from .wittq import (  # noqa: F401
     albert_similarity_check,
     alpha_eval,
     hilbert_symbol,
-    in_power_of_I,
+    in_power_of_i,
     pfister,
     sample_chain_configuration,
     verify_identity,

@@ -115,14 +115,3 @@ def smallest_prime_factor(n: int) -> int:
         return n
     return min(p for p, _ in factorize(n))
 
-
-def squarefree_part(n: int) -> int:
-    """Squarefree integer representing the square class of ``n`` (sign kept)."""
-    if n == 0:
-        raise ValueError("zero has no square class")
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorize(n):
-        if e % 2:
-            out *= p
-    return out

@@ -16,15 +16,30 @@ Conventions and named assumptions
   Arason value of a form in the third ideal power is ``signature/8 mod 2``
   and fourth-power membership adds the condition ``signature = 0 mod 16``.
 Both assumptions are surfaced in reports and in the package documentation.
+
+Square classes are values
+-------------------------
+* A rational square class is its canonical squarefree integer.  The product
+  of two classes is ``(a // g) * (b // g)`` with ``g = gcd(a, b)``, so no
+  class carries a prime list.
+* Only the sampled slot values of an identity are factored.  Every entry of
+  a form built from them is +-1 times a product of slot classes, so the odd
+  primes of the slots contain every place where its Hasse symbol can differ
+  from that of the hyperbolic form.
+* Hasse exponents are summed over the distinct entries of a form weighted by
+  their multiplicities; a squarefree entry has valuation 1 at p exactly when
+  p divides it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from ._factor import factorize
+from ._factor import factorize, is_probable_prime
 from .exactlin import InputError, InternalInconsistencyError
 
 Place = object  # "inf" or a prime number
@@ -34,60 +49,62 @@ Place = object  # "inf" or a prime number
 # square classes and Hilbert symbols
 
 
-# factorizations of canonical squarefree integers, grown by the class ops
-_SQF_PRIMES: dict[int, tuple[int, ...]] = {1: ()}
-
-
-def _sqf_primes(n: int) -> tuple[int, ...]:
-    key = abs(n)
-    primes = _SQF_PRIMES.get(key)
-    if primes is None:
-        primes = tuple(p for p, _ in factorize(key))
-        _SQF_PRIMES[key] = primes
-    return primes
+def _num_den(value) -> int:
+    """Numerator times denominator of a nonzero rational: an integer in the
+    same square class, with the same valuation parity at every prime."""
+    if isinstance(value, int):
+        n = value
+    else:
+        f = Fraction(value)
+        n = f.numerator * f.denominator
+    if n == 0:
+        raise InputError("square classes are defined for nonzero values only")
+    return n
 
 
 def square_class(value) -> int:
     """Canonical squarefree integer representative of a rational square class."""
-    f = Fraction(value)
-    if f == 0:
-        raise InputError("square classes are defined for nonzero values only")
-    n = f.numerator * f.denominator
-    sign = -1 if n < 0 else 1
-    primes = tuple(p for p, e in factorize(n) if e % 2)
-    out = sign
-    for p in primes:
-        out *= p
-    _SQF_PRIMES[abs(out)] = primes
+    n = _num_den(value)
+    out = -1 if n < 0 else 1
+    for p, e in factorize(n):
+        if e % 2:
+            out *= p
     return out
 
 
 def square_class_mul(a: int, b: int) -> int:
-    """Product of two canonical square classes without factoring the product."""
-    sign = -1 if (a < 0) != (b < 0) else 1
-    sym = sorted(set(_sqf_primes(a)) ^ set(_sqf_primes(b)))
-    out = sign
-    for p in sym:
-        out *= p
-    _SQF_PRIMES[abs(out)] = tuple(sym)
-    return out
+    """Product of two canonical square classes: the primes they share square
+    away, so the result is squarefree with no factoring."""
+    g = gcd(a, b)
+    return (a // g) * (b // g)
+
+
+@lru_cache(maxsize=256)
+def _is_odd_prime(p: int) -> bool:
+    return p > 2 and p % 2 == 1 and is_probable_prime(p)
 
 
 def _check_place(place) -> None:
     if place == "inf":
         return
-    if isinstance(place, int) and place == 2:
-        return
-    if isinstance(place, int) and place > 2 and place % 2:
+    if isinstance(place, int) and (place == 2 or _is_odd_prime(place)):
         return
     raise InputError(f"place must be 'inf', 2, or an odd prime, got {place!r}")
 
 
-@lru_cache(maxsize=None)
 def _legendre_bit(u: int, p: int) -> int:
     """0 when the unit u is a square mod the odd prime p, else 1."""
-    r = pow(u % p, (p - 1) // 2, p)
-    return 0 if r == 1 else 1
+    return 0 if pow(u, (p - 1) // 2, p) == 1 else 1
+
+
+def _eps(u: int) -> int:
+    """(u - 1)/2 mod 2 for an odd integer u."""
+    return 1 if u % 4 == 3 else 0
+
+
+def _omega(u: int) -> int:
+    """(u^2 - 1)/8 mod 2 for an odd integer u."""
+    return 1 if u % 8 in (3, 5) else 0
 
 
 def _local_data(a: int, p: int) -> tuple[int, int]:
@@ -103,36 +120,31 @@ def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b) at a place of the rationals.
 
     Returns +1 when z^2 = a x^2 + b y^2 has a nontrivial solution over the
-    completion, -1 otherwise.  Symmetric and bimultiplicative.
+    completion, -1 otherwise.  Symmetric and bimultiplicative.  The local
+    formula holds for any valuation, so the arguments are not reduced to
+    their square classes.
     """
     _check_place(place)
-    a = square_class(a)
-    b = square_class(b)
+    a = _num_den(a)
+    b = _num_den(b)
     if place == "inf":
         return -1 if (a < 0 and b < 0) else 1
     p = place
-    if p == 2:
-        alpha, u = _local_data(a, 2)
-        beta, v = _local_data(b, 2)
-        eps_u = ((u - 1) // 2) % 2
-        eps_v = ((v - 1) // 2) % 2
-        om_u = ((u * u - 1) // 8) % 2
-        om_v = ((v * v - 1) // 8) % 2
-        exp = eps_u * eps_v + alpha * om_v + beta * om_u
-        return -1 if exp % 2 else 1
     alpha, u = _local_data(a, p)
     beta, v = _local_data(b, p)
-    exp = alpha * beta * (((p - 1) // 2) % 2)
-    exp += beta * _legendre_bit(u % p, p)
-    exp += alpha * _legendre_bit(v % p, p)
+    if p == 2:
+        exp = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
+    else:
+        exp = alpha * beta * (((p - 1) // 2) % 2)
+        exp += beta * _legendre_bit(u, p) + alpha * _legendre_bit(v, p)
     return -1 if exp % 2 else 1
 
 
 def relevant_places(entries) -> tuple:
     """inf, 2, and every odd prime dividing a canonical entry."""
     primes = set()
-    for e in entries:
-        primes.update(p for p in _sqf_primes(e) if p > 2)
+    for e in set(entries):
+        primes.update(p for p, _ in factorize(e) if p > 2)
     return ("inf", 2) + tuple(sorted(primes))
 
 
@@ -170,11 +182,15 @@ class DiagonalForm:
 
 def pfister(slots) -> DiagonalForm:
     """k-fold multiplicative form <<a1, ..., ak>> of dimension 2^k."""
-    form = DiagonalForm((1,))
-    for s in slots:
-        c = square_class(s)
-        form = form.perp(form.scaled(-c))
-    return form
+    return _pfister([square_class(s) for s in slots])
+
+
+def _pfister(classes) -> DiagonalForm:
+    """``pfister`` of slots that are already canonical square classes."""
+    entries = [1]
+    for c in classes:
+        entries += [square_class_mul(-c, e) for e in entries]
+    return DiagonalForm(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -216,9 +232,6 @@ class QuaternionDatum:
             raise InternalInconsistencyError("norm form convention drifted")
         return form
 
-    def is_split_at(self, place) -> bool:
-        return hilbert_symbol(self.a, self.b, place) == 1
-
     def label(self) -> str:
         return f"({self.a},{self.b})"
 
@@ -235,50 +248,63 @@ class WittInvariants:
         return table.get(place, 1)
 
 
-def _hasse_exponent_at(entries, place) -> int:
-    """Sum over pairs of Hilbert-symbol exponents, in O(dim) per place."""
+def _hasse_exponent_at(counts, place) -> int:
+    """Parity of the sum over pairs of Hilbert-symbol exponents.
+
+    ``counts`` holds the distinct entries with their multiplicities.  An
+    entry is squarefree, so its valuation at p is 1 exactly when p divides
+    it.  With A the number of entries of valuation 1, the pairwise sum at an
+    odd p is (p-1)/2 * C(A, 2) + A * L - L1, where L sums the Legendre bits
+    of all unit parts and L1 those of the entries of valuation 1; at 2 it is
+    C(E, 2) + A * W - W1 with the eps and omega bits in place of Legendre
+    bits.  Mod 2 the last two terms leave the units if A is odd, and the
+    divisible entries if A is even.
+    """
     if place == "inf":
-        negs = sum(1 for e in entries if e < 0)
-        return negs * (negs - 1) // 2
+        negs = sum(m for e, m in counts if e < 0)
+        return (negs * (negs - 1) // 2) % 2
     p = place
     if p == 2:
-        alphas, eps, omegas = [], [], []
-        for e in entries:
-            a, u = _local_data(e, 2)
-            alphas.append(a % 2)
-            eps.append(((u - 1) // 2) % 2)
-            omegas.append(((u * u - 1) // 8) % 2)
-        E = sum(eps)
-        total = E * (E - 1) // 2
-        W = sum(omegas)
-        for a_i, w_i in zip(alphas, omegas):
-            total += a_i * (W - w_i)
-        return total
-    alphas, legs = [], []
-    half = ((p - 1) // 2) % 2
-    for e in entries:
-        a, u = _local_data(e, p)
-        alphas.append(a % 2)
-        legs.append(_legendre_bit(u % p, p))
-    A = sum(alphas)
-    total = half * A * (A - 1) // 2
-    L = sum(legs)
-    for a_i, l_i in zip(alphas, legs):
-        total += a_i * (L - l_i)
-    return total
+        A = E = W_unit = W_div = 0
+        for e, m in counts:
+            if e % 2:
+                E += m * _eps(e)
+                W_unit += m * _omega(e)
+            else:
+                A += m
+                E += m * _eps(e // 2)
+                W_div += m * _omega(e // 2)
+        return (E * (E - 1) // 2 + (W_unit if A % 2 else W_div)) % 2
+    A = sum(m for e, m in counts if e % p == 0)
+    if A == 0:
+        return 0
+    total = (A * (A - 1) // 2) * (((p - 1) // 2) % 2)
+    if A % 2:
+        total += sum(m * _legendre_bit(e, p) for e, m in counts if e % p)
+    else:
+        total += sum(m * _legendre_bit(e // p, p) for e, m in counts if e % p == 0)
+    return total % 2
 
 
 def witt_invariants(f: DiagonalForm, places=None) -> WittInvariants:
-    """Dimension, signed discriminant, Hasse symbol family, and signature."""
+    """Dimension, signed discriminant, Hasse symbol family, and signature.
+
+    Without ``places`` the Hasse symbols are taken at inf, 2 and every odd
+    prime dividing an entry; elsewhere they are +1.
+    """
     m = f.dim
+    counts = Counter(f.entries)
     signed = 1 if (m * (m - 1) // 2) % 2 == 0 else -1
-    for e in f.entries:
-        signed = square_class_mul(signed, e)
+    for e, k in counts.items():
+        if k % 2:
+            signed = square_class_mul(signed, e)
     if places is None:
-        places = relevant_places(f.entries)
-    hasse = tuple(
-        (v, -1 if _hasse_exponent_at(f.entries, v) % 2 else 1) for v in places
-    )
+        places = relevant_places(counts)
+    else:
+        for v in places:
+            _check_place(v)
+    items = tuple(counts.items())
+    hasse = tuple((v, -1 if _hasse_exponent_at(items, v) else 1) for v in places)
     return WittInvariants(
         dimension=m,
         signed_discriminant=signed,
@@ -287,34 +313,32 @@ def witt_invariants(f: DiagonalForm, places=None) -> WittInvariants:
     )
 
 
-def hasse_oracle_pairwise(f: DiagonalForm, place) -> int:
-    """Literal product over pairs of Hilbert symbols; test oracle."""
-    out = 1
-    for i in range(f.dim):
-        for j in range(i + 1, f.dim):
-            out *= hilbert_symbol(f.entries[i], f.entries[j], place)
-    return out
+def is_hyperbolic(f: DiagonalForm, places=None) -> bool:
+    """Full invariant comparison against the hyperbolic form of equal rank.
 
-
-def is_hyperbolic(f: DiagonalForm) -> bool:
-    """Full invariant comparison against the hyperbolic form of equal rank."""
+    ``places`` must include every odd prime dividing an entry of ``f``;
+    extra places are harmless, since there both forms have Hasse symbol +1.
+    Without it the entries are factored.
+    """
     if f.dim % 2:
         return False
-    places = relevant_places(f.entries)
+    if places is None:
+        places = relevant_places(f.entries)
     mine = witt_invariants(f, places)
     ref = witt_invariants(hyperbolic(f.dim // 2), places)
     return (
         mine.signed_discriminant == ref.signed_discriminant
         and mine.signature == ref.signature
-        and all(mine.hasse_at(v) == ref.hasse_at(v) for v in places)
+        and mine.hasse == ref.hasse
     )
 
 
-def witt_equivalent(f: DiagonalForm, g: DiagonalForm) -> bool:
-    """Exact equality in the Witt group: f + (-g) is hyperbolic."""
+def witt_equivalent(f: DiagonalForm, g: DiagonalForm, places=None) -> bool:
+    """Exact equality in the Witt group: f + (-g) is hyperbolic.  ``places``
+    is as in :func:`is_hyperbolic`, for the entries of both forms."""
     if (f.dim + g.dim) % 2:
         return False
-    return is_hyperbolic(f.perp(g.neg()))
+    return is_hyperbolic(f.perp(g.neg()), places)
 
 
 def isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
@@ -323,7 +347,7 @@ def isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
     return witt_equivalent(f, g)
 
 
-def in_power_of_i(f: DiagonalForm, n: int) -> bool:
+def in_power_of_i(f: DiagonalForm, n: int, places=None) -> bool:
     """Membership of the Witt class in the n-th power of the fundamental
     ideal, for n up to 4.
 
@@ -331,12 +355,14 @@ def in_power_of_i(f: DiagonalForm, n: int) -> bool:
     Hasse family matching the hyperbolic reference everywhere (trivial
     Clifford invariant); n=4 adds signature divisible by 16, which is the
     vanishing of the degree-3 cohomology class at the real place.
+    ``places`` is as in :func:`is_hyperbolic`.
     """
     if n not in (1, 2, 3, 4):
         raise InputError("only ideal powers 1 through 4 are supported")
     if f.dim % 2:
         return False
-    places = relevant_places(f.entries)
+    if places is None:
+        places = relevant_places(f.entries)
     inv = witt_invariants(f, places)
     if n == 1:
         return True
@@ -345,14 +371,12 @@ def in_power_of_i(f: DiagonalForm, n: int) -> bool:
     if n == 2:
         return True
     ref = witt_invariants(hyperbolic(f.dim // 2), places)
-    if any(inv.hasse_at(v) != ref.hasse_at(v) for v in places):
+    if inv.hasse != ref.hasse:
         return False
     if n == 3:
         return True
     return inv.signature % 16 == 0
 
-
-in_power_of_I = in_power_of_i
 
 
 def e3_real(f: DiagonalForm) -> int:
@@ -373,11 +397,13 @@ def e3_real(f: DiagonalForm) -> int:
 # quaternion tuples
 
 
-def brauer_relation_holds(quats) -> bool:
+def brauer_relation_holds(quats, places=None) -> bool:
     """Whether the classes of the quaternions sum to zero: at every relevant
-    place the product of local symbols is +1."""
-    entries = [q.a for q in quats] + [q.b for q in quats]
-    for v in relevant_places(entries):
+    place the product of local symbols is +1.  ``places`` must include every
+    odd prime dividing a slot; without it the slots are factored."""
+    if places is None:
+        places = relevant_places([q.a for q in quats] + [q.b for q in quats])
+    for v in places:
         prod = 1
         for q in quats:
             prod *= hilbert_symbol(q.a, q.b, v)
@@ -508,35 +534,32 @@ def sample_chain_configuration(seed: int) -> ChainConfiguration:
     second first-slots, the closed-form case of the chain construction.
     """
     rng = SplitMix64(seed)
-    for _ in range(64):
-        a = sample_square_class(rng)
-        b = sample_square_class(rng)
-        c = sample_square_class(rng)
-        d = sample_square_class(rng)
-        ac = a * c
-        x = sample_norm(rng, ac)
-        y = sample_norm(rng, ac)
-        z = sample_norm(rng, ac)
-        w = square_class_mul(square_class_mul(square_class(x), square_class(y)), square_class(z))
-        q1 = QuaternionDatum.of(a, b)
-        q2 = QuaternionDatum.of(c, d)
-        q3 = QuaternionDatum(square_class(a), square_class_mul(square_class(b), w))
-        q4 = QuaternionDatum(square_class(c), square_class_mul(square_class(d), w))
-        quats = (q1, q2, q3, q4)
-        if not brauer_relation_holds(quats):
-            raise InternalInconsistencyError(
-                "constructed chain violates the Brauer relation"
-            )
-        for s, radicand in (("x", x), ("y", y), ("z", z)):
-            if hilbert_symbol(ac, radicand, 2) != 1:
-                # norms are split everywhere by construction; spot check
-                raise InternalInconsistencyError("norm slot fails its local check")
-        sample = (
-            ("a", str(a)), ("b", str(b)), ("c", str(c)), ("d", str(d)),
-            ("x", str(x)), ("y", str(y)), ("z", str(z)),
-        )
-        return ChainConfiguration(q1, q2, q3, q4, x, y, z, sample)
-    raise InternalInconsistencyError("chain sampling exhausted its retries")
+    a = sample_square_class(rng)
+    b = sample_square_class(rng)
+    c = sample_square_class(rng)
+    d = sample_square_class(rng)
+    ac = a * c
+    x = sample_norm(rng, ac)
+    y = sample_norm(rng, ac)
+    z = sample_norm(rng, ac)
+    slots = (a, b, c, d, x, y, z)
+    A, B, C, D, X, Y, Z = (square_class(s) for s in slots)
+    mul = square_class_mul
+    w = mul(mul(X, Y), Z)
+    q1 = QuaternionDatum(A, B)
+    q2 = QuaternionDatum(C, D)
+    q3 = QuaternionDatum(A, mul(B, w))
+    q4 = QuaternionDatum(C, mul(D, w))
+    quats = (q1, q2, q3, q4)
+    # every slot of the quaternions is a product of the sampled classes
+    if not brauer_relation_holds(quats, relevant_places((A, B, C, D, X, Y, Z))):
+        raise InternalInconsistencyError("constructed chain violates the Brauer relation")
+    for radicand in (x, y, z):
+        if hilbert_symbol(ac, radicand, 2) != 1:
+            # norms are split everywhere by construction; spot check
+            raise InternalInconsistencyError("norm slot fails its local check")
+    sample = tuple((k, str(v)) for k, v in zip("abcdxyz", slots))
+    return ChainConfiguration(q1, q2, q3, q4, x, y, z, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -555,56 +578,52 @@ class IdentityCase:
     verdict: bool
 
 
-def _fractions(sample) -> dict[str, Fraction]:
-    return {k: Fraction(v) for k, v in sample}
-
-
-def _case_sides(identity_id: str, values: dict[str, Fraction]):
-    """Both sides of an identity as diagonal forms, from sampled slot values."""
-    C = {k: square_class(v) for k, v in values.items()}
+def _case_sides(identity_id: str, C: dict[str, int]):
+    """Both sides of an identity as diagonal forms, from the canonical square
+    classes of the sampled slots."""
     mul = square_class_mul
     if identity_id == "twofold":
-        lhs = pfister((C["x"], C["y"])).perp(pfister((C["x"], C["z"])))
-        rhs = pfister((C["x"], C["y"], C["z"])).perp(
-            pfister((C["x"], mul(C["y"], C["z"])))
+        lhs = _pfister((C["x"], C["y"])).perp(_pfister((C["x"], C["z"])))
+        rhs = _pfister((C["x"], C["y"], C["z"])).perp(
+            _pfister((C["x"], mul(C["y"], C["z"])))
         )
         return lhs, rhs, "exact-Witt"
     if identity_id == "square_slot":
-        return pfister((C["a"], C["a"])), pfister((C["a"], -1)), "exact-Witt"
+        return _pfister((C["a"], C["a"])), _pfister((C["a"], -1)), "exact-Witt"
     if identity_id == "double":
         s = mul(C["b"], C["c"])
-        lhs = pfister((C["a"], s)).perp(pfister((C["a"], s)))
-        return lhs, pfister((C["a"], s, -1)), "exact-Witt"
+        lhs = _pfister((C["a"], s)).perp(_pfister((C["a"], s)))
+        return lhs, _pfister((C["a"], s, -1)), "exact-Witt"
     if identity_id == "alpha2":
-        n = pfister((C["a"], C["b"]))
-        return n.perp(n), pfister((C["a"], C["b"], -1)), "exact-Witt"
+        n = _pfister((C["a"], C["b"]))
+        return n.perp(n), _pfister((C["a"], C["b"], -1)), "exact-Witt"
     if identity_id == "lemma_alpha3_exact":
         a, b, c = C["a"], C["b"], C["c"]
         bc = mul(b, c)
-        lhs = pfister((a, b)).perp(pfister((a, c))).perp(pfister((a, bc)))
-        rhs = pfister((a, b, c)).perp(pfister((a, bc))).perp(pfister((a, bc)))
+        lhs = _pfister((a, b)).perp(_pfister((a, c))).perp(_pfister((a, bc)))
+        rhs = _pfister((a, b, c)).perp(_pfister((a, bc))).perp(_pfister((a, bc)))
         return lhs, rhs, "exact-Witt"
     if identity_id == "lemma_alpha3_modI4":
         a, b, c = C["a"], C["b"], C["c"]
-        lhs = pfister((a, b)).perp(pfister((a, c))).perp(pfister((a, mul(b, c))))
-        rhs = pfister((a, b, -c)).perp(pfister((a, c, -1)))
+        lhs = _pfister((a, b)).perp(_pfister((a, c))).perp(_pfister((a, mul(b, c))))
+        rhs = _pfister((a, b, -c)).perp(_pfister((a, c, -1)))
         return lhs, rhs, "mod-I4"
     if identity_id == "prop_step_Qonetwo":
         a, b, c, d, x = C["a"], C["b"], C["c"], C["d"], C["x"]
         bx, dx = mul(b, x), mul(d, x)
         lhs = (
-            pfister((a, b)).perp(pfister((c, d))).perp(pfister((a, bx))).perp(pfister((c, dx)))
+            _pfister((a, b)).perp(_pfister((c, d))).perp(_pfister((a, bx))).perp(_pfister((c, dx)))
         )
-        rhs = pfister((a, b, x)).perp(pfister((c, d, -x))).perp(pfister((a, bx, -1)))
+        rhs = _pfister((a, b, x)).perp(_pfister((c, d, -x))).perp(_pfister((a, bx, -1)))
         return lhs, rhs, "mod-I4"
     if identity_id == "alpha4_full":
         a, b, c, d = C["a"], C["b"], C["c"], C["d"]
         w = mul(mul(C["x"], C["y"]), C["z"])
         bw, dw = mul(b, w), mul(d, w)
         lhs = (
-            pfister((a, b)).perp(pfister((c, d))).perp(pfister((a, bw))).perp(pfister((c, dw)))
+            _pfister((a, b)).perp(_pfister((c, d))).perp(_pfister((a, bw))).perp(_pfister((c, dw)))
         )
-        rhs = pfister((a, b, w)).perp(pfister((c, d, -w))).perp(pfister((a, bw, -1)))
+        rhs = _pfister((a, b, w)).perp(_pfister((c, d, -w))).perp(_pfister((a, bw, -1)))
         return lhs, rhs, "mod-I4"
     raise InputError(
         f"unknown identity {identity_id!r}; available: " + ", ".join(IDENTITY_IDS)
@@ -651,12 +670,16 @@ def _sample_for(identity_id: str, rng: SplitMix64) -> tuple[tuple[str, str], ...
 
 
 def verify_case(identity_id: str, sample) -> IdentityCase:
-    values = _fractions(sample)
-    lhs, rhs, level = _case_sides(identity_id, values)
+    """Decide one case.  Every entry of both sides is +-1 times a product of
+    slot classes, so the odd primes of the slots are the only places where
+    the Hasse symbols can differ, and only the slots are factored."""
+    classes = {k: square_class(v) for k, v in sample}
+    lhs, rhs, level = _case_sides(identity_id, classes)
+    places = relevant_places(classes.values())
     if level == "exact-Witt":
-        verdict = witt_equivalent(lhs, rhs)
+        verdict = witt_equivalent(lhs, rhs, places)
     else:
-        verdict = in_power_of_i(lhs.perp(rhs.neg()), 4)
+        verdict = in_power_of_i(lhs.perp(rhs.neg()), 4, places)
     return IdentityCase(
         identity_id=identity_id,
         trial=-1,

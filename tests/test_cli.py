@@ -289,6 +289,29 @@ def test_certificate_files_are_byte_identical(command, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTIFICATE_DIGESTS[command]
 
 
+# SHA-256 of the certificate files of ``witt verify --trials 50 --seed 1`` as
+# written by the code before square classes became gcd-multiplied values.
+WITT_CERTIFICATE_DIGESTS = {
+    "twofold": "7528c42f06ebe32672dfaa75e1a60b2ce536c018d0435e63fb8511c43094a9ce",
+    "square_slot": "62a705129545e95e365754834dc2b84bc238e94a4a2f475ad59363876c25c582",
+    "double": "5a0387ab0a194370b6e572bb6172e5312983a90caddfbbfe9e58e792c960b713",
+    "alpha2": "9abd978d42da07fcad10f84ba47888cfa8d9b04bf39174fcb2723401d1b59e5a",
+    "lemma_alpha3_exact": "781d52463adf34feab632d91dd86c83c975f851fec282fcc943328011a4890ac",
+    "lemma_alpha3_modI4": "8bb4e7178ecd6c98e8c2ec94675a5748e3b8340c29729876a461b87c89d42219",
+    "prop_step_Qonetwo": "9e9188d3921c0997fddcb8681f14672fcccdf10dc2bdd556d62a2aba7255936a",
+    "alpha4_full": "9d43f94956fedc033c8910eda0f6e560802a7c7479dcaa3d8f46605e795d7926",
+}
+
+
+@pytest.mark.parametrize("identity", WITT_CERTIFICATE_DIGESTS)
+def test_witt_certificate_files_are_byte_identical(identity, tmp_path):
+    path = tmp_path / "cert.json"
+    argv = ["witt", "verify", "--identity", identity, "--trials", "50", "--seed", "1"]
+    code, _ = run(argv + ["--json", "--certificate", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WITT_CERTIFICATE_DIGESTS[identity]
+
+
 # --- certificates -----------------------------------------------------------------
 
 

@@ -12,11 +12,11 @@ from sdinv.wittq import (
     DiagonalForm,
     QuaternionDatum,
     SplitMix64,
+    _pfister,
     albert_similarity_check,
     alpha_eval,
     brauer_relation_holds,
     e3_real,
-    hasse_oracle_pairwise,
     hilbert_symbol,
     hyperbolic,
     in_power_of_i,
@@ -58,6 +58,15 @@ def legendre_oracle(u: int, p: int) -> int:
     return 1 if any((t * t - u) % p == 0 for t in range(1, p)) else -1
 
 
+def hasse_oracle_pairwise(f: DiagonalForm, place) -> int:
+    """Literal product over pairs of Hilbert symbols."""
+    out = 1
+    for i in range(f.dim):
+        for j in range(i + 1, f.dim):
+            out *= hilbert_symbol(f.entries[i], f.entries[j], place)
+    return out
+
+
 def test_hilbert_golden_values():
     assert hilbert_symbol(-1, -1, "inf") == -1
     assert hilbert_symbol(1, 7, "inf") == 1
@@ -84,6 +93,18 @@ def test_hilbert_rejects_bad_place():
         hilbert_symbol(0, 3, 2)
 
 
+@pytest.mark.parametrize("place", [9, 15, 4])
+def test_composite_places_are_rejected(place):
+    with pytest.raises(InputError, match="odd prime"):
+        hilbert_symbol(3, 2, place)
+    with pytest.raises(InputError, match="odd prime"):
+        hilbert_symbol(2, 3, place)
+    with pytest.raises(InputError, match="odd prime"):
+        witt_invariants(DiagonalForm.of((3, 2, -6)), places=(place,))
+    with pytest.raises(InputError, match="odd prime"):
+        in_power_of_i(DiagonalForm.of((3, -3)), 3, places=("inf", 2, place))
+
+
 rationals = st.fractions(
     min_value=Fraction(-60), max_value=Fraction(60), max_denominator=30
 ).filter(lambda f: f != 0)
@@ -100,6 +121,14 @@ def test_hilbert_symmetry_and_product_formula(a, b):
         assert s == hilbert_symbol(b, a, v)
         prod *= s
     assert prod == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals, rationals)
+def test_hilbert_on_raw_rationals_matches_square_classes(a, b):
+    ca, cb = square_class(a), square_class(b)
+    for v in relevant_places((ca, cb)) + (3, 5, 7):
+        assert hilbert_symbol(a, b, v) == hilbert_symbol(ca, cb, v)
 
 
 @settings(max_examples=50, deadline=None)
@@ -132,6 +161,19 @@ def test_pfister_expansion_convention():
     assert pfister((-1, -1)).entries == (1, 1, 1, 1)
     assert pfister((-1, -1, -1)).dim == 8
     assert pfister((-1, -1, -1)).signature() == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, max_size=5))
+def test_canonical_slot_pfister_matches_expansion(slots):
+    classes = [square_class(s) for s in slots]
+    # entry j is the product of -slot_i over the bits i of j, classed directly
+    oracle = tuple(
+        square_class(math.prod((-s for i, s in enumerate(slots) if j >> i & 1), start=Fraction(1)))
+        for j in range(2 ** len(slots))
+    )
+    assert _pfister(classes).entries == oracle
+    assert _pfister(classes) == pfister(slots)
 
 
 def test_quaternion_norm_form():
@@ -240,6 +282,38 @@ def test_witt_equivalent_symmetric(a, b):
 
 def test_odd_dimension_never_equivalent():
     assert not witt_equivalent(DiagonalForm.of((1,)), DiagonalForm.of((1, -1)))
+
+
+def _slot_word(data, classes):
+    """+-1 times the class of a random product of slots."""
+    out = data.draw(st.sampled_from((1, -1)))
+    for c in classes:
+        if data.draw(st.booleans()):
+            out = square_class_mul(out, c)
+    return out
+
+
+def _slot_form(data, classes):
+    """Sum of Pfister forms and diagonal forms whose slots are slot words."""
+    form = DiagonalForm(())
+    for _ in range(data.draw(st.integers(1, 3))):
+        words = [_slot_word(data, classes) for _ in range(data.draw(st.integers(1, 3)))]
+        term = _pfister(words) if data.draw(st.booleans()) else DiagonalForm(tuple(words))
+        form = form.perp(term)
+    return form
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=4), st.data())
+def test_slot_places_give_the_same_verdicts(slots, data):
+    classes = [square_class(s) for s in slots]
+    places = relevant_places(classes)
+    f = _slot_form(data, classes)
+    g = _slot_form(data, classes)
+    for n in (1, 2, 3, 4):
+        assert in_power_of_i(f, n, places) == in_power_of_i(f, n)
+    assert witt_equivalent(f, g, places) == witt_equivalent(f, g)
+    assert witt_equivalent(f, f, places)
 
 
 # --- ideal powers ----------------------------------------------------------------------
@@ -426,3 +500,58 @@ def test_product_formula_batch():
         for v in relevant_places((a, b)):
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1
+
+
+# --- only the sampled slots are factored ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "identity, seed", [("alpha4_full", 1), ("alpha4_full", 4)] + [(i, 2) for i in IDENTITY_IDS[:-1]]
+)
+def test_only_sampled_slots_are_factored(monkeypatch, identity, seed):
+    from sdinv import wittq
+
+    trials = []
+    sample_for, factorize = wittq._sample_for, wittq.factorize
+
+    def sampling(identity_id, rng):
+        trials.append([])
+        return sample_for(identity_id, rng)
+
+    def recording(n):
+        trials[-1].append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(wittq, "_sample_for", sampling)
+    monkeypatch.setattr(wittq, "factorize", recording)
+    cases = verify_identity(identity, 100, seed)
+    assert len(trials) == len(cases) == 100
+    for case, args in zip(cases, trials):
+        slots = [Fraction(v) for _, v in case.sample]
+        products = [abs(s.numerator * s.denominator) for s in slots]
+        assert args
+        for n in args:
+            assert any(m % n == 0 for m in products), (case.sample, n)
+
+
+# --- bounded memory ---------------------------------------------------------------------
+
+
+def test_wittq_keeps_no_unbounded_state():
+    from sdinv import wittq
+
+    verify_identity("alpha4_full", 300, 1)
+    caches = 0
+    for name, obj in vars(wittq).items():
+        if name.startswith("__"):
+            continue
+        if hasattr(obj, "cache_info"):
+            info = obj.cache_info()
+            assert info.maxsize is not None, name
+            assert info.currsize <= info.maxsize, name
+            caches += 1
+        # module-level containers are constants
+        assert not isinstance(obj, (dict, list, set, bytearray)), name
+        if isinstance(obj, tuple):
+            assert len(obj) <= 16, name
+    assert caches >= 2  # the prime-place check and the shared factorize cache
