@@ -19,9 +19,8 @@ from .exactlin import (  # noqa: F401
     SmithDecomposition,
     lattice_index,
     lattice_membership,
-    saturation_torsion,
     smith_normal_form,
-    subquotient_structure,
+    subquotient_presentation,
 )
 from .kgamma import (  # noqa: F401
     chern_class,

@@ -20,8 +20,10 @@ produced them.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 
+from ._factor import factorize
 from .exactlin import (
     IntMatrix,
     Lattice,
@@ -172,16 +174,8 @@ class CertificateError(Exception):
     pass
 
 
-def _as_matrix_rows(rows) -> IntMatrix:
-    return IntMatrix.from_rows(rows)
-
-
-def _as_lattice(ambient_rank: int, cols) -> Lattice:
-    return Lattice.from_columns(ambient_rank, [tuple(c) for c in cols])
-
-
 def _verify_lattice_basis(entry) -> None:
-    lat = _as_lattice(entry["ambient_rank"], entry["generators"])
+    lat = Lattice.from_columns(entry["ambient_rank"], entry["generators"])
     canonical = [tuple(c) for c in entry["canonical_basis"]]
     if list(lat.basis_columns) != canonical:
         raise CertificateError(f"{entry['label']}: canonical basis mismatch")
@@ -191,7 +185,7 @@ def _verify_lattice_basis(entry) -> None:
 
 
 def _verify_membership(entry) -> None:
-    lat = _as_lattice(entry["ambient_rank"], entry["lattice_basis"])
+    lat = Lattice.from_columns(entry["ambient_rank"], entry["lattice_basis"])
     vector = tuple(entry["vector"])
     if entry["member"]:
         res = MembershipResult(True, coordinates=tuple(entry["coordinates"]))
@@ -208,13 +202,13 @@ def _verify_membership(entry) -> None:
 
 
 def _verify_subquotient(entry) -> None:
-    sup = _as_lattice(entry["ambient_rank"], entry["sup_basis"])
-    sub = _as_lattice(entry["ambient_rank"], entry["sub_basis"])
-    relation = _as_matrix_rows(entry["relation"])
+    sup = Lattice.from_columns(entry["ambient_rank"], entry["sup_basis"])
+    sub = Lattice.from_columns(entry["ambient_rank"], entry["sub_basis"])
+    relation = IntMatrix.from_rows(entry["relation"])
     smith = SmithDecomposition(
-        U=_as_matrix_rows(entry["smith"]["U"]),
-        D=_as_matrix_rows(entry["smith"]["D"]),
-        V=_as_matrix_rows(entry["smith"]["V"]),
+        U=IntMatrix.from_rows(entry["smith"]["U"]),
+        D=IntMatrix.from_rows(entry["smith"]["D"]),
+        V=IntMatrix.from_rows(entry["smith"]["V"]),
         source=relation,
     )
     if not smith.verify():
@@ -255,19 +249,13 @@ def _verify_subquotient(entry) -> None:
         if not witness.check(sub):
             raise CertificateError(f"{entry['label']}: torsion witness fails")
         if sorted({p for p, _ in witness.proper_certificates}) != sorted(
-            {p for p, _ in _prime_set(witness.order)}
+            {p for p, _ in factorize(witness.order)}
         ):
             raise CertificateError(f"{entry['label']}: witness misses a prime")
 
 
-def _prime_set(n: int):
-    from ._factor import factorize
-
-    return factorize(n)
-
-
 def _verify_index(entry) -> None:
-    sub = _as_lattice(entry["ambient_rank"], entry["sub_basis"])
+    sub = Lattice.from_columns(entry["ambient_rank"], entry["sub_basis"])
     idx = lattice_index(sub, Lattice.standard(entry["ambient_rank"]))
     if idx != entry["index"]:
         raise CertificateError(f"{entry['label']}: index mismatch")
@@ -288,7 +276,7 @@ def _verify_counting(entry) -> None:
 
 
 def _verify_fixed_vectors(entry) -> None:
-    mats = [_as_matrix_rows(m) for m in entry["matrices"]]
+    mats = [IntMatrix.from_rows(m) for m in entry["matrices"]]
     for m in mats:
         if abs(det(m)) != 1:
             raise CertificateError(f"{entry['label']}: action matrix not unimodular")
@@ -299,11 +287,25 @@ def _verify_fixed_vectors(entry) -> None:
                 raise CertificateError(f"{entry['label']}: vector moves under the action")
 
 
+# Bit budget of numerator times denominator of a sample value the checker
+# re-decides.  Sampled slots are below 7,430 and sampled norms below 2**33, so
+# it never rejects a sample the package wrote, and it keeps the factoring of
+# each value cheap.
+MAX_SAMPLE_BITS = 64
+
+
 def _verify_witt_trials(entry) -> None:
     from .wittq import verify_case
 
     for case in entry["cases"]:
         sample = tuple((k, v) for k, v in case["sample"])
+        for k, v in sample:
+            f = Fraction(v)
+            if (f.numerator * f.denominator).bit_length() > MAX_SAMPLE_BITS:
+                raise CertificateError(
+                    f"witt trial {case['trial']} of {entry['identity']}: sample {k} "
+                    f"exceeds the {MAX_SAMPLE_BITS}-bit replay limit"
+                )
         redone = verify_case(entry["identity"], sample)
         if (
             list(redone.lhs) != case["lhs"]

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, certificate as certmod
-from .exactlin import InputError, InternalInconsistencyError, Lattice
+from .exactlin import InputError, InternalInconsistencyError
 from .kgamma import (
     filtration_membership,
     gamma_filtration,
@@ -36,12 +36,12 @@ from .kgamma import (
 )
 from .presets import assemble_theorem, cited_fact, sl4x4_report
 from .roots import (
-    _sym2_action_matrix,
     action_in_basis,
     ambient_to_basis_quad,
     get_preset,
     indecomposable_group,
     sl4_block_form,
+    sym2_action_matrix,
 )
 from .wittq import verify_identity
 
@@ -86,9 +86,8 @@ def _inv3_entries(preset_name: str) -> list[dict]:
             reductive.lattice.basis_columns,
         )
     )
-    if data.kind != "semisimple":
-        return entries
-    lat = data.semisimple_lattice()
+    res = indecomposable_group(preset_name)
+    lat = res.character_lattice
     entries.append(
         certmod.lattice_basis_entry(
             "semisimple character lattice",
@@ -97,9 +96,8 @@ def _inv3_entries(preset_name: str) -> list[dict]:
             lat.lattice.basis_columns,
         )
     )
-    res = indecomposable_group(preset_name)
     actions = [
-        _sym2_action_matrix(action_in_basis(lat, w)) for w in data.weyl.generators
+        sym2_action_matrix(action_in_basis(lat, w)) for w in data.weyl.generators
     ]
     entries.append(
         certmod.fixed_vectors_entry(
@@ -189,16 +187,13 @@ def _graded_entries(config_name: str) -> list[dict]:
                 f"graded piece at degree {piece.degree}", piece.presentation
             )
         )
-    degs = ring.degrees()
-    for d in range(1, filt.dim + 1):
-        rows = [i for i, deg in enumerate(degs) if deg == d]
-        proj = [tuple(c[i] for i in rows) for c in filt.level(d).basis_columns]
+    for d, (image, eps) in enumerate(zip(report.split_images, report.epsilon), start=1):
         entries.append(
             certmod.index_entry(
                 f"split image index at degree {d}",
-                len(rows),
-                Lattice.from_columns(len(rows), proj).basis_columns,
-                report.epsilon[d - 1],
+                image.ambient_rank,
+                image.basis_columns,
+                eps,
             )
         )
     entries.append(_counting_entry(report))
@@ -380,15 +375,19 @@ def _execute(args):
     raise InputError(f"unknown command {head!r}")
 
 
-def certificate_payload(command: list[str]) -> dict:
-    _, entries, _, seed = _execute(_parse_args(command))
+def _certificate_dict(command: list[str], seed, entries: list[dict]) -> dict:
     return {
         "format": certmod.CERT_FORMAT,
-        "command": list(command),
+        "command": command,
         "seed": seed,
         "versions": {"sdinv": __version__},
-        "entries": entries(),
+        "entries": entries,
     }
+
+
+def certificate_payload(command: list[str]) -> dict:
+    _, entries, _, seed = _execute(_parse_args(command))
+    return _certificate_dict(list(command), seed, entries())
 
 
 def _normalized_command(args) -> list[str]:
@@ -548,15 +547,8 @@ def run(argv=None, out=None) -> int:
     }
     if args.certificate:
         entries = entries()
-        payload = {
-            "format": certmod.CERT_FORMAT,
-            "command": command,
-            "seed": seed,
-            "versions": {"sdinv": __version__},
-            "entries": entries,
-        }
         with open(args.certificate, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            json.dump(_certificate_dict(command, seed, entries), fh, sort_keys=True)
             fh.write("\n")
         report["certificate"] = {"file": args.certificate, "entries": len(entries)}
 

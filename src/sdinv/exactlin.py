@@ -30,7 +30,9 @@ Smith normal form, computed with explicit transform accumulation so that the
 decomposition is a certificate (``U * A * V == D``), is kept where its
 output is needed: NO membership certificates, the group structure and
 torsion witnesses of ``subquotient_presentation``, and the saturation of a
-kernel.
+kernel.  Torsion witnesses are read from the columns of ``V``: the
+sublattice basis times column i of ``V`` is exactly ``d_i`` times the
+witness, so the package has no matrix inverse routine.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from ._factor import smallest_prime_factor
@@ -85,10 +86,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
 
     @property
     def rows(self) -> int:
@@ -157,31 +154,6 @@ def det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def rational_inverse(m: IntMatrix) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square matrix, by Gauss-Jordan over Q.
-
-    Rows of the result are rows of the inverse; a unimodular input gives
-    integral entries.
-    """
-    n = m.rows
-    if n != m.cols:
-        raise InputError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise InputError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +459,6 @@ class Lattice:
     def standard(cls, ambient_rank: int) -> "Lattice":
         return cls(ambient_rank, IntMatrix.identity(ambient_rank))
 
-    @classmethod
-    def zero(cls, ambient_rank: int) -> "Lattice":
-        return cls.from_columns(ambient_rank, [])
-
     @cached_property
     def generator_columns(self) -> tuple[tuple[int, ...], ...]:
         """The generators as column tuples."""
@@ -765,7 +733,6 @@ class SubquotientData:
     sub: Lattice
     sup: Lattice
     relation: IntMatrix
-    relation_coords: tuple[tuple[int, ...], ...]
     smith: SmithDecomposition
     group: FinAbelianGroup
     torsion: FinAbelianGroup
@@ -796,7 +763,7 @@ def _relation_matrix(sub: Lattice, sup: Lattice) -> tuple[IntMatrix, list, Latti
 
 
 def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
-    relation, cols, sub = _relation_matrix(sub, sup)
+    relation, _, sub = _relation_matrix(sub, sup)
     k = sup.rank
     dec = smith_normal_form(relation)
     factors = dec.invariant_factors()
@@ -804,61 +771,44 @@ def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
     group = FinAbelianGroup(free_rank, factors)
     torsion = FinAbelianGroup(0, factors)
 
+    # U * relation * V == D and sub.basis == sup.basis * relation, so
+    # sub.basis * V_i == d_i * (sup.basis * column i of U^-1): column i of V
+    # gives d_i times the witness of the i-th cyclic factor, with no inverse.
     witnesses = []
-    if factors:
-        uinv = rational_inverse(dec.U)
-        sup_basis = sup.basis
-        diag = dec.diagonal
-        for i, d in enumerate(diag):
-            if d <= 1:
-                continue
-            vec = sup_basis.matvec([int(row[i]) for row in uinv])
-            scaled = tuple(d * x for x in vec)
-            yes = lattice_membership(scaled, sub)
-            if not yes.member:
-                raise InternalInconsistencyError("torsion witness failed to certify")
-            proper = []
-            seen = set()
-            t = d
-            while t > 1:
-                p = smallest_prime_factor(t)
-                while t % p == 0:
-                    t //= p
-                if p in seen:
-                    continue
-                seen.add(p)
-                frac = tuple((d // p) * x for x in vec)
-                res = lattice_membership(frac, sub)
-                if res.member:
-                    raise InternalInconsistencyError(
-                        "torsion witness has smaller order than claimed"
-                    )
-                proper.append((p, res.certificate))
-            witnesses.append(
-                TorsionWitness(vec, d, yes.coordinates, tuple(proper))
-            )
+    for i, d in enumerate(dec.diagonal):
+        if d <= 1:
+            continue
+        scaled = sub.basis.matvec(dec.V.column(i))
+        if any(x % d for x in scaled):
+            raise InternalInconsistencyError("torsion witness is not integral")
+        vec = tuple(x // d for x in scaled)
+        yes = lattice_membership(scaled, sub)
+        if not yes.member:
+            raise InternalInconsistencyError("torsion witness failed to certify")
+        proper = []
+        t = d
+        while t > 1:
+            p = smallest_prime_factor(t)
+            while t % p == 0:
+                t //= p
+            frac = tuple((d // p) * x for x in vec)
+            res = lattice_membership(frac, sub)
+            if res.member:
+                raise InternalInconsistencyError(
+                    "torsion witness has smaller order than claimed"
+                )
+            proper.append((p, res.certificate))
+        witnesses.append(TorsionWitness(vec, d, yes.coordinates, tuple(proper)))
 
     return SubquotientData(
         sub=sub,
         sup=sup,
         relation=relation,
-        relation_coords=tuple(tuple(c) for c in cols),
         smith=dec,
         group=group,
         torsion=torsion,
         witnesses=tuple(witnesses),
     )
-
-
-def subquotient_structure(sub: Lattice, sup: Lattice) -> FinAbelianGroup:
-    """Isomorphism type of ``sup/sub`` (requires ``sub`` contained in ``sup``)."""
-    return subquotient_presentation(sub, sup).group
-
-
-def saturation_torsion(sub: Lattice, sup: Lattice):
-    """Torsion subgroup of ``sup/sub`` with one explicit witness per factor."""
-    data = subquotient_presentation(sub, sup)
-    return data.torsion, list(data.witnesses)
 
 
 def lattice_index(sub: Lattice, sup: Lattice) -> int | None:

@@ -3,8 +3,10 @@
 The split Grothendieck ring of a product of projective spaces of dimensions
 ``d_j - 1`` is the truncated polynomial ring with relations
 ``(x_j - 1)^{d_j} = 0``; substituting ``y_j = x_j - 1`` turns the relations
-into plain truncation, so elements are stored internally on the y-monomial
-basis and converted on demand.
+into plain truncation, so ring elements hold y-monomial coordinates only.
+The x spelling is an input form of the parser and of
+:meth:`TruncatedPolyRing.monomial`; ``RingElement.x_coefficients`` reads an
+element back in it.
 
 A :class:`SeveriBrauerConfig` records the index of every tensor power
 combination of the underlying algebras.  The subring that descends to the
@@ -30,6 +32,8 @@ written or replayed; a plain report builds none.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -82,7 +86,7 @@ class TruncatedPolyRing:
     def dim(self) -> int:
         return sum(d - 1 for d in self.factor_degrees)
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=32)
     def exponents(self) -> tuple[tuple[int, ...], ...]:
         """All monomial exponents in mixed-radix order, last variable fastest."""
         outs = [()]
@@ -90,18 +94,18 @@ class TruncatedPolyRing:
             outs = [e + (k,) for e in outs for k in range(d)]
         return tuple(outs)
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=32)
     def _index(self) -> dict[tuple[int, ...], int]:
         return {e: i for i, e in enumerate(self.exponents())}
 
     def index_of(self, exps: tuple[int, ...]) -> int:
         return self._index()[exps]
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=32)
     def degrees(self) -> tuple[int, ...]:
         return tuple(sum(e) for e in self.exponents())
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=32)
     def _product_table(self) -> tuple[tuple[int, ...], int, int]:
         """``(packed, bias, guard)`` for the index-additive product.
 
@@ -125,14 +129,16 @@ class TruncatedPolyRing:
         return packed, bias, guard
 
     def zero(self) -> "RingElement":
-        return RingElement(self, (0,) * self.rank, "y")
+        return RingElement(self, (0,) * self.rank)
 
     def one(self) -> "RingElement":
         c = [0] * self.rank
         c[self.index_of((0,) * self.nvars)] = 1
-        return RingElement(self, tuple(c), "y")
+        return RingElement(self, tuple(c))
 
     def monomial(self, exps, basis: str, coeff: int = 1) -> "RingElement":
+        """``coeff * basis^exps`` for ``basis`` "x" or "y", the two spellings
+        the parser reads; the element itself is stored on the y basis."""
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.nvars:
             raise InputError("wrong number of exponents")
@@ -141,7 +147,7 @@ class TruncatedPolyRing:
                 return self.zero()
             c = [0] * self.rank
             c[self.index_of(exps)] = coeff
-            return RingElement(self, tuple(c), "y")
+            return RingElement(self, tuple(c))
         if basis == "x":
             # expand prod (1 + y_j)^{e_j}; exponents above the truncation
             # are fine, the binomial rows simply stop at degree d_j - 1
@@ -149,7 +155,7 @@ class TruncatedPolyRing:
             for j, e in enumerate(exps):
                 row = [math.comb(e, t) for t in range(self.factor_degrees[j])]
                 out = self._mul_single_var(out, j, row)
-            return RingElement(self, tuple(c * coeff for c in out), "y")
+            return RingElement(self, tuple(c * coeff for c in out))
         raise InputError("basis must be 'x' or 'y'")
 
     def _mul_single_var(self, coeffs, j: int, row) -> tuple[int, ...]:
@@ -178,33 +184,17 @@ class TruncatedPolyRing:
 
 @dataclass(frozen=True)
 class RingElement:
-    """Element with integer coefficients; ``basis`` tags the stored monomials."""
+    """Element with integer coefficients on the y-monomial basis."""
 
     ring: TruncatedPolyRing
     coefficients: tuple[int, ...]
-    basis: str
 
     def __post_init__(self) -> None:
         if len(self.coefficients) != self.ring.rank:
             raise InputError("coefficient vector length mismatch")
-        if self.basis not in ("x", "y"):
-            raise InputError("basis must be 'x' or 'y'")
 
-    # -- conversions
-
-    def to_y(self) -> "RingElement":
-        if self.basis == "y":
-            return self
-        out = [0] * self.ring.rank
-        for i, c in enumerate(self.coefficients):
-            if c:
-                mono = self.ring.monomial(self.ring.exponents()[i], "x", c)
-                out = [a + b for a, b in zip(out, mono.coefficients)]
-        return RingElement(self.ring, tuple(out), "y")
-
-    def to_x(self) -> "RingElement":
-        if self.basis == "x":
-            return self
+    def x_coefficients(self) -> tuple[int, ...]:
+        """Coefficients on the x-monomial basis."""
         # y_j^e = (x_j - 1)^e expands with signed binomials, no truncation
         out = [0] * self.ring.rank
         exps = self.ring.exponents()
@@ -220,48 +210,42 @@ class RingElement:
                 ]
             for p, s in parts:
                 out[self.ring.index_of(p)] += c * s
-        return RingElement(self.ring, tuple(out), "x")
-
-    def to_basis(self, basis: str) -> "RingElement":
-        return self.to_y() if basis == "y" else self.to_x()
+        return tuple(out)
 
     # -- arithmetic (same-ring only)
 
-    def _same(self, other: "RingElement") -> tuple["RingElement", "RingElement"]:
+    def _check_ring(self, other: "RingElement") -> None:
         if self.ring != other.ring:
             raise InputError("mixed rings")
-        return self.to_y(), other.to_y()
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        a, b = self._same(other)
-        return RingElement(self.ring, tuple(x + y for x, y in zip(a.coefficients, b.coefficients)), "y")
+        self._check_ring(other)
+        return RingElement(self.ring, tuple(map(operator.add, self.coefficients, other.coefficients)))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        a, b = self._same(other)
-        return RingElement(self.ring, tuple(x - y for x, y in zip(a.coefficients, b.coefficients)), "y")
+        self._check_ring(other)
+        return RingElement(self.ring, tuple(map(operator.sub, self.coefficients, other.coefficients)))
 
     def __neg__(self) -> "RingElement":
-        a = self.to_y()
-        return RingElement(self.ring, tuple(-x for x in a.coefficients), "y")
+        return RingElement(self.ring, tuple(-x for x in self.coefficients))
 
     def scaled(self, c: int) -> "RingElement":
-        a = self.to_y()
-        return RingElement(self.ring, tuple(c * x for x in a.coefficients), "y")
+        return RingElement(self.ring, tuple(c * x for x in self.coefficients))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         # Monomial indices are mixed-radix with the last variable fastest, so
         # a product that no factor truncates sits at the sum of the indices.
-        a, b = self._same(other)
+        self._check_ring(other)
         ring = self.ring
         _, bias, guard = ring._product_table()
         out = [0] * ring.rank
-        terms_b = b._terms
-        for i, ca, pa in a._terms:
+        terms_b = other._terms
+        for i, ca, pa in self._terms:
             pa += bias
             for k, cb, pb in terms_b:
                 if not (pa + pb) & guard:
                     out[i + k] += ca * cb
-        return RingElement(ring, tuple(out), "y")
+        return RingElement(ring, tuple(out))
 
     @cached_property
     def _terms(self) -> tuple[tuple[int, int, int], ...]:
@@ -273,49 +257,45 @@ class RingElement:
 
     def rank_value(self) -> int:
         """Value of the rank homomorphism (constant y-coefficient)."""
-        y = self.to_y()
-        return y.coefficients[self.ring.index_of((0,) * self.ring.nvars)]
+        return self.coefficients[self.ring.index_of((0,) * self.ring.nvars)]
 
     def is_zero(self) -> bool:
-        return not any(self.to_y().coefficients)
+        return not any(self.coefficients)
 
     def min_y_degree(self) -> int | None:
-        y = self.to_y()
         degs = self.ring.degrees()
-        present = [degs[i] for i, c in enumerate(y.coefficients) if c]
+        present = [degs[i] for i, c in enumerate(self.coefficients) if c]
         return min(present) if present else None
 
     def y_vector(self) -> tuple[int, ...]:
-        return self.to_y().coefficients
-
-    def pretty(self, basis: str = "y") -> str:
-        el = self.to_basis(basis)
-        names = []
-        for i, c in enumerate(el.coefficients):
-            if not c:
-                continue
-            e = self.ring.exponents()[i]
-            mono = "*".join(
-                f"{basis}{j + 1}" + (f"^{k}" if k > 1 else "")
-                for j, k in enumerate(e)
-                if k
-            )
-            if not mono:
-                names.append(str(c))
-            elif c == 1:
-                names.append(mono)
-            elif c == -1:
-                names.append(f"-{mono}")
-            else:
-                names.append(f"{c}*{mono}")
-        return " + ".join(names).replace("+ -", "- ") if names else "0"
+        return self.coefficients
 
 
 # ---------------------------------------------------------------------------
 # expression parser
 
+# Largest coefficient, in bits, of a literal, of a square taken by ``^`` and
+# of a parsed element.  It stays far below the 4300-digit limit of int/str
+# conversion, so every answer prints, and it bounds the work of ``^``.
+MAX_COEFF_BITS = 4096
+_DIGITS = re.compile("[0-9]*")
 
-_TOKEN_KINDS = ("int", "ident", "op", "lparen", "rparen", "end")
+
+def _literal(expr: str, i: int, j: int) -> int:
+    """The digits ``expr[i:j]`` as an int within the coefficient budget.  A
+    digit carries more than 3 bits, so a longer string is rejected unread."""
+    digits = expr[i:j].lstrip("0")
+    if 3 * len(digits) <= MAX_COEFF_BITS:
+        value = int(digits or "0")
+        if value.bit_length() <= MAX_COEFF_BITS:
+            return value
+    raise ParseError(f"integer exceeds the {MAX_COEFF_BITS}-bit budget", i)
+
+
+def _check_budget(el: RingElement, at: int) -> RingElement:
+    if any(c.bit_length() > MAX_COEFF_BITS for c in el.coefficients):
+        raise ParseError(f"coefficient exceeds the {MAX_COEFF_BITS}-bit budget", at)
+    return el
 
 
 def _tokenize(expr: str):
@@ -326,20 +306,16 @@ def _tokenize(expr: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
-            tokens.append(("int", int(expr[i:j]), i))
+        if "0" <= ch <= "9":
+            j = _DIGITS.match(expr, i).end()
+            tokens.append(("int", _literal(expr, i, j), i))
             i = j
             continue
         if ch in "xy":
-            j = i + 1
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
+            j = _DIGITS.match(expr, i + 1).end()
             if j == i + 1:
                 raise ParseError(f"identifier {ch!r} needs an index", i)
-            tokens.append(("ident", (ch, int(expr[i + 1:j])), i))
+            tokens.append(("ident", (ch, _literal(expr, i + 1, j)), i))
             i = j
             continue
         if ch in "+-*^":
@@ -414,7 +390,7 @@ class _Parser:
             kind2, e, at2 = self.advance()
             if kind2 != "int":
                 raise ParseError("exponent must be an integer literal", at2)
-            return _power(base, e)
+            return _power(base, e, at)
         return base
 
     def atom(self) -> RingElement:
@@ -443,11 +419,12 @@ class _Parser:
         raise ParseError("expected a value", at)
 
 
-def _power(base: RingElement, e: int) -> RingElement:
+def _power(base: RingElement, e: int, at: int) -> RingElement:
     """``base ** e`` by repeated squaring, zero as soon as a square is.
 
     Never more products than ``e - 1``, so a huge exponent on a nilpotent
-    element costs a few products and on a unit ``log2(e)`` of them.
+    element costs a few products and on a unit ``log2(e)`` of them.  A square
+    over the coefficient budget raises a :class:`ParseError` at ``at``.
     """
     out = None
     square = base
@@ -457,7 +434,7 @@ def _power(base: RingElement, e: int) -> RingElement:
         e >>= 1
         if not e:
             return base.ring.one() if out is None else out
-        square = square * square
+        square = _check_budget(square * square, at)
         if square.is_zero():
             return square
 
@@ -466,13 +443,17 @@ def parse_element(expr: str, ring: TruncatedPolyRing) -> RingElement:
     """Parse an integer polynomial in x1..xn or y1..yn into the ring.
 
     Exponents at or above the truncation are accepted and reduced.  Mixing x
-    and y identifiers in one expression is rejected; errors carry the byte
-    offset of the offending token.
+    and y identifiers in one expression is rejected, and so is any
+    coefficient over ``MAX_COEFF_BITS``; errors carry the byte offset of the
+    offending token.
     """
     parser = _Parser(_tokenize(expr), ring)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", 0) from None
     parser.expect_end()
-    return node
+    return _check_budget(node, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +597,11 @@ def quillen_lattice(config: SeveriBrauerConfig) -> Lattice:
 
 def _rank_zero_x_coefficients(a: RingElement) -> dict[tuple[int, ...], int]:
     """Decompose a rank-zero element as an integer combination of x^m - 1."""
-    x = a.to_x()
     ring = a.ring
     zero = (0,) * ring.nvars
     coeffs = {}
     total = 0
-    for i, c in enumerate(x.coefficients):
+    for i, c in enumerate(a.x_coefficients()):
         e = ring.exponents()[i]
         total += c
         if c and e != zero:
@@ -679,8 +659,6 @@ def chern_class(x: RingElement, i: int) -> RingElement:
 class GammaFiltration:
     config: SeveriBrauerConfig
     lattices: tuple[Lattice, ...]  # indices 0 .. depth
-    gamma_table: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
-    # gamma_table[g][k] = y-vector of gamma_{k+1} of rank-zero generator g
 
     @property
     def dim(self) -> int:
@@ -729,11 +707,9 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
 
     # gamma values of every generator through degree dim, with the y-order
     # bound and membership in the descended subring checked as we go
-    table = []
     nonzero = []  # (k, gamma_k(g)) over all generators g, nonzero values only
     for g in gens:
         series = gamma_series(g, dim)
-        row = []
         for k in range(1, dim + 1):
             gk = series[k]
             mind = gk.min_y_degree()
@@ -745,10 +721,8 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
                 raise InternalInconsistencyError(
                     "gamma value escapes the descended subring"
                 )
-            row.append(gk.y_vector())
             if mind is not None:
                 nonzero.append((k, gk))
-        table.append(tuple(row))
 
     one_cols = [g.y_vector() for g in gens]
     gamma1 = Lattice.from_columns(ring.rank, one_cols).canonical()
@@ -760,7 +734,7 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
     # the finite span equals the full ideal.  Many products coincide; the
     # span, and so the canonical basis, is the same without the repeats.
     levels: dict[int, Lattice] = {0: k0, 1: gamma1}
-    basis_elements = {1: [RingElement(ring, b, "y") for b in gamma1.basis_columns]}
+    basis_elements = {1: [RingElement(ring, b) for b in gamma1.basis_columns]}
     for d in range(2, top + 2):
         cols: dict[tuple[int, ...], None] = {}
         for k, gk in nonzero:
@@ -771,7 +745,7 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
                 if any(prod):
                     cols[prod] = None
         levels[d] = Lattice.from_columns(ring.rank, cols).canonical()
-        basis_elements[d] = [RingElement(ring, b, "y") for b in levels[d].basis_columns]
+        basis_elements[d] = [RingElement(ring, b) for b in levels[d].basis_columns]
         for col in levels[d].basis_columns:
             if not levels[d - 1].contains(col):
                 raise InternalInconsistencyError("filtration levels fail to nest")
@@ -780,7 +754,7 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
         raise InternalInconsistencyError("filtration fails to vanish above the dimension")
 
     lattices = tuple(levels[d] for d in range(0, top + 2))
-    return GammaFiltration(config=config, lattices=lattices, gamma_table=tuple(table))
+    return GammaFiltration(config=config, lattices=lattices)
 
 
 def filtration_membership(config_name: str, element, degree: int) -> tuple[RingElement, MembershipResult]:
@@ -815,6 +789,8 @@ class GradedTorsionReport:
     config: SeveriBrauerConfig
     pieces: tuple[GradedPiece, ...]
     epsilon: tuple[int, ...]           # degrees 1..dim
+    # the split images epsilon indexes, kept for certificates
+    split_images: tuple[Lattice, ...] = field(repr=False, compare=False)
     eta: tuple[int, ...]               # same grading of the monomial filtration
     delta: tuple[Fraction, ...]        # epsilon_d / eta_d, reporting only
     split_index: int
@@ -865,12 +841,14 @@ def graded_torsion(config_name: str) -> GradedTorsionReport:
         )
 
     epsilon = []
+    images = []
     for d in range(1, dim + 1):
         proj = _project_to_degree(ring, filt.level(d).basis_columns, d)
-        idx = lattice_index(proj, Lattice.standard(len(_degree_slice(ring, d))))
+        idx = lattice_index(proj, Lattice.standard(proj.ambient_rank))
         if idx is None:
             raise InternalInconsistencyError("split image of a filtration step has deficient rank")
         epsilon.append(idx)
+        images.append(proj)
 
     # monomial-degree filtration of the descended subring, for the delta report
     k0 = filt.level(0)
@@ -900,6 +878,7 @@ def graded_torsion(config_name: str) -> GradedTorsionReport:
         config=config,
         pieces=tuple(pieces),
         epsilon=tuple(epsilon),
+        split_images=tuple(images),
         eta=tuple(eta),
         delta=delta,
         split_index=split,

@@ -123,16 +123,15 @@ class GroupPreset:
     """
 
     name: str
-    roots_preset: str
     sb_config: str | None
 
 
 GROUP_PRESETS: dict[str, GroupPreset] = {
     **{
-        f"sl2n:{n}": GroupPreset(f"sl2n:{n}", f"sl2n:{n}", CHOW_CONFIG_BY_N.get(n))
+        f"sl2n:{n}": GroupPreset(f"sl2n:{n}", CHOW_CONFIG_BY_N.get(n))
         for n in range(2, 9)
     },
-    "sl4x4": GroupPreset("sl4x4", "sl4x4", "deg4pair"),
+    "sl4x4": GroupPreset("sl4x4", "deg4pair"),
 }
 
 
@@ -220,7 +219,7 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
         raise InputError("theorem rows are available for n between 2 and 8")
 
     preset = GROUP_PRESETS[f"sl2n:{n}"]
-    ind = indecomposable_group(preset.roots_preset)
+    ind = indecomposable_group(preset.name)
     inv_h = GroupValue(ind.group, "computed", "lattice subquotient")
 
     facts = [_FACTS["exact_sequence"], _FACTS["reductive_comparison"]]
@@ -328,7 +327,7 @@ def sl4x4_report(
     configuration, e.g. a split reference.
     """
     preset = GROUP_PRESETS["sl4x4"]
-    ind = indecomposable_group(preset.roots_preset)
+    ind = indecomposable_group(preset.name)
     chow = chow2_torsion(config_name or preset.sb_config)
     torsion = torsion_override if torsion_override is not None else chow.torsion
 

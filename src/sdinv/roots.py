@@ -17,7 +17,6 @@ which would leave the integral structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactlin import (
@@ -32,7 +31,6 @@ from .exactlin import (
     det,
     kernel_basis,
     lattice_index,
-    rational_inverse,
     subquotient_presentation,
 )
 
@@ -44,13 +42,13 @@ def sym2_size(rank: int) -> int:
     return rank * (rank + 1) // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def sym2_monomials(rank: int) -> tuple[tuple[int, int], ...]:
     """Ordered monomial index: (0,0), (0,1), ..., (0,r-1), (1,1), ..."""
     return tuple((i, j) for i in range(rank) for j in range(i, rank))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _sym2_pos(rank: int) -> dict[tuple[int, int], int]:
     return {m: k for k, m in enumerate(sym2_monomials(rank))}
 
@@ -66,7 +64,7 @@ def sym2_substitute(coeffs, matrix_cols, from_rank: int, to_rank: int):
 
     ``coeffs`` are coefficients over degree-2 monomials ``u_i u_j`` and
     column ``i`` of ``matrix_cols`` expresses ``u_i`` in the target
-    variables ``v``.  Entries may be ints or Fractions; the result is a list
+    variables ``v``.  Entries are integers; the result is a list
     over the target monomials.
     """
     out = [0] * sym2_size(to_rank)
@@ -118,15 +116,6 @@ class QuadSpaceElement:
         if len(self.coefficients) != sym2_size(self.lattice_rank):
             raise InputError("coefficient vector has the wrong monomial count")
 
-    def __add__(self, other: "QuadSpaceElement") -> "QuadSpaceElement":
-        return QuadSpaceElement(
-            self.lattice_rank,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
-
-    def scaled(self, c: int) -> "QuadSpaceElement":
-        return QuadSpaceElement(self.lattice_rank, tuple(c * x for x in self.coefficients))
-
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -173,8 +162,7 @@ class CentralQuotientDatum:
                 for i, m in enumerate(self.factor_moduli)
             ],
         )
-        data = subquotient_presentation(sub, Lattice.standard(len(self.factor_moduli)))
-        return data.group
+        return subquotient_presentation(sub, Lattice.standard(len(self.factor_moduli))).group
 
 
 @dataclass(frozen=True)
@@ -205,20 +193,12 @@ class CharacterLattice:
     def rank(self) -> int:
         return self.lattice.rank
 
-    def basis_columns(self) -> list[tuple[int, ...]]:
-        return self.lattice.basis.columns()
-
 
 @dataclass(frozen=True)
 class WeylAction:
     """Finite group of integer matrices acting on ambient coordinates."""
 
     generators: tuple[IntMatrix, ...]
-    order: int | None = None
-
-    def check_preserves(self, lattice: CharacterLattice) -> None:
-        for idx, w in enumerate(self.generators):
-            action_in_basis(lattice, w, generator_index=idx)
 
 
 @dataclass(frozen=True)
@@ -230,9 +210,6 @@ class WeightMultiset:
     @classmethod
     def of(cls, pairs) -> "WeightMultiset":
         return cls(tuple((tuple(int(x) for x in v), int(m)) for v, m in pairs))
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.weights)
 
     def first_chern(self) -> tuple[int, ...]:
         dim = len(self.weights[0][0])
@@ -318,7 +295,7 @@ def action_in_basis(
     return mat
 
 
-def _sym2_action_matrix(c: IntMatrix) -> IntMatrix:
+def sym2_action_matrix(c: IntMatrix) -> IntMatrix:
     """Induced action on degree-2 monomials of the basis, as columns."""
     r = c.rows
     cols = []
@@ -338,7 +315,7 @@ def invariant_quadratic_lattice(L: CharacterLattice, weyl: WeylAction) -> Lattic
     stacked = []
     for idx, w in enumerate(weyl.generators):
         c = action_in_basis(L, w, generator_index=idx)
-        s2 = _sym2_action_matrix(c)
+        s2 = sym2_action_matrix(c)
         for i in range(n):
             row = list(s2.entries[i])
             row[i] -= 1
@@ -354,27 +331,20 @@ def ambient_to_basis_quad(L: CharacterLattice, ambient_coeffs) -> QuadSpaceEleme
     basis monomials; errors when the result is not integral."""
     m = L.ambient_rank
     r = L.rank
-    basis = L.lattice.basis
-    if basis.rows != m or r != m:
+    if r != m:
         # Full-rank lattices only: every preset here has finite index.
         raise InputError("basis change requires a full-rank character lattice")
-    inv = rational_inverse(basis)
-    # column i of `inv` expresses ambient e_i in the lattice basis
-    cols = [tuple(inv[t][i] for t in range(r)) for i in range(m)]
+    # With n the index, n * e_i lies in the lattice; its basis coordinates
+    # are n times those of e_i, so the substitution below is n^2 times the
+    # rewritten expression.
+    n = lattice_index(L.lattice, Lattice.standard(m))
+    canon = L.lattice.canonical()
+    cols = [canon.membership(tuple(n * int(t == i) for t in range(m))).coordinates
+            for i in range(m)]
     out = sym2_substitute(list(ambient_coeffs), cols, m, r)
-    ints = []
-    for x in out:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise InputError("expression is not integral on the lattice")
-        ints.append(int(f))
-    return QuadSpaceElement(r, tuple(ints))
-
-
-def basis_to_ambient_quad(L: CharacterLattice, q: QuadSpaceElement) -> tuple[int, ...]:
-    cols = [tuple(col) for col in L.lattice.basis.columns()]
-    out = sym2_substitute(list(q.coefficients), cols, L.rank, L.ambient_rank)
-    return tuple(int(x) for x in out)
+    if any(x % (n * n) for x in out):
+        raise InputError("expression is not integral on the lattice")
+    return QuadSpaceElement(r, tuple(x // (n * n) for x in out))
 
 
 def chern2_of_character(mult: WeightMultiset, L: CharacterLattice) -> QuadSpaceElement:
@@ -406,27 +376,6 @@ def chern2_of_character(mult: WeightMultiset, L: CharacterLattice) -> QuadSpaceE
             raise InternalInconsistencyError("polarization produced an odd coefficient")
         total[k] //= 2
     return ambient_to_basis_quad(L, total)
-
-
-def chern2_pairwise_oracle(mult: WeightMultiset, rank: int) -> tuple[int, ...]:
-    """Literal sum over unordered pairs of weight instances; test oracle."""
-    flat = []
-    for v, m in mult.weights:
-        flat.extend([v] * m)
-    out = [0] * sym2_size(rank)
-    pos = _sym2_pos(rank)
-    for a in range(len(flat)):
-        for b in range(a + 1, len(flat)):
-            va, vb = flat[a], flat[b]
-            for i in range(rank):
-                if not va[i]:
-                    continue
-                for j in range(rank):
-                    if not vb[j]:
-                        continue
-                    key = (i, j) if i <= j else (j, i)
-                    out[pos[key]] += va[i] * vb[j]
-    return tuple(out)
 
 
 def dec_subgroup(
@@ -482,7 +431,7 @@ def indecomposable_group(preset: "GroupData | str") -> IndecomposableResult:
     return _indecomposable_impl(preset)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _indecomposable_cached(name: str) -> IndecomposableResult:
     return _indecomposable_impl(get_preset(name))
 
@@ -598,7 +547,7 @@ def _gl2n_data(n: int) -> GroupData:
         )
         for k in range(n)
     )
-    weyl = WeylAction(generators=flips, order=2 ** n)
+    weyl = WeylAction(generators=flips)
 
     weights = []
     for i in range(n):
@@ -714,8 +663,7 @@ def _gl4x4_data() -> GroupData:
     weyl = WeylAction(
         generators=tuple(
             _perm_matrix_on_sl4_block(6, block, k) for block in (0, 1) for k in range(3)
-        ),
-        order=24 * 24,
+        )
     )
 
     q1 = _sym_q(6, 0)
@@ -734,7 +682,7 @@ def _gl4x4_data() -> GroupData:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _build(name: str) -> GroupData:
     if name.startswith("gl2n:") or name.startswith("sl2n:"):
         try:

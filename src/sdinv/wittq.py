@@ -34,7 +34,7 @@ Square classes are values
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -707,18 +707,6 @@ def verify_identity(identity_id: str, trials: int, seed: int) -> list[IdentityCa
     rng = SplitMix64((seed << 8) ^ 0x5D)
     cases = []
     for t in range(trials):
-        sample = _sample_for(identity_id, rng)
-        base = verify_case(identity_id, sample)
-        cases.append(
-            IdentityCase(
-                identity_id=identity_id,
-                trial=t,
-                seed=seed,
-                sample=base.sample,
-                lhs=base.lhs,
-                rhs=base.rhs,
-                congruence_level=base.congruence_level,
-                verdict=base.verdict,
-            )
-        )
+        case = verify_case(identity_id, _sample_for(identity_id, rng))
+        cases.append(replace(case, trial=t, seed=seed))
     return cases

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -399,3 +400,88 @@ def test_checker_exit_3_on_tampered_file(cert_files, tmp_path, capsys):
     code, _ = run(["--check-certificate", str(bad)])
     assert code == 3
     assert "FAILED" in capsys.readouterr().err
+
+
+# --- the entry layer alone --------------------------------------------------------
+
+
+ENTRY_COMMANDS = {
+    "inv3": ["inv3", "--preset", "sl2n:3"],
+    "chow2": ["chow2", "--preset", "conics4"],
+    "gamma report": ["gamma", "report", "--preset", "deg4pair"],
+    "gamma member": [
+        "gamma", "member", "--preset", "conics4", "--element", "4*y1*y2*y3*y4", "--degree", "3",
+    ],
+    "witt": ["witt", "verify", "--identity", "alpha2", "--trials", "20"],
+}
+
+
+@pytest.fixture(scope="module")
+def entry_certs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("entry")
+    certs = {}
+    for name, cmd in ENTRY_COMMANDS.items():
+        path = root / "cert.json"
+        code, _ = run(cmd + ["--certificate", str(path)])
+        assert code == 0
+        certs[name] = json.loads(path.read_text())
+    return certs
+
+
+def _no_replay(command):
+    raise AssertionError("the entry layer replayed the command")
+
+
+@pytest.mark.parametrize("name", ENTRY_COMMANDS)
+def test_entry_layer_accepts_without_replay(entry_certs, name, monkeypatch):
+    monkeypatch.setattr(certmod, "build_certificate", _no_replay)
+    ok, failures = certmod.check_certificate(entry_certs[name], replay=False)
+    assert ok, failures
+
+
+# (field path inside an entry, test on the entry) of one value per kind of edit
+ENTRY_EDITS = {
+    "invariant factor": (
+        ("invariant_factors", 0), lambda e: e["kind"] == "subquotient" and e["invariant_factors"]
+    ),
+    "membership coordinate": (
+        ("coordinates", 0), lambda e: e["kind"] == "membership" and e["member"]
+    ),
+    "witness order": (
+        ("witnesses", 0, "order"), lambda e: e["kind"] == "subquotient" and e["witnesses"]
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", ENTRY_EDITS)
+def test_entry_layer_rejects_one_edit_without_replay(entry_certs, edit, monkeypatch):
+    monkeypatch.setattr(certmod, "build_certificate", _no_replay)
+    field, applies = ENTRY_EDITS[edit]
+    edited = 0
+    for cert in entry_certs.values():
+        i = next((i for i, e in enumerate(cert["entries"]) if applies(e)), None)
+        if i is None:
+            continue
+        bad = json.loads(json.dumps(cert))
+        _tamper(bad, ("entries", i) + field, 2)
+        ok, failures = certmod.check_certificate(bad, replay=False)
+        assert not ok and failures[0].startswith(f"entry {i}:"), failures
+        edited += 1
+    assert edited >= 2
+
+
+def test_checker_bounds_witt_sample_size(tmp_path, capsys):
+    """A sample value edited to a product of two 60-bit primes is refused
+    before the checker would factor it."""
+    path = tmp_path / "alpha2.json"
+    code, _ = run(["witt", "verify", "--identity", "alpha2", "--trials", "5",
+                   "--certificate", str(path)])
+    assert code == 0
+    cert = json.loads(path.read_text())
+    cert["entries"][0]["cases"][0]["sample"][0][1] = str((10**18 + 3) * (10**18 + 9))
+    path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, _ = run(["--check-certificate", str(path)])
+    assert code == 3
+    assert time.perf_counter() - start < 5.0
+    assert f"{certmod.MAX_SAMPLE_BITS}-bit replay limit" in capsys.readouterr().err

@@ -17,15 +17,38 @@ from sdinv.exactlin import (
     kernel_basis,
     lattice_index,
     lattice_membership,
-    rational_inverse,
     row_hermite,
-    saturation_torsion,
     smith_normal_form,
-    subquotient_structure,
+    subquotient_presentation,
 )
 
 
 # --- independent oracles -----------------------------------------------------
+
+
+def rational_inverse(m: IntMatrix) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular square matrix, by Gauss-Jordan over Q.
+
+    Rows of the result are rows of the inverse; a unimodular input gives
+    integral entries.
+    """
+    n = m.rows
+    if n != m.cols:
+        raise InputError("inverse of a non-square matrix")
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m.entries)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise InputError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
 
 
 def snf_2x2_oracle(m: IntMatrix) -> tuple[int, int]:
@@ -177,41 +200,41 @@ def test_row_hermite_canonical_example():
 def test_subquotient_two_torsion_square():
     sub = Lattice.from_columns(2, [(2, 0), (0, 2)])
     sup = Lattice.standard(2)
-    g = subquotient_structure(sub, sup)
+    g = subquotient_presentation(sub, sup).group
     assert g.free_rank == 0 and g.invariant_factors == (2, 2)
 
 
 def test_subquotient_paper_shape_n2():
     sub = Lattice.from_columns(2, [(2, 2), (4, 0), (0, 4)])
     sup = Lattice.from_columns(2, [(1, 3), (0, 4)])
-    g = subquotient_structure(sub, sup)
+    g = subquotient_presentation(sub, sup).group
     assert g.label() == "Z/2"
 
 
 def test_subquotient_rank4_pair():
     sub = Lattice.from_columns(2, [(8, 0), (4, 4)])
     sup = Lattice.from_columns(2, [(4, 4), (2, 6)])
-    g = subquotient_structure(sub, sup)
+    g = subquotient_presentation(sub, sup).group
     assert g.label() == "Z/2"
 
 
 def test_subquotient_self_trivial():
     lat = Lattice.from_columns(3, [(2, 1, 0), (0, 3, 1)])
-    assert subquotient_structure(lat, lat).is_trivial
+    assert subquotient_presentation(lat, lat).group.is_trivial
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(vectors2, min_size=1, max_size=4))
 def test_subquotient_self_trivial_random(gens):
     lat = Lattice.from_columns(2, gens)
-    assert subquotient_structure(lat, lat).is_trivial
+    assert subquotient_presentation(lat, lat).group.is_trivial
 
 
 def test_containment_error_names_generator():
     sub = Lattice.from_columns(2, [(2, 0), (1, 1)])
     sup = Lattice.from_columns(2, [(2, 0), (0, 2)])
     with pytest.raises(ContainmentError, match="generator 1"):
-        subquotient_structure(sub, sup)
+        subquotient_presentation(sub, sup)
 
 
 # --- saturation torsion -------------------------------------------------------
@@ -220,7 +243,8 @@ def test_containment_error_names_generator():
 def test_saturation_torsion_single_relation():
     sub = Lattice.from_columns(2, [(2, 0)])
     sup = Lattice.standard(2)
-    tors, wits = saturation_torsion(sub, sup)
+    data = subquotient_presentation(sub, sup)
+    tors, wits = data.torsion, data.witnesses
     assert tors.label() == "Z/2"
     assert len(wits) == 1
     w = wits[0]
@@ -231,7 +255,8 @@ def test_saturation_torsion_single_relation():
 def test_saturation_torsion_mixed():
     sub = Lattice.from_columns(2, [(2, 0), (0, 1)])
     sup = Lattice.standard(2)
-    tors, wits = saturation_torsion(sub, sup)
+    data = subquotient_presentation(sub, sup)
+    tors, wits = data.torsion, data.witnesses
     assert tors.label() == "Z/2"
     assert wits[0].vector == (1, 0) and wits[0].order == 2
 
@@ -239,11 +264,40 @@ def test_saturation_torsion_mixed():
 def test_saturation_witness_orders():
     sub = Lattice.from_columns(3, [(2, 0, 0), (0, 12, 0), (0, 0, 3)])
     sup = Lattice.standard(3)
-    tors, wits = saturation_torsion(sub, sup)
+    data = subquotient_presentation(sub, sup)
+    tors, wits = data.torsion, data.witnesses
     orders = sorted(w.order for w in wits)
     assert orders == [2, 3, 12] or orders == sorted(tors.invariant_factors)
     for w in wits:
         assert w.check(sub.canonical())
+
+
+vectors3 = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(vectors3, min_size=1, max_size=3),
+    st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=4),
+)
+def test_witnesses_equal_columns_of_the_inverse_of_u(sup_gens, combos):
+    """Each witness is sup.basis times column i of U^-1, computed here with
+    the rational inverse oracle; the package reads it from V instead."""
+    sup = Lattice.from_columns(3, sup_gens)
+    sub = Lattice.from_columns(
+        3, [tuple(sum(c * g[t] for c, g in zip(combo, sup_gens)) for t in range(3))
+            for combo in combos]
+    )
+    data = subquotient_presentation(sub, sup)
+    uinv = rational_inverse(data.smith.U)
+    expected = [
+        data.sup.basis.matvec([int(row[i]) for row in uinv])
+        for i, d in enumerate(data.smith.diagonal)
+        if d > 1
+    ]
+    assert [w.vector for w in data.witnesses] == expected
+    for w in data.witnesses:
+        assert w.check(data.sub)
 
 
 # --- index --------------------------------------------------------------------
@@ -263,7 +317,7 @@ def test_index_matches_invariant_factor_product_and_determinants(gens):
     sup = Lattice.standard(2)
     sub = Lattice.from_columns(2, gens)
     idx = lattice_index(sub, sup)
-    g = subquotient_structure(sub, sup)
+    g = subquotient_presentation(sub, sup).group
     if idx is None:
         assert g.free_rank > 0
     else:

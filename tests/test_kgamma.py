@@ -3,10 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdinv import cli
+from sdinv import cli, kgamma, roots
 from sdinv.exactlin import InputError, Lattice, lattice_index, lattice_membership
 from sdinv.kgamma import (
     ParseError,
@@ -34,24 +34,57 @@ def elem(name, expr):
     return parse_element(expr, ring_of(name))
 
 
+def from_x(ring, coeffs):
+    """The element with the given x-monomial coefficients: a sum of
+    x-monomials."""
+    out = ring.zero()
+    for e, c in zip(ring.exponents(), coeffs):
+        if c:
+            out = out + ring.monomial(e, "x", c)
+    return out
+
+
+def pretty(el, basis="y"):
+    """``el`` spelled in the parser's grammar on the x or the y basis."""
+    coeffs = el.x_coefficients() if basis == "x" else el.coefficients
+    names = []
+    for e, c in zip(el.ring.exponents(), coeffs):
+        if not c:
+            continue
+        mono = "*".join(
+            f"{basis}{j + 1}" + (f"^{k}" if k > 1 else "")
+            for j, k in enumerate(e)
+            if k
+        )
+        if not mono:
+            names.append(str(c))
+        elif c == 1:
+            names.append(mono)
+        elif c == -1:
+            names.append(f"-{mono}")
+        else:
+            names.append(f"{c}*{mono}")
+    return " + ".join(names).replace("+ -", "- ") if names else "0"
+
+
 # --- ring arithmetic ------------------------------------------------------------
 
 
 def test_basis_roundtrip_involutive():
     ring = TruncatedPolyRing((2, 2, 2))
     e = parse("2*x1*x2 - 3*x3", ring)
-    assert e.to_x().to_y().y_vector() == e.y_vector()
-    assert e.to_y().to_x().to_x().coefficients == e.to_x().coefficients
+    assert from_x(ring, e.x_coefficients()).y_vector() == e.y_vector()
+    assert from_x(ring, e.x_coefficients()).x_coefficients() == e.x_coefficients()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=8, max_size=8))
 def test_basis_roundtrip_random(coeffs):
     ring = TruncatedPolyRing((2, 2, 2))
-    e = RingElement(ring, tuple(coeffs), "y")
-    assert e.to_x().to_y().y_vector() == tuple(coeffs)
-    f = RingElement(ring, tuple(coeffs), "x")
-    assert f.to_y().to_x().coefficients == tuple(coeffs)
+    e = RingElement(ring, tuple(coeffs))
+    assert from_x(ring, e.x_coefficients()).y_vector() == tuple(coeffs)
+    f = from_x(ring, coeffs)
+    assert f.x_coefficients() == tuple(coeffs)
 
 
 def test_truncation_kills_high_powers():
@@ -95,7 +128,7 @@ def tuple_product(a, b):
 def sparse_elements(ring):
     return st.dictionaries(
         st.integers(0, ring.rank - 1), st.integers(-60, 60), max_size=8
-    ).map(lambda terms: RingElement(ring, tuple(terms.get(i, 0) for i in range(ring.rank)), "y"))
+    ).map(lambda terms: RingElement(ring, tuple(terms.get(i, 0) for i in range(ring.rank))))
 
 
 @pytest.mark.parametrize("degrees", PRODUCT_RINGS, ids=str)
@@ -145,7 +178,7 @@ def test_parsed_power_equals_repeated_multiplication(data, e):
     expected = ring.one()
     for _ in range(e):
         expected = expected * b
-    assert parse(f"({b.pretty()})^{e}", ring).y_vector() == expected.y_vector()
+    assert parse(f"({pretty(b)})^{e}", ring).y_vector() == expected.y_vector()
 
 
 @pytest.mark.parametrize("element", ["y1^1000000000", "x1^1000000000"])
@@ -175,6 +208,82 @@ def test_parse_error_positions():
         parse("y9", ring)
     with pytest.raises(ParseError):
         parse("y1 +", ring)
+
+
+# --- parser robustness: coefficient budget, round trips, arbitrary text ----------
+
+
+BUDGET = kgamma.MAX_COEFF_BITS
+
+
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        ("2^100000", f"{BUDGET}-bit budget"),
+        ("(2*x1)^30000", f"{BUDGET}-bit budget"),
+        ("7" * 5000, f"{BUDGET}-bit budget"),
+        ("y1 + 0000" + "9" * 5000, f"{BUDGET}-bit budget"),
+        ("x1" + "1" * 5000, f"{BUDGET}-bit budget"),
+        (f"{2 ** 4000}*{2 ** 4000}", f"{BUDGET}-bit budget"),
+        ("(" * 5000 + "y1" + ")" * 5000, "nests too deeply"),
+        ("-" * 5000 + "y1", "nests too deeply"),
+    ],
+    ids=["power", "power-of-x", "literal", "zero-padded", "index", "product", "parens", "minus"],
+)
+def test_oversized_element_exits_2(element, message, capsys):
+    start = time.perf_counter()
+    code = cli.run(
+        ["gamma", "member", "--preset", "conics4", f"--element={element}", "--degree", "1"],
+        out=io.StringIO(),
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert time.perf_counter() - start < 2.0
+
+
+def test_budget_edge():
+    ring = TruncatedPolyRing((2, 2))
+    top = 2**BUDGET - 1
+    assert parse(f"{top}*y1", ring).coefficients[ring.index_of((1, 0))] == top
+    assert parse(f"000{top}", ring).rank_value() == top
+    with pytest.raises(ParseError, match="budget"):
+        parse(f"{top + 1}", ring)
+    with pytest.raises(ParseError, match="budget") as e:
+        parse(f"x2 + (2*x1)^{BUDGET}", ring)
+    assert e.value.position == 11
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(["x", "y"]))
+def test_parse_of_pretty_recovers_the_element(data, basis):
+    ring = TruncatedPolyRing(data.draw(st.sampled_from(PRODUCT_RINGS)))
+    e = data.draw(sparse_elements(ring))
+    assert parse(pretty(e, basis), ring) == e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.text(alphabet="xy0123456789+-*^() ", max_size=40)))
+@example("\u00b2")  # a digit to str.isdigit, not to int()
+@example("y\u0663")
+def test_arbitrary_text_raises_only_input_error(text):
+    try:
+        parse(text, TruncatedPolyRing((2, 4)))
+    except InputError:
+        pass
+
+
+def test_roots_and_kgamma_caches_are_bounded():
+    """A ring is a value, so its methods are cached by value; every cache,
+    module-level or on a class, has a finite size."""
+    caches = []
+    for module in (roots, kgamma):
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if isinstance(obj, type) else [(name, obj)]
+            for attr, fn in members:
+                if hasattr(fn, "cache_info"):
+                    caches.append(attr)
+                    assert fn.cache_info().maxsize is not None, attr
+    assert len(caches) >= 11, caches
 
 
 # --- configurations ---------------------------------------------------------------

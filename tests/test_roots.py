@@ -2,18 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdinv.exactlin import InputError, IntMatrix, Lattice, det, lattice_index, subquotient_structure
+from sdinv.exactlin import InputError, IntMatrix, Lattice, det, lattice_index
 from sdinv.roots import (
     CharacterLattice,
     WeightMultiset,
     WeylAction,
     action_in_basis,
+    QuadSpaceElement,
     ambient_to_basis_quad,
     available_presets,
-    basis_to_ambient_quad,
     character_lattice,
     chern2_of_character,
-    chern2_pairwise_oracle,
     dec_subgroup,
     get_preset,
     indecomposable_group,
@@ -21,9 +20,37 @@ from sdinv.roots import (
     outer_square,
     project_to_semisimple,
     sl4_block_form,
+    sym2_action_matrix,
     sym2_index,
     sym2_size,
+    sym2_substitute,
 )
+
+
+def basis_to_ambient_quad(L: CharacterLattice, q: QuadSpaceElement) -> tuple[int, ...]:
+    """Inverse of ``ambient_to_basis_quad``: substitute the basis columns."""
+    cols = [tuple(col) for col in L.lattice.basis.columns()]
+    out = sym2_substitute(list(q.coefficients), cols, L.rank, L.ambient_rank)
+    return tuple(int(x) for x in out)
+
+
+def chern2_pairwise_oracle(mult: WeightMultiset, rank: int) -> tuple[int, ...]:
+    """Literal sum over unordered pairs of weight instances."""
+    flat = []
+    for v, m in mult.weights:
+        flat.extend([v] * m)
+    out = [0] * sym2_size(rank)
+    for a in range(len(flat)):
+        for b in range(a + 1, len(flat)):
+            va, vb = flat[a], flat[b]
+            for i in range(rank):
+                if not va[i]:
+                    continue
+                for j in range(rank):
+                    if not vb[j]:
+                        continue
+                    out[sym2_index(i, j, rank)] += va[i] * vb[j]
+    return tuple(out)
 
 
 def quad_lattice_from_ambient(L, vectors):
@@ -143,8 +170,6 @@ def test_invariant_forms_sl2n2_congruence():
 
 
 def __q(lat, coeffs):
-    from sdinv.roots import QuadSpaceElement
-
     return QuadSpaceElement(lat.rank, tuple(coeffs))
 
 
@@ -169,11 +194,9 @@ def test_invariant_forms_fixed_pointwise():
     data = get_preset("sl2n:4")
     lat = data.semisimple_lattice()
     inv = invariant_quadratic_lattice(lat, data.weyl)
-    from sdinv.roots import _sym2_action_matrix
-
     for w in data.weyl.generators:
         c = action_in_basis(lat, w)
-        s2 = _sym2_action_matrix(c)
+        s2 = sym2_action_matrix(c)
         for col in inv.basis.columns():
             assert s2.matvec(col) == col
 

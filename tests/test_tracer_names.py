@@ -1,0 +1,34 @@
+"""The benchmark tracer (``perfbench/tracer.py``) patches sdinv functions and
+methods by name.  A renamed or deleted name would zero a per-layer metric
+that is only checked under ``--trace 1``; this makes it fail here instead."""
+
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer_namespace() -> dict:
+    # executed from its source, so nothing is written under perfbench/
+    namespace = {"__name__": "perfbench_tracer"}
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    return namespace
+
+
+def _resolve(dotted: str):
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module("sdinv." + ("_factor" if module == "factor" else module))
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_tracer_names_resolve_in_sdinv():
+    tracer = _tracer_namespace()
+    names = [span for span, _ in tracer["SPAN_METRICS"].values()]
+    names += [".".join(method) for method in tracer["METHODS"]]
+    names.append("certificate.build_certificate")
+    for name in names:
+        assert callable(_resolve(name)), name
+    for module, attr in tracer["CACHES"].values():
+        assert hasattr(_resolve(f"{module}.{attr}"), "cache_info"), attr
