@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from ._factor import factorize
 from .exactlin import (
+    MAX_AMBIENT_RANK,
     IntMatrix,
     Lattice,
     MembershipResult,
@@ -345,13 +346,30 @@ def build_certificate(command: tuple[str, ...]) -> dict:
     return cli.certificate_payload(list(command))
 
 
-def check_certificate(cert: dict, replay: bool = True) -> tuple[bool, list[str]]:
-    failures: list[str] = []
+def _shape_failure(entry) -> str | None:
+    """Why an entry cannot be handed to a verifier, checked before any runs;
+    the rank bound keeps the work of ``Lattice.standard`` bounded."""
+    if not isinstance(entry, dict):
+        return "entry is not a JSON object"
+    rank = entry.get("ambient_rank", 0)
+    if type(rank) is not int or not 0 <= rank <= MAX_AMBIENT_RANK:
+        return f"ambient_rank must be an integer from 0 to the limit of {MAX_AMBIENT_RANK}"
+    return None
+
+
+def check_certificate(cert, replay: bool = True) -> tuple[bool, list[str]]:
+    if not isinstance(cert, dict):
+        return False, ["certificate is not a JSON object"]
     if cert.get("format") != CERT_FORMAT:
         return False, [f"unsupported certificate format {cert.get('format')!r}"]
     entries = cert.get("entries")
     if not isinstance(entries, list):
         return False, ["certificate has no entry list"]
+    failures = [
+        f"entry {i}: {why}" for i, e in enumerate(entries) if (why := _shape_failure(e))
+    ]
+    if failures:
+        return False, failures
     for i, entry in enumerate(entries):
         kind = entry.get("kind")
         verifier = _VERIFIERS.get(kind)

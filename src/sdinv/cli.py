@@ -563,7 +563,8 @@ def _run_checker(path: str, out) -> int:
     try:
         with open(path) as fh:
             cert = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past the digit limit
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return 2
     ok, failures = certmod.check_certificate(cert)

@@ -5,8 +5,7 @@ generated abelian groups presented as subquotients of lattices.
 
 All arithmetic uses arbitrary-precision integers.  Modular arithmetic
 appears only in non-membership certificates, which are verified
-independently of the code that produced them, and in the rank lower bound
-that proves a kernel complete.
+independently of the code that produced them.
 
 Conventions
 -----------
@@ -22,17 +21,17 @@ Conventions
 Hermite form does the routine work: YES membership is back-substitution down
 the triangular canonical basis, with generator coordinates from one transform
 kept per lattice; an index of equal-rank lattices is the product of the
-diagonal of their triangular relation matrix; a kernel is computed from the
-row-compressed (Hermite) matrix, so Smith form never sees more rows than
-columns.
+diagonal of their triangular relation matrix; a kernel and the generator
+transform are both read off the Hermite form of vectors augmented by an
+identity block.
 
 Smith normal form, computed with explicit transform accumulation so that the
 decomposition is a certificate (``U * A * V == D``), is kept where its
-output is needed: NO membership certificates, the group structure and
-torsion witnesses of ``subquotient_presentation``, and the saturation of a
-kernel.  Torsion witnesses are read from the columns of ``V``: the
-sublattice basis times column i of ``V`` is exactly ``d_i`` times the
-witness, so the package has no matrix inverse routine.
+output is needed: NO membership certificates and the group structure and
+torsion witnesses of ``subquotient_presentation``.  Torsion witnesses are
+read from the columns of ``V``: the sublattice basis times column i of ``V``
+is exactly ``d_i`` times the witness, so the package has no matrix inverse
+routine.
 """
 
 from __future__ import annotations
@@ -55,6 +54,12 @@ class ContainmentError(InputError):
 
 class InternalInconsistencyError(RuntimeError):
     """A structural invariant failed; indicates a broken preset or a bug."""
+
+
+# Largest ambient rank of a lattice built from outside input: a ring rank
+# above it is refused, and so is a certificate entry that states one.  Every
+# lattice the package writes fits.
+MAX_AMBIENT_RANK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -367,65 +372,41 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return dec
 
 
-# Moduli for the rank lower bound in ``kernel_basis``.  A prime falls short
-# of the rank over Q only when it divides every minor of that size, so a
-# later prime is almost never tried.
-_RANK_PRIMES = (2**61 - 1, 2**31 - 1, 1_000_000_007)
-
-
-def _rank_mod(rows, p: int, target: int) -> int:
-    """Rank of ``rows`` over ``F_p``, counted up to ``target`` at most.
-
-    It never exceeds the rank over Q, so it is a lower bound for that rank.
-    """
-    work = [[x % p for x in r] for r in rows]
-    work = [r for r in work if any(r)]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        if rank >= target:
-            break
-        k = next((i for i, r in enumerate(work) if r[c]), None)
-        if k is None:
-            continue
-        piv = work.pop(k)
-        inv = pow(piv[c], -1, p)
-        piv = [x * inv % p for x in piv]
-        work = [
-            [(x - f * y) % p for x, y in zip(r, piv)] if (f := r[c]) else r
-            for r in work
-        ]
-        rank += 1
-    return rank
+def _augmented_hermite(vectors) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite form of the rows ``vectors[j] + e_j``; each output row is
+    ``(sum_j c_j vectors[j], c)`` for the combination ``c`` it records."""
+    n = len(vectors)
+    return row_hermite([tuple(v) + tuple(int(i == j) for i in range(n)) for j, v in enumerate(vectors)])
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the saturated integer kernel ``{x : m @ x == 0}``.
 
-    The rows are first compressed to their Hermite form, which has at most
-    ``m.cols`` rows, and Smith form runs on that.  The answer is proved
-    without trusting the compression: the returned vectors are columns of a
-    verified unimodular ``V`` (so they span a saturated lattice), the
-    original matrix annihilates each of them, and their number is
-    ``cols - rank(compressed)`` with ``rank(m) >= rank(compressed)`` shown
-    by a rank modulo a prime.  A saturated lattice inside the kernel with at
-    least the kernel's rank is the kernel.
+    Read off the Hermite form of the columns of ``m`` augmented by an
+    identity block (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.3) as the right parts of the rows whose left part is zero.
+    Nothing is trusted; checked are (a) exactly ``m.cols`` rows of width
+    ``m.rows + m.cols``, (b) every row is ``(m @ c, c)``, (c) the nonzero
+    left parts have strictly increasing pivots and (d) the right parts form
+    a matrix ``R`` with ``abs(det(R)) == 1``.  By (a), (b) and (d) the rows
+    are a basis of the graph ``{(m @ c, c)}``.  By (c) a kernel vector, the
+    graph element ``(0, c)``, uses only the zero-left rows; those are part of
+    the unimodular ``R``, so the kernel they span is saturated.
     """
-    n = m.cols
-    compressed = row_hermite(m.entries)
-    if compressed:
-        dec = smith_normal_form(IntMatrix(compressed))
-        rank = dec.rank
-        out = [dec.V.column(j) for j in range(rank, n)]
-    else:
-        rank = 0
-        out = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    zero = (0,) * m.rows
-    if any(m.matvec(v) != zero for v in out):
-        raise InternalInconsistencyError("kernel vector is not annihilated by the matrix")
-    if not any(_rank_mod(m.entries, p, rank) >= rank for p in _RANK_PRIMES):
-        raise InternalInconsistencyError("compressed matrix has a larger rank than its source")
-    return out
+    n, r = m.cols, m.rows
+    if not any(map(any, m.entries)):
+        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows = _augmented_hermite(tuple(zip(*m.entries)))
+    if len(rows) != n or any(len(row) != r + n or m.matvec(row[r:]) != row[:r] for row in rows):
+        raise InternalInconsistencyError("augmented Hermite form is not m.cols rows (m @ c, c)")
+    if abs(det(IntMatrix(tuple(row[r:] for row in rows)))) != 1:
+        raise InternalInconsistencyError("augmented Hermite transform is not unimodular")
+    # no row is zero, R being unimodular; a pivot below r is in the left part
+    pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
+    left = [p for p in pivots if p < r]
+    if any(a >= b for a, b in zip(left, left[1:])):
+        raise InternalInconsistencyError("augmented Hermite form is not in echelon form")
+    return [row[r:] for row, p in zip(rows, pivots) if p >= r]
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +505,8 @@ class Lattice:
         block: its first ``rank`` rows are the canonical basis followed by
         the combinations that produce it.
         """
-        gens = self.generator_columns
         r = self.ambient_rank
-        aug = [g + tuple(int(i == j) for i in range(len(gens))) for j, g in enumerate(gens)]
-        rows = row_hermite(aug)[: self.rank]
+        rows = _augmented_hermite(self.generator_columns)[: self.rank]
         if tuple(row[:r] for row in rows) != self.basis_columns:
             raise InternalInconsistencyError("augmented Hermite form lost the basis")
         return tuple(row[r:] for row in rows)

@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exactlin import (
+    MAX_AMBIENT_RANK,
     FinAbelianGroup,
     InputError,
     IntMatrix,
@@ -561,6 +562,8 @@ def get_config(name: str) -> SeveriBrauerConfig:
             raise InputError(f"malformed split preset {name!r}")
         if not degrees or any(d < 2 for d in degrees):
             raise InputError("split preset needs degrees >= 2")
+        if math.prod(degrees) > MAX_AMBIENT_RANK:
+            raise InputError(f"split preset ring rank exceeds the limit of {MAX_AMBIENT_RANK}")
         periods = (1,) * len(degrees)
         return SeveriBrauerConfig(name, degrees, periods, (((0,) * len(degrees), 1),))
     raise InputError(
@@ -856,10 +859,7 @@ def graded_torsion(config_name: str) -> GradedTorsionReport:
     for d in range(1, dim + 1):
         low_rows = [i for i, deg in enumerate(ring.degrees()) if deg < d]
         if low_rows:
-            sel = IntMatrix.from_rows(
-                [tuple(int(i == r) for i in range(ring.rank)) for r in low_rows]
-            )
-            ker = kernel_basis(sel.mul(k0.basis))
+            ker = kernel_basis(IntMatrix(tuple(k0.basis.entries[r] for r in low_rows)))
             cols = [k0.basis.matvec(v) for v in ker]
         else:
             cols = k0.basis_columns

@@ -16,6 +16,7 @@ which would leave the integral structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -154,16 +155,6 @@ class CentralQuotientDatum:
         ]
         return lattice_index(Lattice.from_columns(k, cols), Lattice.standard(k)) == 1
 
-    def center_characters(self) -> FinAbelianGroup:
-        sub = Lattice.from_columns(
-            len(self.factor_moduli),
-            [
-                tuple(m if t == i else 0 for t in range(len(self.factor_moduli)))
-                for i, m in enumerate(self.factor_moduli)
-            ],
-        )
-        return subquotient_presentation(sub, Lattice.standard(len(self.factor_moduli))).group
-
 
 @dataclass(frozen=True)
 class CharacterLattice:
@@ -253,8 +244,7 @@ def character_lattice(datum: CentralQuotientDatum) -> CharacterLattice:
     ker = kernel_basis(IntMatrix.from_rows(rows))
     gens = [v[:m] for v in ker]
     lat = Lattice.from_columns(m, gens).canonical()
-    order = datum.center_characters().order()
-    if lattice_index(lat, Lattice.standard(m)) != order:
+    if lattice_index(lat, Lattice.standard(m)) != math.prod(datum.factor_moduli):
         raise InternalInconsistencyError(
             "character lattice index does not match the center's order"
         )

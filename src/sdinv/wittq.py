@@ -630,6 +630,10 @@ def _case_sides(identity_id: str, C: dict[str, int]):
     )
 
 
+# Largest trial count of an identity suite; at this size the slowest
+# identity, alpha4_full, runs for about 7 s on one core of a 2-vCPU VM.
+MAX_TRIALS = 10_000
+
 IDENTITY_IDS = (
     "twofold",
     "square_slot",
@@ -702,8 +706,8 @@ def verify_identity(identity_id: str, trials: int, seed: int) -> list[IdentityCa
         raise InputError(
             f"unknown identity {identity_id!r}; available: " + ", ".join(IDENTITY_IDS)
         )
-    if trials < 1:
-        raise InputError("trials must be at least 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InputError(f"trials must be between 1 and {MAX_TRIALS}")
     rng = SplitMix64((seed << 8) ^ 0x5D)
     cases = []
     for t in range(trials):

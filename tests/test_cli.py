@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sdinv import certificate as certmod
-from sdinv import cli, exactlin, kgamma, roots
+from sdinv import cli, exactlin, kgamma, roots, wittq
 from sdinv.roots import sym2_size
 
 
@@ -146,6 +146,29 @@ def test_parse_error_exit_2(capsys):
     assert "offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", ["split:12,12", "split:40,40"])
+def test_ring_rank_over_the_limit_exits_2(preset, capsys):
+    start = time.perf_counter()
+    code, _ = run(["gamma", "report", "--preset", preset])
+    assert code == 2
+    assert f"limit of {exactlin.MAX_AMBIENT_RANK}" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witt", "verify", "--identity", "alpha2", "--trials", "10001"],
+        ["theorem", "--n", "3", "--trials", "10001"],
+    ],
+    ids=["witt", "theorem"],
+)
+def test_trials_over_the_limit_exit_2(argv, capsys):
+    code, _ = run(argv)
+    assert code == 2
+    assert str(wittq.MAX_TRIALS) in capsys.readouterr().err
+
+
 def test_missing_command_exit_2(capsys):
     code, _ = run([])
     assert code == 2
@@ -220,8 +243,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_inv3_sl2n_8_keeps_smith_and_det_inputs_small(monkeypatch):
-    """The tall stacked (w - 1) matrix is row-compressed before Smith form,
-    so no Smith input or determinant outgrows the quadratic monomials."""
+    """The stacked (w - 1) matrix is tall, but its kernel comes from the
+    Hermite form of its columns, so no Smith input or determinant outgrows
+    the quadratic monomials."""
     limit = sym2_size(8)
     smith_calls = _count_calls(monkeypatch, "smith_normal_form")
     det_calls = _count_calls(monkeypatch, "det")
@@ -400,6 +424,36 @@ def test_checker_exit_3_on_tampered_file(cert_files, tmp_path, capsys):
     code, _ = run(["--check-certificate", str(bad)])
     assert code == 3
     assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([], "not a JSON object"),
+        ("x", "not a JSON object"),
+        ({"format": certmod.CERT_FORMAT, "entries": [1]}, "entry 0: entry is not a JSON object"),
+    ],
+    ids=["list", "string", "entry"],
+)
+def test_checker_exit_3_on_non_object_json(payload, message, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code, _ = run(["--check-certificate", str(path)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_checker_bounds_ambient_rank(tmp_path, capsys):
+    """An index entry over an empty sub basis would make the checker build
+    the standard lattice of the stated rank."""
+    entry = {"kind": "index", "label": "x", "ambient_rank": 10**9, "sub_basis": [], "index": 1}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"format": certmod.CERT_FORMAT, "entries": [entry]}))
+    start = time.perf_counter()
+    code, _ = run(["--check-certificate", str(path)])
+    assert code == 3
+    assert time.perf_counter() - start < 2.0
+    assert f"limit of {exactlin.MAX_AMBIENT_RANK}" in capsys.readouterr().err
 
 
 # --- the entry layer alone --------------------------------------------------------

@@ -414,6 +414,37 @@ def test_kernel_basis_rejects_a_compression_that_adds_rank(monkeypatch):
         kernel_basis(m)
 
 
+_honest_hermite = exactlin.row_hermite
+
+
+def _rows_unchanged(rows):
+    return tuple(tuple(r) for r in rows)
+
+
+def _first_row_doubled(rows):
+    out = _honest_hermite(rows)
+    return (tuple(2 * x for x in out[0]),) + out[1:]
+
+
+def _first_left_entry_plus_one(rows):
+    out = _honest_hermite(rows)
+    return ((out[0][0] + 1,) + out[0][1:],) + out[1:]
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [_rows_unchanged, _first_row_doubled, _first_left_entry_plus_one],
+    ids=["not-echelon", "not-unimodular", "not-a-combination"],
+)
+def test_kernel_basis_rejects_a_broken_augmented_hermite_form(monkeypatch, broken):
+    m = IntMatrix.from_rows([[1, 1, 0], [2, 2, 0], [3, 3, 0]])
+    expected = Lattice.from_columns(3, [(1, -1, 0), (0, 0, 1)])
+    assert Lattice.from_columns(3, kernel_basis(m)).same_lattice(expected)
+    monkeypatch.setattr(exactlin, "row_hermite", broken)
+    with pytest.raises(InternalInconsistencyError):
+        kernel_basis(m)
+
+
 # --- canonical lattices and membership ------------------------------------------
 
 

@@ -303,6 +303,12 @@ def test_split_index_values():
     assert get_config("split:2,2").split_index() == 1
 
 
+def test_ring_rank_limit():
+    assert get_config("split:8,16").ring.rank == 128
+    with pytest.raises(InputError, match="limit of 128"):
+        get_config("split:3,43")
+
+
 def test_unknown_config():
     with pytest.raises(InputError, match="conics3"):
         get_config("conics99")

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdinv.exactlin import InputError, IntMatrix, Lattice, det, lattice_index
+from sdinv import exactlin
+from sdinv.exactlin import InputError, IntMatrix, Lattice, det, kernel_basis, lattice_index
 from sdinv.roots import (
     CharacterLattice,
     WeightMultiset,
@@ -145,6 +146,20 @@ def test_weyl_violation_reports_generator():
 
 
 # --- invariant quadratic forms ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["sl2n:5", "sl4x4"])
+def test_kernels_and_character_lattices_run_no_smith_form(name, monkeypatch):
+    def no_smith(m):
+        raise AssertionError("smith_normal_form ran")
+
+    monkeypatch.setattr(exactlin, "smith_normal_form", no_smith)
+    data = get_preset(name)
+    assert character_lattice(data.datum).lattice.same_lattice(data.display_lattice().lattice)
+    inv = invariant_quadratic_lattice(data.semisimple_lattice(), data.weyl)
+    assert inv.rank >= 1
+    ker = Lattice.from_columns(3, kernel_basis(IntMatrix.from_rows([[2, 4, 6]])))
+    assert ker.same_lattice(Lattice.from_columns(3, [(-2, 1, 0), (-3, 0, 1)]))
 
 
 def test_invariant_forms_rank1_trivial_weyl():
