@@ -21,22 +21,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from ._factor import factorize
-from .exactlin import (
-    MAX_AMBIENT_RANK,
-    IntMatrix,
-    Lattice,
-    MembershipResult,
-    NonMembershipCertificate,
-    SmithDecomposition,
-    SubquotientData,
-    TorsionWitness,
-    det,
-    lattice_index,
-    row_hermite,
-)
+from .errors import MAX_AMBIENT_RANK
+
+if TYPE_CHECKING:
+    from .exactlin import Lattice, MembershipResult, SubquotientData, TorsionWitness
 
 CERT_FORMAT = "sdinv-cert/1"
 
@@ -176,6 +167,8 @@ class CertificateError(Exception):
 
 
 def _verify_lattice_basis(entry) -> None:
+    from .exactlin import Lattice, row_hermite
+
     lat = Lattice.from_columns(entry["ambient_rank"], entry["generators"])
     canonical = [tuple(c) for c in entry["canonical_basis"]]
     if list(lat.basis_columns) != canonical:
@@ -186,6 +179,8 @@ def _verify_lattice_basis(entry) -> None:
 
 
 def _verify_membership(entry) -> None:
+    from .exactlin import Lattice, MembershipResult, NonMembershipCertificate
+
     lat = Lattice.from_columns(entry["ambient_rank"], entry["lattice_basis"])
     vector = tuple(entry["vector"])
     if entry["member"]:
@@ -203,6 +198,14 @@ def _verify_membership(entry) -> None:
 
 
 def _verify_subquotient(entry) -> None:
+    from .exactlin import (
+        IntMatrix,
+        Lattice,
+        NonMembershipCertificate,
+        SmithDecomposition,
+        TorsionWitness,
+    )
+
     sup = Lattice.from_columns(entry["ambient_rank"], entry["sup_basis"])
     sub = Lattice.from_columns(entry["ambient_rank"], entry["sub_basis"])
     relation = IntMatrix.from_rows(entry["relation"])
@@ -256,6 +259,8 @@ def _verify_subquotient(entry) -> None:
 
 
 def _verify_index(entry) -> None:
+    from .exactlin import Lattice, lattice_index
+
     sub = Lattice.from_columns(entry["ambient_rank"], entry["sub_basis"])
     idx = lattice_index(sub, Lattice.standard(entry["ambient_rank"]))
     if idx != entry["index"]:
@@ -277,6 +282,8 @@ def _verify_counting(entry) -> None:
 
 
 def _verify_fixed_vectors(entry) -> None:
+    from .exactlin import IntMatrix, det
+
     mats = [IntMatrix.from_rows(m) for m in entry["matrices"]]
     for m in mats:
         if abs(det(m)) != 1:
@@ -338,7 +345,6 @@ _VERIFIERS = {
 # building certificates from commands (also the replay oracle)
 
 
-@lru_cache(maxsize=64)
 def build_certificate(command: tuple[str, ...]) -> dict:
     """Certificate payload for a normalized command echo; pure in its input."""
     from . import cli

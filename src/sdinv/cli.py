@@ -22,34 +22,19 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
-from . import __version__, certificate as certmod
-from .exactlin import InputError, InternalInconsistencyError
-from .kgamma import (
-    filtration_membership,
-    gamma_filtration,
-    graded_torsion,
-    chow2_torsion,
-    quillen_basis_elements,
-    parse_element,  # re-exported for library users of the CLI grammar
-)
-from .presets import assemble_theorem, cited_fact, sl4x4_report
-from .roots import (
-    action_in_basis,
-    ambient_to_basis_quad,
-    get_preset,
-    indecomposable_group,
-    sl4_block_form,
-    sym2_action_matrix,
-)
-from .wittq import verify_identity
+from . import __version__
+from .errors import InputError, InternalInconsistencyError
 
 REPORT_FORMAT = "sdinv-report/1"
 
 
 # ---------------------------------------------------------------------------
 # computation backends, shared by reports and certificates
+#
+# Each backend imports the compute modules it runs when it is called, and
+# the certificate module only where entries are built, so a process loads
+# only what its command needs.
 
 
 def _group_value_payload(gv) -> dict:
@@ -75,6 +60,9 @@ def _suite_payload(s) -> dict:
 
 
 def _inv3_entries(preset_name: str) -> list[dict]:
+    from . import certificate as certmod
+    from .roots import action_in_basis, get_preset, indecomposable_group, sym2_action_matrix
+
     data = get_preset(preset_name)
     entries = []
     reductive = data.reductive_lattice()
@@ -123,6 +111,8 @@ def _inv3_entries(preset_name: str) -> list[dict]:
 
 
 def _inv3_results(preset_name: str) -> dict:
+    from .roots import ambient_to_basis_quad, indecomposable_group, sl4_block_form
+
     res = indecomposable_group(preset_name)
     out = {
         "preset": preset_name,
@@ -144,6 +134,8 @@ def _inv3_results(preset_name: str) -> dict:
 
 
 def _counting_entry(report) -> dict:
+    from . import certificate as certmod
+
     return certmod.counting_entry(
         report.torsion_orders(),
         report.split_index,
@@ -153,6 +145,9 @@ def _counting_entry(report) -> dict:
 
 
 def _graded_entries(config_name: str) -> list[dict]:
+    from . import certificate as certmod
+    from .kgamma import gamma_filtration, graded_torsion, quillen_basis_elements
+
     filt = gamma_filtration(config_name)
     report = graded_torsion(config_name)
     ring = filt.config.ring
@@ -201,6 +196,10 @@ def _graded_entries(config_name: str) -> list[dict]:
 
 
 def _graded_results(config_name: str, full: bool) -> dict:
+    from fractions import Fraction
+
+    from .kgamma import chow2_torsion, graded_torsion
+
     report = graded_torsion(config_name)
     chow = chow2_torsion(config_name)
     out = {
@@ -233,6 +232,8 @@ def _graded_results(config_name: str, full: bool) -> dict:
 
 
 def _member_payload(config_name: str, expr: str, degree: int):
+    from .kgamma import filtration_membership, gamma_filtration
+
     filt = gamma_filtration(config_name)
     element, res = filtration_membership(config_name, expr, degree)
     results = {
@@ -253,6 +254,8 @@ def _member_payload(config_name: str, expr: str, degree: int):
         }
 
     def entries():
+        from . import certificate as certmod
+
         lat = filt.level(degree)
         return [
             certmod.lattice_basis_entry(
@@ -270,6 +273,8 @@ def _member_payload(config_name: str, expr: str, degree: int):
 
 
 def _witt_payload(identity: str, trials: int, seed: int):
+    from .wittq import verify_identity
+
     cases = verify_identity(identity, trials, seed)
     results = {
         "identity": identity,
@@ -279,10 +284,17 @@ def _witt_payload(identity: str, trials: int, seed: int):
         "level": cases[0].congruence_level,
         "all_pass": all(c.verdict for c in cases),
     }
-    return results, lambda: [certmod.witt_trials_entry(cases)]
+    def entries():
+        from . import certificate as certmod
+
+        return [certmod.witt_trials_entry(cases)]
+
+    return results, entries
 
 
 def _theorem_payload(n: int, trials: int, seed: int):
+    from .presets import assemble_theorem
+
     row = assemble_theorem(n, trials=trials, seed=seed)
     results = {
         "n": n,
@@ -296,6 +308,8 @@ def _theorem_payload(n: int, trials: int, seed: int):
     }
 
     def entries():
+        from . import certificate as certmod
+
         out = [
             certmod.subquotient_entry(
                 "indecomposable invariant group", row.indecomposable.presentation
@@ -318,6 +332,8 @@ def _theorem_payload(n: int, trials: int, seed: int):
 
 
 def _sl4x4_payload():
+    from .presets import sl4x4_report
+
     rep = sl4x4_report()
     results = {
         "inv3_ind": rep.indecomposable.group.label(),
@@ -351,6 +367,8 @@ def _execute(args):
         entries = functools.partial(_inv3_entries, args.preset)
         return _inv3_results(args.preset), entries, [], None
     if head == "chow2":
+        from .presets import cited_fact
+
         results = _graded_results(args.preset, full=False)
         cited = [
             _fact_payload(cited_fact(fid))
@@ -376,8 +394,10 @@ def _execute(args):
 
 
 def _certificate_dict(command: list[str], seed, entries: list[dict]) -> dict:
+    from .certificate import CERT_FORMAT
+
     return {
-        "format": certmod.CERT_FORMAT,
+        "format": CERT_FORMAT,
         "command": command,
         "seed": seed,
         "versions": {"sdinv": __version__},
@@ -560,6 +580,8 @@ def run(argv=None, out=None) -> int:
 
 
 def _run_checker(path: str, out) -> int:
+    from .certificate import check_certificate
+
     try:
         with open(path) as fh:
             cert = json.load(fh)
@@ -567,7 +589,7 @@ def _run_checker(path: str, out) -> int:
         # ValueError covers malformed JSON and integers past the digit limit
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return 2
-    ok, failures = certmod.check_certificate(cert)
+    ok, failures = check_certificate(cert)
     if ok:
         print(f"certificate OK ({len(cert.get('entries', []))} entries)", file=out)
         return 0

@@ -1,0 +1,28 @@
+"""Exceptions and input budgets shared by every sdinv module.
+
+A leaf module: it imports nothing from the package, so a command can check
+its input against a budget, or raise one of these errors, without loading
+the compute modules that would do the work.
+"""
+
+
+class InputError(ValueError):
+    """Bad user-supplied data (dimension mismatch, unknown name, parse error)."""
+
+
+class ContainmentError(InputError):
+    """A claimed sublattice generator is not a member of the superlattice."""
+
+
+class InternalInconsistencyError(RuntimeError):
+    """A structural invariant failed; indicates a broken preset or a bug."""
+
+
+# Largest ambient rank of a lattice built from outside input: a ring rank
+# above it is refused, and so is a certificate entry that states one.  Every
+# lattice the package writes fits.
+MAX_AMBIENT_RANK = 128
+
+# Largest trial count of an identity suite; at this size the slowest
+# identity, alpha4_full, runs for about 7 s on one core of a 2-vCPU VM.
+MAX_TRIALS = 10_000

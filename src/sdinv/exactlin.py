@@ -42,24 +42,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._factor import smallest_prime_factor
-
-
-class InputError(ValueError):
-    """Bad user-supplied data (dimension mismatch, unknown name, parse error)."""
-
-
-class ContainmentError(InputError):
-    """A claimed sublattice generator is not a member of the superlattice."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A structural invariant failed; indicates a broken preset or a bug."""
-
-
-# Largest ambient rank of a lattice built from outside input: a ring rank
-# above it is refused, and so is a certificate entry that states one.  Every
-# lattice the package writes fits.
-MAX_AMBIENT_RANK = 128
+from .errors import (  # noqa: F401  (MAX_AMBIENT_RANK is re-exported)
+    MAX_AMBIENT_RANK,
+    ContainmentError,
+    InputError,
+    InternalInconsistencyError,
+)
 
 
 # ---------------------------------------------------------------------------

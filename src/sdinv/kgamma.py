@@ -38,12 +38,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from .errors import MAX_AMBIENT_RANK, InputError, InternalInconsistencyError
 from .exactlin import (
-    MAX_AMBIENT_RANK,
     FinAbelianGroup,
-    InputError,
     IntMatrix,
-    InternalInconsistencyError,
     Lattice,
     MembershipResult,
     SubquotientData,

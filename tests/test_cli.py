@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sdinv import certificate as certmod
-from sdinv import cli, exactlin, kgamma, roots, wittq
+from sdinv import cli, errors, exactlin, kgamma, roots, wittq
 from sdinv.roots import sym2_size
 
 
@@ -169,6 +169,15 @@ def test_trials_over_the_limit_exit_2(argv, capsys):
     assert str(wittq.MAX_TRIALS) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("trials", [-5, 0, 10001])
+def test_theorem_trials_checked_on_every_row(n, trials, capsys):
+    """Rows 5 to 8 run no identity suite, but still refuse a bad count."""
+    code, out = run(["theorem", "--n", str(n), "--trials", str(trials), "--json"])
+    assert code == 2 and out == ""
+    assert f"trials must be between 1 and {errors.MAX_TRIALS}" in capsys.readouterr().err
+
+
 def test_missing_command_exit_2(capsys):
     code, _ = run([])
     assert code == 2
@@ -225,11 +234,12 @@ def test_gamma_reports_match_recorded_digests(argv):
     _assert_recorded_digest(argv)
 
 
-def _count_calls(monkeypatch, name):
-    """Replace the sdinv function ``name`` in every sdinv module that holds
-    it by a wrapper that records the positional arguments of each call."""
+def _count_calls(monkeypatch, module, name):
+    """Replace the function ``name`` of the sdinv ``module`` that defines it,
+    and in every sdinv module that holds it, by a wrapper that records the
+    positional arguments of each call."""
     calls = []
-    original = getattr(exactlin, name, None) or getattr(cli, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -247,8 +257,8 @@ def test_inv3_sl2n_8_keeps_smith_and_det_inputs_small(monkeypatch):
     Hermite form of its columns, so no Smith input or determinant outgrows
     the quadratic monomials."""
     limit = sym2_size(8)
-    smith_calls = _count_calls(monkeypatch, "smith_normal_form")
-    det_calls = _count_calls(monkeypatch, "det")
+    smith_calls = _count_calls(monkeypatch, exactlin, "smith_normal_form")
+    det_calls = _count_calls(monkeypatch, exactlin, "det")
     roots._indecomposable_cached.cache_clear()
     code, _ = run(["inv3", "--preset", "sl2n:8", "--json"])
     assert code == 0
@@ -264,7 +274,7 @@ def _clear_gamma_caches():
 
 def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_path):
     _clear_gamma_caches()
-    calls = _count_calls(monkeypatch, "subquotient_presentation")
+    calls = _count_calls(monkeypatch, exactlin, "subquotient_presentation")
     argv = ["gamma", "report", "--preset", "split:3,3,3", "--json"]
     code, _ = run(argv)
     assert code == 0
@@ -278,7 +288,7 @@ def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_pat
 
 
 def test_theorem_runs_each_suite_once(monkeypatch, tmp_path):
-    calls = _count_calls(monkeypatch, "verify_identity")
+    calls = _count_calls(monkeypatch, wittq, "verify_identity")
     argv = ["theorem", "--n", "3", "--json"]
     code, _ = run(argv)
     assert code == 0

@@ -1,0 +1,131 @@
+"""Start-up cost: each command loads only the sdinv modules it runs, and the
+package namespace resolves its exports lazily.
+
+Every command runs in a fresh interpreter, because the test process itself
+has imported every module.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sdinv
+
+SRC = str(Path(sdinv.__file__).resolve().parent.parent)
+
+# Loaded by every command: the front end, the shared errors and budgets, and
+# the factoring helpers that exactlin and wittq both use.
+BASE = {"cli", "errors", "_factor"}
+
+_PROBE = """
+import contextlib, io, json, sys
+from sdinv import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sdinv"))]))
+"""
+
+
+def _fresh(code: str, *argv: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return proc.stdout
+
+
+def _loaded_by(*argv: str) -> set[str]:
+    code, modules = json.loads(_fresh(_PROBE, *argv))
+    assert code == 0, argv
+    assert "sdinv" in modules
+    return {m.removeprefix("sdinv.") for m in modules if m != "sdinv"}
+
+
+WITT = ["witt", "verify", "--identity", "alpha2", "--trials", "3"]
+INV3 = ["inv3", "--preset", "sl2n:2"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (WITT, {"wittq"}),
+        (INV3, {"exactlin", "roots"}),
+        (["gamma", "report", "--preset", "conic1"], {"exactlin", "kgamma"}),
+        (
+            ["gamma", "member", "--preset", "conic1", "--element", "y1", "--degree", "1"],
+            {"exactlin", "kgamma"},
+        ),
+        (["chow2", "--preset", "conic1"], {"exactlin", "kgamma", "presets"}),
+        (["theorem", "--n", "6"], {"exactlin", "roots", "presets"}),
+    ],
+    ids=["witt", "inv3", "gamma-report", "gamma-member", "chow2", "theorem-6"],
+)
+def test_command_loads_only_its_modules(argv, modules):
+    assert _loaded_by(*argv) == BASE | modules
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [(WITT, {"wittq"}), (INV3, {"exactlin", "roots"})],
+    ids=["witt", "inv3"],
+)
+def test_certificate_module_loads_only_for_certificates(argv, modules, tmp_path):
+    path = str(tmp_path / "cert.json")
+    assert _loaded_by(*argv, "--certificate", path) == BASE | modules | {"certificate"}
+    assert _loaded_by("--check-certificate", path) == BASE | modules | {"certificate"}
+
+
+def test_import_sdinv_loads_no_compute_module():
+    probe = "import sys, sdinv; print(sorted(m for m in sys.modules if m.startswith('sdinv')))"
+    assert _fresh(probe).split() == ["['sdinv']"]
+
+
+# Every name the package namespace exported when it imported all of its
+# submodules, with the module it was imported from.
+_EXPORTED = {
+    "exactlin": (
+        "ContainmentError", "FinAbelianGroup", "InputError", "IntMatrix",
+        "InternalInconsistencyError", "Lattice", "MembershipResult",
+        "SmithDecomposition", "lattice_index", "lattice_membership",
+        "smith_normal_form", "subquotient_presentation",
+    ),
+    "kgamma": (
+        "chern_class", "chow2_torsion", "filtration_membership", "gamma_filtration",
+        "gamma_op", "get_config", "graded_torsion", "parse_element", "quillen_lattice",
+    ),
+    "presets": ("assemble_theorem", "sl4x4_report", "theorem_table"),
+    "roots": (
+        "character_lattice", "chern2_of_character", "dec_subgroup", "get_preset",
+        "indecomposable_group", "invariant_quadratic_lattice", "project_to_semisimple",
+    ),
+    "wittq": (
+        "DiagonalForm", "PfisterSpec", "QuaternionDatum", "albert_similarity_check",
+        "alpha_eval", "hilbert_symbol", "in_power_of_i", "pfister",
+        "sample_chain_configuration", "verify_identity", "witt_equivalent",
+        "witt_invariants",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(_EXPORTED))
+def test_package_exports_resolve_to_their_definitions(module):
+    source = importlib.import_module(f"sdinv.{module}")
+    for name in _EXPORTED[module]:
+        namespace = {}
+        exec(f"from sdinv import {name}", namespace)
+        obj = namespace[name]
+        assert obj is getattr(source, name), name
+        assert obj is getattr(importlib.import_module(obj.__module__), name), name
+    assert set(_EXPORTED[module]) <= set(sdinv.__all__) <= set(dir(sdinv))
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sdinv.no_such_name
