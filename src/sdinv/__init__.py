@@ -50,7 +50,6 @@ _EXPORTS = {
     ),
     "wittq": (
         "DiagonalForm",
-        "PfisterSpec",
         "QuaternionDatum",
         "albert_similarity_check",
         "alpha_eval",

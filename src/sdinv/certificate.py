@@ -23,7 +23,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ._factor import factorize
+from ._factor import is_probable_prime
 from .errors import MAX_AMBIENT_RANK
 
 if TYPE_CHECKING:
@@ -179,10 +179,14 @@ def _verify_lattice_basis(entry) -> None:
 
 
 def _verify_membership(entry) -> None:
-    from .exactlin import Lattice, MembershipResult, NonMembershipCertificate
+    """The evidence is checked against the stored columns as they stand, so
+    no Hermite form runs."""
+    from .exactlin import MembershipResult, NonMembershipCertificate
 
-    lat = Lattice.from_columns(entry["ambient_rank"], entry["lattice_basis"])
+    columns = [tuple(c) for c in entry["lattice_basis"]]
     vector = tuple(entry["vector"])
+    if any(len(c) != entry["ambient_rank"] for c in columns + [vector]):
+        raise CertificateError(f"{entry['label']}: a length differs from the ambient rank")
     if entry["member"]:
         res = MembershipResult(True, coordinates=tuple(entry["coordinates"]))
     else:
@@ -193,8 +197,21 @@ def _verify_membership(entry) -> None:
                 c["obstruction"], tuple(c["functional"]), c["prime"], c["power"]
             ),
         )
-    if not res.check(vector, lat):
+    if not res.check(vector, columns):
         raise CertificateError(f"{entry['label']}: membership evidence fails")
+
+
+def _covers_order(order, primes) -> bool:
+    """``primes`` are the distinct prime factors of ``order``: each one is
+    prime and divides what the earlier ones leave of ``order``, and dividing
+    them all out leaves 1.  Nothing is factored, so the work is bounded by
+    the size of the stated numbers."""
+    for p in primes:
+        if p < 2 or order % p:
+            return False
+        while order % p == 0:
+            order //= p
+    return order == 1 and all(is_probable_prime(p) for p in primes)
 
 
 def _verify_subquotient(entry) -> None:
@@ -232,6 +249,9 @@ def _verify_subquotient(entry) -> None:
     rank = sum(1 for d in diag if d)
     if sup.basis.cols - rank != entry["free_rank"]:
         raise CertificateError(f"{entry['label']}: free rank mismatch")
+    # one witness of exact order d for each invariant factor d, in order
+    if [wp["order"] for wp in entry["witnesses"]] != factors:
+        raise CertificateError(f"{entry['label']}: witness orders differ from the invariant factors")
     for wp in entry["witnesses"]:
         witness = TorsionWitness(
             vector=tuple(wp["vector"]),
@@ -250,11 +270,9 @@ def _verify_subquotient(entry) -> None:
                 for pc in wp["proper_certificates"]
             ),
         )
-        if not witness.check(sub):
+        if not sup.contains(witness.vector) or not witness.check(sub.basis_columns):
             raise CertificateError(f"{entry['label']}: torsion witness fails")
-        if sorted({p for p, _ in witness.proper_certificates}) != sorted(
-            {p for p, _ in factorize(witness.order)}
-        ):
+        if not _covers_order(witness.order, [p for p, _ in witness.proper_certificates]):
             raise CertificateError(f"{entry['label']}: witness misses a prime")
 
 

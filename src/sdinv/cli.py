@@ -94,7 +94,7 @@ def _inv3_entries(preset_name: str) -> list[dict]:
             res.invariant_lattice.basis_columns,
         )
     )
-    inv = res.invariant_lattice.canonical()
+    inv = res.invariant_lattice
     for j, col in enumerate(res.dec_lattice.basis_columns):
         entries.append(
             certmod.membership_entry(

@@ -9,21 +9,19 @@ independently of the code that produced them.
 
 Conventions
 -----------
-* A :class:`Lattice` is the column span of its generator matrix inside the
-  ambient ``Z^r``.
-* The canonical representation of a lattice is the column-style Hermite
-  form: pivots positive, pivot rows strictly increasing, and every entry in
-  a pivot row lying in ``[0, pivot)``.  Two lattices are equal iff their
-  canonical bases are identical, which is how every "generated by" claim in
-  this package is decided.  ``Lattice.canonical()`` is idempotent and shares
-  the cached basis data with the lattice it came from.
+* A :class:`Lattice` is a sublattice of the ambient ``Z^r`` held as its
+  canonical basis, the column-style Hermite form: pivots positive, pivot
+  rows strictly increasing, and every entry in a pivot row lying in
+  ``[0, pivot)``.  ``Lattice.from_columns`` spans any generators with one
+  Hermite form, so two lattices are equal iff ``==`` says so, which is how
+  every "generated by" claim in this package is decided.
 
 Hermite form does the routine work: YES membership is back-substitution down
-the triangular canonical basis, with generator coordinates from one transform
-kept per lattice; an index of equal-rank lattices is the product of the
-diagonal of their triangular relation matrix; a kernel and the generator
-transform are both read off the Hermite form of vectors augmented by an
-identity block.
+the triangular basis, with coordinates in that basis; an index of equal-rank
+lattices is the product of the diagonal of their triangular relation matrix;
+a kernel is read off the Hermite form of vectors augmented by an identity
+block.  Membership evidence and torsion witnesses are checked against the
+columns they are stated for, with no Hermite form.
 
 Smith normal form, computed with explicit transform accumulation so that the
 decomposition is a certificate (``U * A * V == D``), is kept where its
@@ -360,13 +358,6 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     return dec
 
 
-def _augmented_hermite(vectors) -> tuple[tuple[int, ...], ...]:
-    """Row Hermite form of the rows ``vectors[j] + e_j``; each output row is
-    ``(sum_j c_j vectors[j], c)`` for the combination ``c`` it records."""
-    n = len(vectors)
-    return row_hermite([tuple(v) + tuple(int(i == j) for i in range(n)) for j, v in enumerate(vectors)])
-
-
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the saturated integer kernel ``{x : m @ x == 0}``.
 
@@ -384,7 +375,8 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     n, r = m.cols, m.rows
     if not any(map(any, m.entries)):
         return [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    rows = _augmented_hermite(tuple(zip(*m.entries)))
+    # row j is column j of m followed by e_j, so each Hermite row is (m @ c, c)
+    rows = row_hermite([col + tuple(int(i == j) for i in range(n)) for j, col in enumerate(zip(*m.entries))])
     if len(rows) != n or any(len(row) != r + n or m.matvec(row[r:]) != row[:r] for row in rows):
         raise InternalInconsistencyError("augmented Hermite form is not m.cols rows (m @ c, c)")
     if abs(det(IntMatrix(tuple(row[r:] for row in rows)))) != 1:
@@ -403,41 +395,27 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Column span of ``generators`` inside ``Z^ambient_rank``."""
+    """Sublattice of ``Z^ambient_rank`` held as its canonical Hermite basis.
+
+    Build one with :meth:`from_columns` or :meth:`standard`; both keep
+    ``basis_columns`` canonical, so two lattices are equal exactly when
+    ``==`` says so, and they hash alike.
+    """
 
     ambient_rank: int
-    generators: IntMatrix
-
-    def __post_init__(self) -> None:
-        if self.generators.cols and self.generators.rows != self.ambient_rank:
-            raise InputError("generator length does not match ambient rank")
+    basis_columns: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_columns(cls, ambient_rank: int, cols) -> "Lattice":
+        """The span of ``cols``: one row Hermite form of the columns."""
         cols = tuple(tuple(map(int, c)) for c in cols)
-        for c in cols:
-            if len(c) != ambient_rank:
-                raise InputError("generator length does not match ambient rank")
-        if not cols:
-            return cls(ambient_rank, IntMatrix(tuple(() for _ in range(ambient_rank))))
-        lat = cls(ambient_rank, IntMatrix(tuple(zip(*cols))))
-        lat.__dict__["generator_columns"] = cols
-        return lat
+        if any(len(c) != ambient_rank for c in cols):
+            raise InputError("generator length does not match ambient rank")
+        return cls(ambient_rank, row_hermite(cols))
 
     @classmethod
     def standard(cls, ambient_rank: int) -> "Lattice":
-        return cls(ambient_rank, IntMatrix.identity(ambient_rank))
-
-    @cached_property
-    def generator_columns(self) -> tuple[tuple[int, ...], ...]:
-        """The generators as column tuples."""
-        return tuple(self.generators.columns())
-
-    @cached_property
-    def basis_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical Hermite basis as column tuples, the row Hermite form
-        of the generator columns."""
-        return row_hermite(self.generator_columns)
+        return cls(ambient_rank, IntMatrix.identity(ambient_rank).entries)
 
     @cached_property
     def basis(self) -> IntMatrix:
@@ -449,55 +427,17 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis_columns)
 
-    def canonical(self) -> "Lattice":
-        """The lattice generated by its canonical basis; ``self`` when the
-        generators already are that basis, and the same object every call."""
-        return self._canonical
-
-    @cached_property
-    def _canonical(self) -> "Lattice":
-        if self.generators.entries == self.basis.entries:
-            return self
-        lat = Lattice(self.ambient_rank, self.basis)
-        lat.__dict__["basis"] = self.basis
-        lat.__dict__["basis_columns"] = lat.__dict__["generator_columns"] = self.basis_columns
-        return lat
-
-    def same_lattice(self, other: "Lattice") -> bool:
-        return (
-            self.ambient_rank == other.ambient_rank
-            and self.basis.entries == other.basis.entries
-        )
-
     @cached_property
     def _basis_smith(self) -> SmithDecomposition:
-        canon = self.canonical()
-        return smith_normal_form(self.basis) if canon is self else canon._basis_smith
+        return smith_normal_form(self.basis)
 
     @cached_property
     def _echelon(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """``(pivot position, column)`` for each canonical basis column."""
-        canon = self.canonical()
-        if canon is not self:
-            return canon._echelon
+        """``(pivot position, column)`` for each basis column."""
         return tuple(
             (next(i for i, x in enumerate(col) if x), col)
             for col in self.basis_columns
         )
-
-    @cached_property
-    def _generator_transform(self) -> tuple[tuple[int, ...], ...]:
-        """Rows ``t_i`` with ``generators @ t_i == basis column i``.
-
-        Read off the Hermite form of the generators augmented by an identity
-        block: its first ``rank`` rows are the canonical basis followed by
-        the combinations that produce it.
-        """
-        r = self.ambient_rank
-        rows = _augmented_hermite(self.generator_columns)[: self.rank]
-        if tuple(row[:r] for row in rows) != self.basis_columns:
-            raise InternalInconsistencyError("augmented Hermite form lost the basis")
-        return tuple(row[r:] for row in rows)
 
     def _basis_coordinates(self, v) -> tuple[int, ...] | None:
         """Coordinates of ``v`` in the canonical basis, or None when ``v`` is
@@ -526,13 +466,48 @@ class Lattice:
         return self._basis_coordinates(_ambient_vector(v, self)) is not None
 
 
+def _integers(*vectors) -> bool:
+    """Evidence is exact: a float would let rounding pass a false claim."""
+    return all(type(x) is int for vec in vectors for x in vec)
+
+
+def _pairing(functional, w) -> int:
+    return sum(map(operator.mul, functional, w))
+
+
+def _rebuilds(columns, coords, v) -> bool:
+    """``sum_j coords[j] * columns[j] == v``, shapes and integrality included."""
+    v = tuple(v)
+    if len(coords) != len(columns) or any(len(c) != len(v) for c in columns):
+        return False
+    if not _integers(coords, v, *columns):
+        return False
+    if not columns:
+        return not any(v)
+    return tuple(sum(map(operator.mul, row, coords)) for row in zip(*columns)) == v
+
+
+def _divisible_by_prime_power(x: int, p: int, e: int) -> bool:
+    """``p**e`` divides ``x``, decided in at most ``log_p |x| + 1`` divisions
+    without forming ``p**e``, so a huge stated ``e`` costs nothing."""
+    if x == 0:
+        return True
+    while e:
+        x, r = divmod(x, p)
+        if r:
+            return False
+        e -= 1
+    return True
+
+
 @dataclass(frozen=True)
 class NonMembershipCertificate:
-    """Witness that a vector is outside a lattice.
+    """Witness that a vector is outside the span of some columns.
 
-    ``kind == "rank"``: ``functional @ g == 0`` for every generator while
+    ``kind == "rank"``: ``functional @ g == 0`` for every column while
     ``functional @ v != 0``.  ``kind == "modular"``: the same pairing is
-    ``0 mod prime**power`` on the lattice but not on ``v``.
+    ``0 mod prime**power`` on every column but not on ``v``, with integers
+    ``prime >= 2`` and ``power >= 1``.
     """
 
     kind: str
@@ -540,27 +515,34 @@ class NonMembershipCertificate:
     prime: int | None = None
     power: int | None = None
 
-    def check(self, v, lattice: Lattice) -> bool:
-        pair = lambda w: sum(a * b for a, b in zip(self.functional, w))
-        if self.kind == "rank":
-            return all(pair(g) == 0 for g in lattice.generator_columns) and pair(v) != 0
-        mod = self.prime ** self.power
-        if pair(v) % mod == 0:
+    def check(self, v, columns) -> bool:
+        if not _integers(self.functional, v, *columns):
             return False
-        return all(pair(g) % mod == 0 for g in lattice.generator_columns)
+        pairs = [_pairing(self.functional, g) for g in columns]
+        target = _pairing(self.functional, v)
+        if self.kind == "rank":
+            return target != 0 and not any(pairs)
+        p, e = self.prime, self.power
+        if self.kind != "modular" or type(p) is not int or type(e) is not int or p < 2 or e < 1:
+            return False
+        return not _divisible_by_prime_power(target, p, e) and all(
+            _divisible_by_prime_power(x, p, e) for x in pairs
+        )
 
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """YES carries coordinates in the canonical basis; NO a certificate."""
+
     member: bool
     coordinates: tuple[int, ...] | None = None
     certificate: NonMembershipCertificate | None = None
 
-    def check(self, v, lattice: Lattice) -> bool:
+    def check(self, v, columns) -> bool:
+        """The evidence against the lattice spanned by ``columns``."""
         if self.member:
-            rebuilt = lattice.generators.matvec(self.coordinates)
-            return rebuilt == tuple(v)
-        return self.certificate.check(v, lattice)
+            return _rebuilds(columns, self.coordinates, v)
+        return self.certificate.check(v, columns)
 
 
 def _ambient_vector(v, lattice: Lattice) -> tuple[int, ...]:
@@ -576,23 +558,15 @@ def lattice_membership(v, lattice: Lattice) -> MembershipResult:
     """Decide ``v in lattice`` with an independently checkable certificate.
 
     YES is decided by back-substitution on the triangular canonical basis
-    and answered with integer coordinates in the *generator* matrix, through
-    a transform kept per lattice.  NO answers carry either a rank
-    obstruction or a prime-power congruence that every lattice element
-    satisfies and ``v`` violates, read off the Smith form of the basis.
+    and answered with integer coordinates in that basis.  NO answers carry
+    either a rank obstruction or a prime-power congruence that every lattice
+    element satisfies and ``v`` violates, read off the Smith form of the
+    basis.
     """
     v = _ambient_vector(v, lattice)
     coords = lattice._basis_coordinates(v)
     if coords is None:
         return MembershipResult(False, certificate=_non_membership_certificate(v, lattice))
-    if lattice.generators.entries != lattice.basis.entries:
-        transform = lattice._generator_transform
-        coords = tuple(
-            sum(c * t[j] for c, t in zip(coords, transform))
-            for j in range(lattice.generators.cols)
-        )
-        if lattice.generators.matvec(coords) != v:
-            raise InternalInconsistencyError("generator coordinates failed to rebuild")
     return MembershipResult(True, coordinates=coords)
 
 
@@ -681,13 +655,14 @@ class TorsionWitness:
     # ... and (order/p) * vector does not, for each prime p | order.
     proper_certificates: tuple[tuple[int, NonMembershipCertificate], ...]
 
-    def check(self, sub: Lattice) -> bool:
+    def check(self, sub_columns) -> bool:
+        """The evidence against the sublattice spanned by ``sub_columns``."""
         scaled = tuple(self.order * x for x in self.vector)
-        if sub.generators.matvec(self.multiple_coordinates) != scaled:
+        if not _rebuilds(sub_columns, self.multiple_coordinates, scaled):
             return False
         for p, cert in self.proper_certificates:
             frac = tuple((self.order // p) * x for x in self.vector)
-            if not cert.check(frac, sub):
+            if not cert.check(frac, sub_columns):
                 return False
         return True
 
@@ -706,32 +681,25 @@ class SubquotientData:
     witnesses: tuple[TorsionWitness, ...]
 
 
-def _relation_matrix(sub: Lattice, sup: Lattice) -> tuple[IntMatrix, list, Lattice]:
-    """Columns: the canonical basis of ``sub`` in the canonical basis of
-    ``sup``, each vector decided once."""
+def _relation_columns(sub: Lattice, sup: Lattice) -> list[tuple[int, ...]]:
+    """The basis of ``sub`` in the basis of ``sup``, one column per vector."""
     if sub.ambient_rank != sup.ambient_rank:
         raise InputError("sub and sup live in different ambient ranks")
-    sup = sup.canonical()
-    # The canonical basis of the sublattice spans the same group as its
-    # generators and keeps the relation matrix small.
-    sub_c = sub.canonical()
     cols = []
-    for g in sub_c.basis_columns:
+    for idx, g in enumerate(sub.basis_columns):
         coords = sup._basis_coordinates(g)
         if coords is None:
-            idx = next(i for i, h in enumerate(sub.generator_columns) if not sup.contains(h))
             raise ContainmentError(
-                f"generator {idx} of the sublattice is outside the superlattice"
+                f"basis vector {idx} of the sublattice is outside the superlattice"
             )
         cols.append(coords)
-    k = sup.rank
-    mat = IntMatrix.from_columns(cols) if cols else IntMatrix(tuple(() for _ in range(k)))
-    return mat, cols, sub_c
+    return cols
 
 
 def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
-    relation, _, sub = _relation_matrix(sub, sup)
+    cols = _relation_columns(sub, sup)
     k = sup.rank
+    relation = IntMatrix.from_columns(cols) if cols else IntMatrix(tuple(() for _ in range(k)))
     dec = smith_normal_form(relation)
     factors = dec.invariant_factors()
     free_rank = k - dec.rank
@@ -785,8 +753,8 @@ def lattice_index(sub: Lattice, sup: Lattice) -> int | None:
     relation matrix is triangular and the index is the product of its
     diagonal; no Smith form is needed.
     """
-    _, cols, sub_c = _relation_matrix(sub, sup)
-    if sub_c.rank != sup.rank:
+    cols = _relation_columns(sub, sup)
+    if sub.rank != sup.rank:
         return None
     out = 1
     for j, col in enumerate(cols):

@@ -589,7 +589,7 @@ def quillen_lattice(config: SeveriBrauerConfig) -> Lattice:
     """Span of ``ind(i) x^i`` in y-monomial coordinates."""
     ring = config.ring
     cols = [el.y_vector() for el in quillen_basis_elements(config)]
-    lat = Lattice.from_columns(ring.rank, cols).canonical()
+    lat = Lattice.from_columns(ring.rank, cols)
     expected = config.split_index()
     if lattice_index(lat, Lattice.standard(ring.rank)) != expected:
         raise InternalInconsistencyError("quillen lattice index mismatch")
@@ -612,30 +612,30 @@ def _rank_zero_x_coefficients(a: RingElement) -> dict[tuple[int, ...], int]:
     return coeffs
 
 
-def gamma_series(a: RingElement, d_max: int) -> list[RingElement]:
-    """Coefficients of gamma_t(a) for t^0..t^d_max.
+def gamma_series(a: RingElement, top: int) -> list[RingElement]:
+    """Coefficients of gamma_t(a) for t^0..t^top.
 
     Uses gamma_t(L - 1) = 1 + (L - 1) t on line classes and multiplicativity;
     negative multiplicities go through the generalized binomial series, which
     is the truncated inverse power series.
     """
-    if d_max < 0:
+    if top < 0:
         raise InputError("gamma degree must be nonnegative")
     ring = a.ring
-    series = [ring.one()] + [ring.zero() for _ in range(d_max)]
+    series = [ring.one()] + [ring.zero() for _ in range(top)]
     for exps, c in sorted(_rank_zero_x_coefficients(a).items()):
         w = ring.monomial(exps, "x") - ring.one()
         powers = [ring.one()]
-        for _ in range(d_max):
+        for _ in range(top):
             powers.append(powers[-1] * w)
         factor = [powers[k].scaled(math.comb(c, k) if c >= 0 else
                                    (-1) ** k * math.comb(-c + k - 1, k))
-                  for k in range(d_max + 1)]
-        new = [ring.zero() for _ in range(d_max + 1)]
-        for i in range(d_max + 1):
+                  for k in range(top + 1)]
+        new = [ring.zero() for _ in range(top + 1)]
+        for i in range(top + 1):
             if series[i].is_zero():
                 continue
-            for j in range(d_max + 1 - i):
+            for j in range(top + 1 - i):
                 if not factor[j].is_zero():
                     new[i + j] = new[i + j] + series[i] * factor[j]
         series = new
@@ -659,26 +659,15 @@ def chern_class(x: RingElement, i: int) -> RingElement:
 @dataclass(frozen=True)
 class GammaFiltration:
     config: SeveriBrauerConfig
-    lattices: tuple[Lattice, ...]  # indices 0 .. depth
+    lattices: tuple[Lattice, ...]  # degrees 0 .. dim + 1, the last one zero
 
     @property
     def dim(self) -> int:
         return self.config.dim
 
-    @property
-    def depth(self) -> int:
-        return len(self.lattices) - 1
-
     def level(self, d: int) -> Lattice:
-        if d < 0:
-            d = 0
-        if d > self.depth:
-            if self.depth == self.dim + 1:
-                return self.lattices[-1]  # everything above the top is zero
-            raise InputError(
-                f"filtration was built to degree {self.depth} only"
-            )
-        return self.lattices[d]
+        """Step ``d``; below 0 it is step 0, above ``dim + 1`` the zero step."""
+        return self.lattices[min(max(d, 0), len(self.lattices) - 1)]
 
 
 def _gamma_generators(config: SeveriBrauerConfig) -> list[RingElement]:
@@ -692,16 +681,12 @@ def _gamma_generators(config: SeveriBrauerConfig) -> list[RingElement]:
 
 
 @lru_cache(maxsize=32)
-def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltration:
-    """Filtration lattices through degree ``min(d_max, dim) + 1``.
-
-    The default builds the whole filtration including the vanishing top
-    level, which is what the graded reports need.
-    """
+def gamma_filtration(config_name: str) -> GammaFiltration:
+    """Filtration lattices through degree ``dim + 1``, the vanishing top
+    level included."""
     config = get_config(config_name)
     ring = config.ring
     dim = ring.dim
-    top = dim if d_max is None else max(0, min(d_max, dim))
 
     k0 = quillen_lattice(config)
     gens = _gamma_generators(config)
@@ -726,7 +711,7 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
                 nonzero.append((k, gk))
 
     one_cols = [g.y_vector() for g in gens]
-    gamma1 = Lattice.from_columns(ring.rank, one_cols).canonical()
+    gamma1 = Lattice.from_columns(ring.rank, one_cols)
 
     # Each level for d >= 2 is spanned by gamma_k(g) * basis(level[max(d-k,1)])
     # over all generators g and 1 <= k <= dim, plus the bare gamma_k(g) with
@@ -736,7 +721,7 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
     # span, and so the canonical basis, is the same without the repeats.
     levels: dict[int, Lattice] = {0: k0, 1: gamma1}
     basis_elements = {1: [RingElement(ring, b) for b in gamma1.basis_columns]}
-    for d in range(2, top + 2):
+    for d in range(2, dim + 2):
         cols: dict[tuple[int, ...], None] = {}
         for k, gk in nonzero:
             if k >= d:
@@ -745,16 +730,16 @@ def gamma_filtration(config_name: str, d_max: int | None = None) -> GammaFiltrat
                 prod = (gk * b).coefficients
                 if any(prod):
                     cols[prod] = None
-        levels[d] = Lattice.from_columns(ring.rank, cols).canonical()
+        levels[d] = Lattice.from_columns(ring.rank, cols)
         basis_elements[d] = [RingElement(ring, b) for b in levels[d].basis_columns]
         for col in levels[d].basis_columns:
             if not levels[d - 1].contains(col):
                 raise InternalInconsistencyError("filtration levels fail to nest")
 
-    if top == dim and levels[dim + 1].rank != 0:
+    if levels[dim + 1].rank != 0:
         raise InternalInconsistencyError("filtration fails to vanish above the dimension")
 
-    lattices = tuple(levels[d] for d in range(0, top + 2))
+    lattices = tuple(levels[d] for d in range(0, dim + 2))
     return GammaFiltration(config=config, lattices=lattices)
 
 
@@ -809,7 +794,7 @@ def _degree_slice(ring: TruncatedPolyRing, d: int) -> list[int]:
 def _project_to_degree(ring: TruncatedPolyRing, cols, d: int) -> Lattice:
     rows = _degree_slice(ring, d)
     proj = [tuple(c[i] for i in rows) for c in cols]
-    return Lattice.from_columns(len(rows), proj).canonical()
+    return Lattice.from_columns(len(rows), proj)
 
 
 @lru_cache(maxsize=32)

@@ -162,21 +162,19 @@ class CharacterLattice:
 
     def __post_init__(self) -> None:
         span = Lattice.from_columns(self.ambient_rank, [v for _, v in self.named_basis])
-        if not span.same_lattice(self.lattice):
+        if span != self.lattice:
             raise InputError("named basis does not generate the lattice")
 
     @classmethod
     def from_named(cls, ambient_rank: int, named) -> "CharacterLattice":
         named = tuple((str(l), tuple(int(x) for x in v)) for l, v in named)
-        lat = Lattice.from_columns(ambient_rank, [v for _, v in named]).canonical()
+        lat = Lattice.from_columns(ambient_rank, [v for _, v in named])
         return cls(ambient_rank, lat, named)
 
     @classmethod
     def from_lattice(cls, lat: Lattice) -> "CharacterLattice":
-        named = tuple(
-            (f"b{k + 1}", col) for k, col in enumerate(lat.basis.columns())
-        )
-        return cls(lat.ambient_rank, lat.canonical(), named)
+        named = tuple((f"b{k + 1}", col) for k, col in enumerate(lat.basis_columns))
+        return cls(lat.ambient_rank, lat, named)
 
     @property
     def rank(self) -> int:
@@ -241,7 +239,7 @@ def character_lattice(datum: CentralQuotientDatum) -> CharacterLattice:
     ]
     ker = kernel_basis(IntMatrix.from_rows(rows))
     gens = [v[:m] for v in ker]
-    lat = Lattice.from_columns(m, gens).canonical()
+    lat = Lattice.from_columns(m, gens)
     if lattice_index(lat, Lattice.standard(m)) != math.prod(datum.factor_moduli):
         raise InternalInconsistencyError(
             "character lattice index does not match the center's order"
@@ -253,7 +251,7 @@ def project_to_semisimple(L: CharacterLattice, projection: IntMatrix) -> Charact
     """Image of a character lattice under the weight-space projection."""
     if projection.cols != L.ambient_rank:
         raise InputError("projection does not accept the lattice's ambient rank")
-    cols = [projection.matvec(v) for v in L.lattice.generators.columns()]
+    cols = [projection.matvec(v) for v in L.lattice.basis_columns]
     return CharacterLattice.from_lattice(Lattice.from_columns(projection.rows, cols))
 
 
@@ -267,9 +265,8 @@ def action_in_basis(
     invertible on it.
     """
     name = f" {generator_index}" if generator_index is not None else ""
-    basis = L.lattice.basis
     cols = []
-    for i, b in enumerate(basis.columns()):
+    for i, b in enumerate(L.lattice.basis_columns):
         img = w.matvec(b)
         res = L.lattice.membership(img)
         if not res.member:
@@ -311,7 +308,7 @@ def invariant_quadratic_lattice(L: CharacterLattice, weyl: WeylAction) -> Lattic
     if not stacked:
         return Lattice.standard(n)
     ker = kernel_basis(IntMatrix.from_rows(stacked))
-    return Lattice.from_columns(n, ker).canonical()
+    return Lattice.from_columns(n, ker)
 
 
 def ambient_to_basis_quad(L: CharacterLattice, ambient_coeffs) -> QuadSpaceElement:
@@ -326,8 +323,7 @@ def ambient_to_basis_quad(L: CharacterLattice, ambient_coeffs) -> QuadSpaceEleme
     # are n times those of e_i, so the substitution below is n^2 times the
     # rewritten expression.
     n = lattice_index(L.lattice, Lattice.standard(m))
-    canon = L.lattice.canonical()
-    cols = [canon.membership(tuple(n * int(t == i) for t in range(m))).coordinates
+    cols = [L.lattice.membership(tuple(n * int(t == i) for t in range(m))).coordinates
             for i in range(m)]
     out = sym2_substitute(list(ambient_coeffs), cols, m, r)
     if any(x % (n * n) for x in out):
@@ -389,12 +385,12 @@ def dec_subgroup(
     for g in explicit_generators:
         cols.append(ambient_to_basis_quad(L, g).coefficients)
     n = sym2_size(L.rank)
-    lat = Lattice.from_columns(n, cols).canonical()
+    lat = Lattice.from_columns(n, cols)
     inv = invariant_lattice if invariant_lattice is not None else invariant_quadratic_lattice(L, weyl)
-    for idx, c in enumerate(lat.generators.columns()):
+    for idx, c in enumerate(lat.basis_columns):
         if not inv.contains(c):
             raise InternalInconsistencyError(
-                f"chern-class generator {idx} escapes the invariant lattice"
+                f"chern-class basis vector {idx} escapes the invariant lattice"
             )
     return lat
 

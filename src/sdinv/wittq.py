@@ -193,24 +193,6 @@ def _pfister(classes) -> DiagonalForm:
     return DiagonalForm(tuple(entries))
 
 
-@dataclass(frozen=True)
-class PfisterSpec:
-    """Slot description of a multiplicative form, kept separate from its
-    2^k-dimensional expansion."""
-
-    slots: tuple[int, ...]
-
-    @classmethod
-    def of(cls, values) -> "PfisterSpec":
-        return cls(tuple(square_class(v) for v in values))
-
-    def expand(self) -> DiagonalForm:
-        form = pfister(self.slots)
-        if form.dim != 2 ** len(self.slots):
-            raise InternalInconsistencyError("pfister expansion has the wrong dimension")
-        return form
-
-
 def hyperbolic(half_dim: int) -> DiagonalForm:
     return DiagonalForm((1, -1) * half_dim)
 

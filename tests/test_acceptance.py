@@ -69,16 +69,16 @@ def test_criterion_02_character_lattices_match_displayed_bases():
     checked = 0
     for n in range(2, 9):
         gl = get_preset(f"gl2n:{n}")
-        assert gl.reductive_lattice().lattice.same_lattice(gl.display_lattice().lattice)
+        assert gl.reductive_lattice().lattice == gl.display_lattice().lattice
         sl = get_preset(f"sl2n:{n}")
-        assert sl.semisimple_lattice().lattice.same_lattice(
+        assert sl.semisimple_lattice().lattice == (
             sl.semisimple_display_lattice().lattice
         )
         checked += 2
     gl = get_preset("gl4x4")
-    assert gl.reductive_lattice().lattice.same_lattice(gl.display_lattice().lattice)
+    assert gl.reductive_lattice().lattice == gl.display_lattice().lattice
     sl = get_preset("sl4x4")
-    assert sl.semisimple_lattice().lattice.same_lattice(
+    assert sl.semisimple_lattice().lattice == (
         sl.semisimple_display_lattice().lattice
     )
     checked += 2
@@ -99,7 +99,7 @@ def test_criterion_03_sl4x4_witness_and_invariant_lattice():
             ambient_to_basis_quad(lat, tuple(2 * a + 6 * b for a, b in zip(q1, q2))).coefficients,
         ],
     )
-    assert res.invariant_lattice.same_lattice(expected)
+    assert res.invariant_lattice == expected
     print("\ncriterion 3: PASS - sl4x4 gives Z/2 with witness class 2q1+6q2 and the expected invariant lattice")
 
 

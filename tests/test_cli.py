@@ -549,3 +549,148 @@ def test_checker_bounds_witt_sample_size(tmp_path, capsys):
     assert code == 3
     assert time.perf_counter() - start < 5.0
     assert f"{certmod.MAX_SAMPLE_BITS}-bit replay limit" in capsys.readouterr().err
+
+
+def _one_entry_cert(tmp_path, entry):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"format": certmod.CERT_FORMAT, "command": [], "entries": [entry]}))
+    return path
+
+
+def _entry_layer(entry):
+    return certmod.check_certificate({"format": certmod.CERT_FORMAT, "entries": [entry]}, replay=False)
+
+
+# two 46-bit primes: factoring their product took the checker seconds
+P46, Q46 = 35184372088891, 35184372088907
+
+
+def _rank_one_subquotient(order, primes):
+    """Z / order Z with one witness listing ``primes``; each proper
+    certificate pairs with the identity functional modulo its own prime."""
+    return {
+        "kind": "subquotient", "label": "crafted", "ambient_rank": 1,
+        "sup_basis": [[1]], "sub_basis": [[order]], "relation": [[order]],
+        "smith": {"U": [[1]], "D": [[order]], "V": [[1]]},
+        "free_rank": 0, "invariant_factors": [order],
+        "witnesses": [{
+            "vector": [1], "order": order, "multiple_coordinates": [1],
+            "proper_certificates": [
+                {"prime": p, "obstruction": "modular", "functional": [1],
+                 "modulus_prime": p, "modulus_power": 1}
+                for p in primes
+            ],
+        }],
+    }
+
+
+def test_checker_factors_no_witness_order(tmp_path, capsys):
+    """A witness that lists no prime of an order made of two 46-bit primes
+    is refused at once instead of the order being factored."""
+    path = _one_entry_cert(tmp_path, _rank_one_subquotient(P46 * Q46, []))
+    start = time.perf_counter()
+    code, _ = run(["--check-certificate", str(path)])
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert "witness misses a prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "primes, ok",
+    [([P46, Q46], True), ([Q46, P46], True), ([P46], False), ([P46 * Q46], False),
+     ([P46, Q46, P46], False), ([1, P46, Q46], False)],
+    ids=["both", "reordered", "one-missing", "composite", "repeated", "one"],
+)
+def test_witness_primes_must_be_the_prime_factors_of_the_order(primes, ok):
+    passed, failures = _entry_layer(_rank_one_subquotient(P46 * Q46, primes))
+    assert passed is ok, failures
+
+
+def test_witness_outside_the_superlattice_is_refused():
+    sup = exactlin.Lattice.from_columns(2, [(1, 0), (0, 2)])
+    sub = exactlin.Lattice.from_columns(2, [(2, 0), (0, 2)])
+    entry = certmod.subquotient_entry("crafted", exactlin.subquotient_presentation(sub, sup))
+    assert entry["invariant_factors"] == [2] and _entry_layer(entry)[0]
+    # (0, 1) is outside sup, yet twice it lies in sub and it does not
+    entry["witnesses"][0] = {
+        "vector": [0, 1], "order": 2, "multiple_coordinates": [0, 1],
+        "proper_certificates": [{"prime": 2, "obstruction": "modular", "functional": [0, 1],
+                                 "modulus_prime": 2, "modulus_power": 1}],
+    }
+    ok, failures = _entry_layer(entry)
+    assert not ok and "torsion witness fails" in failures[0], failures
+
+
+def test_entry_layer_rejects_a_dropped_witness(entry_certs, monkeypatch):
+    monkeypatch.setattr(certmod, "build_certificate", _no_replay)
+    dropped = 0
+    for cert in entry_certs.values():
+        for i, e in enumerate(cert["entries"]):
+            if e["kind"] == "subquotient" and e["witnesses"]:
+                bad = json.loads(json.dumps(cert))
+                del bad["entries"][i]["witnesses"][-1]
+                ok, failures = certmod.check_certificate(bad, replay=False)
+                assert not ok and "witness orders differ" in failures[0], failures
+                dropped += 1
+    assert dropped >= 2
+
+
+def _membership(columns, vector, **evidence):
+    return {"kind": "membership", "label": "crafted", "ambient_rank": len(vector),
+            "lattice_basis": columns, "vector": vector, **evidence}
+
+
+def _modular_membership(prime, power, basis=2, vector=1):
+    return _membership([[basis]], [vector], member=False, certificate={
+        "obstruction": "modular", "functional": [1], "prime": prime, "power": power})
+
+
+def test_checker_never_forms_a_stated_modulus(tmp_path, capsys):
+    """A power of 10**9 on a prime would be a modulus of 1.6 * 10**9 bits."""
+    path = _one_entry_cert(tmp_path, _modular_membership(3, 10**9))
+    start = time.perf_counter()
+    code, _ = run(["--check-certificate", str(path)])
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert "membership evidence fails" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, ok",
+    [
+        (_modular_membership(2, 1), True),
+        (_modular_membership(2, 60, basis=2**60, vector=2**59), True),
+        (_modular_membership(2, 61, basis=2**60, vector=2**59), False),
+        (_modular_membership(1, 1), False),
+        (_modular_membership(-2, 1), False),
+        (_modular_membership(2, 0.5, basis=0), False),
+        (_modular_membership(2, 0), False),
+        (_modular_membership(2, 1.5), False),
+        (_modular_membership("2", 1), False),
+        (_modular_membership(True, 1), False),
+        (_modular_membership(None, None), False),
+    ],
+    ids=["valid", "valid-high-power", "power-too-high", "prime-one", "prime-negative",
+         "power-half", "power-zero", "power-float", "prime-string", "prime-bool", "missing"],
+)
+def test_modular_certificates_need_an_integer_prime_power(entry, ok):
+    passed, failures = _entry_layer(entry)
+    assert passed is ok, failures
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # 1 is not in 2Z, yet 0.5 * 2 == 1
+        _membership([[2]], [1], member=True, coordinates=[0.5]),
+        # (147, 87) is 3 * (49, 29), yet rounding makes this pairing vanish on
+        # the column only
+        _membership([[49, 29]], [147, 87], member=False, certificate={
+            "obstruction": "rank", "functional": [0.7, -1.182758620689655],
+            "prime": None, "power": None}),
+    ],
+    ids=["float-coordinate", "float-functional"],
+)
+def test_float_evidence_is_refused(entry):
+    ok, failures = _entry_layer(entry)
+    assert not ok and "membership evidence fails" in failures[0], failures

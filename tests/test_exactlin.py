@@ -123,7 +123,7 @@ def test_membership_zero_vector():
     lat = Lattice.from_columns(2, [(2, 0), (0, 2)])
     res = lattice_membership((0, 0), lat)
     assert res.member and res.coordinates == (0, 0)
-    assert res.check((0, 0), lat)
+    assert res.check((0, 0), lat.basis_columns)
 
 
 def test_membership_parity_obstruction():
@@ -132,14 +132,16 @@ def test_membership_parity_obstruction():
     assert not res.member
     cert = res.certificate
     assert cert.kind == "modular" and cert.prime == 2
-    assert res.check((1, 0), lat)
+    assert res.check((1, 0), lat.basis_columns)
 
 
 def test_membership_solves_linear_system():
-    # oracle: 4a + 2b = 8 and 4a + 6b = 0 has the unique solution (3, -2)
+    # the canonical basis of (4, 4), (2, 6) is (2, 6), (0, 8); oracle:
+    # 2a = 8 and 6a + 8b = 0 has the unique solution (4, -3)
     lat = Lattice.from_columns(2, [(4, 4), (2, 6)])
+    assert lat.basis_columns == ((2, 6), (0, 8))
     res = lattice_membership((8, 0), lat)
-    assert res.member and res.coordinates == (3, -2)
+    assert res.member and res.coordinates == (4, -3)
 
 
 def test_membership_rank_obstruction():
@@ -147,7 +149,7 @@ def test_membership_rank_obstruction():
     res = lattice_membership((1, 0), lat)
     assert not res.member
     assert res.certificate.kind == "rank"
-    assert res.check((1, 0), lat)
+    assert res.check((1, 0), lat.basis_columns)
 
 
 def test_membership_dimension_mismatch():
@@ -169,9 +171,9 @@ vectors2 = st.tuples(
 def test_membership_certificates_verify(gens, v):
     lat = Lattice.from_columns(2, gens)
     res = lattice_membership(v, lat)
-    assert res.check(v, lat)
+    assert res.check(v, lat.basis_columns)
     if res.member:
-        assert lat.generators.matvec(res.coordinates) == v
+        assert lat.basis.matvec(res.coordinates) == v
 
 
 # --- canonical bases ----------------------------------------------------------
@@ -186,8 +188,9 @@ def test_hermite_basis_invariance(gens, rng):
     # appending a redundant generator (a sum of two others) changes nothing
     redundant = tuple(a + b for a, b in zip(shuffled[0], shuffled[-1]))
     lat2 = Lattice.from_columns(2, shuffled + [redundant])
-    assert lat.same_lattice(lat2)
-    assert lat.canonical().basis.entries == lat.basis.entries
+    # a lattice is a value: equal spans are equal and hash alike
+    assert lat == lat2 and hash(lat) == hash(lat2)
+    assert lat.basis_columns == row_hermite(lat.basis_columns)
 
 
 def test_row_hermite_canonical_example():
@@ -233,7 +236,8 @@ def test_subquotient_self_trivial_random(gens):
 def test_containment_error_names_generator():
     sub = Lattice.from_columns(2, [(2, 0), (1, 1)])
     sup = Lattice.from_columns(2, [(2, 0), (0, 2)])
-    with pytest.raises(ContainmentError, match="generator 1"):
+    # the canonical basis of the sublattice is (1, 1), (0, 2)
+    with pytest.raises(ContainmentError, match="basis vector 0 of the sublattice"):
         subquotient_presentation(sub, sup)
 
 
@@ -249,7 +253,7 @@ def test_saturation_torsion_single_relation():
     assert len(wits) == 1
     w = wits[0]
     assert w.order == 2 and w.vector == (1, 0)
-    assert w.check(sub.canonical())
+    assert w.check(sub.basis_columns)
 
 
 def test_saturation_torsion_mixed():
@@ -269,7 +273,7 @@ def test_saturation_witness_orders():
     orders = sorted(w.order for w in wits)
     assert orders == [2, 3, 12] or orders == sorted(tors.invariant_factors)
     for w in wits:
-        assert w.check(sub.canonical())
+        assert w.check(sub.basis_columns)
 
 
 vectors3 = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
@@ -297,7 +301,7 @@ def test_witnesses_equal_columns_of_the_inverse_of_u(sup_gens, combos):
     ]
     assert [w.vector for w in data.witnesses] == expected
     for w in data.witnesses:
-        assert w.check(data.sub)
+        assert w.check(data.sub.basis_columns)
 
 
 # --- index --------------------------------------------------------------------
@@ -392,7 +396,7 @@ tall_matrices = st.integers(min_value=1, max_value=6).flatmap(
 def test_kernel_basis_matches_full_smith_kernel(factors):
     m = IntMatrix.from_rows(_product(*factors))
     ker = kernel_basis(m)
-    assert Lattice.from_columns(m.cols, ker).same_lattice(
+    assert Lattice.from_columns(m.cols, ker) == (
         Lattice.from_columns(m.cols, kernel_oracle(m))
     )
     assert len(ker) == len(kernel_oracle(m))
@@ -439,7 +443,7 @@ def _first_left_entry_plus_one(rows):
 def test_kernel_basis_rejects_a_broken_augmented_hermite_form(monkeypatch, broken):
     m = IntMatrix.from_rows([[1, 1, 0], [2, 2, 0], [3, 3, 0]])
     expected = Lattice.from_columns(3, [(1, -1, 0), (0, 0, 1)])
-    assert Lattice.from_columns(3, kernel_basis(m)).same_lattice(expected)
+    assert Lattice.from_columns(3, kernel_basis(m)) == expected
     monkeypatch.setattr(exactlin, "row_hermite", broken)
     with pytest.raises(InternalInconsistencyError):
         kernel_basis(m)
@@ -448,27 +452,17 @@ def test_kernel_basis_rejects_a_broken_augmented_hermite_form(monkeypatch, broke
 # --- canonical lattices and membership ------------------------------------------
 
 
-def test_canonical_is_idempotent_and_shares_its_caches():
-    lat = Lattice.from_columns(2, [(4, 4), (2, 6), (6, 10)])
-    canon = lat.canonical()
-    assert canon is not lat
-    assert canon.canonical() is canon
-    assert lat.canonical().canonical() is lat.canonical()
-    assert canon.basis is lat.basis
-    assert lat._basis_smith is canon._basis_smith
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.lists(vectors2, min_size=1, max_size=4), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
-def test_yes_coordinates_on_redundant_generators_rebuild(gens, mix):
-    # a vector known to lie in the lattice, and two redundant generators
-    v = tuple(sum(c * g[i] for c, g in zip(mix, gens)) for i in range(2))
-    extra = [tuple(a + b for a, b in zip(gens[0], gens[-1])), (0, 0)]
-    lat = Lattice.from_columns(2, gens + extra)
+@given(st.lists(vectors3, min_size=1, max_size=4), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_yes_coordinates_rebuild_from_the_basis(gens, mix):
+    v = tuple(sum(c * g[i] for c, g in zip(mix, gens)) for i in range(3))
+    lat = Lattice.from_columns(3, gens)
     res = lattice_membership(v, lat)
-    assert res.member
-    assert lat.generators.matvec(res.coordinates) == v
-    assert lat.contains(v)
+    assert res.member and len(res.coordinates) == lat.rank
+    assert tuple(
+        sum(c * col[i] for c, col in zip(res.coordinates, lat.basis_columns)) for i in range(3)
+    ) == v
+    assert res.check(v, lat.basis_columns)
 
 
 # Certificates the Smith-form decision gave before YES moved to the Hermite
@@ -495,7 +489,7 @@ def test_no_certificates_are_unchanged(rank, gens, v, kind, functional, prime, p
     assert not res.member and not lat.contains(v)
     cert = res.certificate
     assert (cert.kind, cert.functional, cert.prime, cert.power) == (kind, functional, prime, power)
-    assert res.check(v, lat)
+    assert res.check(v, lat.basis_columns)
 
 
 def test_kernel_basis_rejects_a_compression_that_drops_every_row(monkeypatch):

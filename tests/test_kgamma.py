@@ -329,13 +329,13 @@ def test_quillen_conics3_basis_and_index():
     expected = Lattice.from_columns(
         ring.rank, [parse(g, ring).y_vector() for g in gens]
     )
-    assert lat.same_lattice(expected)
+    assert lat == expected
     assert lattice_index(lat, Lattice.standard(ring.rank)) == 2 ** 10
 
 
 def test_quillen_split_is_everything():
     lat = quillen_lattice(get_config("split:2,2"))
-    assert lat.same_lattice(Lattice.standard(4))
+    assert lat == Lattice.standard(4)
 
 
 def test_quillen_conics4_index():
@@ -464,17 +464,7 @@ def test_split_filtration_is_monomial_degree():
             ring.rank,
             [tuple(int(i == r) for i in range(ring.rank)) for r in rows],
         )
-        assert filt.level(d).same_lattice(expected)
-
-
-def test_filtration_partial_depth():
-    partial = gamma_filtration("conics4", 2)
-    full = gamma_filtration("conics4")
-    assert partial.depth == 3
-    assert partial.level(2).same_lattice(full.level(2))
-    with pytest.raises(InputError):
-        partial.level(4)
-    assert full.level(99).rank == 0
+        assert filt.level(d) == expected
 
 
 def test_filtration_nesting_and_vanishing():
@@ -484,6 +474,8 @@ def test_filtration_nesting_and_vanishing():
             for col in filt.level(d).basis.columns():
                 assert filt.level(d - 1).contains(col)
         assert filt.level(filt.dim + 1).rank == 0
+        assert filt.level(99).rank == 0
+        assert filt.level(-1) == filt.level(0)
 
 
 def test_conics4_membership_verdicts():
@@ -515,9 +507,9 @@ def test_conics4_membership_verdicts():
 def test_membership_certificates_check_out():
     filt = gamma_filtration("conics4")
     el, res = filtration_membership("conics4", "4*y1*y2*y3*y4", 3)
-    assert res.check(el.y_vector(), filt.level(3))
+    assert res.check(el.y_vector(), filt.level(3).basis_columns)
     el, res = filtration_membership("conics4", "4*y1*y2*y3", 2)
-    assert res.check(el.y_vector(), filt.level(2))
+    assert res.check(el.y_vector(), filt.level(2).basis_columns)
 
 
 def test_filtration_parse_errors_surface():

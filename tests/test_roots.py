@@ -56,7 +56,7 @@ def chern2_pairwise_oracle(mult: WeightMultiset, rank: int) -> tuple[int, ...]:
 
 def quad_lattice_from_ambient(L, vectors):
     cols = [ambient_to_basis_quad(L, v).coefficients for v in vectors]
-    return Lattice.from_columns(sym2_size(L.rank), cols).canonical()
+    return Lattice.from_columns(sym2_size(L.rank), cols)
 
 
 # --- character lattices -------------------------------------------------------
@@ -69,14 +69,14 @@ def test_gl2n_2_matches_display_basis():
     expected = Lattice.from_columns(
         4, [(1, 0, -1, 0), (0, 1, 0, -1), (2, 0, 0, 0), (1, 1, 0, 0)]
     )
-    assert computed.lattice.same_lattice(expected)
-    assert computed.lattice.same_lattice(data.display_lattice().lattice)
+    assert computed.lattice == expected
+    assert computed.lattice == data.display_lattice().lattice
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gl2n_display_basis_all_n(n):
     data = get_preset(f"gl2n:{n}")
-    assert data.reductive_lattice().lattice.same_lattice(data.display_lattice().lattice)
+    assert data.reductive_lattice().lattice == data.display_lattice().lattice
 
 
 def test_trivial_center_gives_full_ambient():
@@ -84,12 +84,12 @@ def test_trivial_center_gives_full_ambient():
 
     datum = CentralQuotientDatum(3, (), IntMatrix(()))
     lat = character_lattice(datum)
-    assert lat.lattice.same_lattice(Lattice.standard(3))
+    assert lat.lattice == Lattice.standard(3)
 
 
 def test_gl4x4_display_basis():
     data = get_preset("gl4x4")
-    assert data.reductive_lattice().lattice.same_lattice(data.display_lattice().lattice)
+    assert data.reductive_lattice().lattice == data.display_lattice().lattice
     assert lattice_index(data.reductive_lattice().lattice, Lattice.standard(8)) == 8
 
 
@@ -100,8 +100,8 @@ def test_sl2n_3_projection():
     data = get_preset("sl2n:3")
     th = data.semisimple_lattice()
     expected = Lattice.from_columns(3, [(2, 0, 0), (0, 2, 0), (1, 1, 1)])
-    assert th.lattice.same_lattice(expected)
-    assert th.lattice.same_lattice(data.semisimple_display_lattice().lattice)
+    assert th.lattice == expected
+    assert th.lattice == data.semisimple_display_lattice().lattice
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -116,7 +116,7 @@ def test_sl2n_index_is_two_power(n):
 def test_sl4x4_projection_display():
     data = get_preset("sl4x4")
     th = data.semisimple_lattice()
-    assert th.lattice.same_lattice(data.semisimple_display_lattice().lattice)
+    assert th.lattice == data.semisimple_display_lattice().lattice
 
 
 # --- weyl actions ---------------------------------------------------------------
@@ -155,17 +155,17 @@ def test_kernels_and_character_lattices_run_no_smith_form(name, monkeypatch):
 
     monkeypatch.setattr(exactlin, "smith_normal_form", no_smith)
     data = get_preset(name)
-    assert character_lattice(data.datum).lattice.same_lattice(data.display_lattice().lattice)
+    assert character_lattice(data.datum).lattice == data.display_lattice().lattice
     inv = invariant_quadratic_lattice(data.semisimple_lattice(), data.weyl)
     assert inv.rank >= 1
     ker = Lattice.from_columns(3, kernel_basis(IntMatrix.from_rows([[2, 4, 6]])))
-    assert ker.same_lattice(Lattice.from_columns(3, [(-2, 1, 0), (-3, 0, 1)]))
+    assert ker == Lattice.from_columns(3, [(-2, 1, 0), (-3, 0, 1)])
 
 
 def test_invariant_forms_rank1_trivial_weyl():
     lat = CharacterLattice.from_named(1, [("e", (1,))])
     inv = invariant_quadratic_lattice(lat, WeylAction(generators=()))
-    assert inv.same_lattice(Lattice.standard(1))
+    assert inv == Lattice.standard(1)
 
 
 def test_invariant_forms_sl2n2_congruence():
@@ -202,7 +202,7 @@ def test_invariant_forms_sl2n_expected_span(n):
     for i in range(n):
         v[sym2_index(i, i, n)] = 2
     vectors.append(tuple(v))
-    assert inv.same_lattice(quad_lattice_from_ambient(lat, vectors))
+    assert inv == quad_lattice_from_ambient(lat, vectors)
 
 
 def test_invariant_forms_fixed_pointwise():
@@ -224,7 +224,7 @@ def test_sl4x4_invariant_lattice_is_expected_span():
     q2 = sl4_block_form(1)
     v1 = tuple(4 * a + 4 * b for a, b in zip(q1, q2))
     v2 = tuple(2 * a + 6 * b for a, b in zip(q1, q2))
-    assert inv.same_lattice(quad_lattice_from_ambient(lat, [v1, v2]))
+    assert inv == quad_lattice_from_ambient(lat, [v1, v2])
     # integrality of the generator class on the lattice basis
     ambient_to_basis_quad(lat, v2)
 
@@ -330,7 +330,7 @@ def test_dec_subgroup_expected_span(n):
     for i in range(n):
         v[sym2_index(i, i, n)] = 2 ** (n - 1)
     vectors.append(tuple(v))
-    assert dec.same_lattice(quad_lattice_from_ambient(lat, vectors))
+    assert dec == quad_lattice_from_ambient(lat, vectors)
 
 
 def test_dec_subgroup_empty_is_zero():

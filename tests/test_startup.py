@@ -106,7 +106,7 @@ _EXPORTED = {
         "indecomposable_group", "invariant_quadratic_lattice", "project_to_semisimple",
     ),
     "wittq": (
-        "DiagonalForm", "PfisterSpec", "QuaternionDatum", "albert_similarity_check",
+        "DiagonalForm", "QuaternionDatum", "albert_similarity_check",
         "alpha_eval", "hilbert_symbol", "in_power_of_i", "pfister",
         "sample_chain_configuration", "verify_identity", "witt_equivalent",
         "witt_invariants",

@@ -181,15 +181,6 @@ def test_quaternion_norm_form():
     assert q.norm_form.entries == (1, -2, -3, 6)
 
 
-def test_pfister_spec_expansion_dimension():
-    from sdinv.wittq import PfisterSpec
-
-    spec = PfisterSpec.of((2, Fraction(3, 5), -7))
-    form = spec.expand()
-    assert form.dim == 8
-    assert form.entries[0] == 1
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=4))
 def test_symbols_outside_relevant_places_trivial(vals):
