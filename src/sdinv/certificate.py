@@ -166,9 +166,34 @@ class CertificateError(Exception):
     pass
 
 
+# entry fields that hold text, a flag, or a modulus that the evidence check types
+_NON_NUMBER_FIELDS = frozenset(
+    {"kind", "label", "holds", "obstruction", "modulus_prime", "modulus_power"}
+)
+
+
+def _only_integers(value) -> bool:
+    """Every number in ``value``, through lists and dict fields, is an int
+    (a bool is not)."""
+    if isinstance(value, list):
+        return all(type(x) is int or _only_integers(x) for x in value)
+    if isinstance(value, dict):
+        return all(_only_integers(v) for k, v in value.items() if k not in _NON_NUMBER_FIELDS)
+    return type(value) is int
+
+
+def _refuse_non_integers(entry) -> None:
+    """Evidence is exact: ``int()`` would truncate a float into a passing
+    claim and ``==`` takes 2.0 for 2, so an entry holding a number that is
+    not a JSON integer fails before any arithmetic runs."""
+    if not _only_integers(entry):
+        raise CertificateError(f"{entry.get('label', entry['kind'])}: evidence holds a non-integer")
+
+
 def _verify_lattice_basis(entry) -> None:
     from .exactlin import Lattice, row_hermite
 
+    _refuse_non_integers(entry)
     lat = Lattice.from_columns(entry["ambient_rank"], entry["generators"])
     canonical = [tuple(c) for c in entry["canonical_basis"]]
     if list(lat.basis_columns) != canonical:
@@ -223,6 +248,7 @@ def _verify_subquotient(entry) -> None:
         TorsionWitness,
     )
 
+    _refuse_non_integers(entry)
     sup = Lattice.from_columns(entry["ambient_rank"], entry["sup_basis"])
     sub = Lattice.from_columns(entry["ambient_rank"], entry["sub_basis"])
     relation = IntMatrix.from_rows(entry["relation"])
@@ -279,6 +305,7 @@ def _verify_subquotient(entry) -> None:
 def _verify_index(entry) -> None:
     from .exactlin import Lattice, lattice_index
 
+    _refuse_non_integers(entry)
     sub = Lattice.from_columns(entry["ambient_rank"], entry["sub_basis"])
     idx = lattice_index(sub, Lattice.standard(entry["ambient_rank"]))
     if idx != entry["index"]:
@@ -286,6 +313,7 @@ def _verify_index(entry) -> None:
 
 
 def _verify_counting(entry) -> None:
+    _refuse_non_integers(entry)
     total = 1
     for t in entry["torsion_orders"]:
         total *= t
@@ -302,6 +330,7 @@ def _verify_counting(entry) -> None:
 def _verify_fixed_vectors(entry) -> None:
     from .exactlin import IntMatrix, det
 
+    _refuse_non_integers(entry)
     mats = [IntMatrix.from_rows(m) for m in entry["matrices"]]
     for m in mats:
         if abs(det(m)) != 1:

@@ -20,9 +20,10 @@ Products are index-additive.  Monomials are indexed in mixed-radix order
 with the last variable fastest, so when no factor truncates, the product of
 monomials i and k sits at index i + k.  A per-ring table of packed exponents
 with one guard bit per variable decides truncation with a single integer
-test.  The filtration builds the ring elements of each level's basis and
-each gamma value once, and drops repeated product columns before the Hermite
-form, which leaves the span unchanged.
+test.  The filtration multiplies canonical bases, of the span of each
+gamma_k and of each level, building their ring elements once, and drops
+repeated product columns before the Hermite form, which leaves the span
+unchanged.
 
 Each graded piece keeps the subquotient presentation its structure was read
 from.  Certificate entries are built from it, and only when a certificate is
@@ -41,14 +42,13 @@ from functools import cached_property, lru_cache
 from .errors import MAX_AMBIENT_RANK, InputError, InternalInconsistencyError
 from .exactlin import (
     FinAbelianGroup,
-    IntMatrix,
     Lattice,
     MembershipResult,
     SubquotientData,
     TorsionWitness,
-    kernel_basis,
     lattice_index,
     lattice_membership,
+    row_hermite,
     subquotient_presentation,
 )
 
@@ -689,12 +689,11 @@ def gamma_filtration(config_name: str) -> GammaFiltration:
     dim = ring.dim
 
     k0 = quillen_lattice(config)
-    gens = _gamma_generators(config)
 
     # gamma values of every generator through degree dim, with the y-order
-    # bound and membership in the descended subring checked as we go
-    nonzero = []  # (k, gamma_k(g)) over all generators g, nonzero values only
-    for g in gens:
+    # bound checked on each; values[k] collects the distinct nonzero gamma_k(g)
+    values: dict[int, dict[tuple[int, ...], None]] = {k: {} for k in range(1, dim + 1)}
+    for g in _gamma_generators(config):
         series = gamma_series(g, dim)
         for k in range(1, dim + 1):
             gk = series[k]
@@ -703,35 +702,41 @@ def gamma_filtration(config_name: str) -> GammaFiltration:
                 raise InternalInconsistencyError(
                     "gamma value violates the y-degree lower bound"
                 )
-            if not lattice_membership(gk.y_vector(), k0).member:
-                raise InternalInconsistencyError(
-                    "gamma value escapes the descended subring"
-                )
             if mind is not None:
-                nonzero.append((k, gk))
+                values[k][gk.coefficients] = None
 
-    one_cols = [g.y_vector() for g in gens]
-    gamma1 = Lattice.from_columns(ring.rank, one_cols)
+    # G_k = span{gamma_k(g)}.  k0 is a group, so its basis lying in k0 puts
+    # every gamma_k(g) in the descended subring.
+    spans = {k: Lattice.from_columns(ring.rank, cols) for k, cols in values.items()}
+    for span in spans.values():
+        if not all(map(k0.contains, span.basis_columns)):
+            raise InternalInconsistencyError("gamma value escapes the descended subring")
+    span_elements = {k: _elements(ring, span) for k, span in spans.items()}
 
     # Each level for d >= 2 is spanned by gamma_k(g) * basis(level[max(d-k,1)])
     # over all generators g and 1 <= k <= dim, plus the bare gamma_k(g) with
     # k >= d.  Peeling one factor off any product of gamma operations of
     # total degree >= d lands the remainder in one of those lower levels, so
-    # the finite span equals the full ideal.  Many products coincide; the
-    # span, and so the canonical basis, is the same without the repeats.
-    levels: dict[int, Lattice] = {0: k0, 1: gamma1}
-    basis_elements = {1: [RingElement(ring, b) for b in gamma1.basis_columns]}
+    # the finite span equals the full ideal.  Products are Z-bilinear, so the
+    # span is the same when gamma_k(g) runs over the basis of G_k instead,
+    # and so is the canonical basis.  gamma_1 is the identity on rank-zero
+    # elements, so G_1 is level 1, and the k = 1 products at d = 2 need only
+    # the pairs i <= j.  Repeated product columns are dropped as well.
+    levels: dict[int, Lattice] = {0: k0, 1: spans[1]}
+    basis_elements = {1: span_elements[1]}
     for d in range(2, dim + 2):
         cols: dict[tuple[int, ...], None] = {}
-        for k, gk in nonzero:
-            if k >= d:
-                cols[gk.coefficients] = None
-            for b in basis_elements[max(d - k, 1)]:
-                prod = (gk * b).coefficients
-                if any(prod):
-                    cols[prod] = None
+        for k, elements in span_elements.items():
+            low = basis_elements[max(d - k, 1)]
+            for i, c in enumerate(elements):
+                if k >= d:
+                    cols[c.coefficients] = None
+                for b in low[i:] if k == 1 and d == 2 else low:
+                    prod = (c * b).coefficients
+                    if any(prod):
+                        cols[prod] = None
         levels[d] = Lattice.from_columns(ring.rank, cols)
-        basis_elements[d] = [RingElement(ring, b) for b in levels[d].basis_columns]
+        basis_elements[d] = _elements(ring, levels[d])
         for col in levels[d].basis_columns:
             if not levels[d - 1].contains(col):
                 raise InternalInconsistencyError("filtration levels fail to nest")
@@ -741,6 +746,10 @@ def gamma_filtration(config_name: str) -> GammaFiltration:
 
     lattices = tuple(levels[d] for d in range(0, dim + 2))
     return GammaFiltration(config=config, lattices=lattices)
+
+
+def _elements(ring: TruncatedPolyRing, lat: Lattice) -> list[RingElement]:
+    return [RingElement(ring, b) for b in lat.basis_columns]
 
 
 def filtration_membership(config_name: str, element, degree: int) -> tuple[RingElement, MembershipResult]:
@@ -787,12 +796,8 @@ class GradedTorsionReport:
         return tuple(p.torsion.order() for p in self.pieces)
 
 
-def _degree_slice(ring: TruncatedPolyRing, d: int) -> list[int]:
-    return [i for i, deg in enumerate(ring.degrees()) if deg == d]
-
-
 def _project_to_degree(ring: TruncatedPolyRing, cols, d: int) -> Lattice:
-    rows = _degree_slice(ring, d)
+    rows = [i for i, deg in enumerate(ring.degrees()) if deg == d]
     proj = [tuple(c[i] for i in rows) for c in cols]
     return Lattice.from_columns(len(rows), proj)
 
@@ -836,19 +841,23 @@ def graded_torsion(config_name: str) -> GradedTorsionReport:
         epsilon.append(idx)
         images.append(proj)
 
-    # monomial-degree filtration of the descended subring, for the delta report
-    k0 = filt.level(0)
-    eta = []
-    for d in range(1, dim + 1):
-        low_rows = [i for i, deg in enumerate(ring.degrees()) if deg < d]
-        if low_rows:
-            ker = kernel_basis(IntMatrix(tuple(k0.basis.entries[r] for r in low_rows)))
-            cols = [k0.basis.matvec(v) for v in ker]
-        else:
-            cols = k0.basis_columns
-        piece = _project_to_degree(ring, cols, d)
-        idx = lattice_index(piece, Lattice.standard(len(_degree_slice(ring, d))))
-        eta.append(idx)
+    # monomial-degree filtration of the descended subring, for the delta
+    # report.  With coordinates ordered by (degree, index), the Hermite rows
+    # of k0 whose pivot lies in degree >= d span the vectors of k0 that
+    # vanish in every degree below d: an integer combination of echelon rows
+    # is nonzero at the pivot of the first row it uses.  k0 has full rank, so
+    # the echelon form is square, and the degree-d part of that sublattice
+    # has index the product of the pivots in degree d, the rows with later
+    # pivots being zero there.
+    degrees = ring.degrees()
+    order = sorted(range(ring.rank), key=lambda i: (degrees[i], i))
+    echelon = row_hermite([tuple(col[i] for i in order) for col in filt.level(0).basis_columns])
+    if len(echelon) != ring.rank:
+        raise InternalInconsistencyError("descended subring has deficient rank")
+    by_degree = [1] * (dim + 1)
+    for j, row in enumerate(echelon):
+        by_degree[degrees[order[j]]] *= row[j]
+    eta = by_degree[1:]
 
     split = config.split_index()
     eps_prod = 1

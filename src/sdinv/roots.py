@@ -161,8 +161,11 @@ class CharacterLattice:
     named_basis: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        span = Lattice.from_columns(self.ambient_rank, [v for _, v in self.named_basis])
-        if span != self.lattice:
+        vectors = tuple(v for _, v in self.named_basis)
+        # the lattice's own basis generates it, with no Hermite form to run
+        if (self.ambient_rank, vectors) == (self.lattice.ambient_rank, self.lattice.basis_columns):
+            return
+        if Lattice.from_columns(self.ambient_rank, vectors) != self.lattice:
             raise InputError("named basis does not generate the lattice")
 
     @classmethod

@@ -287,6 +287,35 @@ def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_pat
     assert code == 0 and "certificate OK" in out
 
 
+def test_inv3_sl2n_8_runs_seven_hermite_forms(monkeypatch):
+    """A character lattice named by its lattice's own canonical basis is not
+    put through a second Hermite form."""
+    roots._build.cache_clear()
+    roots._indecomposable_cached.cache_clear()
+    calls = _count_calls(monkeypatch, exactlin, "row_hermite")
+    code, _ = run(["inv3", "--preset", "sl2n:8", "--json"])
+    assert code == 0
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("name", ["conics4", "deg4pair", "split:3,3,3"])
+def test_graded_torsion_runs_no_kernel(monkeypatch, name):
+    """eta comes from one echelon form of the descended subring."""
+    _clear_gamma_caches()
+    calls = _count_calls(monkeypatch, exactlin, "kernel_basis")
+    kgamma.graded_torsion(name)
+    assert calls == []
+
+
+def test_split_8_8_filtration_feeds_few_rows_to_hermite(monkeypatch):
+    """Levels multiply the span bases of the gamma values, not every raw
+    value: 19,208 rows went into Hermite forms when they did."""
+    _clear_gamma_caches()
+    calls = _count_calls(monkeypatch, exactlin, "row_hermite")
+    kgamma.gamma_filtration("split:8,8")
+    assert sum(len(rows) for rows, in calls) <= 1000
+
+
 def test_theorem_runs_each_suite_once(monkeypatch, tmp_path):
     calls = _count_calls(monkeypatch, wittq, "verify_identity")
     argv = ["theorem", "--n", "3", "--json"]
@@ -303,8 +332,24 @@ def test_theorem_runs_each_suite_once(monkeypatch, tmp_path):
     assert code == 0 and "certificate OK" in out
 
 
+# SHA-256 of the stdout of the two largest gamma reports, which the benchmark
+# does not run, as the code before span bases wrote them.
+GAMMA_REPORT_DIGESTS = {
+    "split:4,4,4": "ae6e07d11eb630330c98d1f0fef3d3d52e767506119489db206fb96c748ebe2a",
+    "split:8,8": "4001bb43e9a8b68a9b57b9ecd277b6f9447f9446299b0db02197a1e16c465c7f",
+}
+
+
+@pytest.mark.parametrize("preset", GAMMA_REPORT_DIGESTS)
+def test_large_gamma_reports_are_byte_identical(preset):
+    code, out = run(["gamma", "report", "--preset", preset, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_REPORT_DIGESTS[preset]
+
+
 # SHA-256 of the certificate files as the code before the lazy entries and the
-# index-additive product wrote them; the entries must not change.
+# index-additive product wrote them (split:4,4,4: before span bases); the
+# entries must not change.
 CERTIFICATE_DIGESTS = {
     "inv3 --preset sl2n:7": "51900247fd8e89c89234e5adfc00ece39c2ce4bf6d55ba8615c2351d2b8e5819",
     "sl4x4": "9fbb62f2c87323b040ab83c1b370a2bdd6c3de97451d04c8cd7d02ef1209b6b9",
@@ -313,6 +358,8 @@ CERTIFICATE_DIGESTS = {
         "cd146194b8f7c18d6b9f2386e0ea625ac5e3e09379a424c4dc629dd0366ffb19",
     "gamma report --preset split:3,3,3":
         "0ffa22e88f92739c127f0addb3c0bc29cf2dbc72b5d508c126ba14ed03008536",
+    "gamma report --preset split:4,4,4":
+        "5964794076b56eb8ad4e4e3f433e3fa21d74c6d1afdf4a00ca2fa761db3c2a75",
 }
 
 
@@ -694,3 +741,55 @@ def test_modular_certificates_need_an_integer_prime_power(entry, ok):
 def test_float_evidence_is_refused(entry):
     ok, failures = _entry_layer(entry)
     assert not ok and "membership evidence fails" in failures[0], failures
+
+
+def _lattice_basis_entry(generators, canonical):
+    return {"kind": "lattice_basis", "label": "crafted", "ambient_rank": 1,
+            "generators": generators, "canonical_basis": canonical}
+
+
+def _index_entry(sub_basis, index):
+    return {"kind": "index", "label": "crafted", "ambient_rank": 1,
+            "sub_basis": sub_basis, "index": index}
+
+
+# One number per entry kind that the checker read through ``int()`` or ``==``,
+# so that a float truncating to, or equal to, the honest value passed.
+NON_INTEGER_EDITS = {
+    "index-sub-basis": (_index_entry([[2]], 2), ("sub_basis", 0, 0), 2.9),
+    "index-value": (_index_entry([[2]], 2), ("index",), 2.0),
+    "basis-generator": (_lattice_basis_entry([[2]], [[2]]), ("generators", 0, 0), 2.9),
+    "basis-canonical": (_lattice_basis_entry([[2]], [[2]]), ("canonical_basis", 0, 0), 2.0),
+    "basis-bool": (_lattice_basis_entry([[1]], [[1]]), ("generators", 0, 0), True),
+    "subquotient-sub-basis": (_rank_one_subquotient(2, [2]), ("sub_basis", 0, 0), 2.9),
+    "subquotient-factor": (_rank_one_subquotient(2, [2]), ("invariant_factors", 0), 2.0),
+    "subquotient-smith": (_rank_one_subquotient(2, [2]), ("smith", "D", 0, 0), 2.0),
+    "subquotient-relation": (_rank_one_subquotient(2, [2]), ("relation", 0, 0), 2.9),
+    "subquotient-free-rank": (_rank_one_subquotient(2, [2]), ("free_rank",), 0.0),
+    "fixed-vectors-matrix": (
+        {"kind": "fixed_vectors", "label": "crafted", "matrices": [[[1, 0], [0, 1]]],
+         "vectors": [[0, 1]]},
+        ("matrices", 0, 0, 0), 1.5,
+    ),
+    "counting-order": (
+        {"kind": "counting_identity", "torsion_orders": [2], "split_index": 1, "epsilons": [2],
+         "holds": True},
+        ("torsion_orders", 0), 2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", NON_INTEGER_EDITS)
+def test_non_integer_evidence_is_refused(edit, tmp_path, capsys):
+    honest, path, value = NON_INTEGER_EDITS[edit]
+    assert _entry_layer(honest)[0]
+    entry = json.loads(json.dumps(honest))
+    node = entry
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    ok, failures = _entry_layer(entry)
+    assert not ok and "holds a non-integer" in failures[0], failures
+    code, _ = run(["--check-certificate", str(_one_entry_cert(tmp_path, entry))])
+    assert code == 3
+    assert "holds a non-integer" in capsys.readouterr().err

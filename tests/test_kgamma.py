@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdinv import cli, kgamma, roots
-from sdinv.exactlin import InputError, Lattice, lattice_index, lattice_membership
+from sdinv.exactlin import (
+    InputError,
+    IntMatrix,
+    Lattice,
+    kernel_basis,
+    lattice_index,
+    lattice_membership,
+)
 from sdinv.kgamma import (
     ParseError,
     RingElement,
@@ -476,6 +483,63 @@ def test_filtration_nesting_and_vanishing():
         assert filt.level(filt.dim + 1).rank == 0
         assert filt.level(99).rank == 0
         assert filt.level(-1) == filt.level(0)
+
+
+# The filtration as it was built from every raw gamma value, and eta as it was
+# read from one kernel per degree: oracles for the span-basis construction
+# and the single echelon form of the descended subring.
+ORACLE_PRESETS = ["conic1", "conics3", "conics4", "deg4pair", "split:2,2", "split:2,3",
+                  "split:3,3,3", "split:2,2,2,2,2", "split:6,6", "split:4,4,4"]
+
+
+def oracle_filtration(name):
+    """Level d >= 2 spans every raw gamma_k(g) times the basis of level
+    max(d - k, 1), plus the bare gamma_k(g) with k >= d; level 1 spans the
+    generators and every gamma value lies in the descended subring."""
+    from sdinv.kgamma import _gamma_generators
+
+    config = get_config(name)
+    ring = config.ring
+    dim = ring.dim
+    k0 = quillen_lattice(config)
+    gens = _gamma_generators(config)
+    values = []
+    for g in gens:
+        for k, gk in enumerate(gamma_series(g, dim)[1:], start=1):
+            assert lattice_membership(gk.y_vector(), k0).member
+            if not gk.is_zero():
+                values.append((k, gk))
+    levels = [k0, Lattice.from_columns(ring.rank, [g.y_vector() for g in gens])]
+    for d in range(2, dim + 2):
+        cols = {gk.coefficients: None for k, gk in values if k >= d}
+        for k, gk in values:
+            for b in levels[max(d - k, 1)].basis_columns:
+                cols[(gk * RingElement(ring, b)).coefficients] = None
+        levels.append(Lattice.from_columns(ring.rank, cols))
+    return tuple(levels)
+
+
+def oracle_eta(name):
+    """Index of the degree-d part of the kernel of the rows of degree < d."""
+    k0 = gamma_filtration(name).level(0)
+    degrees = get_config(name).ring.degrees()
+    out = []
+    for d in range(1, max(degrees) + 1):
+        low = IntMatrix(tuple(k0.basis.entries[i] for i, deg in enumerate(degrees) if deg < d))
+        top = [i for i, deg in enumerate(degrees) if deg == d]
+        piece = [tuple(k0.basis.matvec(v)[i] for i in top) for v in kernel_basis(low)]
+        out.append(lattice_index(Lattice.from_columns(len(top), piece), Lattice.standard(len(top))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ORACLE_PRESETS)
+def test_filtration_equals_the_raw_product_oracle(name):
+    assert gamma_filtration(name).lattices == oracle_filtration(name)
+
+
+@pytest.mark.parametrize("name", ORACLE_PRESETS)
+def test_eta_equals_the_kernel_oracle(name):
+    assert graded_torsion(name).eta == oracle_eta(name)
 
 
 def test_conics4_membership_verdicts():
