@@ -71,7 +71,7 @@ def _inv3_entries(preset_name: str) -> list[dict]:
             "reductive character lattice",
             data.datum.ambient_rank,
             [v for _, v in data.display_basis],
-            reductive.lattice.basis_columns,
+            reductive.basis_columns,
         )
     )
     res = indecomposable_group(preset_name)
@@ -81,12 +81,10 @@ def _inv3_entries(preset_name: str) -> list[dict]:
             "semisimple character lattice",
             lat.ambient_rank,
             [v for _, v in data.semisimple_display],
-            lat.lattice.basis_columns,
+            lat.basis_columns,
         )
     )
-    actions = [
-        sym2_action_matrix(action_in_basis(lat, w)) for w in data.weyl.generators
-    ]
+    actions = [sym2_action_matrix(action_in_basis(lat, w)) for w in data.weyl]
     entries.append(
         certmod.fixed_vectors_entry(
             "weyl invariance of the invariant quadratic lattice",
@@ -126,9 +124,7 @@ def _inv3_results(preset_name: str) -> dict:
         target = ambient_to_basis_quad(
             res.character_lattice, tuple(2 * a + 6 * b for a, b in zip(q1, q2))
         )
-        diff = tuple(
-            a - b for a, b in zip(res.witnesses[0].vector, target.coefficients)
-        )
+        diff = tuple(a - b for a, b in zip(res.witnesses[0].vector, target))
         out["witness_class_is_2q1_plus_6q2"] = res.dec_lattice.contains(diff)
     return out
 
@@ -144,12 +140,12 @@ def _counting_entry(report) -> dict:
     )
 
 
-def _graded_entries(config_name: str) -> list[dict]:
+def _graded_entries(preset: str) -> list[dict]:
     from . import certificate as certmod
     from .kgamma import gamma_filtration, graded_torsion, quillen_basis_elements
 
-    filt = gamma_filtration(config_name)
-    report = graded_torsion(config_name)
+    filt = gamma_filtration(preset)
+    report = graded_torsion(preset)
     ring = filt.config.ring
     entries = [
         certmod.lattice_basis_entry(
@@ -195,15 +191,15 @@ def _graded_entries(config_name: str) -> list[dict]:
     return entries
 
 
-def _graded_results(config_name: str, full: bool) -> dict:
+def _graded_results(preset: str, full: bool) -> dict:
     from fractions import Fraction
 
     from .kgamma import chow2_torsion, graded_torsion
 
-    report = graded_torsion(config_name)
-    chow = chow2_torsion(config_name)
+    report = graded_torsion(preset)
+    chow = chow2_torsion(preset)
     out = {
-        "preset": config_name,
+        "preset": preset,
         "torsion": chow.torsion.label(),
         "torsion_witnesses": [list(w.vector) for w in chow.witnesses],
         "provenance": list(chow.provenance),
@@ -231,13 +227,33 @@ def _graded_results(config_name: str, full: bool) -> dict:
     return out
 
 
-def _member_payload(config_name: str, expr: str, degree: int):
+def _inv3_payload(args):
+    return _inv3_results(args.preset), functools.partial(_inv3_entries, args.preset), []
+
+
+def _chow2_payload(args):
+    from .presets import cited_fact
+
+    cited = [
+        _fact_payload(cited_fact(fid)) for fid in ("chow_reduction", "chow_gamma", "index_tables")
+    ]
+    entries = functools.partial(_graded_entries, args.preset)
+    return _graded_results(args.preset, full=False), entries, cited
+
+
+def _gamma_report_payload(args):
+    entries = functools.partial(_graded_entries, args.preset)
+    return _graded_results(args.preset, full=True), entries, []
+
+
+def _member_payload(args):
     from .kgamma import filtration_membership, gamma_filtration
 
-    filt = gamma_filtration(config_name)
-    element, res = filtration_membership(config_name, expr, degree)
+    preset, expr, degree = args.preset, args.element, args.degree
+    filt = gamma_filtration(preset)
+    element, res = filtration_membership(preset, expr, degree)
     results = {
-        "preset": config_name,
+        "preset": preset,
         "element": expr,
         "element_y_coordinates": list(element.y_vector()),
         "degree": degree,
@@ -269,12 +285,13 @@ def _member_payload(config_name: str, expr: str, degree: int):
             ),
         ]
 
-    return results, entries
+    return results, entries, []
 
 
-def _witt_payload(identity: str, trials: int, seed: int):
+def _witt_payload(args):
     from .wittq import verify_identity
 
+    identity, trials, seed = args.identity, args.trials, args.seed
     cases = verify_identity(identity, trials, seed)
     results = {
         "identity": identity,
@@ -289,15 +306,15 @@ def _witt_payload(identity: str, trials: int, seed: int):
 
         return [certmod.witt_trials_entry(cases)]
 
-    return results, entries
+    return results, entries, []
 
 
-def _theorem_payload(n: int, trials: int, seed: int):
+def _theorem_payload(args):
     from .presets import assemble_theorem
 
-    row = assemble_theorem(n, trials=trials, seed=seed)
+    row = assemble_theorem(args.n, trials=args.trials, seed=args.seed)
     results = {
-        "n": n,
+        "n": args.n,
         "inv3_ind_H": _group_value_payload(row.inv3_ind_h),
         "inv3_ind_G": _group_value_payload(row.inv3_ind_g),
         "chow2_tors": _group_value_payload(row.chow2_tors),
@@ -331,7 +348,7 @@ def _theorem_payload(n: int, trials: int, seed: int):
     return results, entries, cited
 
 
-def _sl4x4_payload():
+def _sl4x4_payload(args):
     from .presets import sl4x4_report
 
     rep = sl4x4_report()
@@ -353,44 +370,49 @@ def _sl4x4_payload():
 
 
 # ---------------------------------------------------------------------------
-# command dispatch
+# the command table
+#
+# Command words -> (arguments, backend).  Each argument is (name, type,
+# default or None when required), in the order the parser declares them and
+# the report echoes them.  A backend maps the parsed arguments to (results,
+# entries, cited facts); ``entries`` is a function that builds the
+# certificate entries, run only when a certificate is written or replayed.
+
+_PRESET = ("preset", str, None)
+_COMMANDS = {
+    ("inv3",): ((_PRESET,), _inv3_payload),
+    ("chow2",): ((_PRESET,), _chow2_payload),
+    ("gamma", "member"): (
+        (_PRESET, ("element", str, None), ("degree", int, None)), _member_payload
+    ),
+    ("gamma", "report"): ((_PRESET,), _gamma_report_payload),
+    ("witt", "verify"): (
+        (("identity", str, None), ("trials", int, 100), ("seed", int, 1)), _witt_payload
+    ),
+    ("theorem",): ((("n", int, None), ("trials", int, 12), ("seed", int, 1)), _theorem_payload),
+    ("sl4x4",): ((), _sl4x4_payload),
+}
 
 
 def _execute(args):
-    """Run parsed arguments; returns (results, entries, cited, seed).
+    """(results, entries, cited) of parsed arguments."""
+    if getattr(args, "words", None) is None:
+        raise InputError("a command is required (inv3, chow2, gamma, witt, theorem, sl4x4)")
+    return _COMMANDS[args.words][1](args)
 
-    ``entries`` is a function that builds the certificate entries; it runs
-    only when a certificate is written or replayed.
-    """
-    head = args.command
-    if head == "inv3":
-        entries = functools.partial(_inv3_entries, args.preset)
-        return _inv3_results(args.preset), entries, [], None
-    if head == "chow2":
-        from .presets import cited_fact
 
-        results = _graded_results(args.preset, full=False)
-        cited = [
-            _fact_payload(cited_fact(fid))
-            for fid in ("chow_reduction", "chow_gamma", "index_tables")
-        ]
-        return results, functools.partial(_graded_entries, args.preset), cited, None
-    if head == "gamma":
-        if args.gamma_command == "member":
-            results, entries = _member_payload(args.preset, args.element, args.degree)
-            return results, entries, [], None
-        results = _graded_results(args.preset, full=True)
-        return results, functools.partial(_graded_entries, args.preset), [], None
-    if head == "witt":
-        results, entries = _witt_payload(args.identity, args.trials, args.seed)
-        return results, entries, [], args.seed
-    if head == "theorem":
-        results, entries, cited = _theorem_payload(args.n, args.trials, args.seed)
-        return results, entries, cited, args.seed
-    if head == "sl4x4":
-        results, entries, cited = _sl4x4_payload()
-        return results, entries, cited, None
-    raise InputError(f"unknown command {head!r}")
+def _normalized_command(args) -> list[str]:
+    """The command words, then every argument in declaration order.  Parsing
+    the echo again would read a separate string value with a leading minus
+    as an option; glued to its flag it stays a value."""
+    command = list(args.words)
+    for name, kind, _ in _COMMANDS[args.words][0]:
+        value = getattr(args, name)
+        if kind is str and value.startswith("-"):
+            command.append(f"--{name}={value}")
+        else:
+            command += [f"--{name}", str(value)]
+    return command
 
 
 def _certificate_dict(command: list[str], seed, entries: list[dict]) -> dict:
@@ -406,45 +428,9 @@ def _certificate_dict(command: list[str], seed, entries: list[dict]) -> dict:
 
 
 def certificate_payload(command: list[str]) -> dict:
-    _, entries, _, seed = _execute(_parse_args(command))
-    return _certificate_dict(list(command), seed, entries())
-
-
-def _normalized_command(args) -> list[str]:
-    head = args.command
-    if head == "inv3":
-        return ["inv3", "--preset", args.preset]
-    if head == "chow2":
-        return ["chow2", "--preset", args.preset]
-    if head == "gamma" and args.gamma_command == "member":
-        # Parsing the echo again would read a separate value with a leading
-        # minus as an option; glued to its flag it stays a value.
-        if args.element.startswith("-"):
-            element = [f"--element={args.element}"]
-        else:
-            element = ["--element", args.element]
-        return [
-            "gamma", "member",
-            "--preset", args.preset,
-            *element,
-            "--degree", str(args.degree),
-        ]
-    if head == "gamma":
-        return ["gamma", "report", "--preset", args.preset]
-    if head == "witt":
-        return [
-            "witt", "verify",
-            "--identity", args.identity,
-            "--trials", str(args.trials),
-            "--seed", str(args.seed),
-        ]
-    if head == "theorem":
-        return [
-            "theorem", "--n", str(args.n),
-            "--trials", str(args.trials),
-            "--seed", str(args.seed),
-        ]
-    return ["sl4x4"]
+    args = _parse_args(command)
+    _, entries, _ = _execute(args)
+    return _certificate_dict(list(command), getattr(args, "seed", None), entries())
 
 
 # ---------------------------------------------------------------------------
@@ -458,52 +444,27 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _ArgumentParser:
-    """The command line grammar, built once per process; parsing does not
-    change it."""
+    """The command line grammar, built once per process from the command
+    table; parsing does not change it."""
     parser = _ArgumentParser(prog="sdinv", description=__doc__)
     parser.add_argument("--check-certificate", metavar="FILE", default=None)
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
+    groups = {}
+    for words, (arguments, _) in _COMMANDS.items():
+        if len(words) == 1:
+            p = sub.add_parser(words[0])
+        else:
+            head, tail = words
+            if head not in groups:
+                groups[head] = sub.add_parser(head).add_subparsers(
+                    dest=f"{head}_command", required=True
+                )
+            p = groups[head].add_parser(tail)
+        for name, kind, default in arguments:
+            p.add_argument(f"--{name}", type=kind, default=default, required=default is None)
         p.add_argument("--json", action="store_true")
         p.add_argument("--certificate", metavar="FILE", default=None)
-
-    p = sub.add_parser("inv3")
-    p.add_argument("--preset", required=True)
-    common(p)
-
-    p = sub.add_parser("chow2")
-    p.add_argument("--preset", required=True)
-    common(p)
-
-    g = sub.add_parser("gamma")
-    gsub = g.add_subparsers(dest="gamma_command", required=True)
-    p = gsub.add_parser("member")
-    p.add_argument("--preset", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    common(p)
-    p = gsub.add_parser("report")
-    p.add_argument("--preset", required=True)
-    common(p)
-
-    w = sub.add_parser("witt")
-    wsub = w.add_subparsers(dest="witt_command", required=True)
-    p = wsub.add_parser("verify")
-    p.add_argument("--identity", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("theorem")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=12)
-    p.add_argument("--seed", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("sl4x4")
-    common(p)
-
+        p.set_defaults(words=words)
     return parser
 
 
@@ -542,13 +503,8 @@ def run(argv=None, out=None) -> int:
     if args.check_certificate:
         return _run_checker(args.check_certificate, out)
 
-    if not getattr(args, "command", None):
-        print("error: a command is required (inv3, chow2, gamma, witt, theorem, sl4x4)", file=sys.stderr)
-        return 2
-
-    command = _normalized_command(args)
     try:
-        results, entries, cited, seed = _execute(args)
+        results, entries, cited = _execute(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -556,6 +512,8 @@ def run(argv=None, out=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
 
+    command = _normalized_command(args)
+    seed = getattr(args, "seed", None)
     report = {
         "format": REPORT_FORMAT,
         "command": command,

@@ -511,7 +511,7 @@ class SeveriBrauerConfig:
         return out
 
 
-def _table_from_rule(degrees, periods, rule) -> tuple:
+def _table_from_rule(periods, rule) -> tuple:
     classes = [()]
     for p in periods:
         classes = [c + (k,) for c in classes for k in range(p)]
@@ -523,22 +523,15 @@ def get_config(name: str) -> SeveriBrauerConfig:
     """Named index configurations.
 
     ``conics3`` and ``conics4`` are the generic three- and four-conic
-    products, ``conic1`` is a single nonsplit conic, ``deg4pair`` the pair of
-    generic degree-4 algebras whose squares are inverse quaternions, and
-    ``split:d1,...,dn`` the fully split reference.
+    products, where a subset S of the k conics has index
+    2^min(|S|, k + 1 - |S|); ``conic1`` is a single nonsplit conic,
+    ``deg4pair`` the pair of generic degree-4 algebras whose squares are
+    inverse quaternions, and ``split:d1,...,dn`` the fully split reference.
     """
-    if name == "conics3":
-        def rule(c):
-            w = sum(c)
-            return {0: 1, 1: 2, 2: 4, 3: 2}[w]
-
-        return SeveriBrauerConfig("conics3", (2, 2, 2), (2, 2, 2), _table_from_rule((2, 2, 2), (2, 2, 2), rule))
-    if name == "conics4":
-        def rule(c):
-            w = sum(c)
-            return {0: 1, 1: 2, 2: 4, 3: 4, 4: 2}[w]
-
-        return SeveriBrauerConfig("conics4", (2, 2, 2, 2), (2, 2, 2, 2), _table_from_rule((2,) * 4, (2,) * 4, rule))
+    if name in ("conics3", "conics4"):
+        k = int(name[-1])
+        table = _table_from_rule((2,) * k, lambda c: 2 ** min(sum(c), k + 1 - sum(c)))
+        return SeveriBrauerConfig(name, (2,) * k, (2,) * k, table)
     if name == "conic1":
         return SeveriBrauerConfig("conic1", (2,), (2,), (((0,), 1), ((1,), 2)))
     if name == "deg4pair":
@@ -552,7 +545,7 @@ def get_config(name: str) -> SeveriBrauerConfig:
                 return 4
             return 16
 
-        return SeveriBrauerConfig("deg4pair", (4, 4), (4, 4), _table_from_rule((4, 4), (4, 4), rule))
+        return SeveriBrauerConfig("deg4pair", (4, 4), (4, 4), _table_from_rule((4, 4), rule))
     if name.startswith("split:"):
         try:
             degrees = tuple(int(t) for t in name.split(":", 1)[1].split(","))
@@ -625,19 +618,23 @@ def gamma_series(a: RingElement, top: int) -> list[RingElement]:
     series = [ring.one()] + [ring.zero() for _ in range(top)]
     for exps, c in sorted(_rank_zero_x_coefficients(a).items()):
         w = ring.monomial(exps, "x") - ring.one()
-        powers = [ring.one()]
-        for _ in range(top):
-            powers.append(powers[-1] * w)
-        factor = [powers[k].scaled(math.comb(c, k) if c >= 0 else
-                                   (-1) ** k * math.comb(-c + k - 1, k))
-                  for k in range(top + 1)]
+        # the nonzero terms only: comb(c, k) vanishes past k = c >= 0, and
+        # every power of w past a zero one is zero
+        factor = [ring.one()]
+        power = ring.one()
+        for k in range(1, (min(top, c) if c >= 0 else top) + 1):
+            power = power * w
+            if power.is_zero():
+                break
+            factor.append(power.scaled(
+                math.comb(c, k) if c >= 0 else (-1) ** k * math.comb(-c + k - 1, k)
+            ))
         new = [ring.zero() for _ in range(top + 1)]
         for i in range(top + 1):
             if series[i].is_zero():
                 continue
-            for j in range(top + 1 - i):
-                if not factor[j].is_zero():
-                    new[i + j] = new[i + j] + series[i] * factor[j]
+            for j, f in enumerate(factor[: top + 1 - i]):
+                new[i + j] = new[i + j] + series[i] * f
         series = new
     return series
 
@@ -681,10 +678,10 @@ def _gamma_generators(config: SeveriBrauerConfig) -> list[RingElement]:
 
 
 @lru_cache(maxsize=32)
-def gamma_filtration(config_name: str) -> GammaFiltration:
+def gamma_filtration(name: str) -> GammaFiltration:
     """Filtration lattices through degree ``dim + 1``, the vanishing top
     level included."""
-    config = get_config(config_name)
+    config = get_config(name)
     ring = config.ring
     dim = ring.dim
 
@@ -752,9 +749,9 @@ def _elements(ring: TruncatedPolyRing, lat: Lattice) -> list[RingElement]:
     return [RingElement(ring, b) for b in lat.basis_columns]
 
 
-def filtration_membership(config_name: str, element, degree: int) -> tuple[RingElement, MembershipResult]:
+def filtration_membership(name: str, element, degree: int) -> tuple[RingElement, MembershipResult]:
     """Decide membership of a ring element in the degree-d filtration step."""
-    filt = gamma_filtration(config_name)
+    filt = gamma_filtration(name)
     ring = filt.config.ring
     if isinstance(element, str):
         element = parse_element(element, ring)
@@ -803,14 +800,14 @@ def _project_to_degree(ring: TruncatedPolyRing, cols, d: int) -> Lattice:
 
 
 @lru_cache(maxsize=32)
-def graded_torsion(config_name: str) -> GradedTorsionReport:
+def graded_torsion(name: str) -> GradedTorsionReport:
     """Per-degree torsion, image indices, and the exact counting identity.
 
     The identity states that the total graded torsion order times the index
     of the descended subring equals the product over degrees of the index of
     the image of the filtration step in the split graded piece.
     """
-    filt = gamma_filtration(config_name)
+    filt = gamma_filtration(name)
     config = filt.config
     ring = config.ring
     dim = ring.dim
@@ -888,10 +885,10 @@ class Chow2Result:
     report: GradedTorsionReport
 
 
-def chow2_torsion(config_name: str) -> Chow2Result:
+def chow2_torsion(name: str) -> Chow2Result:
     """Torsion of the degree-2 graded piece, read as codimension-2 cycle
     torsion of the generic variety through two standard identifications."""
-    report = graded_torsion(config_name)
+    report = graded_torsion(name)
     piece = next(p for p in report.pieces if p.degree == 2) if report.config.dim >= 2 else None
     torsion = piece.torsion if piece else FinAbelianGroup.trivial()
     witnesses = piece.witnesses if piece else ()

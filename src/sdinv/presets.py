@@ -111,33 +111,15 @@ def cited_fact(fact_id: str) -> CitedFact:
 
 
 # the generic variety of each semisimple quotient, reduced to a product of
-# Severi-Brauer varieties generating the same Brauer subgroup
+# Severi-Brauer varieties generating the same Brauer subgroup; rows of
+# ``sl2n:n`` missing here cite their torsion instead of computing it
 CHOW_CONFIG_BY_N = {2: "conic1", 3: "split:2,2", 4: "conics3", 5: "conics4"}
+SL4X4_CONFIG = "deg4pair"
 
 ALPHA_SUITES_BY_N = {
     2: ("alpha2",),
     3: ("twofold", "lemma_alpha3_exact", "lemma_alpha3_modI4"),
     4: ("prop_step_Qonetwo", "alpha4_full"),
-}
-
-
-@dataclass(frozen=True)
-class GroupPreset:
-    """Pairing of a character-lattice preset with its generic-variety config.
-
-    ``sb_config`` is None when the torsion row is cited rather than computed.
-    """
-
-    name: str
-    sb_config: str | None
-
-
-GROUP_PRESETS: dict[str, GroupPreset] = {
-    **{
-        f"sl2n:{n}": GroupPreset(f"sl2n:{n}", CHOW_CONFIG_BY_N.get(n))
-        for n in range(2, 9)
-    },
-    "sl4x4": GroupPreset("sl4x4", "deg4pair"),
 }
 
 
@@ -231,16 +213,15 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
 
     from .roots import indecomposable_group
 
-    preset = GROUP_PRESETS[f"sl2n:{n}"]
-    ind = indecomposable_group(preset.name)
+    ind = indecomposable_group(f"sl2n:{n}")
     inv_h = GroupValue(ind.group, "computed", "lattice subquotient")
 
     facts = [_FACTS["exact_sequence"], _FACTS["reductive_comparison"]]
     chow: Chow2Result | None = None
-    if preset.sb_config is not None:
+    if n in CHOW_CONFIG_BY_N:
         from .kgamma import chow2_torsion
 
-        chow = chow2_torsion(preset.sb_config)
+        chow = chow2_torsion(CHOW_CONFIG_BY_N[n])
         chow_value = GroupValue(
             chow.torsion,
             "computed",
@@ -319,7 +300,6 @@ def theorem_table(ns=range(2, 9), trials: int = 12, seed: int = 1) -> list[Theor
 class Sl4x4Report:
     indecomposable: IndecomposableResult
     chow: Chow2Result
-    torsion_used: FinAbelianGroup
     sdec_mod_dec: FinAbelianGroup
     all_normalized_semi_decomposable: bool
     inconsistencies: tuple[str, ...]
@@ -330,24 +310,15 @@ class Sl4x4Report:
         return not self.inconsistencies
 
 
-def sl4x4_report(
-    torsion_override: FinAbelianGroup | None = None,
-    config_name: str | None = None,
-) -> Sl4x4Report:
+def sl4x4_report() -> Sl4x4Report:
     """Combination of the rank-3 pair's invariant group with the torsion of
-    its generic variety.
-
-    ``torsion_override`` replaces the computed torsion (test hook for the
-    failure path); ``config_name`` may point at any registered variety
-    configuration, e.g. a split reference.
-    """
+    its generic variety."""
     from .kgamma import chow2_torsion
     from .roots import indecomposable_group
 
-    preset = GROUP_PRESETS["sl4x4"]
-    ind = indecomposable_group(preset.name)
-    chow = chow2_torsion(config_name or preset.sb_config)
-    torsion = torsion_override if torsion_override is not None else chow.torsion
+    ind = indecomposable_group("sl4x4")
+    chow = chow2_torsion(SL4X4_CONFIG)
+    torsion = chow.torsion
 
     inconsistencies = []
     oi = ind.group.order()
@@ -361,15 +332,9 @@ def sl4x4_report(
     else:
         sdec = FinAbelianGroup.cyclic(oi // ot)
 
-    if torsion_override is not None and torsion_override != chow.torsion:
-        inconsistencies.append(
-            "override disagrees with the live gamma-filtration torsion"
-        )
-
     return Sl4x4Report(
         indecomposable=ind,
         chow=chow,
-        torsion_used=torsion,
         sdec_mod_dec=sdec,
         all_normalized_semi_decomposable=(sdec.order() == oi and torsion.is_trivial),
         inconsistencies=tuple(inconsistencies),

@@ -9,7 +9,9 @@ the preset names ``gl2n:{n}`` / ``sl2n:{n}`` for 2 <= n <= 8 and ``gl4x4`` /
 
 Quadratic forms live in the degree-2 part of the symmetric algebra on a
 character lattice.  A form "on the lattice" means one with integer
-coefficients over the degree-2 monomials in a basis of the lattice; Weyl
+coefficients over the degree-2 monomials in a basis of the lattice, held as
+a tuple in ``sym2_monomials`` order; a character lattice is an
+``exactlin.Lattice`` and a Weyl action a tuple of integer matrices.  Weyl
 invariance is computed as an exact integer kernel rather than by averaging,
 which would leave the integral structure.
 """
@@ -17,7 +19,7 @@ which would leave the integral structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .errors import ContainmentError, InputError, InternalInconsistencyError
@@ -104,18 +106,6 @@ def outer_square(vec, rank: int):
     return out
 
 
-@dataclass(frozen=True)
-class QuadSpaceElement:
-    """Integer quadratic expression over degree-2 monomials in a fixed basis."""
-
-    lattice_rank: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != sym2_size(self.lattice_rank):
-            raise InputError("coefficient vector has the wrong monomial count")
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -155,43 +145,6 @@ class CentralQuotientDatum:
 
 
 @dataclass(frozen=True)
-class CharacterLattice:
-    ambient_rank: int
-    lattice: Lattice
-    named_basis: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        vectors = tuple(v for _, v in self.named_basis)
-        # the lattice's own basis generates it, with no Hermite form to run
-        if (self.ambient_rank, vectors) == (self.lattice.ambient_rank, self.lattice.basis_columns):
-            return
-        if Lattice.from_columns(self.ambient_rank, vectors) != self.lattice:
-            raise InputError("named basis does not generate the lattice")
-
-    @classmethod
-    def from_named(cls, ambient_rank: int, named) -> "CharacterLattice":
-        named = tuple((str(l), tuple(int(x) for x in v)) for l, v in named)
-        lat = Lattice.from_columns(ambient_rank, [v for _, v in named])
-        return cls(ambient_rank, lat, named)
-
-    @classmethod
-    def from_lattice(cls, lat: Lattice) -> "CharacterLattice":
-        named = tuple((f"b{k + 1}", col) for k, col in enumerate(lat.basis_columns))
-        return cls(lat.ambient_rank, lat, named)
-
-    @property
-    def rank(self) -> int:
-        return self.lattice.rank
-
-
-@dataclass(frozen=True)
-class WeylAction:
-    """Finite group of integer matrices acting on ambient coordinates."""
-
-    generators: tuple[IntMatrix, ...]
-
-
-@dataclass(frozen=True)
 class WeightMultiset:
     """Weights of a character, with multiplicities, in ambient coordinates."""
 
@@ -209,11 +162,11 @@ class WeightMultiset:
                 out[i] += m * x
         return tuple(out)
 
-    def is_stable_under(self, weyl: WeylAction) -> bool:
+    def is_stable_under(self, weyl: tuple[IntMatrix, ...]) -> bool:
         bag = {}
         for v, m in self.weights:
             bag[v] = bag.get(v, 0) + m
-        for w in weyl.generators:
+        for w in weyl:
             image = {}
             for v, m in bag.items():
                 wv = w.matvec(v)
@@ -227,13 +180,13 @@ class WeightMultiset:
 # operations
 
 
-def character_lattice(datum: CentralQuotientDatum) -> CharacterLattice:
+def character_lattice(datum: CentralQuotientDatum) -> Lattice:
     """Kernel of the composite map from the ambient weight lattice onto the
     center's character group, as a canonically based full-rank sublattice."""
     k = len(datum.factor_moduli)
     m = datum.ambient_rank
     if k == 0:
-        return CharacterLattice.from_lattice(Lattice.standard(m))
+        return Lattice.standard(m)
     rows = [
         tuple(datum.residue_rows.entries[i]) + tuple(
             -datum.factor_moduli[i] if t == i else 0 for t in range(k)
@@ -247,19 +200,19 @@ def character_lattice(datum: CentralQuotientDatum) -> CharacterLattice:
         raise InternalInconsistencyError(
             "character lattice index does not match the center's order"
         )
-    return CharacterLattice.from_lattice(lat)
+    return lat
 
 
-def project_to_semisimple(L: CharacterLattice, projection: IntMatrix) -> CharacterLattice:
+def project_to_semisimple(L: Lattice, projection: IntMatrix) -> Lattice:
     """Image of a character lattice under the weight-space projection."""
     if projection.cols != L.ambient_rank:
         raise InputError("projection does not accept the lattice's ambient rank")
-    cols = [projection.matvec(v) for v in L.lattice.basis_columns]
-    return CharacterLattice.from_lattice(Lattice.from_columns(projection.rows, cols))
+    cols = [projection.matvec(v) for v in L.basis_columns]
+    return Lattice.from_columns(projection.rows, cols)
 
 
 def action_in_basis(
-    L: CharacterLattice, w: IntMatrix, generator_index: int | None = None
+    L: Lattice, w: IntMatrix, generator_index: int | None = None
 ) -> IntMatrix:
     """Matrix of ``w`` restricted to the lattice, in lattice-basis coordinates.
 
@@ -269,9 +222,9 @@ def action_in_basis(
     """
     name = f" {generator_index}" if generator_index is not None else ""
     cols = []
-    for i, b in enumerate(L.lattice.basis_columns):
+    for i, b in enumerate(L.basis_columns):
         img = w.matvec(b)
-        res = L.lattice.membership(img)
+        res = L.membership(img)
         if not res.member:
             raise ContainmentError(
                 f"weyl generator{name} moves basis vector {i} outside the lattice"
@@ -295,13 +248,13 @@ def sym2_action_matrix(c: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
-def invariant_quadratic_lattice(L: CharacterLattice, weyl: WeylAction) -> Lattice:
+def invariant_quadratic_lattice(L: Lattice, weyl: tuple[IntMatrix, ...]) -> Lattice:
     """All integral quadratic expressions in the lattice basis fixed by every
     Weyl generator: the exact integer kernel of the stacked (w - 1) maps."""
     r = L.rank
     n = sym2_size(r)
     stacked = []
-    for idx, w in enumerate(weyl.generators):
+    for idx, w in enumerate(weyl):
         c = action_in_basis(L, w, generator_index=idx)
         s2 = sym2_action_matrix(c)
         for i in range(n):
@@ -314,9 +267,9 @@ def invariant_quadratic_lattice(L: CharacterLattice, weyl: WeylAction) -> Lattic
     return Lattice.from_columns(n, ker)
 
 
-def ambient_to_basis_quad(L: CharacterLattice, ambient_coeffs) -> QuadSpaceElement:
-    """Rewrite a quadratic expression over ambient monomials in the lattice
-    basis monomials; errors when the result is not integral."""
+def ambient_to_basis_quad(L: Lattice, ambient_coeffs) -> tuple[int, ...]:
+    """Rewrite a quadratic expression over ambient monomials as coefficients
+    over the lattice basis monomials; errors when they are not integral."""
     m = L.ambient_rank
     r = L.rank
     if r != m:
@@ -325,16 +278,16 @@ def ambient_to_basis_quad(L: CharacterLattice, ambient_coeffs) -> QuadSpaceEleme
     # With n the index, n * e_i lies in the lattice; its basis coordinates
     # are n times those of e_i, so the substitution below is n^2 times the
     # rewritten expression.
-    n = lattice_index(L.lattice, Lattice.standard(m))
-    cols = [L.lattice.membership(tuple(n * int(t == i) for t in range(m))).coordinates
+    n = lattice_index(L, Lattice.standard(m))
+    cols = [L.membership(tuple(n * int(t == i) for t in range(m))).coordinates
             for i in range(m)]
     out = sym2_substitute(list(ambient_coeffs), cols, m, r)
     if any(x % (n * n) for x in out):
         raise InputError("expression is not integral on the lattice")
-    return QuadSpaceElement(r, tuple(x // (n * n) for x in out))
+    return tuple(x // (n * n) for x in out)
 
 
-def chern2_of_character(mult: WeightMultiset, L: CharacterLattice) -> QuadSpaceElement:
+def chern2_of_character(mult: WeightMultiset, L: Lattice) -> tuple[int, ...]:
     """Second elementary symmetric value of the weight multiset, as a
     quadratic expression in the lattice basis.
 
@@ -349,7 +302,7 @@ def chern2_of_character(mult: WeightMultiset, L: CharacterLattice) -> QuadSpaceE
     for v, _ in mult.weights:
         if len(v) != m:
             raise InputError("weight length does not match the ambient rank")
-        if not L.lattice.contains(v):
+        if not L.contains(v):
             raise InputError(f"weight {v} is outside the character lattice")
     total = [0] * sym2_size(m)
     square_sum = outer_square(s1, m)
@@ -366,8 +319,8 @@ def chern2_of_character(mult: WeightMultiset, L: CharacterLattice) -> QuadSpaceE
 
 
 def dec_subgroup(
-    L: CharacterLattice,
-    weyl: WeylAction,
+    L: Lattice,
+    weyl: tuple[IntMatrix, ...],
     weight_multisets=(),
     explicit_generators=(),
     invariant_lattice: Lattice | None = None,
@@ -383,10 +336,9 @@ def dec_subgroup(
     for ws in weight_multisets:
         if not ws.is_stable_under(weyl):
             raise InputError("character is not stable under the Weyl action")
-        q = chern2_of_character(ws, L)
-        cols.append(q.coefficients)
+        cols.append(chern2_of_character(ws, L))
     for g in explicit_generators:
-        cols.append(ambient_to_basis_quad(L, g).coefficients)
+        cols.append(ambient_to_basis_quad(L, g))
     n = sym2_size(L.rank)
     lat = Lattice.from_columns(n, cols)
     inv = invariant_lattice if invariant_lattice is not None else invariant_quadratic_lattice(L, weyl)
@@ -403,28 +355,19 @@ class IndecomposableResult:
     preset: str
     group: FinAbelianGroup
     witnesses: tuple[TorsionWitness, ...]
-    character_lattice: CharacterLattice
+    character_lattice: Lattice
     invariant_lattice: Lattice
     dec_lattice: Lattice
     # the presentation the group was read from, kept for certificates
     presentation: SubquotientData = field(repr=False, compare=False)
 
 
-def indecomposable_group(preset: "GroupData | str") -> IndecomposableResult:
-    """Quotient of the Weyl-invariant quadratic forms by the Chern-class
-    subgroup, with explicit torsion witnesses."""
-    if isinstance(preset, str):
-        return _indecomposable_cached(preset)
-    return _indecomposable_impl(preset)
-
-
 @lru_cache(maxsize=32)
-def _indecomposable_cached(name: str) -> IndecomposableResult:
-    return _indecomposable_impl(get_preset(name))
-
-
-def _indecomposable_impl(data: "GroupData") -> IndecomposableResult:
-    if data.kind != "semisimple" or data.weyl is None:
+def indecomposable_group(name: str) -> IndecomposableResult:
+    """Quotient of the Weyl-invariant quadratic forms by the Chern-class
+    subgroup of a named preset, with explicit torsion witnesses."""
+    data = get_preset(name)
+    if data.kind != "semisimple":
         raise InputError(
             f"preset {data.name} has no Weyl-invariant computation; "
             "use its semisimple companion"
@@ -463,26 +406,18 @@ class GroupData:
     display_basis: tuple[tuple[str, tuple[int, ...]], ...]
     projection: IntMatrix | None = None
     semisimple_display: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    weyl: WeylAction | None = None
+    weyl: tuple[IntMatrix, ...] = ()  # Weyl generators on the semisimple coordinates
     dec_weights: tuple[WeightMultiset, ...] = ()
     dec_explicit: tuple[tuple[int, ...], ...] = ()
     kind: str = "reductive"
 
-    def reductive_lattice(self) -> CharacterLattice:
+    def reductive_lattice(self) -> Lattice:
         return character_lattice(self.datum)
 
-    def semisimple_lattice(self) -> CharacterLattice:
+    def semisimple_lattice(self) -> Lattice:
         if self.projection is None:
             raise InputError(f"preset {self.name} has no semisimple projection")
         return project_to_semisimple(self.reductive_lattice(), self.projection)
-
-    def display_lattice(self) -> CharacterLattice:
-        return CharacterLattice.from_named(self.datum.ambient_rank, self.display_basis)
-
-    def semisimple_display_lattice(self) -> CharacterLattice:
-        if self.projection is None:
-            raise InputError(f"preset {self.name} has no semisimple side")
-        return CharacterLattice.from_named(self.projection.rows, self.semisimple_display)
 
 
 def _unit(n: int, i: int, value: int = 1) -> tuple[int, ...]:
@@ -528,13 +463,12 @@ def _gl2n_data(n: int) -> GroupData:
     ss_display = [(f"2x{k + 1}", _unit(n, k, 2)) for k in range(n - 1)]
     ss_display.append((sum_label, (1,) * n))
 
-    flips = tuple(
+    weyl = tuple(
         IntMatrix.from_rows(
             [[(-1 if (i == j == k) else (1 if i == j else 0)) for j in range(n)] for i in range(n)]
         )
         for k in range(n)
     )
-    weyl = WeylAction(generators=flips)
 
     weights = []
     for i in range(n):
@@ -647,11 +581,7 @@ def _gl4x4_data() -> GroupData:
         ("2x1-2y1", vec6([(0, 2), (3, -2)])),
     )
 
-    weyl = WeylAction(
-        generators=tuple(
-            _perm_matrix_on_sl4_block(6, block, k) for block in (0, 1) for k in range(3)
-        )
-    )
+    weyl = tuple(_perm_matrix_on_sl4_block(6, block, k) for block in (0, 1) for k in range(3))
 
     q1 = _sym_q(6, 0)
     q2 = _sym_q(6, 1)
@@ -670,7 +600,7 @@ def _gl4x4_data() -> GroupData:
 
 
 @lru_cache(maxsize=32)
-def _build(name: str) -> GroupData:
+def get_preset(name: str) -> GroupData:
     if name.startswith("gl2n:") or name.startswith("sl2n:"):
         try:
             n = int(name.split(":", 1)[1])
@@ -691,21 +621,7 @@ def _build(name: str) -> GroupData:
 
 
 def _as_semisimple(data: GroupData, name: str) -> GroupData:
-    return GroupData(
-        name=name,
-        datum=data.datum,
-        display_basis=data.display_basis,
-        projection=data.projection,
-        semisimple_display=data.semisimple_display,
-        weyl=data.weyl,
-        dec_weights=data.dec_weights,
-        dec_explicit=data.dec_explicit,
-        kind="semisimple",
-    )
-
-
-def get_preset(name: str) -> GroupData:
-    return _build(name)
+    return replace(data, name=name, kind="semisimple")
 
 
 def available_presets() -> list[str]:

@@ -197,6 +197,30 @@ def test_json_reports_are_byte_deterministic():
     assert a == b
 
 
+def test_command_echo_parses_back_to_the_same_arguments():
+    """One argv per command: the echo in reports and certificates parses to
+    the same arguments and echoes identically again, a string value with a
+    leading minus and a negative seed included."""
+    argvs = [
+        ["inv3", "--preset", "sl2n:3"],
+        ["chow2", "--preset", "conics3"],
+        ["gamma", "member", "--preset", "conics4", "--element=-3*y1^2+y2", "--degree", "2"],
+        ["gamma", "report", "--preset", "conic1"],
+        ["witt", "verify", "--identity", "double", "--trials", "3"],
+        ["theorem", "--n", "2", "--seed", "-5"],
+        ["sl4x4"],
+    ]
+    for argv in argvs:
+        args = cli._parse_args(argv)
+        echo = cli._normalized_command(args)
+        again = cli._parse_args(echo)
+        assert vars(again) == vars(args), argv
+        assert cli._normalized_command(again) == echo
+    assert cli._normalized_command(cli._parse_args(argvs[2]))[4] == "--element=-3*y1^2+y2"
+    assert cli._normalized_command(cli._parse_args(argvs[5]))[-2:] == ["--seed", "-5"]
+    assert {cli._parse_args(argv).words for argv in argvs} == set(cli._COMMANDS)
+
+
 def test_json_report_roundtrip():
     code, out = run(["chow2", "--preset", "conics3", "--json"])
     rep = json.loads(out)
@@ -259,7 +283,7 @@ def test_inv3_sl2n_8_keeps_smith_and_det_inputs_small(monkeypatch):
     limit = sym2_size(8)
     smith_calls = _count_calls(monkeypatch, exactlin, "smith_normal_form")
     det_calls = _count_calls(monkeypatch, exactlin, "det")
-    roots._indecomposable_cached.cache_clear()
+    roots.indecomposable_group.cache_clear()
     code, _ = run(["inv3", "--preset", "sl2n:8", "--json"])
     assert code == 0
     assert smith_calls and det_calls
@@ -288,10 +312,10 @@ def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_pat
 
 
 def test_inv3_sl2n_8_runs_seven_hermite_forms(monkeypatch):
-    """A character lattice named by its lattice's own canonical basis is not
-    put through a second Hermite form."""
-    roots._build.cache_clear()
-    roots._indecomposable_cached.cache_clear()
+    """A character lattice is its canonical Hermite basis, so no lattice is
+    put through a second Hermite form to carry a named basis."""
+    roots.get_preset.cache_clear()
+    roots.indecomposable_group.cache_clear()
     calls = _count_calls(monkeypatch, exactlin, "row_hermite")
     code, _ = run(["inv3", "--preset", "sl2n:8", "--json"])
     assert code == 0
@@ -348,8 +372,9 @@ def test_large_gamma_reports_are_byte_identical(preset):
 
 
 # SHA-256 of the certificate files as the code before the lazy entries and the
-# index-additive product wrote them (split:4,4,4: before span bases); the
-# entries must not change.
+# index-additive product wrote them (split:4,4,4: before span bases; the
+# theorem rows and inv3 sl4x4: before the character-lattice wrapper types were
+# deleted); the entries must not change.
 CERTIFICATE_DIGESTS = {
     "inv3 --preset sl2n:7": "51900247fd8e89c89234e5adfc00ece39c2ce4bf6d55ba8615c2351d2b8e5819",
     "sl4x4": "9fbb62f2c87323b040ab83c1b370a2bdd6c3de97451d04c8cd7d02ef1209b6b9",
@@ -360,6 +385,14 @@ CERTIFICATE_DIGESTS = {
         "0ffa22e88f92739c127f0addb3c0bc29cf2dbc72b5d508c126ba14ed03008536",
     "gamma report --preset split:4,4,4":
         "5964794076b56eb8ad4e4e3f433e3fa21d74c6d1afdf4a00ca2fa761db3c2a75",
+    "theorem --n 2": "a676a589110e3236c82cc0d73df60b178d58cb4f58ca51728616b34a62cdebf0",
+    "theorem --n 3": "b5ec5fbe14ba0bd886a1b784785053b6e7bfca40c6b55e71acd67f54e4c27932",
+    "theorem --n 4": "7dccab085f77f8df7852b8437c82792bd95f468709e40a4e7890e99fc594c3f5",
+    "theorem --n 5": "235797db5c930145b3f689cb68b565c1a929d5535eb79d6508bcb3fd75745884",
+    "theorem --n 6": "18d18ea8907177a06cf33ea5bcaeeb6e97600c7bb107b91d5372223148b9a798",
+    "theorem --n 7": "51b1fad8eb0be6a88b210b08ed4f056b8302bccfa843f738647dd75c8925a53e",
+    "theorem --n 8": "357a634d6d96dc6f5342acf45e7319b98d168622f9ed3e5df9bce30f4b3d23e6",
+    "inv3 --preset sl4x4": "7c8660129a17dfbe4ecaa8e04a067f7b3b2f7e997837123c0fb132b47ad36995",
 }
 
 
@@ -369,6 +402,26 @@ def test_certificate_files_are_byte_identical(command, tmp_path):
     code, _ = run(command.split() + ["--json", "--certificate", str(path)])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTIFICATE_DIGESTS[command]
+
+
+# SHA-256 of the stdout of ``theorem --n N --json`` as the code before the
+# character-lattice wrapper types were deleted wrote it.
+THEOREM_REPORT_DIGESTS = {
+    2: "29d2890d1d9c96da7ba49a6d768814e891c014803af99b7aa410532e0ccf2f31",
+    3: "a1a83c879cd25bb026a6492325e8c08050f9e9af65c94ab6eb695c75d0d8a50d",
+    4: "bf682c6297fbf26430e765494e7b3c41dc787a326a2cd3be3d7e9db9eeaab658",
+    5: "557f501dc0ee1df6847905e41c71cce226e53ebf841b3892d0b2891c9a1d5ade",
+    6: "66f0e89899a0163155b3516d0aadf9c5497085ae05942492bcb5432383384f07",
+    7: "7b64acc359cceedcf34b1bce832c07c28da2e6f8c2e3ec1ce0bf91e48ccbf933",
+    8: "ee89280b9a317e65f55e96c1f91e609da8b87a8697e072d15f497df973a94813",
+}
+
+
+@pytest.mark.parametrize("n", THEOREM_REPORT_DIGESTS)
+def test_theorem_reports_are_byte_identical(n):
+    code, out = run(["theorem", "--n", str(n), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THEOREM_REPORT_DIGESTS[n]
 
 
 # SHA-256 of the certificate files of ``witt verify --trials 50 --seed 1`` as

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from sdinv import kgamma
 from sdinv.exactlin import FinAbelianGroup, InputError
 from sdinv.presets import (
     ALPHA_SUITES_BY_N,
@@ -82,20 +85,14 @@ def test_sl4x4_report_default():
     assert rep.consistent
 
 
-def test_sl4x4_report_forced_failure_path():
-    rep = sl4x4_report(torsion_override=FinAbelianGroup(0, (4,)))
+def test_sl4x4_report_forced_failure_path(monkeypatch):
+    live = kgamma.chow2_torsion
+
+    def z4_torsion(name):
+        return dataclasses.replace(live(name), torsion=FinAbelianGroup(0, (4,)))
+
+    monkeypatch.setattr(kgamma, "chow2_torsion", z4_torsion)
+    rep = sl4x4_report()
     assert not rep.consistent
     assert any("bookkeeping" in s for s in rep.inconsistencies)
-
-
-def test_sl4x4_report_override_flags_disagreement():
-    rep = sl4x4_report(torsion_override=FinAbelianGroup.cyclic(2))
-    assert not rep.consistent
     assert not rep.all_normalized_semi_decomposable
-
-
-def test_sl4x4_report_on_split_reference():
-    rep = sl4x4_report(config_name="split:4,4")
-    assert rep.chow.torsion.is_trivial
-    assert rep.all_normalized_semi_decomposable
-    assert rep.consistent

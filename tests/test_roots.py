@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 from sdinv import exactlin
 from sdinv.exactlin import InputError, IntMatrix, Lattice, det, kernel_basis, lattice_index
 from sdinv.roots import (
-    CharacterLattice,
     WeightMultiset,
-    WeylAction,
     action_in_basis,
-    QuadSpaceElement,
     ambient_to_basis_quad,
     available_presets,
     character_lattice,
@@ -28,11 +25,24 @@ from sdinv.roots import (
 )
 
 
-def basis_to_ambient_quad(L: CharacterLattice, q: QuadSpaceElement) -> tuple[int, ...]:
+def basis_to_ambient_quad(L: Lattice, q) -> tuple[int, ...]:
     """Inverse of ``ambient_to_basis_quad``: substitute the basis columns."""
-    cols = [tuple(col) for col in L.lattice.basis.columns()]
-    out = sym2_substitute(list(q.coefficients), cols, L.rank, L.ambient_rank)
+    cols = [tuple(col) for col in L.basis.columns()]
+    out = sym2_substitute(list(q), cols, L.rank, L.ambient_rank)
     return tuple(int(x) for x in out)
+
+
+def display_lattice(ambient_rank: int, named) -> Lattice:
+    """Span of a preset's displayed (label, vector) basis."""
+    return Lattice.from_columns(ambient_rank, [v for _, v in named])
+
+
+def reductive_display(data) -> Lattice:
+    return display_lattice(data.datum.ambient_rank, data.display_basis)
+
+
+def semisimple_display(data) -> Lattice:
+    return display_lattice(data.projection.rows, data.semisimple_display)
 
 
 def chern2_pairwise_oracle(mult: WeightMultiset, rank: int) -> tuple[int, ...]:
@@ -55,7 +65,7 @@ def chern2_pairwise_oracle(mult: WeightMultiset, rank: int) -> tuple[int, ...]:
 
 
 def quad_lattice_from_ambient(L, vectors):
-    cols = [ambient_to_basis_quad(L, v).coefficients for v in vectors]
+    cols = [ambient_to_basis_quad(L, v) for v in vectors]
     return Lattice.from_columns(sym2_size(L.rank), cols)
 
 
@@ -69,14 +79,14 @@ def test_gl2n_2_matches_display_basis():
     expected = Lattice.from_columns(
         4, [(1, 0, -1, 0), (0, 1, 0, -1), (2, 0, 0, 0), (1, 1, 0, 0)]
     )
-    assert computed.lattice == expected
-    assert computed.lattice == data.display_lattice().lattice
+    assert computed == expected
+    assert computed == reductive_display(data)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_gl2n_display_basis_all_n(n):
     data = get_preset(f"gl2n:{n}")
-    assert data.reductive_lattice().lattice == data.display_lattice().lattice
+    assert data.reductive_lattice() == reductive_display(data)
 
 
 def test_trivial_center_gives_full_ambient():
@@ -84,13 +94,13 @@ def test_trivial_center_gives_full_ambient():
 
     datum = CentralQuotientDatum(3, (), IntMatrix(()))
     lat = character_lattice(datum)
-    assert lat.lattice == Lattice.standard(3)
+    assert lat == Lattice.standard(3)
 
 
 def test_gl4x4_display_basis():
     data = get_preset("gl4x4")
-    assert data.reductive_lattice().lattice == data.display_lattice().lattice
-    assert lattice_index(data.reductive_lattice().lattice, Lattice.standard(8)) == 8
+    assert data.reductive_lattice() == reductive_display(data)
+    assert lattice_index(data.reductive_lattice(), Lattice.standard(8)) == 8
 
 
 # --- projections ---------------------------------------------------------------
@@ -100,8 +110,8 @@ def test_sl2n_3_projection():
     data = get_preset("sl2n:3")
     th = data.semisimple_lattice()
     expected = Lattice.from_columns(3, [(2, 0, 0), (0, 2, 0), (1, 1, 1)])
-    assert th.lattice == expected
-    assert th.lattice == data.semisimple_display_lattice().lattice
+    assert th == expected
+    assert th == semisimple_display(data)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -109,14 +119,14 @@ def test_sl2n_index_is_two_power(n):
     # determinant oracle: the semisimple lattice has index 2^(n-1) in Z^n
     data = get_preset(f"sl2n:{n}")
     th = data.semisimple_lattice()
-    assert lattice_index(th.lattice, Lattice.standard(n)) == 2 ** (n - 1)
-    assert abs(det(th.lattice.basis)) == 2 ** (n - 1)
+    assert lattice_index(th, Lattice.standard(n)) == 2 ** (n - 1)
+    assert abs(det(th.basis)) == 2 ** (n - 1)
 
 
 def test_sl4x4_projection_display():
     data = get_preset("sl4x4")
     th = data.semisimple_lattice()
-    assert th.lattice == data.semisimple_display_lattice().lattice
+    assert th == semisimple_display(data)
 
 
 # --- weyl actions ---------------------------------------------------------------
@@ -126,21 +136,21 @@ def test_sl4x4_projection_display():
 def test_weyl_preserves_lattice(name):
     data = get_preset(name)
     lat = data.semisimple_lattice()
-    for idx, w in enumerate(data.weyl.generators):
+    for idx, w in enumerate(data.weyl):
         m = action_in_basis(lat, w, generator_index=idx)
         assert abs(det(m)) == 1
 
 
 def test_weyl_violation_reports_generator():
-    lat = CharacterLattice.from_named(2, [("a", (2, 0)), ("b", (0, 2))])
-    bad = WeylAction(generators=(IntMatrix.from_rows([[0, 1], [1, 1]]),))
+    lat = Lattice.from_columns(2, [(2, 0), (0, 2)])
+    bad = (IntMatrix.from_rows([[0, 1], [1, 1]]),)
     # maps (2,0) to (0,2)+... -> (0, 2)? actually (2,0) -> (0,2) ok, (0,2) -> (2,2): in lattice
     # use a genuinely breaking matrix
-    bad = WeylAction(generators=(IntMatrix.from_rows([[1, 0], [1, 1]]),))
+    bad = (IntMatrix.from_rows([[1, 0], [1, 1]]),)
     # (2,0) -> (2,2) in lattice; (0,2) -> (0,2); unimodular and preserving, so fine.
     good = invariant_quadratic_lattice(lat, bad)
     assert good.rank >= 1
-    really_bad = WeylAction(generators=(IntMatrix.from_rows([[2, 0], [0, 1]]),))
+    really_bad = (IntMatrix.from_rows([[2, 0], [0, 1]]),)
     with pytest.raises(Exception, match="generator 0"):
         invariant_quadratic_lattice(lat, really_bad)
 
@@ -155,7 +165,7 @@ def test_kernels_and_character_lattices_run_no_smith_form(name, monkeypatch):
 
     monkeypatch.setattr(exactlin, "smith_normal_form", no_smith)
     data = get_preset(name)
-    assert character_lattice(data.datum).lattice == data.display_lattice().lattice
+    assert character_lattice(data.datum) == reductive_display(data)
     inv = invariant_quadratic_lattice(data.semisimple_lattice(), data.weyl)
     assert inv.rank >= 1
     ker = Lattice.from_columns(3, kernel_basis(IntMatrix.from_rows([[2, 4, 6]])))
@@ -163,8 +173,8 @@ def test_kernels_and_character_lattices_run_no_smith_form(name, monkeypatch):
 
 
 def test_invariant_forms_rank1_trivial_weyl():
-    lat = CharacterLattice.from_named(1, [("e", (1,))])
-    inv = invariant_quadratic_lattice(lat, WeylAction(generators=()))
+    lat = Lattice.standard(1)
+    inv = invariant_quadratic_lattice(lat, ())
     assert inv == Lattice.standard(1)
 
 
@@ -173,7 +183,7 @@ def test_invariant_forms_sl2n2_congruence():
     lat = data.semisimple_lattice()
     inv = invariant_quadratic_lattice(lat, data.weyl)
     # expected: diagonal forms d1 x1^2 + d2 x2^2 with d1 + d2 = 0 mod 4
-    amb = [basis_to_ambient_quad(lat, __q(lat, c)) for c in inv.basis.columns()]
+    amb = [basis_to_ambient_quad(lat, c) for c in inv.basis.columns()]
     # all invariant forms are supported on the two square monomials
     for v in amb:
         assert v[sym2_index(0, 1, 2)] == 0
@@ -182,10 +192,6 @@ def test_invariant_forms_sl2n2_congruence():
     assert abs(det(mat)) == 4
     for d1, d2 in pairs:
         assert (d1 + d2) % 4 == 0
-
-
-def __q(lat, coeffs):
-    return QuadSpaceElement(lat.rank, tuple(coeffs))
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -209,7 +215,7 @@ def test_invariant_forms_fixed_pointwise():
     data = get_preset("sl2n:4")
     lat = data.semisimple_lattice()
     inv = invariant_quadratic_lattice(lat, data.weyl)
-    for w in data.weyl.generators:
+    for w in data.weyl:
         c = action_in_basis(lat, w)
         s2 = sym2_action_matrix(c)
         for col in inv.basis.columns():
@@ -356,7 +362,7 @@ def test_indecomposable_group_sl4x4():
         res.character_lattice, tuple(2 * a + 6 * b for a, b in zip(q1, q2))
     )
     w = res.witnesses[0]
-    diff = tuple(a - b for a, b in zip(w.vector, target.coefficients))
+    diff = tuple(a - b for a, b in zip(w.vector, target))
     assert res.dec_lattice.contains(diff)
 
 
