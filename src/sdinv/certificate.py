@@ -1,7 +1,9 @@
 """Machine-checkable certificates for command results.
 
-A certificate is a JSON document with typed entries.  Verification runs in
-two layers:
+A certificate is a JSON document with typed entries.  Each command's entry
+list is built from the evidence its report was read from, so writing a
+certificate computes nothing the report did not.  Verification runs in two
+layers:
 
 * the algebraic layer re-verifies each entry on its own terms with the
   exact linear algebra primitives (products of stored transforms, membership
@@ -20,33 +22,38 @@ produced them.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import __version__
 from ._factor import is_probable_prime
-from .errors import MAX_AMBIENT_RANK
+from .errors import MAX_AMBIENT_RANK, MAX_TRIALS
 
 if TYPE_CHECKING:
     from .exactlin import Lattice, MembershipResult, SubquotientData, TorsionWitness
+    from .kgamma import GradedTorsionReport
+    from .presets import TheoremRow
+    from .roots import IndecomposableResult
 
 CERT_FORMAT = "sdinv-cert/1"
 
 
 # ---------------------------------------------------------------------------
-# entry builders
+# entry formats
 
 
 def _cols(lattice: Lattice) -> list[list[int]]:
     return [list(c) for c in lattice.basis_columns]
 
 
-def lattice_basis_entry(label: str, ambient_rank: int, generators, canonical) -> dict:
+def lattice_basis_entry(label: str, generators, lattice: Lattice) -> dict:
     return {
         "kind": "lattice_basis",
         "label": label,
-        "ambient_rank": ambient_rank,
+        "ambient_rank": lattice.ambient_rank,
         "generators": [list(map(int, g)) for g in generators],
-        "canonical_basis": [list(map(int, c)) for c in canonical],
+        "canonical_basis": _cols(lattice),
     }
 
 
@@ -109,23 +116,23 @@ def subquotient_entry(label: str, data: SubquotientData) -> dict:
     }
 
 
-def index_entry(label: str, ambient_rank: int, sub_cols, index: int) -> dict:
+def index_entry(label: str, lattice: Lattice, index: int) -> dict:
     return {
         "kind": "index",
         "label": label,
-        "ambient_rank": ambient_rank,
-        "sub_basis": [list(map(int, c)) for c in sub_cols],
+        "ambient_rank": lattice.ambient_rank,
+        "sub_basis": _cols(lattice),
         "index": index,
     }
 
 
-def counting_entry(torsion_orders, split_index: int, epsilons, holds: bool) -> dict:
+def counting_entry(report: GradedTorsionReport) -> dict:
     return {
         "kind": "counting_identity",
-        "torsion_orders": list(map(int, torsion_orders)),
-        "split_index": int(split_index),
-        "epsilons": list(map(int, epsilons)),
-        "holds": bool(holds),
+        "torsion_orders": list(report.torsion_orders()),
+        "split_index": report.split_index,
+        "epsilons": list(report.epsilon),
+        "holds": report.counting_identity_holds,
     }
 
 
@@ -155,6 +162,130 @@ def witt_trials_entry(cases) -> dict:
             }
             for c in cases
         ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# each command's entry list, built from the evidence its report was read from
+
+
+def _nesting_entries(data: SubquotientData, label) -> list[dict]:
+    """Membership of each basis vector of ``data.sub`` in ``data.sup``: its
+    coordinates are the matching column of the relation matrix, which the
+    presentation read off the same back-substitution a membership runs."""
+    from .exactlin import MembershipResult
+
+    return [
+        membership_entry(label(j), data.sup, col, MembershipResult(True, coordinates=coords))
+        for j, (col, coords) in enumerate(
+            zip(data.sub.basis_columns, data.relation.transpose().entries)
+        )
+    ]
+
+
+def _inv3_entries(res: IndecomposableResult) -> list[dict]:
+    from .roots import get_preset
+
+    data = get_preset(res.preset)
+    return [
+        lattice_basis_entry(
+            "reductive character lattice",
+            [v for _, v in data.display_basis],
+            res.reductive_lattice,
+        ),
+        lattice_basis_entry(
+            "semisimple character lattice",
+            [v for _, v in data.semisimple_display],
+            res.character_lattice,
+        ),
+        fixed_vectors_entry(
+            "weyl invariance of the invariant quadratic lattice",
+            res.weyl_actions,
+            res.invariant_lattice.basis_columns,
+        ),
+        *_nesting_entries(
+            res.presentation, lambda j: f"chern generator {j} lies in the invariant lattice"
+        ),
+        subquotient_entry("indecomposable invariant group", res.presentation),
+    ]
+
+
+def _graded_entries(report: GradedTorsionReport) -> list[dict]:
+    """Step d over step d - 1 is the graded piece of degree d - 1."""
+    from .kgamma import quillen_basis_elements
+
+    k0 = report.pieces[0].presentation.sup
+    entries = [
+        lattice_basis_entry(
+            "descended subring",
+            [el.y_vector() for el in quillen_basis_elements(report.config)],
+            k0,
+        ),
+        index_entry("split index", k0, report.split_index),
+    ]
+    for p in report.pieces:
+        d = p.degree + 1
+        entries += _nesting_entries(
+            p.presentation, lambda j: f"filtration step {d} vector {j} nests into step {d - 1}"
+        )
+    entries += [
+        subquotient_entry(f"graded piece at degree {p.degree}", p.presentation)
+        for p in report.pieces
+    ]
+    entries += [
+        index_entry(f"split image index at degree {d}", image, eps)
+        for d, (image, eps) in enumerate(zip(report.split_images, report.epsilon), start=1)
+    ]
+    return entries + [counting_entry(report)]
+
+
+def _member_entries(evidence) -> list[dict]:
+    from .kgamma import gamma_filtration
+
+    preset, degree, vector, result = evidence
+    lattice = gamma_filtration(preset).level(degree)
+    return [
+        lattice_basis_entry(f"filtration step {degree}", lattice.basis_columns, lattice),
+        membership_entry(f"membership at filtration degree {degree}", lattice, vector, result),
+    ]
+
+
+def _theorem_entries(row: TheoremRow) -> list[dict]:
+    entries = [
+        subquotient_entry("indecomposable invariant group", row.indecomposable.presentation)
+    ]
+    if row.chow is not None:
+        report = row.chow.report
+        entries.append(counting_entry(report))
+        if report.config.dim >= 2:
+            entries.append(
+                subquotient_entry("graded piece at degree 2", report.pieces[2].presentation)
+            )
+    return entries + [witt_trials_entry(s.cases) for s in row.alpha_suites]
+
+
+# command words -> the entry list of its certificate, from the evidence the
+# command's backend returns with its results
+_ENTRY_LISTS = {
+    ("inv3",): _inv3_entries,
+    ("chow2",): _graded_entries,
+    ("gamma", "member"): _member_entries,
+    ("gamma", "report"): _graded_entries,
+    ("witt", "verify"): lambda cases: [witt_trials_entry(cases)],
+    ("theorem",): _theorem_entries,
+    ("sl4x4",): lambda rep: _inv3_entries(rep.indecomposable) + [counting_entry(rep.chow.report)],
+}
+
+
+def certificate_dict(command: list[str], args, evidence) -> dict:
+    """The certificate of a parsed command, from the evidence its report was
+    read from; ``command`` is the normalized echo of ``args``."""
+    return {
+        "format": CERT_FORMAT,
+        "command": command,
+        "seed": getattr(args, "seed", None),
+        "versions": {"sdinv": __version__},
+        "entries": _ENTRY_LISTS[args.words](evidence),
     }
 
 
@@ -258,12 +389,18 @@ def _verify_subquotient(entry) -> None:
         V=IntMatrix.from_rows(entry["smith"]["V"]),
         source=relation,
     )
+    # shapes first: the products and determinants below cost the cube of
+    # whatever sizes the entry states
+    r, c = sup.rank, sub.rank
+    shapes = {"relation": (relation, r, c), "U": (smith.U, r, r), "D": (smith.D, r, c),
+              "V": (smith.V, c, c)}
+    for name, (m, rows, cols) in shapes.items():
+        if (m.rows, m.cols) != (rows, cols):
+            raise CertificateError(f"{entry['label']}: {name} shape mismatch")
     if not smith.verify():
         raise CertificateError(f"{entry['label']}: smith decomposition invalid")
     # relation columns must express the sub basis in the sup basis
     sub_cols = sub.basis_columns
-    if relation.cols != len(sub_cols):
-        raise CertificateError(f"{entry['label']}: relation shape mismatch")
     for j, (col, coords) in enumerate(zip(sub_cols, relation.transpose().entries)):
         rebuilt = sup.basis.matvec(coords)
         if rebuilt != col:
@@ -332,6 +469,13 @@ def _verify_fixed_vectors(entry) -> None:
 
     _refuse_non_integers(entry)
     mats = [IntMatrix.from_rows(m) for m in entry["matrices"]]
+    # one side for every matrix and vector, checked before the cubic det
+    sides = {m.rows for m in mats} | {m.cols for m in mats} | set(map(len, entry["vectors"]))
+    if len(sides) > 1 or max(sides, default=0) > MAX_AMBIENT_RANK:
+        raise CertificateError(
+            f"{entry['label']}: matrices must be square, of one side up to "
+            f"{MAX_AMBIENT_RANK}, and vectors of that length"
+        )
     for m in mats:
         if abs(det(m)) != 1:
             raise CertificateError(f"{entry['label']}: action matrix not unimodular")
@@ -348,17 +492,35 @@ def _verify_fixed_vectors(entry) -> None:
 # each value cheap.
 MAX_SAMPLE_BITS = 64
 
+# Sample text read as a number: an integer or a fraction whose parts have at
+# most 20 digits, as every value within the budget has.  Other text would
+# reach ``Fraction``, which reads "1e10000000" by computing 10**10000000.
+_SAMPLE_TEXT = re.compile(r"[+-]?[0-9]{1,20}(/[0-9]{1,20})?")
+
 
 def _verify_witt_trials(entry) -> None:
     from .wittq import verify_case
 
-    for case in entry["cases"]:
+    cases, trials = entry["cases"], entry["trials"]
+    if type(trials) is not int or not 1 <= trials == len(cases) <= MAX_TRIALS:
+        raise CertificateError(
+            f"witt trials of {entry['identity']}: trials must equal the number of "
+            f"cases, from 1 to {MAX_TRIALS}"
+        )
+    for i, case in enumerate(cases):
+        if type(case["trial"]) is not int or case["trial"] != i:
+            raise CertificateError(f"witt trial {i} of {entry['identity']}: trial out of order")
         sample = tuple((k, v) for k, v in case["sample"])
         for k, v in sample:
+            if isinstance(v, str) and not _SAMPLE_TEXT.fullmatch(v):
+                raise CertificateError(
+                    f"witt trial {i} of {entry['identity']}: sample {k} is not a "
+                    f"numeral within the {MAX_SAMPLE_BITS}-bit replay limit"
+                )
             f = Fraction(v)
             if (f.numerator * f.denominator).bit_length() > MAX_SAMPLE_BITS:
                 raise CertificateError(
-                    f"witt trial {case['trial']} of {entry['identity']}: sample {k} "
+                    f"witt trial {i} of {entry['identity']}: sample {k} "
                     f"exceeds the {MAX_SAMPLE_BITS}-bit replay limit"
                 )
         redone = verify_case(entry["identity"], sample)
@@ -368,13 +530,9 @@ def _verify_witt_trials(entry) -> None:
             or redone.verdict != case["verdict"]
             or redone.congruence_level != case["level"]
         ):
-            raise CertificateError(
-                f"witt trial {case['trial']} of {entry['identity']} fails replay"
-            )
+            raise CertificateError(f"witt trial {i} of {entry['identity']} fails replay")
         if not case["verdict"]:
-            raise CertificateError(
-                f"witt trial {case['trial']} of {entry['identity']} records a failure"
-            )
+            raise CertificateError(f"witt trial {i} of {entry['identity']} records a failure")
 
 
 _VERIFIERS = {
@@ -396,7 +554,9 @@ def build_certificate(command: tuple[str, ...]) -> dict:
     """Certificate payload for a normalized command echo; pure in its input."""
     from . import cli
 
-    return cli.certificate_payload(list(command))
+    args = cli._parse_args(list(command))
+    _, evidence, _ = cli._execute(args)
+    return certificate_dict(list(command), args, evidence)
 
 
 def _shape_failure(entry) -> str | None:

@@ -30,11 +30,12 @@ REPORT_FORMAT = "sdinv-report/1"
 
 
 # ---------------------------------------------------------------------------
-# computation backends, shared by reports and certificates
+# computation backends
 #
-# Each backend imports the compute modules it runs when it is called, and
-# the certificate module only where entries are built, so a process loads
-# only what its command needs.
+# Each backend imports the compute modules it runs when it is called, so a
+# process loads only what its command needs.  A backend returns the report
+# results, the evidence they were read from, and the cited facts; the
+# certificate module builds a certificate's entries from the evidence.
 
 
 def _group_value_payload(gv) -> dict:
@@ -59,145 +60,27 @@ def _suite_payload(s) -> dict:
     }
 
 
-def _inv3_entries(preset_name: str) -> list[dict]:
-    from . import certificate as certmod
-    from .roots import action_in_basis, get_preset, indecomposable_group, sym2_action_matrix
+def _inv3_payload(args):
+    from .roots import indecomposable_group, sl4x4_witness_is_2q1_plus_6q2
 
-    data = get_preset(preset_name)
-    entries = []
-    reductive = data.reductive_lattice()
-    entries.append(
-        certmod.lattice_basis_entry(
-            "reductive character lattice",
-            data.datum.ambient_rank,
-            [v for _, v in data.display_basis],
-            reductive.basis_columns,
-        )
-    )
-    res = indecomposable_group(preset_name)
-    lat = res.character_lattice
-    entries.append(
-        certmod.lattice_basis_entry(
-            "semisimple character lattice",
-            lat.ambient_rank,
-            [v for _, v in data.semisimple_display],
-            lat.basis_columns,
-        )
-    )
-    actions = [sym2_action_matrix(action_in_basis(lat, w)) for w in data.weyl]
-    entries.append(
-        certmod.fixed_vectors_entry(
-            "weyl invariance of the invariant quadratic lattice",
-            actions,
-            res.invariant_lattice.basis_columns,
-        )
-    )
-    inv = res.invariant_lattice
-    for j, col in enumerate(res.dec_lattice.basis_columns):
-        entries.append(
-            certmod.membership_entry(
-                f"chern generator {j} lies in the invariant lattice",
-                inv,
-                col,
-                inv.membership(col),
-            )
-        )
-    entries.append(
-        certmod.subquotient_entry("indecomposable invariant group", res.presentation)
-    )
-    return entries
-
-
-def _inv3_results(preset_name: str) -> dict:
-    from .roots import ambient_to_basis_quad, indecomposable_group, sl4_block_form
-
-    res = indecomposable_group(preset_name)
-    out = {
-        "preset": preset_name,
+    res = indecomposable_group(args.preset)
+    results = {
+        "preset": args.preset,
         "group": res.group.label(),
         "witnesses": [list(w.vector) for w in res.witnesses],
         "invariant_basis": [list(c) for c in res.invariant_lattice.basis_columns],
         "dec_basis": [list(c) for c in res.dec_lattice.basis_columns],
     }
-    if preset_name == "sl4x4" and res.witnesses:
-        q1, q2 = sl4_block_form(0), sl4_block_form(1)
-        target = ambient_to_basis_quad(
-            res.character_lattice, tuple(2 * a + 6 * b for a, b in zip(q1, q2))
-        )
-        diff = tuple(a - b for a, b in zip(res.witnesses[0].vector, target))
-        out["witness_class_is_2q1_plus_6q2"] = res.dec_lattice.contains(diff)
-    return out
+    if args.preset == "sl4x4" and res.witnesses:
+        results["witness_class_is_2q1_plus_6q2"] = sl4x4_witness_is_2q1_plus_6q2(res)
+    return results, res, []
 
 
-def _counting_entry(report) -> dict:
-    from . import certificate as certmod
+def _graded_payload(preset: str, full: bool, cited: list):
+    from .kgamma import chow2_torsion
 
-    return certmod.counting_entry(
-        report.torsion_orders(),
-        report.split_index,
-        report.epsilon,
-        report.counting_identity_holds,
-    )
-
-
-def _graded_entries(preset: str) -> list[dict]:
-    from . import certificate as certmod
-    from .kgamma import gamma_filtration, graded_torsion, quillen_basis_elements
-
-    filt = gamma_filtration(preset)
-    report = graded_torsion(preset)
-    ring = filt.config.ring
-    entries = [
-        certmod.lattice_basis_entry(
-            "descended subring",
-            ring.rank,
-            [el.y_vector() for el in quillen_basis_elements(filt.config)],
-            filt.level(0).basis_columns,
-        ),
-        certmod.index_entry(
-            "split index",
-            ring.rank,
-            filt.level(0).basis_columns,
-            report.split_index,
-        ),
-    ]
-    for d in range(1, filt.dim + 2):
-        for j, col in enumerate(filt.level(d).basis_columns):
-            entries.append(
-                certmod.membership_entry(
-                    f"filtration step {d} vector {j} nests into step {d - 1}",
-                    filt.level(d - 1),
-                    col,
-                    filt.level(d - 1).membership(col),
-                )
-            )
-    # graded_torsion already computed and checked each piece's presentation
-    for piece in report.pieces:
-        entries.append(
-            certmod.subquotient_entry(
-                f"graded piece at degree {piece.degree}", piece.presentation
-            )
-        )
-    for d, (image, eps) in enumerate(zip(report.split_images, report.epsilon), start=1):
-        entries.append(
-            certmod.index_entry(
-                f"split image index at degree {d}",
-                image.ambient_rank,
-                image.basis_columns,
-                eps,
-            )
-        )
-    entries.append(_counting_entry(report))
-    return entries
-
-
-def _graded_results(preset: str, full: bool) -> dict:
-    from fractions import Fraction
-
-    from .kgamma import chow2_torsion, graded_torsion
-
-    report = graded_torsion(preset)
     chow = chow2_torsion(preset)
+    report = chow.report
     out = {
         "preset": preset,
         "torsion": chow.torsion.label(),
@@ -219,16 +102,12 @@ def _graded_results(preset: str, full: bool) -> dict:
             for p in report.pieces
         ]
         out["etas"] = list(report.eta)
-        out["deltas"] = [str(Fraction(x)) for x in report.delta]
+        out["deltas"] = [str(x) for x in report.delta]
         out["delta_note"] = (
             "deltas compare the filtration image with the monomial-degree "
             "filtration of the descended subring; reporting convenience only"
         )
-    return out
-
-
-def _inv3_payload(args):
-    return _inv3_results(args.preset), functools.partial(_inv3_entries, args.preset), []
+    return out, report, cited
 
 
 def _chow2_payload(args):
@@ -237,25 +116,23 @@ def _chow2_payload(args):
     cited = [
         _fact_payload(cited_fact(fid)) for fid in ("chow_reduction", "chow_gamma", "index_tables")
     ]
-    entries = functools.partial(_graded_entries, args.preset)
-    return _graded_results(args.preset, full=False), entries, cited
+    return _graded_payload(args.preset, False, cited)
 
 
 def _gamma_report_payload(args):
-    entries = functools.partial(_graded_entries, args.preset)
-    return _graded_results(args.preset, full=True), entries, []
+    return _graded_payload(args.preset, True, [])
 
 
 def _member_payload(args):
-    from .kgamma import filtration_membership, gamma_filtration
+    from .kgamma import filtration_membership
 
     preset, expr, degree = args.preset, args.element, args.degree
-    filt = gamma_filtration(preset)
     element, res = filtration_membership(preset, expr, degree)
+    vector = element.y_vector()
     results = {
         "preset": preset,
         "element": expr,
-        "element_y_coordinates": list(element.y_vector()),
+        "element_y_coordinates": list(vector),
         "degree": degree,
         "member": res.member,
     }
@@ -268,24 +145,7 @@ def _member_payload(args):
             "power": res.certificate.power,
             "functional": list(res.certificate.functional),
         }
-
-    def entries():
-        from . import certificate as certmod
-
-        lat = filt.level(degree)
-        return [
-            certmod.lattice_basis_entry(
-                f"filtration step {degree}",
-                filt.config.ring.rank,
-                lat.basis_columns,
-                lat.basis_columns,
-            ),
-            certmod.membership_entry(
-                f"membership at filtration degree {degree}", lat, element.y_vector(), res
-            ),
-        ]
-
-    return results, entries, []
+    return results, (preset, degree, vector, res), []
 
 
 def _witt_payload(args):
@@ -301,12 +161,7 @@ def _witt_payload(args):
         "level": cases[0].congruence_level,
         "all_pass": all(c.verdict for c in cases),
     }
-    def entries():
-        from . import certificate as certmod
-
-        return [certmod.witt_trials_entry(cases)]
-
-    return results, entries, []
+    return results, cases, []
 
 
 def _theorem_payload(args):
@@ -323,29 +178,7 @@ def _theorem_payload(args):
         "exactness_holds": row.exactness_holds,
         "alpha_suites": [_suite_payload(s) for s in row.alpha_suites],
     }
-
-    def entries():
-        from . import certificate as certmod
-
-        out = [
-            certmod.subquotient_entry(
-                "indecomposable invariant group", row.indecomposable.presentation
-            )
-        ]
-        if row.chow is not None:
-            rep = row.chow.report
-            out.append(_counting_entry(rep))
-            if rep.config.dim >= 2:
-                out.append(
-                    certmod.subquotient_entry(
-                        "graded piece at degree 2", rep.pieces[2].presentation
-                    )
-                )
-        out.extend(certmod.witt_trials_entry(s.cases) for s in row.alpha_suites)
-        return out
-
-    cited = [_fact_payload(f) for f in row.cited_facts]
-    return results, entries, cited
+    return results, row, [_fact_payload(f) for f in row.cited_facts]
 
 
 def _sl4x4_payload(args):
@@ -361,12 +194,7 @@ def _sl4x4_payload(args):
         "inconsistencies": list(rep.inconsistencies),
         "variety_config": rep.chow.config.name,
     }
-
-    def entries():
-        return _inv3_entries("sl4x4") + [_counting_entry(rep.chow.report)]
-
-    cited = [_fact_payload(f) for f in rep.cited_facts]
-    return results, entries, cited
+    return results, rep, [_fact_payload(f) for f in rep.cited_facts]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +203,7 @@ def _sl4x4_payload(args):
 # Command words -> (arguments, backend).  Each argument is (name, type,
 # default or None when required), in the order the parser declares them and
 # the report echoes them.  A backend maps the parsed arguments to (results,
-# entries, cited facts); ``entries`` is a function that builds the
-# certificate entries, run only when a certificate is written or replayed.
+# evidence, cited facts).
 
 _PRESET = ("preset", str, None)
 _COMMANDS = {
@@ -395,7 +222,7 @@ _COMMANDS = {
 
 
 def _execute(args):
-    """(results, entries, cited) of parsed arguments."""
+    """(results, evidence, cited) of parsed arguments."""
     if getattr(args, "words", None) is None:
         raise InputError("a command is required (inv3, chow2, gamma, witt, theorem, sl4x4)")
     return _COMMANDS[args.words][1](args)
@@ -413,24 +240,6 @@ def _normalized_command(args) -> list[str]:
         else:
             command += [f"--{name}", str(value)]
     return command
-
-
-def _certificate_dict(command: list[str], seed, entries: list[dict]) -> dict:
-    from .certificate import CERT_FORMAT
-
-    return {
-        "format": CERT_FORMAT,
-        "command": command,
-        "seed": seed,
-        "versions": {"sdinv": __version__},
-        "entries": entries,
-    }
-
-
-def certificate_payload(command: list[str]) -> dict:
-    args = _parse_args(command)
-    _, entries, _ = _execute(args)
-    return _certificate_dict(list(command), getattr(args, "seed", None), entries())
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +313,7 @@ def run(argv=None, out=None) -> int:
         return _run_checker(args.check_certificate, out)
 
     try:
-        results, entries, cited = _execute(args)
+        results, evidence, cited = _execute(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -524,11 +333,13 @@ def run(argv=None, out=None) -> int:
         "cited_facts": cited,
     }
     if args.certificate:
-        entries = entries()
+        from .certificate import certificate_dict
+
+        cert = certificate_dict(command, args, evidence)
         with open(args.certificate, "w") as fh:
-            json.dump(_certificate_dict(command, seed, entries), fh, sort_keys=True)
+            json.dump(cert, fh, sort_keys=True)
             fh.write("\n")
-        report["certificate"] = {"file": args.certificate, "entries": len(entries)}
+        report["certificate"] = {"file": args.certificate, "entries": len(cert["entries"])}
 
     if args.json:
         print(json.dumps(report, sort_keys=True), file=out)

@@ -248,23 +248,28 @@ def sym2_action_matrix(c: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
-def invariant_quadratic_lattice(L: Lattice, weyl: tuple[IntMatrix, ...]) -> Lattice:
+def invariant_quadratic_lattice(
+    L: Lattice, weyl: tuple[IntMatrix, ...]
+) -> tuple[Lattice, tuple[IntMatrix, ...]]:
     """All integral quadratic expressions in the lattice basis fixed by every
-    Weyl generator: the exact integer kernel of the stacked (w - 1) maps."""
-    r = L.rank
-    n = sym2_size(r)
+    Weyl generator: the exact integer kernel of the stacked (w - 1) maps.
+    Returned with the action of each generator on the quadratic monomials,
+    the matrices the kernel was taken of."""
+    n = sym2_size(L.rank)
+    actions = tuple(
+        sym2_action_matrix(action_in_basis(L, w, generator_index=idx))
+        for idx, w in enumerate(weyl)
+    )
     stacked = []
-    for idx, w in enumerate(weyl):
-        c = action_in_basis(L, w, generator_index=idx)
-        s2 = sym2_action_matrix(c)
+    for s2 in actions:
         for i in range(n):
             row = list(s2.entries[i])
             row[i] -= 1
             stacked.append(tuple(row))
     if not stacked:
-        return Lattice.standard(n)
+        return Lattice.standard(n), actions
     ker = kernel_basis(IntMatrix.from_rows(stacked))
-    return Lattice.from_columns(n, ker)
+    return Lattice.from_columns(n, ker), actions
 
 
 def ambient_to_basis_quad(L: Lattice, ambient_coeffs) -> tuple[int, ...]:
@@ -341,9 +346,10 @@ def dec_subgroup(
         cols.append(ambient_to_basis_quad(L, g))
     n = sym2_size(L.rank)
     lat = Lattice.from_columns(n, cols)
-    inv = invariant_lattice if invariant_lattice is not None else invariant_quadratic_lattice(L, weyl)
+    if invariant_lattice is None:
+        invariant_lattice = invariant_quadratic_lattice(L, weyl)[0]
     for idx, c in enumerate(lat.basis_columns):
-        if not inv.contains(c):
+        if not invariant_lattice.contains(c):
             raise InternalInconsistencyError(
                 f"chern-class basis vector {idx} escapes the invariant lattice"
             )
@@ -358,8 +364,12 @@ class IndecomposableResult:
     character_lattice: Lattice
     invariant_lattice: Lattice
     dec_lattice: Lattice
-    # the presentation the group was read from, kept for certificates
+    # kept for certificates: the presentation the group was read from, the
+    # lattice the character lattice was projected from, and the Weyl actions
+    # on the quadratic monomials that the invariant lattice is the kernel of
     presentation: SubquotientData = field(repr=False, compare=False)
+    reductive_lattice: Lattice = field(repr=False, compare=False)
+    weyl_actions: tuple[IntMatrix, ...] = field(repr=False, compare=False)
 
 
 @lru_cache(maxsize=32)
@@ -372,8 +382,9 @@ def indecomposable_group(name: str) -> IndecomposableResult:
             f"preset {data.name} has no Weyl-invariant computation; "
             "use its semisimple companion"
         )
-    lat = data.semisimple_lattice()
-    inv = invariant_quadratic_lattice(lat, data.weyl)
+    reductive = data.reductive_lattice()
+    lat = project_to_semisimple(reductive, data.projection)
+    inv, actions = invariant_quadratic_lattice(lat, data.weyl)
     dec = dec_subgroup(
         lat,
         data.weyl,
@@ -390,7 +401,20 @@ def indecomposable_group(name: str) -> IndecomposableResult:
         invariant_lattice=inv,
         dec_lattice=dec,
         presentation=pres,
+        reductive_lattice=reductive,
+        weyl_actions=actions,
     )
+
+
+def sl4x4_witness_is_2q1_plus_6q2(res: IndecomposableResult) -> bool:
+    """Whether the torsion witness of ``sl4x4`` is the class of 2 q1 + 6 q2
+    modulo the Chern-class subgroup, q1 and q2 the forms of the two blocks."""
+    q1, q2 = _sym_q(6, 0), _sym_q(6, 1)
+    target = ambient_to_basis_quad(
+        res.character_lattice, tuple(2 * a + 6 * b for a, b in zip(q1, q2))
+    )
+    diff = tuple(a - b for a, b in zip(res.witnesses[0].vector, target))
+    return res.dec_lattice.contains(diff)
 
 
 # ---------------------------------------------------------------------------

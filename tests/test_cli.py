@@ -311,6 +311,68 @@ def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_pat
     assert code == 0 and "certificate OK" in out
 
 
+# the functions whose calls a certificate once repeated from its report
+EVIDENCE_FUNCTIONS = [
+    (roots, "action_in_basis"), (roots, "sym2_action_matrix"), (roots, "character_lattice"),
+    (exactlin, "det"), (exactlin, "lattice_membership"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["inv3", "--preset", "sl2n:8"], ["inv3", "--preset", "sl4x4"], ["sl4x4"],
+     ["gamma", "report", "--preset", "split:3,3,3"], ["chow2", "--preset", "conics4"]],
+    ids=" ".join,
+)
+def test_certificate_adds_no_computation(argv, monkeypatch, tmp_path):
+    """Entries are built from the objects the report computed, so writing a
+    certificate calls no lattice function a second time."""
+    calls = {name: _count_calls(monkeypatch, module, name) for module, name in EVIDENCE_FUNCTIONS}
+    counts = []
+    for extra in ([], ["--certificate", str(tmp_path / "cert.json")]):
+        for cached in (roots.get_preset, roots.indecomposable_group,
+                       kgamma.gamma_filtration, kgamma.graded_torsion):
+            cached.cache_clear()
+        for recorded in calls.values():
+            recorded.clear()
+        code, _ = run(argv + ["--json"] + extra)
+        assert code == 0
+        counts.append({name: len(recorded) for name, recorded in calls.items()})
+    assert counts[0] == counts[1]
+
+
+def test_cli_imports_only_what_produces_results():
+    """``cli.py`` holds the grammar, dispatch and output: from the compute
+    modules it imports only the functions whose results it reports, and from
+    ``certificate`` only the writer and the checker."""
+    import ast
+
+    allowed = {
+        "exactlin": set(),
+        "roots": {"indecomposable_group", "sl4x4_witness_is_2q1_plus_6q2"},
+        "kgamma": {"chow2_torsion", "filtration_membership"},
+        "wittq": {"verify_identity"},
+        "presets": {"assemble_theorem", "sl4x4_report", "cited_fact"},
+        "certificate": {"certificate_dict", "check_certificate"},
+    }
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is None:
+            assert {a.name for a in node.names} == {"__version__"}, ast.dump(node)
+        if isinstance(node, ast.ImportFrom) and node.module in allowed:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("sdinv") for a in node.names), ast.dump(node)
+    assert imported["roots"] and imported["kgamma"] and imported["certificate"]
+    for module, names in imported.items():
+        assert names <= allowed[module], (module, names - allowed[module])
+
+
+def test_every_command_has_an_entry_list():
+    assert set(certmod._ENTRY_LISTS) == set(cli._COMMANDS)
+
+
 def test_inv3_sl2n_8_runs_seven_hermite_forms(monkeypatch):
     """A character lattice is its canonical Hermite basis, so no lattice is
     put through a second Hermite form to carry a named basis."""
@@ -577,6 +639,7 @@ ENTRY_COMMANDS = {
         "gamma", "member", "--preset", "conics4", "--element", "4*y1*y2*y3*y4", "--degree", "3",
     ],
     "witt": ["witt", "verify", "--identity", "alpha2", "--trials", "20"],
+    "theorem": ["theorem", "--n", "3", "--trials", "4"],
 }
 
 
@@ -614,6 +677,8 @@ ENTRY_EDITS = {
     "witness order": (
         ("witnesses", 0, "order"), lambda e: e["kind"] == "subquotient" and e["witnesses"]
     ),
+    "trial count": (("trials",), lambda e: e["kind"] == "witt_trials"),
+    "trial number": (("cases", 1, "trial"), lambda e: e["kind"] == "witt_trials"),
 }
 
 
@@ -648,6 +713,23 @@ def test_checker_bounds_witt_sample_size(tmp_path, capsys):
     code, _ = run(["--check-certificate", str(path)])
     assert code == 3
     assert time.perf_counter() - start < 5.0
+    assert f"{certmod.MAX_SAMPLE_BITS}-bit replay limit" in capsys.readouterr().err
+
+
+def test_checker_refuses_sample_text_before_parsing_it(tmp_path, capsys):
+    """``Fraction("1e10000000")`` computes 10**10000000; the checker refuses
+    the text before it is parsed."""
+    path = tmp_path / "alpha2.json"
+    code, _ = run(["witt", "verify", "--identity", "alpha2", "--trials", "5",
+                   "--certificate", str(path)])
+    assert code == 0
+    cert = json.loads(path.read_text())
+    cert["entries"][0]["cases"][0]["sample"][0][1] = "1e10000000"
+    path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, _ = run(["--check-certificate", str(path)])
+    assert code == 3
+    assert time.perf_counter() - start < 2.0
     assert f"{certmod.MAX_SAMPLE_BITS}-bit replay limit" in capsys.readouterr().err
 
 
@@ -719,6 +801,58 @@ def test_witness_outside_the_superlattice_is_refused():
     }
     ok, failures = _entry_layer(entry)
     assert not ok and "torsion witness fails" in failures[0], failures
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _rank_one_with(relation=None, **smith):
+    """``_rank_one_subquotient(2, [2])`` with some of its matrices replaced."""
+    entry = _rank_one_subquotient(2, [2])
+    if relation is not None:
+        entry["relation"] = relation
+    entry["smith"].update(smith)
+    return entry
+
+
+def _fixed_vectors(matrices, vectors):
+    return {"kind": "fixed_vectors", "label": "crafted", "matrices": matrices, "vectors": vectors}
+
+
+# (entry, refusal): a 300 x 300 presentation of a rank-1 group and a 400 x 400
+# action cost seconds once the products and determinants ran
+SHAPE_EDITS = {
+    "subquotient-300": (
+        _rank_one_with(relation=_identity_rows(300), U=_identity_rows(300),
+                       D=_identity_rows(300), V=_identity_rows(300)),
+        "relation shape mismatch",
+    ),
+    "subquotient-U": (_rank_one_with(U=_identity_rows(2)), "U shape mismatch"),
+    "subquotient-D": (_rank_one_with(D=[[2, 0]]), "D shape mismatch"),
+    "subquotient-V": (_rank_one_with(V=[[1], [0]]), "V shape mismatch"),
+    "fixed-vectors-400": (
+        _fixed_vectors([_identity_rows(400)], [[1] * 400]), "matrices must be square"
+    ),
+    "fixed-vectors-not-square": (_fixed_vectors([[[1, 0]]], [[1, 0]]), "matrices must be square"),
+    "fixed-vectors-two-sides": (
+        _fixed_vectors([[[1]], _identity_rows(2)], [[1]]), "matrices must be square"
+    ),
+    "fixed-vectors-vector-length": (
+        _fixed_vectors([[[1]]], [[1, 0]]), "matrices must be square"
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", SHAPE_EDITS)
+def test_checker_checks_shapes_before_matrix_arithmetic(edit, tmp_path, capsys):
+    entry, message = SHAPE_EDITS[edit]
+    path = _one_entry_cert(tmp_path, entry)
+    start = time.perf_counter()
+    code, _ = run(["--check-certificate", str(path)])
+    assert code == 3
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 def test_entry_layer_rejects_a_dropped_witness(entry_certs, monkeypatch):

@@ -148,7 +148,7 @@ def test_weyl_violation_reports_generator():
     # use a genuinely breaking matrix
     bad = (IntMatrix.from_rows([[1, 0], [1, 1]]),)
     # (2,0) -> (2,2) in lattice; (0,2) -> (0,2); unimodular and preserving, so fine.
-    good = invariant_quadratic_lattice(lat, bad)
+    good, _ = invariant_quadratic_lattice(lat, bad)
     assert good.rank >= 1
     really_bad = (IntMatrix.from_rows([[2, 0], [0, 1]]),)
     with pytest.raises(Exception, match="generator 0"):
@@ -166,7 +166,7 @@ def test_kernels_and_character_lattices_run_no_smith_form(name, monkeypatch):
     monkeypatch.setattr(exactlin, "smith_normal_form", no_smith)
     data = get_preset(name)
     assert character_lattice(data.datum) == reductive_display(data)
-    inv = invariant_quadratic_lattice(data.semisimple_lattice(), data.weyl)
+    inv, _ = invariant_quadratic_lattice(data.semisimple_lattice(), data.weyl)
     assert inv.rank >= 1
     ker = Lattice.from_columns(3, kernel_basis(IntMatrix.from_rows([[2, 4, 6]])))
     assert ker == Lattice.from_columns(3, [(-2, 1, 0), (-3, 0, 1)])
@@ -174,14 +174,13 @@ def test_kernels_and_character_lattices_run_no_smith_form(name, monkeypatch):
 
 def test_invariant_forms_rank1_trivial_weyl():
     lat = Lattice.standard(1)
-    inv = invariant_quadratic_lattice(lat, ())
-    assert inv == Lattice.standard(1)
+    assert invariant_quadratic_lattice(lat, ()) == (Lattice.standard(1), ())
 
 
 def test_invariant_forms_sl2n2_congruence():
     data = get_preset("sl2n:2")
     lat = data.semisimple_lattice()
-    inv = invariant_quadratic_lattice(lat, data.weyl)
+    inv, _ = invariant_quadratic_lattice(lat, data.weyl)
     # expected: diagonal forms d1 x1^2 + d2 x2^2 with d1 + d2 = 0 mod 4
     amb = [basis_to_ambient_quad(lat, c) for c in inv.basis.columns()]
     # all invariant forms are supported on the two square monomials
@@ -198,7 +197,7 @@ def test_invariant_forms_sl2n2_congruence():
 def test_invariant_forms_sl2n_expected_span(n):
     data = get_preset(f"sl2n:{n}")
     lat = data.semisimple_lattice()
-    inv = invariant_quadratic_lattice(lat, data.weyl)
+    inv, _ = invariant_quadratic_lattice(lat, data.weyl)
     vectors = []
     for k in range(n - 1):
         v = [0] * sym2_size(n)
@@ -214,10 +213,9 @@ def test_invariant_forms_sl2n_expected_span(n):
 def test_invariant_forms_fixed_pointwise():
     data = get_preset("sl2n:4")
     lat = data.semisimple_lattice()
-    inv = invariant_quadratic_lattice(lat, data.weyl)
-    for w in data.weyl:
-        c = action_in_basis(lat, w)
-        s2 = sym2_action_matrix(c)
+    inv, actions = invariant_quadratic_lattice(lat, data.weyl)
+    assert actions == tuple(sym2_action_matrix(action_in_basis(lat, w)) for w in data.weyl)
+    for s2 in actions:
         for col in inv.basis.columns():
             assert s2.matvec(col) == col
 
@@ -225,7 +223,7 @@ def test_invariant_forms_fixed_pointwise():
 def test_sl4x4_invariant_lattice_is_expected_span():
     data = get_preset("sl4x4")
     lat = data.semisimple_lattice()
-    inv = invariant_quadratic_lattice(lat, data.weyl)
+    inv, _ = invariant_quadratic_lattice(lat, data.weyl)
     q1 = sl4_block_form(0)
     q2 = sl4_block_form(1)
     v1 = tuple(4 * a + 4 * b for a, b in zip(q1, q2))
