@@ -50,7 +50,7 @@ def main() -> int:
     print("\n== rank-3 pair (sl4x4) ==")
     rep = sl4x4_report()
     print(
-        f"Inv3_ind = {rep.indecomposable.group.label()}, "
+        f"Inv3_ind = {rep.indecomposable.presentation.group.label()}, "
         f"CH2 torsion = {rep.chow.torsion.label()}, "
         f"Sdec/Dec = {rep.sdec_mod_dec.label()}, "
         f"all normalized invariants semi-decomposable: {rep.all_normalized_semi_decomposable}"

@@ -201,7 +201,7 @@ def _inv3_entries(res: IndecomposableResult) -> list[dict]:
         fixed_vectors_entry(
             "weyl invariance of the invariant quadratic lattice",
             res.weyl_actions,
-            res.invariant_lattice.basis_columns,
+            res.presentation.sup.basis_columns,
         ),
         *_nesting_entries(
             res.presentation, lambda j: f"chern generator {j} lies in the invariant lattice"
@@ -214,7 +214,7 @@ def _graded_entries(report: GradedTorsionReport) -> list[dict]:
     """Step d over step d - 1 is the graded piece of degree d - 1."""
     from .kgamma import quillen_basis_elements
 
-    k0 = report.pieces[0].presentation.sup
+    k0 = report.pieces[0].sup
     entries = [
         lattice_basis_entry(
             "descended subring",
@@ -223,14 +223,12 @@ def _graded_entries(report: GradedTorsionReport) -> list[dict]:
         ),
         index_entry("split index", k0, report.split_index),
     ]
-    for p in report.pieces:
-        d = p.degree + 1
+    for d, p in enumerate(report.pieces, start=1):
         entries += _nesting_entries(
-            p.presentation, lambda j: f"filtration step {d} vector {j} nests into step {d - 1}"
+            p, lambda j: f"filtration step {d} vector {j} nests into step {d - 1}"
         )
     entries += [
-        subquotient_entry(f"graded piece at degree {p.degree}", p.presentation)
-        for p in report.pieces
+        subquotient_entry(f"graded piece at degree {d}", p) for d, p in enumerate(report.pieces)
     ]
     entries += [
         index_entry(f"split image index at degree {d}", image, eps)
@@ -258,10 +256,8 @@ def _theorem_entries(row: TheoremRow) -> list[dict]:
         report = row.chow.report
         entries.append(counting_entry(report))
         if report.config.dim >= 2:
-            entries.append(
-                subquotient_entry("graded piece at degree 2", report.pieces[2].presentation)
-            )
-    return entries + [witt_trials_entry(s.cases) for s in row.alpha_suites]
+            entries.append(subquotient_entry("graded piece at degree 2", report.pieces[2]))
+    return entries + [witt_trials_entry(cases) for cases in row.alpha_suites]
 
 
 # command words -> the entry list of its certificate, from the evidence the
@@ -321,17 +317,40 @@ def _refuse_non_integers(entry) -> None:
         raise CertificateError(f"{entry.get('label', entry['kind'])}: evidence holds a non-integer")
 
 
+def _stated_lattice(entry, key: str) -> Lattice:
+    """The lattice of the canonical basis stated at ``key``, used as it stands
+    after a check of its echelon shape that costs the size of the basis: each
+    column has the ambient length, pivots are positive at strictly increasing
+    positions, and every entry above a pivot lies in ``[0, pivot)``.  A basis
+    of that shape is the unique Hermite basis of its span, so no Hermite form
+    runs."""
+    from .exactlin import Lattice
+
+    rank = entry["ambient_rank"]
+    cols = tuple(tuple(c) for c in entry[key])
+    last = -1
+    for j, col in enumerate(cols):
+        p = next((i for i, x in enumerate(col) if x), rank)
+        if (
+            len(col) != rank
+            or not last < p < rank
+            or col[p] < 0
+            or not all(0 <= c[p] < col[p] for c in cols[:j])
+        ):
+            raise CertificateError(f"{entry['label']}: {key} is not a canonical basis")
+        last = p
+    return Lattice(rank, cols)
+
+
 def _verify_lattice_basis(entry) -> None:
-    from .exactlin import Lattice, row_hermite
+    """A stored basis equal to the Hermite form of the generators is
+    canonical."""
+    from .exactlin import Lattice
 
     _refuse_non_integers(entry)
     lat = Lattice.from_columns(entry["ambient_rank"], entry["generators"])
-    canonical = [tuple(c) for c in entry["canonical_basis"]]
-    if list(lat.basis_columns) != canonical:
+    if list(lat.basis_columns) != [tuple(c) for c in entry["canonical_basis"]]:
         raise CertificateError(f"{entry['label']}: canonical basis mismatch")
-    recanon = row_hermite(canonical)
-    if [list(r) for r in recanon] != [list(c) for c in canonical]:
-        raise CertificateError(f"{entry['label']}: stored basis is not canonical")
 
 
 def _verify_membership(entry) -> None:
@@ -371,17 +390,11 @@ def _covers_order(order, primes) -> bool:
 
 
 def _verify_subquotient(entry) -> None:
-    from .exactlin import (
-        IntMatrix,
-        Lattice,
-        NonMembershipCertificate,
-        SmithDecomposition,
-        TorsionWitness,
-    )
+    from .exactlin import IntMatrix, NonMembershipCertificate, SmithDecomposition, TorsionWitness
 
     _refuse_non_integers(entry)
-    sup = Lattice.from_columns(entry["ambient_rank"], entry["sup_basis"])
-    sub = Lattice.from_columns(entry["ambient_rank"], entry["sub_basis"])
+    sup = _stated_lattice(entry, "sup_basis")
+    sub = _stated_lattice(entry, "sub_basis")
     relation = IntMatrix.from_rows(entry["relation"])
     smith = SmithDecomposition(
         U=IntMatrix.from_rows(entry["smith"]["U"]),
@@ -440,12 +453,10 @@ def _verify_subquotient(entry) -> None:
 
 
 def _verify_index(entry) -> None:
-    from .exactlin import Lattice, lattice_index
+    from .exactlin import lattice_index
 
     _refuse_non_integers(entry)
-    sub = Lattice.from_columns(entry["ambient_rank"], entry["sub_basis"])
-    idx = lattice_index(sub, Lattice.standard(entry["ambient_rank"]))
-    if idx != entry["index"]:
+    if lattice_index(_stated_lattice(entry, "sub_basis")) != entry["index"]:
         raise CertificateError(f"{entry['label']}: index mismatch")
 
 

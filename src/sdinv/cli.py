@@ -50,13 +50,15 @@ def _fact_payload(fact) -> dict:
     }
 
 
-def _suite_payload(s) -> dict:
+def _suite_payload(cases) -> dict:
+    """What a Witt identity suite reports, read off its decided cases."""
+    first = cases[0]
     return {
-        "identity": s.identity_id,
-        "trials": s.trials,
-        "seed": s.seed,
-        "passes": s.passes,
-        "level": s.congruence_level,
+        "identity": first.identity_id,
+        "trials": len(cases),
+        "seed": first.seed,
+        "passes": sum(1 for c in cases if c.verdict),
+        "level": first.congruence_level,
     }
 
 
@@ -64,14 +66,15 @@ def _inv3_payload(args):
     from .roots import indecomposable_group, sl4x4_witness_is_2q1_plus_6q2
 
     res = indecomposable_group(args.preset)
+    pres = res.presentation
     results = {
         "preset": args.preset,
-        "group": res.group.label(),
-        "witnesses": [list(w.vector) for w in res.witnesses],
-        "invariant_basis": [list(c) for c in res.invariant_lattice.basis_columns],
-        "dec_basis": [list(c) for c in res.dec_lattice.basis_columns],
+        "group": pres.group.label(),
+        "witnesses": [list(w.vector) for w in pres.witnesses],
+        "invariant_basis": [list(c) for c in pres.sup.basis_columns],
+        "dec_basis": [list(c) for c in pres.sub.basis_columns],
     }
-    if args.preset == "sl4x4" and res.witnesses:
+    if args.preset == "sl4x4" and pres.witnesses:
         results["witness_class_is_2q1_plus_6q2"] = sl4x4_witness_is_2q1_plus_6q2(res)
     return results, res, []
 
@@ -94,12 +97,12 @@ def _graded_payload(preset: str, full: bool, cited: list):
     if full:
         out["graded"] = [
             {
-                "degree": p.degree,
-                "structure": p.structure.label(),
+                "degree": d,
+                "structure": p.group.label(),
                 "torsion": p.torsion.label(),
                 "witnesses": [list(w.vector) for w in p.witnesses],
             }
-            for p in report.pieces
+            for d, p in enumerate(report.pieces)
         ]
         out["etas"] = list(report.eta)
         out["deltas"] = [str(x) for x in report.delta]
@@ -151,16 +154,8 @@ def _member_payload(args):
 def _witt_payload(args):
     from .wittq import verify_identity
 
-    identity, trials, seed = args.identity, args.trials, args.seed
-    cases = verify_identity(identity, trials, seed)
-    results = {
-        "identity": identity,
-        "trials": trials,
-        "seed": seed,
-        "passes": sum(1 for c in cases if c.verdict),
-        "level": cases[0].congruence_level,
-        "all_pass": all(c.verdict for c in cases),
-    }
+    cases = verify_identity(args.identity, args.trials, args.seed)
+    results = {**_suite_payload(cases), "all_pass": all(c.verdict for c in cases)}
     return results, cases, []
 
 
@@ -186,13 +181,13 @@ def _sl4x4_payload(args):
 
     rep = sl4x4_report()
     results = {
-        "inv3_ind": rep.indecomposable.group.label(),
+        "inv3_ind": rep.indecomposable.presentation.group.label(),
         "chow2_tors": rep.chow.torsion.label(),
         "sdec_mod_dec": rep.sdec_mod_dec.label(),
         "all_normalized_semi_decomposable": rep.all_normalized_semi_decomposable,
         "consistent": rep.consistent,
         "inconsistencies": list(rep.inconsistencies),
-        "variety_config": rep.chow.config.name,
+        "variety_config": rep.chow.report.config.name,
     }
     return results, rep, [_fact_payload(f) for f in rep.cited_facts]
 

@@ -17,8 +17,8 @@ Conventions
   every "generated by" claim in this package is decided.
 
 Hermite form does the routine work: YES membership is back-substitution down
-the triangular basis, with coordinates in that basis; an index of equal-rank
-lattices is the product of the diagonal of their triangular relation matrix;
+the triangular basis, with coordinates in that basis; the index of a
+full-rank lattice is the product of the pivots of its canonical basis;
 a kernel is read off the Hermite form of vectors augmented by an identity
 block.  Membership evidence and torsion witnesses are checked against the
 columns they are stated for, with no Hermite form.
@@ -669,22 +669,29 @@ class TorsionWitness:
 
 @dataclass(frozen=True)
 class SubquotientData:
-    """Full presentation of ``sup/sub``: the relation matrix of the sublattice
-    in the canonical basis of the superlattice plus its Smith decomposition."""
+    """Full presentation of ``sup/sub``: the Smith decomposition of the
+    relation matrix, whose columns are the basis of the sublattice in the
+    canonical basis of the superlattice, and the group read off it."""
 
     sub: Lattice
     sup: Lattice
-    relation: IntMatrix
     smith: SmithDecomposition
     group: FinAbelianGroup
-    torsion: FinAbelianGroup
     witnesses: tuple[TorsionWitness, ...]
 
+    @property
+    def relation(self) -> IntMatrix:
+        return self.smith.source
 
-def _relation_columns(sub: Lattice, sup: Lattice) -> list[tuple[int, ...]]:
-    """The basis of ``sub`` in the basis of ``sup``, one column per vector."""
+    @property
+    def torsion(self) -> FinAbelianGroup:
+        return FinAbelianGroup(0, self.group.invariant_factors)
+
+
+def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
     if sub.ambient_rank != sup.ambient_rank:
         raise InputError("sub and sup live in different ambient ranks")
+    # the basis of sub in the basis of sup, one column per vector
     cols = []
     for idx, g in enumerate(sub.basis_columns):
         coords = sup._basis_coordinates(g)
@@ -693,18 +700,10 @@ def _relation_columns(sub: Lattice, sup: Lattice) -> list[tuple[int, ...]]:
                 f"basis vector {idx} of the sublattice is outside the superlattice"
             )
         cols.append(coords)
-    return cols
-
-
-def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
-    cols = _relation_columns(sub, sup)
     k = sup.rank
     relation = IntMatrix.from_columns(cols) if cols else IntMatrix(tuple(() for _ in range(k)))
     dec = smith_normal_form(relation)
-    factors = dec.invariant_factors()
-    free_rank = k - dec.rank
-    group = FinAbelianGroup(free_rank, factors)
-    torsion = FinAbelianGroup(0, factors)
+    group = FinAbelianGroup(k - dec.rank, dec.invariant_factors())
 
     # U * relation * V == D and sub.basis == sup.basis * relation, so
     # sub.basis * V_i == d_i * (sup.basis * column i of U^-1): column i of V
@@ -735,30 +734,15 @@ def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
             proper.append((p, res.certificate))
         witnesses.append(TorsionWitness(vec, d, yes.coordinates, tuple(proper)))
 
-    return SubquotientData(
-        sub=sub,
-        sup=sup,
-        relation=relation,
-        smith=dec,
-        group=group,
-        torsion=torsion,
-        witnesses=tuple(witnesses),
-    )
+    return SubquotientData(sub=sub, sup=sup, smith=dec, group=group, witnesses=tuple(witnesses))
 
 
-def lattice_index(sub: Lattice, sup: Lattice) -> int | None:
-    """``[sup : sub]`` when finite, None when the ranks differ.
+def lattice_index(lattice: Lattice) -> int | None:
+    """``[Z^r : lattice]`` when finite, None below full rank.
 
-    Equal ranks give both canonical bases the same pivot rows, so the
-    relation matrix is triangular and the index is the product of its
-    diagonal; no Smith form is needed.
+    At full rank the canonical basis is triangular with its pivots on the
+    diagonal, so the index is the product of the pivots.
     """
-    cols = _relation_columns(sub, sup)
-    if sub.rank != sup.rank:
+    if lattice.rank != lattice.ambient_rank:
         return None
-    out = 1
-    for j, col in enumerate(cols):
-        if any(col[:j]):
-            raise InternalInconsistencyError("relation matrix of equal ranks is not triangular")
-        out *= col[j]
-    return out
+    return math.prod(col[j] for j, col in enumerate(lattice.basis_columns))

@@ -25,7 +25,7 @@ gamma_k and of each level, building their ring elements once, and drops
 repeated product columns before the Hermite form, which leaves the span
 unchanged.
 
-Each graded piece keeps the subquotient presentation its structure was read
+Each graded piece is the subquotient presentation its structure is read
 from.  Certificate entries are built from it, and only when a certificate is
 written or replayed; a plain report builds none.
 """
@@ -35,9 +35,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 from .errors import MAX_AMBIENT_RANK, InputError, InternalInconsistencyError
 from .exactlin import (
@@ -584,7 +585,7 @@ def quillen_lattice(config: SeveriBrauerConfig) -> Lattice:
     cols = [el.y_vector() for el in quillen_basis_elements(config)]
     lat = Lattice.from_columns(ring.rank, cols)
     expected = config.split_index()
-    if lattice_index(lat, Lattice.standard(ring.rank)) != expected:
+    if lattice_index(lat) != expected:
         raise InternalInconsistencyError("quillen lattice index mismatch")
     return lat
 
@@ -767,30 +768,43 @@ def filtration_membership(name: str, element, degree: int) -> tuple[RingElement,
 
 
 @dataclass(frozen=True)
-class GradedPiece:
-    degree: int
-    structure: FinAbelianGroup
-    torsion: FinAbelianGroup
-    witnesses: tuple[TorsionWitness, ...]
-    # the presentation the structure was read from, kept for certificates
-    presentation: SubquotientData = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class GradedTorsionReport:
+    """The graded pieces of a gamma filtration with the counting identity.
+
+    ``pieces[d]`` presents step d + 1 inside step d, the graded piece of
+    degree d; ``split_images[d - 1]`` is the image of step d in the split
+    degree-d piece, whose index is epsilon_d; ``eta`` is the same grading of
+    the monomial filtration of the descended subring.
+    """
+
     config: SeveriBrauerConfig
-    pieces: tuple[GradedPiece, ...]
-    epsilon: tuple[int, ...]           # degrees 1..dim
-    # the split images epsilon indexes, kept for certificates
-    split_images: tuple[Lattice, ...] = field(repr=False, compare=False)
-    eta: tuple[int, ...]               # same grading of the monomial filtration
-    delta: tuple[Fraction, ...]        # epsilon_d / eta_d, reporting only
-    split_index: int
-    total_torsion_order: int
-    counting_identity_holds: bool
+    pieces: tuple[SubquotientData, ...]
+    split_images: tuple[Lattice, ...]
+    eta: tuple[int, ...]
+
+    @property
+    def epsilon(self) -> tuple[int, ...]:
+        return tuple(map(lattice_index, self.split_images))
+
+    @property
+    def delta(self) -> tuple[Fraction, ...]:
+        """epsilon_d / eta_d, reporting only."""
+        return tuple(Fraction(e, h) for e, h in zip(self.epsilon, self.eta))
+
+    @property
+    def split_index(self) -> int:
+        return self.config.split_index()
 
     def torsion_orders(self) -> tuple[int, ...]:
         return tuple(p.torsion.order() for p in self.pieces)
+
+    @property
+    def total_torsion_order(self) -> int:
+        return math.prod(self.torsion_orders())
+
+    @property
+    def counting_identity_holds(self) -> bool:
+        return self.total_torsion_order * self.split_index == math.prod(self.epsilon)
 
 
 def _project_to_degree(ring: TruncatedPolyRing, cols, d: int) -> Lattice:
@@ -812,31 +826,13 @@ def graded_torsion(name: str) -> GradedTorsionReport:
     ring = config.ring
     dim = ring.dim
 
-    pieces = []
-    total = 1
-    for d in range(0, dim + 1):
-        data = subquotient_presentation(filt.level(d + 1), filt.level(d))
-        tor = data.torsion
-        total *= tor.order()
-        pieces.append(
-            GradedPiece(
-                degree=d,
-                structure=data.group,
-                torsion=tor,
-                witnesses=data.witnesses,
-                presentation=data,
-            )
-        )
-
-    epsilon = []
-    images = []
-    for d in range(1, dim + 1):
-        proj = _project_to_degree(ring, filt.level(d).basis_columns, d)
-        idx = lattice_index(proj, Lattice.standard(proj.ambient_rank))
-        if idx is None:
-            raise InternalInconsistencyError("split image of a filtration step has deficient rank")
-        epsilon.append(idx)
-        images.append(proj)
+    levels = filt.lattices
+    pieces = tuple(subquotient_presentation(levels[d + 1], levels[d]) for d in range(dim + 1))
+    images = tuple(
+        _project_to_degree(ring, levels[d].basis_columns, d) for d in range(1, dim + 1)
+    )
+    if any(im.rank != im.ambient_rank for im in images):
+        raise InternalInconsistencyError("split image of a filtration step has deficient rank")
 
     # monomial-degree filtration of the descended subring, for the delta
     # report.  With coordinates ordered by (degree, index), the Hermite rows
@@ -848,51 +844,24 @@ def graded_torsion(name: str) -> GradedTorsionReport:
     # pivots being zero there.
     degrees = ring.degrees()
     order = sorted(range(ring.rank), key=lambda i: (degrees[i], i))
-    echelon = row_hermite([tuple(col[i] for i in order) for col in filt.level(0).basis_columns])
+    echelon = row_hermite([tuple(col[i] for i in order) for col in levels[0].basis_columns])
     if len(echelon) != ring.rank:
         raise InternalInconsistencyError("descended subring has deficient rank")
     by_degree = [1] * (dim + 1)
     for j, row in enumerate(echelon):
         by_degree[degrees[order[j]]] *= row[j]
-    eta = by_degree[1:]
-
-    split = config.split_index()
-    eps_prod = 1
-    for e in epsilon:
-        eps_prod *= e
-    holds = total * split == eps_prod
-    delta = tuple(Fraction(e, h) for e, h in zip(epsilon, eta))
-
     return GradedTorsionReport(
-        config=config,
-        pieces=tuple(pieces),
-        epsilon=tuple(epsilon),
-        split_images=tuple(images),
-        eta=tuple(eta),
-        delta=delta,
-        split_index=split,
-        total_torsion_order=total,
-        counting_identity_holds=holds,
+        config=config, pieces=pieces, split_images=images, eta=tuple(by_degree[1:])
     )
 
 
 @dataclass(frozen=True)
 class Chow2Result:
-    config: SeveriBrauerConfig
-    torsion: FinAbelianGroup
-    witnesses: tuple[TorsionWitness, ...]
-    provenance: tuple[str, ...]
+    """Codimension-2 torsion, read off the degree-2 piece of a graded report;
+    below dimension 2 there is no such piece and the torsion is trivial."""
+
     report: GradedTorsionReport
-
-
-def chow2_torsion(name: str) -> Chow2Result:
-    """Torsion of the degree-2 graded piece, read as codimension-2 cycle
-    torsion of the generic variety through two standard identifications."""
-    report = graded_torsion(name)
-    piece = next(p for p in report.pieces if p.degree == 2) if report.config.dim >= 2 else None
-    torsion = piece.torsion if piece else FinAbelianGroup.trivial()
-    witnesses = piece.witnesses if piece else ()
-    provenance = (
+    provenance: ClassVar[tuple[str, ...]] = (
         "replacing the variety by a smaller product generating the same "
         "subgroup of the Brauer group preserves codimension-2 torsion "
         "(projective bundle theorem, Izhboldin-Karpenko)",
@@ -900,10 +869,19 @@ def chow2_torsion(name: str) -> Chow2Result:
         "classes, so codimension-2 torsion agrees with the degree-2 graded "
         "torsion of the gamma filtration (Karpenko)",
     )
-    return Chow2Result(
-        config=report.config,
-        torsion=torsion,
-        witnesses=witnesses,
-        provenance=provenance,
-        report=report,
-    )
+
+    @property
+    def torsion(self) -> FinAbelianGroup:
+        pieces = self.report.pieces
+        return pieces[2].torsion if len(pieces) > 2 else FinAbelianGroup.trivial()
+
+    @property
+    def witnesses(self) -> tuple[TorsionWitness, ...]:
+        pieces = self.report.pieces
+        return pieces[2].witnesses if len(pieces) > 2 else ()
+
+
+def chow2_torsion(name: str) -> Chow2Result:
+    """Torsion of the degree-2 graded piece, read as codimension-2 cycle
+    torsion of the generic variety through two standard identifications."""
+    return Chow2Result(graded_torsion(name))

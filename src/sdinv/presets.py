@@ -18,7 +18,7 @@ must equal the order of the middle group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import MAX_TRIALS, InputError, InternalInconsistencyError
@@ -131,35 +131,6 @@ class GroupValue:
 
 
 @dataclass(frozen=True)
-class SuiteSummary:
-    identity_id: str
-    trials: int
-    seed: int
-    passes: int
-    congruence_level: str
-    # the decided cases, kept for certificates
-    cases: tuple[IdentityCase, ...] = field(repr=False, compare=False)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.passes == self.trials
-
-
-def _run_suite(identity_id: str, trials: int, seed: int) -> SuiteSummary:
-    from .wittq import verify_identity
-
-    cases = verify_identity(identity_id, trials, seed)
-    return SuiteSummary(
-        identity_id=identity_id,
-        trials=trials,
-        seed=seed,
-        passes=sum(1 for c in cases if c.verdict),
-        congruence_level=cases[0].congruence_level,
-        cases=tuple(cases),
-    )
-
-
-@dataclass(frozen=True)
 class TheoremRow:
     n: int
     inv3_ind_h: GroupValue
@@ -167,7 +138,7 @@ class TheoremRow:
     chow2_tors: GroupValue
     sdec_mod_dec_h: GroupValue
     sdec_mod_dec_g: GroupValue
-    alpha_suites: tuple[SuiteSummary, ...]
+    alpha_suites: tuple[tuple[IdentityCase, ...], ...]  # the decided cases of each suite
     cited_facts: tuple[CitedFact, ...]
     indecomposable: IndecomposableResult
     chow: Chow2Result | None
@@ -180,18 +151,16 @@ class TheoremRow:
         return sdec is not None and tors is not None and sdec * tors == inv
 
 
-def _sdec_from_exactness(inv: FinAbelianGroup, tors: FinAbelianGroup) -> FinAbelianGroup:
-    """Left term of the exact sequence, by order bookkeeping.
+def _sdec_from_exactness(inv: FinAbelianGroup, tors: FinAbelianGroup) -> FinAbelianGroup | None:
+    """Left term of the exact sequence, by order bookkeeping, or None when
+    the torsion order does not divide the indecomposable order.
 
     Every group in this table is trivial or cyclic of order 2, so the order
     determines the isomorphism type.
     """
     oi, ot = inv.order(), tors.order()
-    if oi is None or ot is None or ot == 0 or oi % ot:
-        raise InternalInconsistencyError(
-            "torsion order does not divide the indecomposable order; "
-            "the exact-sequence bookkeeping cannot hold"
-        )
+    if oi is None or ot is None or oi % ot:
+        return None
     return FinAbelianGroup.cyclic(oi // ot)
 
 
@@ -214,7 +183,7 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
     from .roots import indecomposable_group
 
     ind = indecomposable_group(f"sl2n:{n}")
-    inv_h = GroupValue(ind.group, "computed", "lattice subquotient")
+    inv_h = GroupValue(ind.presentation.group, "computed", "lattice subquotient")
 
     facts = [_FACTS["exact_sequence"], _FACTS["reductive_comparison"]]
     chow: Chow2Result | None = None
@@ -225,7 +194,7 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
         chow_value = GroupValue(
             chow.torsion,
             "computed",
-            f"gamma filtration of {chow.config.name}",
+            f"gamma filtration of {chow.report.config.name}",
         )
         facts += [_FACTS["chow_reduction"], _FACTS["chow_gamma"], _FACTS["index_tables"]]
     else:
@@ -234,20 +203,24 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
         )
         facts += [_FACTS["torsion_high_n"], _FACTS["restriction_induction"]]
 
-    sdec_h = GroupValue(
-        _sdec_from_exactness(inv_h.group, chow_value.group),
-        "computed" if n <= 5 else "cited",
-        "exact-sequence bookkeeping",
-    )
+    sdec = _sdec_from_exactness(inv_h.group, chow_value.group)
+    if sdec is None:
+        raise InternalInconsistencyError(
+            "torsion order does not divide the indecomposable order; "
+            "the exact-sequence bookkeeping cannot hold"
+        )
+    sdec_h = GroupValue(sdec, "computed" if n <= 5 else "cited", "exact-sequence bookkeeping")
 
     suites = []
     for identity_id in ALPHA_SUITES_BY_N.get(n, ()):
-        summary = _run_suite(identity_id, trials, seed)
-        suites.append(summary)
-        if not summary.all_pass:
+        from .wittq import verify_identity
+
+        cases = tuple(verify_identity(identity_id, trials, seed))
+        if not all(c.verdict for c in cases):
             raise InternalInconsistencyError(
                 f"identity suite {identity_id} failed during assembly"
             )
+        suites.append(cases)
 
     if n == 2:
         inv_g = GroupValue(FinAbelianGroup.trivial(), "cited", "two-factor adjoint identification")
@@ -301,13 +274,19 @@ class Sl4x4Report:
     indecomposable: IndecomposableResult
     chow: Chow2Result
     sdec_mod_dec: FinAbelianGroup
-    all_normalized_semi_decomposable: bool
     inconsistencies: tuple[str, ...]
     cited_facts: tuple[CitedFact, ...]
 
     @property
     def consistent(self) -> bool:
         return not self.inconsistencies
+
+    @property
+    def all_normalized_semi_decomposable(self) -> bool:
+        return (
+            self.sdec_mod_dec.order() == self.indecomposable.presentation.group.order()
+            and self.chow.torsion.is_trivial
+        )
 
 
 def sl4x4_report() -> Sl4x4Report:
@@ -318,25 +297,19 @@ def sl4x4_report() -> Sl4x4Report:
 
     ind = indecomposable_group("sl4x4")
     chow = chow2_torsion(SL4X4_CONFIG)
-    torsion = chow.torsion
-
+    sdec = _sdec_from_exactness(ind.presentation.group, chow.torsion)
     inconsistencies = []
-    oi = ind.group.order()
-    ot = torsion.order()
-    if ot is None or ot == 0 or oi is None or oi % ot:
+    if sdec is None:
         inconsistencies.append(
             "torsion order does not divide the indecomposable order; exact "
             "bookkeeping fails"
         )
         sdec = FinAbelianGroup.trivial()
-    else:
-        sdec = FinAbelianGroup.cyclic(oi // ot)
 
     return Sl4x4Report(
         indecomposable=ind,
         chow=chow,
         sdec_mod_dec=sdec,
-        all_normalized_semi_decomposable=(sdec.order() == oi and torsion.is_trivial),
         inconsistencies=tuple(inconsistencies),
         cited_facts=(
             _FACTS["exact_sequence"],

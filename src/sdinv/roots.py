@@ -19,16 +19,14 @@ which would leave the integral structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import ContainmentError, InputError, InternalInconsistencyError
 from .exactlin import (
-    FinAbelianGroup,
     IntMatrix,
     Lattice,
     SubquotientData,
-    TorsionWitness,
     det,
     kernel_basis,
     lattice_index,
@@ -141,7 +139,7 @@ class CentralQuotientDatum:
             tuple(self.factor_moduli[i] if t == i else 0 for t in range(k))
             for i in range(k)
         ]
-        return lattice_index(Lattice.from_columns(k, cols), Lattice.standard(k)) == 1
+        return lattice_index(Lattice.from_columns(k, cols)) == 1
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def character_lattice(datum: CentralQuotientDatum) -> Lattice:
     ker = kernel_basis(IntMatrix.from_rows(rows))
     gens = [v[:m] for v in ker]
     lat = Lattice.from_columns(m, gens)
-    if lattice_index(lat, Lattice.standard(m)) != math.prod(datum.factor_moduli):
+    if lattice_index(lat) != math.prod(datum.factor_moduli):
         raise InternalInconsistencyError(
             "character lattice index does not match the center's order"
         )
@@ -283,7 +281,7 @@ def ambient_to_basis_quad(L: Lattice, ambient_coeffs) -> tuple[int, ...]:
     # With n the index, n * e_i lies in the lattice; its basis coordinates
     # are n times those of e_i, so the substitution below is n^2 times the
     # rewritten expression.
-    n = lattice_index(L, Lattice.standard(m))
+    n = lattice_index(L)
     cols = [L.membership(tuple(n * int(t == i) for t in range(m))).coordinates
             for i in range(m)]
     out = sym2_substitute(list(ambient_coeffs), cols, m, r)
@@ -358,18 +356,17 @@ def dec_subgroup(
 
 @dataclass(frozen=True)
 class IndecomposableResult:
+    """The group is ``presentation.group``, with its witnesses, presented as
+    the invariant lattice (``presentation.sup``) over the Chern-class
+    subgroup (``presentation.sub``).  The lattice the character lattice was
+    projected from and the Weyl actions on the quadratic monomials, whose
+    kernel is the invariant lattice, are kept for certificates."""
+
     preset: str
-    group: FinAbelianGroup
-    witnesses: tuple[TorsionWitness, ...]
     character_lattice: Lattice
-    invariant_lattice: Lattice
-    dec_lattice: Lattice
-    # kept for certificates: the presentation the group was read from, the
-    # lattice the character lattice was projected from, and the Weyl actions
-    # on the quadratic monomials that the invariant lattice is the kernel of
-    presentation: SubquotientData = field(repr=False, compare=False)
-    reductive_lattice: Lattice = field(repr=False, compare=False)
-    weyl_actions: tuple[IntMatrix, ...] = field(repr=False, compare=False)
+    presentation: SubquotientData
+    reductive_lattice: Lattice
+    weyl_actions: tuple[IntMatrix, ...]
 
 
 @lru_cache(maxsize=32)
@@ -392,15 +389,10 @@ def indecomposable_group(name: str) -> IndecomposableResult:
         explicit_generators=data.dec_explicit,
         invariant_lattice=inv,
     )
-    pres = subquotient_presentation(dec, inv)
     return IndecomposableResult(
         preset=data.name,
-        group=pres.group,
-        witnesses=pres.witnesses,
         character_lattice=lat,
-        invariant_lattice=inv,
-        dec_lattice=dec,
-        presentation=pres,
+        presentation=subquotient_presentation(dec, inv),
         reductive_lattice=reductive,
         weyl_actions=actions,
     )
@@ -409,12 +401,12 @@ def indecomposable_group(name: str) -> IndecomposableResult:
 def sl4x4_witness_is_2q1_plus_6q2(res: IndecomposableResult) -> bool:
     """Whether the torsion witness of ``sl4x4`` is the class of 2 q1 + 6 q2
     modulo the Chern-class subgroup, q1 and q2 the forms of the two blocks."""
-    q1, q2 = _sym_q(6, 0), _sym_q(6, 1)
+    q1, q2 = sl4_block_form(0), sl4_block_form(1)
     target = ambient_to_basis_quad(
         res.character_lattice, tuple(2 * a + 6 * b for a, b in zip(q1, q2))
     )
-    diff = tuple(a - b for a, b in zip(res.witnesses[0].vector, target))
-    return res.dec_lattice.contains(diff)
+    diff = tuple(a - b for a, b in zip(res.presentation.witnesses[0].vector, target))
+    return res.presentation.sub.contains(diff)
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +505,16 @@ def _gl2n_data(n: int) -> GroupData:
     )
 
 
-def _sym_q(rank6: int, block: int) -> tuple[int, ...]:
-    """Killing-normalized invariant form of one rank-3 block inside Z^6:
-    sum of squares plus sum of cross terms over that block's coordinates."""
-    out = [0] * sym2_size(rank6)
+def sl4_block_form(block: int) -> tuple[int, ...]:
+    """Killing-normalized invariant form of one rank-3 block inside Z^6, as
+    ambient monomial coefficients: sum of squares plus sum of cross terms
+    over that block's coordinates."""
+    out = [0] * sym2_size(6)
     base = 3 * block
     for i in range(3):
-        out[sym2_index(base + i, base + i, rank6)] = 1
+        out[sym2_index(base + i, base + i, 6)] = 1
         for j in range(i + 1, 3):
-            out[sym2_index(base + i, base + j, rank6)] = 1
+            out[sym2_index(base + i, base + j, 6)] = 1
     return tuple(out)
 
 
@@ -607,8 +600,8 @@ def _gl4x4_data() -> GroupData:
 
     weyl = tuple(_perm_matrix_on_sl4_block(6, block, k) for block in (0, 1) for k in range(3))
 
-    q1 = _sym_q(6, 0)
-    q2 = _sym_q(6, 1)
+    q1 = sl4_block_form(0)
+    q2 = sl4_block_form(1)
     eight_q1 = tuple(8 * x for x in q1)
     four_q1_plus_4q2 = tuple(4 * a + 4 * b for a, b in zip(q1, q2))
 
@@ -652,8 +645,3 @@ def available_presets() -> list[str]:
     names = [f"gl2n:{n}" for n in range(2, 9)] + [f"sl2n:{n}" for n in range(2, 9)]
     return names + ["gl4x4", "sl4x4"]
 
-
-def sl4_block_form(block: int) -> tuple[int, ...]:
-    """Public handle on the two generating invariant forms of the rank-3
-    blocks (ambient monomial coefficients over Z^6)."""
-    return _sym_q(6, block)

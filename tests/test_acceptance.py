@@ -95,7 +95,7 @@ def test_criterion_03_sl4x4_witness_and_invariant_lattice():
             ambient_to_basis_quad(lat, tuple(2 * a + 6 * b for a, b in zip(q1, q2))),
         ],
     )
-    assert res.invariant_lattice == expected
+    assert res.presentation.sup == expected
     print("\ncriterion 3: PASS - sl4x4 gives Z/2 with witness class 2q1+6q2 and the expected invariant lattice")
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -820,9 +821,27 @@ def _fixed_vectors(matrices, vectors):
     return {"kind": "fixed_vectors", "label": "crafted", "matrices": matrices, "vectors": vectors}
 
 
+def _index(sub_basis, index=1):
+    return {"kind": "index", "label": "crafted", "ambient_rank": len(sub_basis[0]),
+            "sub_basis": sub_basis, "index": index}
+
+
+# 130 generators in [-9, 9] at rank 128, stated as a canonical basis: a
+# Hermite form of them took 15 to 19 s, after which the index entry was
+# accepted
+_RNG = random.Random(0)
+_RANDOM_BASIS = [[_RNG.randint(-9, 9) for _ in range(128)] for _ in range(130)]
+
 # (entry, refusal): a 300 x 300 presentation of a rank-1 group and a 400 x 400
 # action cost seconds once the products and determinants ran
 SHAPE_EDITS = {
+    "index-random-128": (_index(_RANDOM_BASIS), "sub_basis is not a canonical basis"),
+    "index-negative-pivot": (_index([[-1]]), "sub_basis is not a canonical basis"),
+    "index-unreduced": (_index([[1, 5], [0, 2]], 2), "sub_basis is not a canonical basis"),
+    "subquotient-random-128": (
+        dict(_rank_one_with(), ambient_rank=128, sup_basis=_RANDOM_BASIS, sub_basis=_RANDOM_BASIS),
+        "sup_basis is not a canonical basis",
+    ),
     "subquotient-300": (
         _rank_one_with(relation=_identity_rows(300), U=_identity_rows(300),
                        D=_identity_rows(300), V=_identity_rows(300)),

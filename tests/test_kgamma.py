@@ -337,7 +337,7 @@ def test_quillen_conics3_basis_and_index():
         ring.rank, [parse(g, ring).y_vector() for g in gens]
     )
     assert lat == expected
-    assert lattice_index(lat, Lattice.standard(ring.rank)) == 2 ** 10
+    assert lattice_index(lat) == 2 ** 10
 
 
 def test_quillen_split_is_everything():
@@ -347,7 +347,7 @@ def test_quillen_split_is_everything():
 
 def test_quillen_conics4_index():
     lat = quillen_lattice(get_config("conics4"))
-    assert lattice_index(lat, Lattice.standard(16)) == 2 ** 25
+    assert lattice_index(lat) == 2 ** 25
 
 
 # --- gamma operations ---------------------------------------------------------------
@@ -528,7 +528,7 @@ def oracle_eta(name):
         low = IntMatrix(tuple(k0.basis.entries[i] for i, deg in enumerate(degrees) if deg < d))
         top = [i for i, deg in enumerate(degrees) if deg == d]
         piece = [tuple(k0.basis.matvec(v)[i] for i in top) for v in kernel_basis(low)]
-        out.append(lattice_index(Lattice.from_columns(len(top), piece), Lattice.standard(len(top))))
+        out.append(lattice_index(Lattice.from_columns(len(top), piece)))
     return tuple(out)
 
 
@@ -597,7 +597,7 @@ def test_conics4_graded_report():
     assert rep.total_torsion_order == 2
     assert rep.split_index == 2 ** 25
     assert rep.counting_identity_holds
-    piece = next(p for p in rep.pieces if p.degree == 2)
+    piece = rep.pieces[2]
     assert piece.torsion.label() == "Z/2"
     assert len(piece.witnesses) == 1
 
@@ -605,7 +605,7 @@ def test_conics4_graded_report():
 def test_conics4_torsion_witness_is_triple_class():
     filt = gamma_filtration("conics4")
     rep = graded_torsion("conics4")
-    piece = next(p for p in rep.pieces if p.degree == 2)
+    piece = rep.pieces[2]
     w = piece.witnesses[0]
     ring = filt.config.ring
     triples = ["y1*y2*y3", "y1*y2*y4", "y1*y3*y4", "y2*y3*y4"]
@@ -642,10 +642,10 @@ def test_split_graded_everything_free():
     assert all(e == 1 for e in rep.epsilon)
     # each graded quotient is free of rank the number of degree-d monomials
     ring = rep.config.ring
-    for p in rep.pieces:
-        monomials = sum(1 for deg in ring.degrees() if deg == p.degree)
-        assert p.structure.free_rank == monomials
-        assert not p.structure.invariant_factors
+    for d, p in enumerate(rep.pieces):
+        monomials = sum(1 for deg in ring.degrees() if deg == d)
+        assert p.group.free_rank == monomials
+        assert not p.group.invariant_factors
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from sdinv import kgamma
-from sdinv.exactlin import FinAbelianGroup, InputError
+from sdinv.exactlin import InputError, Lattice, subquotient_presentation
 from sdinv.presets import (
     ALPHA_SUITES_BY_N,
     CHOW_CONFIG_BY_N,
@@ -51,14 +51,14 @@ def test_rows_through_five_are_live():
         assert row.inv3_ind_h.provenance == "computed"
         assert row.chow2_tors.provenance == "computed"
         assert row.chow is not None
-        assert row.chow.config.name == CHOW_CONFIG_BY_N[n]
+        assert row.chow.report.config.name == CHOW_CONFIG_BY_N[n]
 
 
 def test_alpha_suites_attached_and_passing():
     row = assemble_theorem(4, trials=5, seed=2)
-    ids = [s.identity_id for s in row.alpha_suites]
+    ids = [cases[0].identity_id for cases in row.alpha_suites]
     assert ids == list(ALPHA_SUITES_BY_N[4])
-    assert all(s.all_pass for s in row.alpha_suites)
+    assert all(c.verdict for cases in row.alpha_suites for c in cases)
 
 
 def test_cited_facts_nonempty_statements():
@@ -78,7 +78,7 @@ def test_out_of_range():
 
 def test_sl4x4_report_default():
     rep = sl4x4_report()
-    assert rep.indecomposable.group.label() == "Z/2"
+    assert rep.indecomposable.presentation.group.label() == "Z/2"
     assert rep.chow.torsion.is_trivial
     assert rep.sdec_mod_dec.label() == "Z/2"
     assert rep.all_normalized_semi_decomposable
@@ -87,12 +87,17 @@ def test_sl4x4_report_default():
 
 def test_sl4x4_report_forced_failure_path(monkeypatch):
     live = kgamma.chow2_torsion
+    z4 = subquotient_presentation(Lattice.from_columns(1, [(4,)]), Lattice.standard(1))
 
     def z4_torsion(name):
-        return dataclasses.replace(live(name), torsion=FinAbelianGroup(0, (4,)))
+        # the report's degree-2 piece replaced by a presentation of Z/4
+        report = live(name).report
+        pieces = report.pieces[:2] + (z4,) + report.pieces[3:]
+        return kgamma.Chow2Result(dataclasses.replace(report, pieces=pieces))
 
     monkeypatch.setattr(kgamma, "chow2_torsion", z4_torsion)
     rep = sl4x4_report()
+    assert rep.chow.torsion.label() == "Z/4"
     assert not rep.consistent
     assert any("bookkeeping" in s for s in rep.inconsistencies)
     assert not rep.all_normalized_semi_decomposable

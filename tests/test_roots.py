@@ -100,7 +100,7 @@ def test_trivial_center_gives_full_ambient():
 def test_gl4x4_display_basis():
     data = get_preset("gl4x4")
     assert data.reductive_lattice() == reductive_display(data)
-    assert lattice_index(data.reductive_lattice(), Lattice.standard(8)) == 8
+    assert lattice_index(data.reductive_lattice()) == 8
 
 
 # --- projections ---------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_sl2n_index_is_two_power(n):
     # determinant oracle: the semisimple lattice has index 2^(n-1) in Z^n
     data = get_preset(f"sl2n:{n}")
     th = data.semisimple_lattice()
-    assert lattice_index(th, Lattice.standard(n)) == 2 ** (n - 1)
+    assert lattice_index(th) == 2 ** (n - 1)
     assert abs(det(th.basis)) == 2 ** (n - 1)
 
 
@@ -346,22 +346,22 @@ def test_dec_subgroup_empty_is_zero():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_indecomposable_group_sl2n(n):
-    res = indecomposable_group(f"sl2n:{n}")
+    res = indecomposable_group(f"sl2n:{n}").presentation
     assert res.group.label() == "Z/2"
     assert len(res.witnesses) == 1 and res.witnesses[0].order == 2
 
 
 def test_indecomposable_group_sl4x4():
     res = indecomposable_group("sl4x4")
-    assert res.group.label() == "Z/2"
+    assert res.presentation.group.label() == "Z/2"
     q1 = sl4_block_form(0)
     q2 = sl4_block_form(1)
     target = ambient_to_basis_quad(
         res.character_lattice, tuple(2 * a + 6 * b for a, b in zip(q1, q2))
     )
-    w = res.witnesses[0]
+    w = res.presentation.witnesses[0]
     diff = tuple(a - b for a, b in zip(w.vector, target))
-    assert res.dec_lattice.contains(diff)
+    assert res.presentation.sub.contains(diff)
 
 
 def test_indecomposable_group_requires_semisimple_preset():

@@ -1,0 +1,17 @@
+"""The scripts under ``scripts/`` read the package's result types directly,
+so a renamed attribute breaks them without failing any other test."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_reproduce_all_runs_end_to_end():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reproduce_all.py"), "--trials", "2", "--seeds", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all done" in proc.stdout
