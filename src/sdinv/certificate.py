@@ -253,10 +253,9 @@ def _theorem_entries(row: TheoremRow) -> list[dict]:
         subquotient_entry("indecomposable invariant group", row.indecomposable.presentation)
     ]
     if row.chow is not None:
-        report = row.chow.report
-        entries.append(counting_entry(report))
-        if report.config.dim >= 2:
-            entries.append(subquotient_entry("graded piece at degree 2", report.pieces[2]))
+        entries.append(counting_entry(row.chow.report))
+        if row.chow.piece is not None:
+            entries.append(subquotient_entry("graded piece at degree 2", row.chow.piece))
     return entries + [witt_trials_entry(cases) for cases in row.alpha_suites]
 
 

@@ -26,3 +26,7 @@ MAX_AMBIENT_RANK = 128
 # Largest trial count of an identity suite; at this size the slowest
 # identity, alpha4_full, runs for about 7 s on one core of a 2-vCPU VM.
 MAX_TRIALS = 10_000
+
+# Numbers n of rank-1 factors of the ``gl2n:{n}`` / ``sl2n:{n}`` presets and
+# of the theorem rows; a preset or row outside the range is refused.
+N_RANGE = range(2, 9)

@@ -871,14 +871,18 @@ class Chow2Result:
     )
 
     @property
-    def torsion(self) -> FinAbelianGroup:
+    def piece(self) -> SubquotientData | None:
+        """The graded piece of degree 2, None below dimension 2."""
         pieces = self.report.pieces
-        return pieces[2].torsion if len(pieces) > 2 else FinAbelianGroup.trivial()
+        return pieces[2] if len(pieces) > 2 else None
+
+    @property
+    def torsion(self) -> FinAbelianGroup:
+        return FinAbelianGroup.trivial() if self.piece is None else self.piece.torsion
 
     @property
     def witnesses(self) -> tuple[TorsionWitness, ...]:
-        pieces = self.report.pieces
-        return pieces[2].witnesses if len(pieces) > 2 else ()
+        return () if self.piece is None else self.piece.witnesses
 
 
 def chow2_torsion(name: str) -> Chow2Result:

@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import MAX_TRIALS, InputError, InternalInconsistencyError
+from .errors import MAX_TRIALS, N_RANGE, InputError, InternalInconsistencyError
 from .exactlin import FinAbelianGroup
 
 # The compute modules are imported where a row runs them: the cited facts
-# serve ``chow2`` without roots, and rows above 5 run neither kgamma nor wittq.
+# serve ``chow2`` without roots, and a row with neither a configuration nor a
+# suite below runs neither kgamma nor wittq.
 if TYPE_CHECKING:
     from .kgamma import Chow2Result
     from .roots import IndecomposableResult
@@ -167,16 +168,19 @@ def _sdec_from_exactness(inv: FinAbelianGroup, tors: FinAbelianGroup) -> FinAbel
 def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
     """One row of the classification table.
 
-    Rows 2..5 are fully live: the invariant group comes from the lattice
-    computation, the torsion from the gamma filtration of the reduced
-    variety, the left quotient by exact bookkeeping, and the explicit
-    invariant expressions from the randomized Witt suites.  Rows above 5
-    carry the cited restriction and propagation facts instead of a live
-    torsion computation.  The trial count is checked on every row, also on
-    rows that run no suite.
+    Rows with a configuration in ``CHOW_CONFIG_BY_N`` (2..5) are fully
+    live: the invariant group comes from the lattice computation, the
+    torsion from the gamma filtration of the reduced variety, the left
+    quotient by exact bookkeeping, and the explicit invariant expressions
+    from the randomized Witt suites.  The other rows carry the cited
+    restriction and propagation facts instead of a live torsion
+    computation.  The trial count is checked on every row, also on rows
+    that run no suite.
     """
-    if not 2 <= n <= 8:
-        raise InputError("theorem rows are available for n between 2 and 8")
+    if n not in N_RANGE:
+        raise InputError(
+            f"theorem rows are available for n between {N_RANGE[0]} and {N_RANGE[-1]}"
+        )
     if not 1 <= trials <= MAX_TRIALS:
         raise InputError(f"trials must be between 1 and {MAX_TRIALS}")
 
@@ -209,7 +213,9 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
             "torsion order does not divide the indecomposable order; "
             "the exact-sequence bookkeeping cannot hold"
         )
-    sdec_h = GroupValue(sdec, "computed" if n <= 5 else "cited", "exact-sequence bookkeeping")
+    sdec_h = GroupValue(
+        sdec, "cited" if chow is None else "computed", "exact-sequence bookkeeping"
+    )
 
     suites = []
     for identity_id in ALPHA_SUITES_BY_N.get(n, ()):
@@ -265,7 +271,7 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
     return row
 
 
-def theorem_table(ns=range(2, 9), trials: int = 12, seed: int = 1) -> list[TheoremRow]:
+def theorem_table(ns=N_RANGE, trials: int = 12, seed: int = 1) -> list[TheoremRow]:
     return [assemble_theorem(n, trials=trials, seed=seed) for n in ns]
 
 

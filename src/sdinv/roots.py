@@ -4,8 +4,8 @@ degree-3 invariant group computed as a lattice subquotient.
 
 The supported groups are quotients of products of rank-1 and rank-3 special
 linear factors by a finite central subgroup; the registry exposes them under
-the preset names ``gl2n:{n}`` / ``sl2n:{n}`` for 2 <= n <= 8 and ``gl4x4`` /
-``sl4x4``.
+the preset names ``gl2n:{n}`` / ``sl2n:{n}`` for n in ``errors.N_RANGE`` and
+``gl4x4`` / ``sl4x4``.
 
 Quadratic forms live in the degree-2 part of the symmetric algebra on a
 character lattice.  A form "on the lattice" means one with integer
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .errors import ContainmentError, InputError, InternalInconsistencyError
+from .errors import N_RANGE, ContainmentError, InputError, InternalInconsistencyError
 from .exactlin import (
     IntMatrix,
     Lattice,
@@ -88,22 +88,6 @@ def sym2_substitute(coeffs, matrix_cols, from_rank: int, to_rank: int):
     return out
 
 
-def outer_square(vec, rank: int):
-    """Monomial coefficients of ``(sum v_i e_i)^2``."""
-    out = [0] * sym2_size(rank)
-    pos = _sym2_pos(rank)
-    for i in range(rank):
-        a = vec[i]
-        if not a:
-            continue
-        out[pos[(i, i)]] += a * a
-        for j in range(i + 1, rank):
-            b = vec[j]
-            if b:
-                out[pos[(i, j)]] += 2 * a * b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -115,7 +99,8 @@ class CentralQuotientDatum:
 
     ``residue_rows[i]`` is understood modulo ``factor_moduli[i]``; the
     character lattice of the quotient torus is the kernel of the composite
-    map to the direct sum of those cyclic groups.
+    map to the direct sum of those cyclic groups.  The map must be onto;
+    :func:`character_lattice` checks that through the index of the kernel.
     """
 
     ambient_rank: int
@@ -127,19 +112,6 @@ class CentralQuotientDatum:
             raise InputError("one residue row per cyclic factor is required")
         if self.residue_rows.rows and self.residue_rows.cols != self.ambient_rank:
             raise InputError("residue rows must have ambient length")
-        if not self._surjective():
-            raise InputError("residue map is not surjective onto the center's characters")
-
-    def _surjective(self) -> bool:
-        k = len(self.factor_moduli)
-        if k == 0:
-            return True
-        cols = list(self.residue_rows.transpose().entries)
-        cols += [
-            tuple(self.factor_moduli[i] if t == i else 0 for t in range(k))
-            for i in range(k)
-        ]
-        return lattice_index(Lattice.from_columns(k, cols)) == 1
 
 
 @dataclass(frozen=True)
@@ -180,7 +152,11 @@ class WeightMultiset:
 
 def character_lattice(datum: CentralQuotientDatum) -> Lattice:
     """Kernel of the composite map from the ambient weight lattice onto the
-    center's character group, as a canonically based full-rank sublattice."""
+    center's character group, as a canonically based full-rank sublattice.
+
+    The kernel's index is the order of the image, so it is the order of the
+    character group exactly when the residue map is onto.
+    """
     k = len(datum.factor_moduli)
     m = datum.ambient_rank
     if k == 0:
@@ -209,28 +185,25 @@ def project_to_semisimple(L: Lattice, projection: IntMatrix) -> Lattice:
     return Lattice.from_columns(projection.rows, cols)
 
 
-def action_in_basis(
-    L: Lattice, w: IntMatrix, generator_index: int | None = None
-) -> IntMatrix:
+def action_in_basis(L: Lattice, w: IntMatrix, generator_index: int) -> IntMatrix:
     """Matrix of ``w`` restricted to the lattice, in lattice-basis coordinates.
 
     Column ``i`` holds the coordinates of the image of the i-th basis vector.
-    Raises when ``w`` does not map the lattice into itself or fails to be
-    invertible on it.
+    Raises, naming the Weyl generator by its index, when ``w`` does not map
+    the lattice into itself or fails to be invertible on it.
     """
-    name = f" {generator_index}" if generator_index is not None else ""
     cols = []
     for i, b in enumerate(L.basis_columns):
         img = w.matvec(b)
         res = L.membership(img)
         if not res.member:
             raise ContainmentError(
-                f"weyl generator{name} moves basis vector {i} outside the lattice"
+                f"weyl generator {generator_index} moves basis vector {i} outside the lattice"
             )
         cols.append(res.coordinates)
     mat = IntMatrix.from_columns(cols)
     if abs(det(mat)) != 1:
-        raise ContainmentError(f"weyl generator{name} is not unimodular on the lattice")
+        raise ContainmentError(f"weyl generator {generator_index} is not unimodular on the lattice")
     return mat
 
 
@@ -254,10 +227,7 @@ def invariant_quadratic_lattice(
     Returned with the action of each generator on the quadratic monomials,
     the matrices the kernel was taken of."""
     n = sym2_size(L.rank)
-    actions = tuple(
-        sym2_action_matrix(action_in_basis(L, w, generator_index=idx))
-        for idx, w in enumerate(weyl)
-    )
+    actions = tuple(sym2_action_matrix(action_in_basis(L, w, i)) for i, w in enumerate(weyl))
     stacked = []
     for s2 in actions:
         for i in range(n):
@@ -294,9 +264,9 @@ def chern2_of_character(mult: WeightMultiset, L: Lattice) -> tuple[int, ...]:
     """Second elementary symmetric value of the weight multiset, as a
     quadratic expression in the lattice basis.
 
-    Computed by polarization: ``e2 = ((sum w)^2 - sum w^2) / 2``.  The first
-    Chern class (the plain weight sum) must vanish, and every weight must lie
-    in the lattice.
+    Computed by polarization: ``e2 = ((sum w)^2 - sum w^2) / 2``, where the
+    first term vanishes: the first Chern class (the plain weight sum) must be
+    zero, and every weight must lie in the lattice.
     """
     m = L.ambient_rank
     s1 = mult.first_chern()
@@ -308,13 +278,11 @@ def chern2_of_character(mult: WeightMultiset, L: Lattice) -> tuple[int, ...]:
         if not L.contains(v):
             raise InputError(f"weight {v} is outside the character lattice")
     total = [0] * sym2_size(m)
-    square_sum = outer_square(s1, m)
     for v, mu in mult.weights:
-        sq = outer_square(v, m)
+        sq = sym2_substitute((1,), (v,), 1, m)
         for k in range(len(total)):
             total[k] -= mu * sq[k]
     for k in range(len(total)):
-        total[k] += square_sum[k]
         if total[k] % 2:
             raise InternalInconsistencyError("polarization produced an odd coefficient")
         total[k] //= 2
@@ -420,9 +388,9 @@ class GroupData:
     name: str
     datum: CentralQuotientDatum
     display_basis: tuple[tuple[str, tuple[int, ...]], ...]
-    projection: IntMatrix | None = None
-    semisimple_display: tuple[tuple[str, tuple[int, ...]], ...] = ()
-    weyl: tuple[IntMatrix, ...] = ()  # Weyl generators on the semisimple coordinates
+    projection: IntMatrix
+    semisimple_display: tuple[tuple[str, tuple[int, ...]], ...]
+    weyl: tuple[IntMatrix, ...]  # Weyl generators on the semisimple coordinates
     dec_weights: tuple[WeightMultiset, ...] = ()
     dec_explicit: tuple[tuple[int, ...], ...] = ()
     kind: str = "reductive"
@@ -431,8 +399,6 @@ class GroupData:
         return character_lattice(self.datum)
 
     def semisimple_lattice(self) -> Lattice:
-        if self.projection is None:
-            raise InputError(f"preset {self.name} has no semisimple projection")
         return project_to_semisimple(self.reductive_lattice(), self.projection)
 
 
@@ -623,8 +589,10 @@ def get_preset(name: str) -> GroupData:
             n = int(name.split(":", 1)[1])
         except ValueError:
             raise InputError(f"malformed preset name {name!r}")
-        if not 2 <= n <= 8:
-            raise InputError(f"preset {name!r}: n must be between 2 and 8")
+        if n not in N_RANGE:
+            raise InputError(
+                f"preset {name!r}: n must be between {N_RANGE[0]} and {N_RANGE[-1]}"
+            )
         data = _gl2n_data(n)
         return data if name.startswith("gl") else _as_semisimple(data, f"sl2n:{n}")
     if name == "gl4x4":
@@ -642,6 +610,6 @@ def _as_semisimple(data: GroupData, name: str) -> GroupData:
 
 
 def available_presets() -> list[str]:
-    names = [f"gl2n:{n}" for n in range(2, 9)] + [f"sl2n:{n}" for n in range(2, 9)]
+    names = [f"{kind}:{n}" for kind in ("gl2n", "sl2n") for n in N_RANGE]
     return names + ["gl4x4", "sl4x4"]
 

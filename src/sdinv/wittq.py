@@ -34,6 +34,7 @@ Square classes are values
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -296,23 +297,15 @@ def witt_invariants(f: DiagonalForm, places=None) -> WittInvariants:
 
 
 def is_hyperbolic(f: DiagonalForm, places=None) -> bool:
-    """Full invariant comparison against the hyperbolic form of equal rank.
+    """Whether f is hyperbolic: in the third ideal power with signature 0.
 
+    The hyperbolic form of equal rank has signed discriminant 1 and
+    signature 0, so this is the full invariant comparison against it.
     ``places`` must include every odd prime dividing an entry of ``f``;
     extra places are harmless, since there both forms have Hasse symbol +1.
     Without it the entries are factored.
     """
-    if f.dim % 2:
-        return False
-    if places is None:
-        places = relevant_places(f.entries)
-    mine = witt_invariants(f, places)
-    ref = witt_invariants(hyperbolic(f.dim // 2), places)
-    return (
-        mine.signed_discriminant == ref.signed_discriminant
-        and mine.signature == ref.signature
-        and mine.hasse == ref.hasse
-    )
+    return in_power_of_i(f, 3, places) and f.signature() == 0
 
 
 def witt_equivalent(f: DiagonalForm, g: DiagonalForm, places=None) -> bool:
@@ -483,9 +476,9 @@ def sample_square_class(rng: SplitMix64) -> int:
     return value
 
 
-def sample_norm(rng: SplitMix64, radicand: int, tries: int = 64) -> int:
-    """Nonzero value of the form u^2 - radicand * v^2."""
-    for _ in range(tries):
+def sample_norm(rng: SplitMix64, radicand: int) -> int:
+    """Nonzero value of the form u^2 - radicand * v^2, in at most 64 draws."""
+    for _ in range(64):
         u = rng.randint(1, 9)
         v = rng.randint(1, 9)
         x = u * u - radicand * v * v
@@ -560,92 +553,77 @@ class IdentityCase:
     verdict: bool
 
 
-def _case_sides(identity_id: str, C: dict[str, int]):
-    """Both sides of an identity as diagonal forms, from the canonical square
-    classes of the sampled slots."""
-    mul = square_class_mul
-    if identity_id == "twofold":
-        lhs = _pfister((C["x"], C["y"])).perp(_pfister((C["x"], C["z"])))
-        rhs = _pfister((C["x"], C["y"], C["z"])).perp(
-            _pfister((C["x"], mul(C["y"], C["z"])))
-        )
-        return lhs, rhs, "exact-Witt"
-    if identity_id == "square_slot":
-        return _pfister((C["a"], C["a"])), _pfister((C["a"], -1)), "exact-Witt"
-    if identity_id == "double":
-        s = mul(C["b"], C["c"])
-        lhs = _pfister((C["a"], s)).perp(_pfister((C["a"], s)))
-        return lhs, _pfister((C["a"], s, -1)), "exact-Witt"
-    if identity_id == "alpha2":
-        n = _pfister((C["a"], C["b"]))
-        return n.perp(n), _pfister((C["a"], C["b"], -1)), "exact-Witt"
-    if identity_id == "lemma_alpha3_exact":
-        a, b, c = C["a"], C["b"], C["c"]
-        bc = mul(b, c)
-        lhs = _pfister((a, b)).perp(_pfister((a, c))).perp(_pfister((a, bc)))
-        rhs = _pfister((a, b, c)).perp(_pfister((a, bc))).perp(_pfister((a, bc)))
-        return lhs, rhs, "exact-Witt"
-    if identity_id == "lemma_alpha3_modI4":
-        a, b, c = C["a"], C["b"], C["c"]
-        lhs = _pfister((a, b)).perp(_pfister((a, c))).perp(_pfister((a, mul(b, c))))
-        rhs = _pfister((a, b, -c)).perp(_pfister((a, c, -1)))
-        return lhs, rhs, "mod-I4"
-    if identity_id == "prop_step_Qonetwo":
-        a, b, c, d, x = C["a"], C["b"], C["c"], C["d"], C["x"]
-        bx, dx = mul(b, x), mul(d, x)
-        lhs = (
-            _pfister((a, b)).perp(_pfister((c, d))).perp(_pfister((a, bx))).perp(_pfister((c, dx)))
-        )
-        rhs = _pfister((a, b, x)).perp(_pfister((c, d, -x))).perp(_pfister((a, bx, -1)))
-        return lhs, rhs, "mod-I4"
-    if identity_id == "alpha4_full":
-        a, b, c, d = C["a"], C["b"], C["c"], C["d"]
-        w = mul(mul(C["x"], C["y"]), C["z"])
-        bw, dw = mul(b, w), mul(d, w)
-        lhs = (
-            _pfister((a, b)).perp(_pfister((c, d))).perp(_pfister((a, bw))).perp(_pfister((c, dw)))
-        )
-        rhs = _pfister((a, b, w)).perp(_pfister((c, d, -w))).perp(_pfister((a, bw, -1)))
-        return lhs, rhs, "mod-I4"
-    raise InputError(
-        f"unknown identity {identity_id!r}; available: " + ", ".join(IDENTITY_IDS)
-    )
+def _pfisters(*slot_tuples) -> DiagonalForm:
+    """Orthogonal sum of the Pfister forms of canonical slot tuples."""
+    return DiagonalForm(tuple(e for slots in slot_tuples for e in _pfister(slots).entries))
 
 
-IDENTITY_IDS = (
-    "twofold",
-    "square_slot",
-    "double",
-    "alpha2",
-    "lemma_alpha3_exact",
-    "lemma_alpha3_modI4",
-    "prop_step_Qonetwo",
-    "alpha4_full",
+def _doubled(a: int, s: int):
+    """<<a, s>> twice against <<a, s, -1>>."""
+    return _pfisters((a, s), (a, s)), _pfister((a, s, -1))
+
+
+def _alpha3(a: int, b: int, c: int, *rhs):
+    """<<a, b>> + <<a, c>> + <<a, bc>> against a sum of Pfister forms."""
+    return _pfisters((a, b), (a, c), (a, square_class_mul(b, c))), _pfisters(*rhs)
+
+
+def _linked(a: int, b: int, c: int, d: int, w: int):
+    """Both sides of a chain identity with linking class w: w = x in
+    prop_step_Qonetwo and w = x*y*z in alpha4_full."""
+    bw, dw = square_class_mul(b, w), square_class_mul(d, w)
+    lhs = _pfisters((a, b), (c, d), (a, bw), (c, dw))
+    return lhs, _pfisters((a, b, w), (c, d, -w), (a, bw, -1))
+
+
+def _sample_linked(rng: SplitMix64) -> tuple[tuple[str, str], ...]:
+    """Square classes a, b, c, d and a norm x from the extension by a*c."""
+    a, b, c, d = (sample_square_class(rng) for _ in "abcd")
+    return tuple(zip("abcdx", map(str, (a, b, c, d, sample_norm(rng, a * c)))))
+
+
+@dataclass(frozen=True)
+class _Identity:
+    """One Witt identity: ``sides`` maps the canonical classes of the slots,
+    in the order of ``slots``, to both sides as diagonal forms, and ``draw``
+    samples the slots when they are not independent square classes."""
+
+    identity_id: str
+    slots: str
+    level: str  # "exact-Witt" or "mod-I4"
+    sides: Callable
+    draw: Callable[[SplitMix64], tuple[tuple[str, str], ...]] | None = None
+
+    def sample(self, rng: SplitMix64) -> tuple[tuple[str, str], ...]:
+        if self.draw is not None:
+            return self.draw(rng)
+        return tuple((k, str(sample_square_class(rng))) for k in self.slots)
+
+
+_IDENTITIES = (
+    _Identity("twofold", "xyz", "exact-Witt", lambda x, y, z: (
+        _pfisters((x, y), (x, z)), _pfisters((x, y, z), (x, square_class_mul(y, z))))),
+    _Identity("square_slot", "a", "exact-Witt", lambda a: (_pfister((a, a)), _pfister((a, -1)))),
+    _Identity("double", "abc", "exact-Witt", lambda a, b, c: _doubled(a, square_class_mul(b, c))),
+    _Identity("alpha2", "ab", "exact-Witt", _doubled),
+    _Identity("lemma_alpha3_exact", "abc", "exact-Witt", lambda a, b, c: _alpha3(
+        a, b, c, (a, b, c), (a, square_class_mul(b, c)), (a, square_class_mul(b, c)))),
+    _Identity("lemma_alpha3_modI4", "abc", "mod-I4", lambda a, b, c: _alpha3(
+        a, b, c, (a, b, -c), (a, c, -1))),
+    _Identity("prop_step_Qonetwo", "abcdx", "mod-I4", _linked, _sample_linked),
+    # the chain sampler gives a fully constrained configuration
+    _Identity("alpha4_full", "abcdxyz", "mod-I4", lambda a, b, c, d, x, y, z: _linked(
+        a, b, c, d, square_class_mul(square_class_mul(x, y), z)),
+        lambda rng: sample_chain_configuration(rng.next_u64() or 1).sample),
 )
 
+IDENTITY_IDS = tuple(row.identity_id for row in _IDENTITIES)
 
-def _sample_for(identity_id: str, rng: SplitMix64) -> tuple[tuple[str, str], ...]:
-    def cls():
-        return sample_square_class(rng)
 
-    if identity_id == "twofold":
-        return (("x", str(cls())), ("y", str(cls())), ("z", str(cls())))
-    if identity_id == "square_slot":
-        return (("a", str(cls())),)
-    if identity_id in ("double", "lemma_alpha3_exact", "lemma_alpha3_modI4"):
-        return (("a", str(cls())), ("b", str(cls())), ("c", str(cls())))
-    if identity_id == "alpha2":
-        return (("a", str(cls())), ("b", str(cls())))
-    if identity_id == "prop_step_Qonetwo":
-        a, b, c, d = cls(), cls(), cls(), cls()
-        x = sample_norm(rng, a * c)
-        return (
-            ("a", str(a)), ("b", str(b)), ("c", str(c)), ("d", str(d)), ("x", str(x)),
-        )
-    if identity_id == "alpha4_full":
-        # delegate to the chain sampler for a fully constrained configuration
-        chain = sample_chain_configuration(rng.next_u64() or 1)
-        return chain.sample
+def _identity(identity_id: str) -> _Identity:
+    for row in _IDENTITIES:
+        if row.identity_id == identity_id:
+            return row
     raise InputError(
         f"unknown identity {identity_id!r}; available: " + ", ".join(IDENTITY_IDS)
     )
@@ -656,9 +634,10 @@ def verify_case(identity_id: str, sample) -> IdentityCase:
     slot classes, so the odd primes of the slots are the only places where
     the Hasse symbols can differ, and only the slots are factored."""
     classes = {k: square_class(v) for k, v in sample}
-    lhs, rhs, level = _case_sides(identity_id, classes)
+    row = _identity(identity_id)
+    lhs, rhs = row.sides(*(classes[k] for k in row.slots))
     places = relevant_places(classes.values())
-    if level == "exact-Witt":
+    if row.level == "exact-Witt":
         verdict = witt_equivalent(lhs, rhs, places)
     else:
         verdict = in_power_of_i(lhs.perp(rhs.neg()), 4, places)
@@ -669,7 +648,7 @@ def verify_case(identity_id: str, sample) -> IdentityCase:
         sample=tuple(sample),
         lhs=lhs.entries,
         rhs=rhs.entries,
-        congruence_level=level,
+        congruence_level=row.level,
         verdict=verdict,
     )
 
@@ -680,15 +659,12 @@ def verify_identity(identity_id: str, trials: int, seed: int) -> list[IdentityCa
     Every case carries its full sample, so any verdict can be replayed
     bit-for-bit from the report alone.
     """
-    if identity_id not in IDENTITY_IDS:
-        raise InputError(
-            f"unknown identity {identity_id!r}; available: " + ", ".join(IDENTITY_IDS)
-        )
+    row = _identity(identity_id)
     if not 1 <= trials <= MAX_TRIALS:
         raise InputError(f"trials must be between 1 and {MAX_TRIALS}")
     rng = SplitMix64((seed << 8) ^ 0x5D)
     cases = []
     for t in range(trials):
-        case = verify_case(identity_id, _sample_for(identity_id, rng))
+        case = verify_case(identity_id, row.sample(rng))
         cases.append(replace(case, trial=t, seed=seed))
     return cases

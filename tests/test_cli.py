@@ -189,6 +189,27 @@ def test_theorem_out_of_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["inv3", "--preset", "sl2n:9"], "error: preset 'sl2n:9': n must be between 2 and 8\n"),
+        (["inv3", "--preset", "sl2n:1"], "error: preset 'sl2n:1': n must be between 2 and 8\n"),
+        (["theorem", "--n", "9"], "error: theorem rows are available for n between 2 and 8\n"),
+        (
+            ["witt", "verify", "--identity", "nope"],
+            "error: unknown identity 'nope'; available: twofold, square_slot, double, "
+            "alpha2, lemma_alpha3_exact, lemma_alpha3_modI4, prop_step_Qonetwo, alpha4_full\n",
+        ),
+    ],
+    ids=["sl2n:9", "sl2n:1", "theorem-9", "identity-nope"],
+)
+def test_refusal_stderr_is_pinned(argv, err, capsys):
+    """The messages that name the range of n and the identity list, byte for byte."""
+    code, out = run(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == err
+
+
 # --- determinism ------------------------------------------------------------------
 
 
@@ -374,15 +395,16 @@ def test_every_command_has_an_entry_list():
     assert set(certmod._ENTRY_LISTS) == set(cli._COMMANDS)
 
 
-def test_inv3_sl2n_8_runs_seven_hermite_forms(monkeypatch):
+def test_inv3_sl2n_8_runs_six_hermite_forms(monkeypatch):
     """A character lattice is its canonical Hermite basis, so no lattice is
-    put through a second Hermite form to carry a named basis."""
+    put through a second Hermite form to carry a named basis, and the
+    residue map is not checked onto by a Hermite form of its own."""
     roots.get_preset.cache_clear()
     roots.indecomposable_group.cache_clear()
     calls = _count_calls(monkeypatch, exactlin, "row_hermite")
     code, _ = run(["inv3", "--preset", "sl2n:8", "--json"])
     assert code == 0
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("name", ["conics4", "deg4pair", "split:3,3,3"])

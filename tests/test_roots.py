@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdinv import exactlin
+from sdinv.errors import InternalInconsistencyError
 from sdinv.exactlin import InputError, IntMatrix, Lattice, det, kernel_basis, lattice_index
 from sdinv.roots import (
     WeightMultiset,
@@ -15,7 +16,6 @@ from sdinv.roots import (
     get_preset,
     indecomposable_group,
     invariant_quadratic_lattice,
-    outer_square,
     project_to_semisimple,
     sl4_block_form,
     sym2_action_matrix,
@@ -87,6 +87,15 @@ def test_gl2n_2_matches_display_basis():
 def test_gl2n_display_basis_all_n(n):
     data = get_preset(f"gl2n:{n}")
     assert data.reductive_lattice() == reductive_display(data)
+
+
+def test_non_surjective_residue_map_is_refused():
+    """x -> 2x mod 2 misses the nonzero character, so the kernel has index 1, not 2."""
+    from sdinv.roots import CentralQuotientDatum
+
+    datum = CentralQuotientDatum(1, (2,), IntMatrix.from_rows([(2,)]))
+    with pytest.raises(InternalInconsistencyError, match="index does not match"):
+        character_lattice(datum)
 
 
 def test_trivial_center_gives_full_ambient():
@@ -214,7 +223,9 @@ def test_invariant_forms_fixed_pointwise():
     data = get_preset("sl2n:4")
     lat = data.semisimple_lattice()
     inv, actions = invariant_quadratic_lattice(lat, data.weyl)
-    assert actions == tuple(sym2_action_matrix(action_in_basis(lat, w)) for w in data.weyl)
+    assert actions == tuple(
+        sym2_action_matrix(action_in_basis(lat, w, idx)) for idx, w in enumerate(data.weyl)
+    )
     for s2 in actions:
         for col in inv.basis.columns():
             assert s2.matvec(col) == col
@@ -379,4 +390,5 @@ def test_unknown_preset_lists_names():
 
 
 def test_outer_square():
-    assert outer_square((1, 2), 2) == [1, 4, 4]
+    """The square of a vector is the square of one variable pushed through it."""
+    assert sym2_substitute((1,), ((1, 2),), 1, 2) == [1, 4, 4]

@@ -15,3 +15,15 @@ def test_reproduce_all_runs_end_to_end():
     )
     assert proc.returncode == 0, proc.stderr
     assert "all done" in proc.stdout
+
+
+def test_reproduce_all_certificates_leave_no_open_file(tmp_path):
+    """Development mode reports every file object left for the collector."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", str(SCRIPTS / "reproduce_all.py"), "--trials", "2",
+         "--seeds", "1", "--certificates", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    assert len(list(tmp_path.glob("*.json"))) == 27

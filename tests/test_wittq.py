@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdinv.exactlin import InputError
@@ -65,6 +65,21 @@ def hasse_oracle_pairwise(f: DiagonalForm, place) -> int:
         for j in range(i + 1, f.dim):
             out *= hilbert_symbol(f.entries[i], f.entries[j], place)
     return out
+
+
+def hyperbolic_oracle(f: DiagonalForm, places=None) -> bool:
+    """Full invariant comparison against the hyperbolic form of equal rank."""
+    if f.dim % 2:
+        return False
+    if places is None:
+        places = relevant_places(f.entries)
+    mine = witt_invariants(f, places)
+    ref = witt_invariants(hyperbolic(f.dim // 2), places)
+    return (
+        mine.signed_discriminant == ref.signed_discriminant
+        and mine.signature == ref.signature
+        and mine.hasse == ref.hasse
+    )
 
 
 def test_hilbert_golden_values():
@@ -262,6 +277,23 @@ def test_f_perp_minus_f_hyperbolic(vals):
     f = DiagonalForm.of(vals)
     assert is_hyperbolic(f.perp(f.neg()))
     assert witt_equivalent(f, f)
+
+
+# few square classes, so that f + (-g) is often hyperbolic
+small_classes = st.lists(
+    st.sampled_from((1, -1, 2, -2, 3, -3, 6, -6, 5, -5, 10, -10, 15, -15)), max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_classes, small_classes, st.booleans())
+@example([1, 2], [2, 1], False)  # hyperbolic
+@example([1, 1, 1, 1], [-1, -1, -1, -1], False)  # in I^3 with signature 8
+@example([3, 5, -15], [1], True)  # minus the norm form of the division algebra (3, 5)
+def test_is_hyperbolic_matches_invariant_comparison(a, b, extra_places):
+    f = DiagonalForm.of(a).perp(DiagonalForm.of(b).neg())
+    places = (relevant_places(f.entries) + (7, 11)) if extra_places else None
+    assert is_hyperbolic(f, places) == hyperbolic_oracle(f, places)
 
 
 @settings(max_examples=30, deadline=None)
@@ -503,17 +535,17 @@ def test_only_sampled_slots_are_factored(monkeypatch, identity, seed):
     from sdinv import wittq
 
     trials = []
-    sample_for, factorize = wittq._sample_for, wittq.factorize
+    sample, factorize = wittq._Identity.sample, wittq.factorize
 
-    def sampling(identity_id, rng):
+    def sampling(row, rng):
         trials.append([])
-        return sample_for(identity_id, rng)
+        return sample(row, rng)
 
     def recording(n):
         trials[-1].append(n)
         return factorize(n)
 
-    monkeypatch.setattr(wittq, "_sample_for", sampling)
+    monkeypatch.setattr(wittq._Identity, "sample", sampling)
     monkeypatch.setattr(wittq, "factorize", recording)
     cases = verify_identity(identity, 100, seed)
     assert len(trials) == len(cases) == 100
