@@ -8,7 +8,10 @@ layers:
 * the algebraic layer re-verifies each entry on its own terms with the
   exact linear algebra primitives (products of stored transforms, membership
   coordinates, torsion witness orders) or, for randomized trials, by
-  re-deciding the stored samples;
+  re-deciding the stored samples.  A torsion witness is a bare vector: the
+  stored Smith decomposition maps the subquotient onto the sum of the
+  ``Z/d_i``, so the image of the witness under ``U`` proves its order with
+  nothing factored;
 * the replay layer rebuilds the whole certificate from the stored command
   echo, which is a pure function of it, and compares payloads, so any edit
   of a semantic field is caught even when the edited value is internally
@@ -27,16 +30,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._factor import is_probable_prime
 from .errors import MAX_AMBIENT_RANK, MAX_TRIALS
 
 if TYPE_CHECKING:
-    from .exactlin import Lattice, MembershipResult, SubquotientData, TorsionWitness
+    from .exactlin import Lattice, MembershipResult, SubquotientData
     from .kgamma import GradedTorsionReport
     from .presets import TheoremRow
     from .roots import IndecomposableResult
 
-CERT_FORMAT = "sdinv-cert/1"
+CERT_FORMAT = "sdinv-cert/2"
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +81,6 @@ def membership_entry(label: str, lattice: Lattice, vector, result: MembershipRes
     return entry
 
 
-def _witness_payload(w: TorsionWitness) -> dict:
-    return {
-        "vector": list(w.vector),
-        "order": w.order,
-        "multiple_coordinates": list(w.multiple_coordinates),
-        "proper_certificates": [
-            {
-                "prime": p,
-                "obstruction": c.kind,
-                "functional": list(c.functional),
-                "modulus_prime": c.prime,
-                "modulus_power": c.power,
-            }
-            for p, c in w.proper_certificates
-        ],
-    }
-
-
 def subquotient_entry(label: str, data: SubquotientData) -> dict:
     return {
         "kind": "subquotient",
@@ -112,7 +96,7 @@ def subquotient_entry(label: str, data: SubquotientData) -> dict:
         },
         "free_rank": data.group.free_rank,
         "invariant_factors": list(data.group.invariant_factors),
-        "witnesses": [_witness_payload(w) for w in data.witnesses],
+        "witnesses": [list(w) for w in data.witnesses],
     }
 
 
@@ -292,10 +276,8 @@ class CertificateError(Exception):
     pass
 
 
-# entry fields that hold text, a flag, or a modulus that the evidence check types
-_NON_NUMBER_FIELDS = frozenset(
-    {"kind", "label", "holds", "obstruction", "modulus_prime", "modulus_power"}
-)
+# entry fields that hold text or a flag
+_NON_NUMBER_FIELDS = frozenset({"kind", "label", "holds", "obstruction"})
 
 
 def _only_integers(value) -> bool:
@@ -375,21 +357,8 @@ def _verify_membership(entry) -> None:
         raise CertificateError(f"{entry['label']}: membership evidence fails")
 
 
-def _covers_order(order, primes) -> bool:
-    """``primes`` are the distinct prime factors of ``order``: each one is
-    prime and divides what the earlier ones leave of ``order``, and dividing
-    them all out leaves 1.  Nothing is factored, so the work is bounded by
-    the size of the stated numbers."""
-    for p in primes:
-        if p < 2 or order % p:
-            return False
-        while order % p == 0:
-            order //= p
-    return order == 1 and all(is_probable_prime(p) for p in primes)
-
-
 def _verify_subquotient(entry) -> None:
-    from .exactlin import IntMatrix, NonMembershipCertificate, SmithDecomposition, TorsionWitness
+    from .exactlin import IntMatrix, SmithDecomposition
 
     _refuse_non_integers(entry)
     sup = _stated_lattice(entry, "sup_basis")
@@ -424,31 +393,23 @@ def _verify_subquotient(entry) -> None:
     rank = sum(1 for d in diag if d)
     if sup.basis.cols - rank != entry["free_rank"]:
         raise CertificateError(f"{entry['label']}: free rank mismatch")
-    # one witness of exact order d for each invariant factor d, in order
-    if [wp["order"] for wp in entry["witnesses"]] != factors:
-        raise CertificateError(f"{entry['label']}: witness orders differ from the invariant factors")
-    for wp in entry["witnesses"]:
-        witness = TorsionWitness(
-            vector=tuple(wp["vector"]),
-            order=wp["order"],
-            multiple_coordinates=tuple(wp["multiple_coordinates"]),
-            proper_certificates=tuple(
-                (
-                    pc["prime"],
-                    NonMembershipCertificate(
-                        pc["obstruction"],
-                        tuple(pc["functional"]),
-                        pc["modulus_prime"],
-                        pc["modulus_power"],
-                    ),
-                )
-                for pc in wp["proper_certificates"]
-            ),
-        )
-        if not sup.contains(witness.vector) or not witness.check(sub.basis_columns):
-            raise CertificateError(f"{entry['label']}: torsion witness fails")
-        if not _covers_order(witness.order, [p for p, _ in witness.proper_certificates]):
-            raise CertificateError(f"{entry['label']}: witness misses a prime")
+    # one witness of exact order d for each invariant factor d, in order;
+    # U maps sup/sub onto the sum of the Z/d_i, so its Smith row proves the
+    # order of each witness
+    label, witnesses = entry["label"], entry["witnesses"]
+    if len(witnesses) != len(factors):
+        raise CertificateError(f"{label}: witness count differs from the invariant factors")
+    for i, (vector, d) in enumerate(zip(witnesses, factors)):
+        if len(vector) != sup.ambient_rank:
+            raise CertificateError(f"{label}: witness {i} length differs from the ambient rank")
+        coords = sup._basis_coordinates(vector)
+        if coords is None:
+            raise CertificateError(f"{label}: witness {i} is outside the superlattice")
+        order = smith.class_order(coords)
+        if order != d:
+            raise CertificateError(
+                f"{label}: witness {i} has order {'infinite' if order is None else order}, not {d}"
+            )
 
 
 def _verify_index(entry) -> None:
@@ -509,9 +470,10 @@ _SAMPLE_TEXT = re.compile(r"[+-]?[0-9]{1,20}(/[0-9]{1,20})?")
 
 
 def _verify_witt_trials(entry) -> None:
-    from .wittq import verify_case
+    from .wittq import _identity, verify_case
 
     cases, trials = entry["cases"], entry["trials"]
+    slots = list(_identity(entry["identity"]).slots)
     if type(trials) is not int or not 1 <= trials == len(cases) <= MAX_TRIALS:
         raise CertificateError(
             f"witt trials of {entry['identity']}: trials must equal the number of "
@@ -521,6 +483,11 @@ def _verify_witt_trials(entry) -> None:
         if type(case["trial"]) is not int or case["trial"] != i:
             raise CertificateError(f"witt trial {i} of {entry['identity']}: trial out of order")
         sample = tuple((k, v) for k, v in case["sample"])
+        if [k for k, _ in sample] != slots:
+            raise CertificateError(
+                f"witt trial {i} of {entry['identity']}: sample names are not the slots "
+                f"{', '.join(slots)}"
+            )
         for k, v in sample:
             if isinstance(v, str) and not _SAMPLE_TEXT.fullmatch(v):
                 raise CertificateError(

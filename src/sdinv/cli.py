@@ -70,7 +70,7 @@ def _inv3_payload(args):
     results = {
         "preset": args.preset,
         "group": pres.group.label(),
-        "witnesses": [list(w.vector) for w in pres.witnesses],
+        "witnesses": [list(w) for w in pres.witnesses],
         "invariant_basis": [list(c) for c in pres.sup.basis_columns],
         "dec_basis": [list(c) for c in pres.sub.basis_columns],
     }
@@ -87,7 +87,7 @@ def _graded_payload(preset: str, full: bool, cited: list):
     out = {
         "preset": preset,
         "torsion": chow.torsion.label(),
-        "torsion_witnesses": [list(w.vector) for w in chow.witnesses],
+        "torsion_witnesses": [list(w) for w in chow.witnesses],
         "provenance": list(chow.provenance),
         "split_index": report.split_index,
         "epsilons": list(report.epsilon),
@@ -100,7 +100,7 @@ def _graded_payload(preset: str, full: bool, cited: list):
                 "degree": d,
                 "structure": p.group.label(),
                 "torsion": p.torsion.label(),
-                "witnesses": [list(w.vector) for w in p.witnesses],
+                "witnesses": [list(w) for w in p.witnesses],
             }
             for d, p in enumerate(report.pieces)
         ]
@@ -332,7 +332,8 @@ def run(argv=None, out=None) -> int:
 
         cert = certificate_dict(command, args, evidence)
         with open(args.certificate, "w") as fh:
-            json.dump(cert, fh, sort_keys=True)
+            # json.dumps runs the C encoder; json.dump to a file does not
+            fh.write(json.dumps(cert, sort_keys=True))
             fh.write("\n")
         report["certificate"] = {"file": args.certificate, "entries": len(cert["entries"])}
 

@@ -20,16 +20,19 @@ Hermite form does the routine work: YES membership is back-substitution down
 the triangular basis, with coordinates in that basis; the index of a
 full-rank lattice is the product of the pivots of its canonical basis;
 a kernel is read off the Hermite form of vectors augmented by an identity
-block.  Membership evidence and torsion witnesses are checked against the
-columns they are stated for, with no Hermite form.
+block.  Membership evidence is checked against the columns it is stated
+for, with no Hermite form.
 
 Smith normal form, computed with explicit transform accumulation so that the
 decomposition is a certificate (``U * A * V == D``), is kept where its
 output is needed: NO membership certificates and the group structure and
-torsion witnesses of ``subquotient_presentation``.  Torsion witnesses are
-read from the columns of ``V``: the sublattice basis times column i of ``V``
-is exactly ``d_i`` times the witness, so the package has no matrix inverse
-routine.
+torsion witnesses of ``subquotient_presentation``, which runs it once.
+Torsion witnesses are read from the columns of ``V``: the sublattice basis
+times column i of ``V`` is exactly ``d_i`` times the witness, so the package
+has no matrix inverse routine.  A witness's order is read off the rows of
+``U`` (``SmithDecomposition.class_order``): ``U`` maps the subquotient onto
+the sum of the ``Z/d_i``, so one matrix-vector product proves the order,
+with nothing factored and no membership decided.
 """
 
 from __future__ import annotations
@@ -219,6 +222,25 @@ class SmithDecomposition:
 
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d > 1)
+
+    def class_order(self, coords) -> int | None:
+        """Order of the class of ``coords`` in ``Z^rows / source Z^cols``, None
+        when infinite.
+
+        Once :meth:`verify` holds, ``x -> U x`` maps that quotient onto the
+        sum of the ``Z/d_i`` (``d_i == 0`` past the rank), so the order is the
+        lcm of ``d_i / gcd(d_i, (U x)_i)``, and infinite when ``(U x)_i != 0``
+        at some ``d_i == 0``.
+        """
+        diag = self.diagonal
+        order = 1
+        for i, y in enumerate(self.U.matvec(coords)):
+            d = diag[i] if i < len(diag) else 0
+            if d:
+                order = math.lcm(order, d // math.gcd(d, y))
+            elif y:
+                return None
+        return order
 
     def verify(self) -> bool:
         if self.U.mul(self.source).mul(self.V).entries != self.D.entries:
@@ -645,29 +667,6 @@ class FinAbelianGroup:
 
 
 @dataclass(frozen=True)
-class TorsionWitness:
-    """An element of the superlattice whose class has the stated exact order."""
-
-    vector: tuple[int, ...]
-    order: int
-    # evidence: order * vector lies in the sublattice ...
-    multiple_coordinates: tuple[int, ...]
-    # ... and (order/p) * vector does not, for each prime p | order.
-    proper_certificates: tuple[tuple[int, NonMembershipCertificate], ...]
-
-    def check(self, sub_columns) -> bool:
-        """The evidence against the sublattice spanned by ``sub_columns``."""
-        scaled = tuple(self.order * x for x in self.vector)
-        if not _rebuilds(sub_columns, self.multiple_coordinates, scaled):
-            return False
-        for p, cert in self.proper_certificates:
-            frac = tuple((self.order // p) * x for x in self.vector)
-            if not cert.check(frac, sub_columns):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
 class SubquotientData:
     """Full presentation of ``sup/sub``: the Smith decomposition of the
     relation matrix, whose columns are the basis of the sublattice in the
@@ -677,7 +676,9 @@ class SubquotientData:
     sup: Lattice
     smith: SmithDecomposition
     group: FinAbelianGroup
-    witnesses: tuple[TorsionWitness, ...]
+    # witness i is a superlattice vector whose class has order
+    # group.invariant_factors[i]
+    witnesses: tuple[tuple[int, ...], ...]
 
     @property
     def relation(self) -> IntMatrix:
@@ -708,6 +709,7 @@ def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
     # U * relation * V == D and sub.basis == sup.basis * relation, so
     # sub.basis * V_i == d_i * (sup.basis * column i of U^-1): column i of V
     # gives d_i times the witness of the i-th cyclic factor, with no inverse.
+    # Its coordinates map to e_i under U, so its order is d_i exactly.
     witnesses = []
     for i, d in enumerate(dec.diagonal):
         if d <= 1:
@@ -716,23 +718,10 @@ def subquotient_presentation(sub: Lattice, sup: Lattice) -> SubquotientData:
         if any(x % d for x in scaled):
             raise InternalInconsistencyError("torsion witness is not integral")
         vec = tuple(x // d for x in scaled)
-        yes = lattice_membership(scaled, sub)
-        if not yes.member:
-            raise InternalInconsistencyError("torsion witness failed to certify")
-        proper = []
-        t = d
-        while t > 1:
-            p = smallest_prime_factor(t)
-            while t % p == 0:
-                t //= p
-            frac = tuple((d // p) * x for x in vec)
-            res = lattice_membership(frac, sub)
-            if res.member:
-                raise InternalInconsistencyError(
-                    "torsion witness has smaller order than claimed"
-                )
-            proper.append((p, res.certificate))
-        witnesses.append(TorsionWitness(vec, d, yes.coordinates, tuple(proper)))
+        coords = sup._basis_coordinates(vec)
+        if coords is None or dec.class_order(coords) != d:
+            raise InternalInconsistencyError("torsion witness does not have its factor's order")
+        witnesses.append(vec)
 
     return SubquotientData(sub=sub, sup=sup, smith=dec, group=group, witnesses=tuple(witnesses))
 

@@ -46,7 +46,6 @@ from .exactlin import (
     Lattice,
     MembershipResult,
     SubquotientData,
-    TorsionWitness,
     lattice_index,
     lattice_membership,
     row_hermite,
@@ -881,7 +880,7 @@ class Chow2Result:
         return FinAbelianGroup.trivial() if self.piece is None else self.piece.torsion
 
     @property
-    def witnesses(self) -> tuple[TorsionWitness, ...]:
+    def witnesses(self) -> tuple[tuple[int, ...], ...]:
         return () if self.piece is None else self.piece.witnesses
 
 

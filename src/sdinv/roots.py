@@ -373,7 +373,7 @@ def sl4x4_witness_is_2q1_plus_6q2(res: IndecomposableResult) -> bool:
     target = ambient_to_basis_quad(
         res.character_lattice, tuple(2 * a + 6 * b for a, b in zip(q1, q2))
     )
-    diff = tuple(a - b for a, b in zip(res.presentation.witnesses[0].vector, target))
+    diff = tuple(a - b for a, b in zip(res.presentation.witnesses[0], target))
     return res.presentation.sub.contains(diff)
 
 

@@ -456,28 +456,28 @@ def test_large_gamma_reports_are_byte_identical(preset):
     assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_REPORT_DIGESTS[preset]
 
 
-# SHA-256 of the certificate files as the code before the lazy entries and the
-# index-additive product wrote them (split:4,4,4: before span bases; the
-# theorem rows and inv3 sl4x4: before the character-lattice wrapper types were
-# deleted); the entries must not change.
+# SHA-256 of the sdinv-cert/2 certificate files.  Each equals the sdinv-cert/1
+# file of the code before the per-prime witness evidence was deleted, with the
+# format string swapped and each witness replaced by its vector; the entries
+# must not change.
 CERTIFICATE_DIGESTS = {
-    "inv3 --preset sl2n:7": "51900247fd8e89c89234e5adfc00ece39c2ce4bf6d55ba8615c2351d2b8e5819",
-    "sl4x4": "9fbb62f2c87323b040ab83c1b370a2bdd6c3de97451d04c8cd7d02ef1209b6b9",
-    "chow2 --preset conics4": "4c0207f634329beae1e1c12c3cb2ca7d7be268c6f1e82617b0e9ffe0a4cc7610",
+    "inv3 --preset sl2n:7": "20aeb3d710122f431a28baa2ece85a9b5caefb0ab820528c97de4bdba13837ad",
+    "sl4x4": "8e09cc3978ed192a43a2c54e9672eceade0f007339f29222df5731924e0e9de6",
+    "chow2 --preset conics4": "776eae93b048f4686a3acf889c5c9c83a11f6f9465621a2c4790ad5c67cde09c",
     "gamma report --preset deg4pair":
-        "cd146194b8f7c18d6b9f2386e0ea625ac5e3e09379a424c4dc629dd0366ffb19",
+        "cd1b2638b59f9f59595afe2c0b6a35eedbc60f2162dad97829bd0c069190b483",
     "gamma report --preset split:3,3,3":
-        "0ffa22e88f92739c127f0addb3c0bc29cf2dbc72b5d508c126ba14ed03008536",
+        "a1c9d2fb76910fe693fe331b4297f0b42e1820d0869ce74ed0b14f176897f0e5",
     "gamma report --preset split:4,4,4":
-        "5964794076b56eb8ad4e4e3f433e3fa21d74c6d1afdf4a00ca2fa761db3c2a75",
-    "theorem --n 2": "a676a589110e3236c82cc0d73df60b178d58cb4f58ca51728616b34a62cdebf0",
-    "theorem --n 3": "b5ec5fbe14ba0bd886a1b784785053b6e7bfca40c6b55e71acd67f54e4c27932",
-    "theorem --n 4": "7dccab085f77f8df7852b8437c82792bd95f468709e40a4e7890e99fc594c3f5",
-    "theorem --n 5": "235797db5c930145b3f689cb68b565c1a929d5535eb79d6508bcb3fd75745884",
-    "theorem --n 6": "18d18ea8907177a06cf33ea5bcaeeb6e97600c7bb107b91d5372223148b9a798",
-    "theorem --n 7": "51b1fad8eb0be6a88b210b08ed4f056b8302bccfa843f738647dd75c8925a53e",
-    "theorem --n 8": "357a634d6d96dc6f5342acf45e7319b98d168622f9ed3e5df9bce30f4b3d23e6",
-    "inv3 --preset sl4x4": "7c8660129a17dfbe4ecaa8e04a067f7b3b2f7e997837123c0fb132b47ad36995",
+        "17df5dc10abd1fe1562f400484e313fd1e3b4dd911dff5b24d8ec2c904779930",
+    "theorem --n 2": "4a913f183112265045fd71905c1066adf70b1a31baf2ba83e41175e81b74f7ee",
+    "theorem --n 3": "d498dbdeef9f91a4f9227f9996f6e084a7e20d56ba7d4011ccc1c07dfebde808",
+    "theorem --n 4": "83b812f8611d08de63902194498df5714963b3848277eef00bbe1853648d9d45",
+    "theorem --n 5": "6468307073318a8ee59c6e23375b61c78cc28d684b4f13dc62f2b9fef7521c99",
+    "theorem --n 6": "dd44294f2e5967a9c8a4135f6146e02caecae27406eab93880a6076dbc7bc604",
+    "theorem --n 7": "73dd865af59971e67c8127baacc7a64d084d234a59446c336c105534b7dce5d9",
+    "theorem --n 8": "f9683cb81213f61d20d1656e2fdc8a5aae172751bfa7bf5394082d8f8335558e",
+    "inv3 --preset sl4x4": "09d6667e6db301e441a3d50d4acf1ae9b9497117c28ce4279fff429cb2b5e8e1",
 }
 
 
@@ -509,17 +509,18 @@ def test_theorem_reports_are_byte_identical(n):
     assert hashlib.sha256(out.encode()).hexdigest() == THEOREM_REPORT_DIGESTS[n]
 
 
-# SHA-256 of the certificate files of ``witt verify --trials 50 --seed 1`` as
-# written by the code before square classes became gcd-multiplied values.
+# SHA-256 of the sdinv-cert/2 certificate files of ``witt verify --trials 50
+# --seed 1``: the sdinv-cert/1 files of the code before square classes became
+# gcd-multiplied values, with the format string swapped.
 WITT_CERTIFICATE_DIGESTS = {
-    "twofold": "7528c42f06ebe32672dfaa75e1a60b2ce536c018d0435e63fb8511c43094a9ce",
-    "square_slot": "62a705129545e95e365754834dc2b84bc238e94a4a2f475ad59363876c25c582",
-    "double": "5a0387ab0a194370b6e572bb6172e5312983a90caddfbbfe9e58e792c960b713",
-    "alpha2": "9abd978d42da07fcad10f84ba47888cfa8d9b04bf39174fcb2723401d1b59e5a",
-    "lemma_alpha3_exact": "781d52463adf34feab632d91dd86c83c975f851fec282fcc943328011a4890ac",
-    "lemma_alpha3_modI4": "8bb4e7178ecd6c98e8c2ec94675a5748e3b8340c29729876a461b87c89d42219",
-    "prop_step_Qonetwo": "9e9188d3921c0997fddcb8681f14672fcccdf10dc2bdd556d62a2aba7255936a",
-    "alpha4_full": "9d43f94956fedc033c8910eda0f6e560802a7c7479dcaa3d8f46605e795d7926",
+    "twofold": "eb0dff8895497eb5a2d59ea54f053227e23cc19152fa479cd9a08dd9eafc7dc2",
+    "square_slot": "c47dad479e1358f67715c164d37f05332894c8d3ee2e87141b3ba12e6707aed5",
+    "double": "9d78d11650c999037fea9a969c005c1674ed7b191f1f2c5a43bd8e07d56d76d2",
+    "alpha2": "bc58d384f820174153c9ed6b047db0635ed5e006de0863f5d867aabc0a7b47f3",
+    "lemma_alpha3_exact": "b0d8534f4ae3cb301db8eeb1361559da81168ae1c0bde102061a9b8e3e0443fa",
+    "lemma_alpha3_modI4": "811b24a70fecc585fdd1fd6dadf9e9b2668d7285816b41e3d998ef1ffb0c8e82",
+    "prop_step_Qonetwo": "3132a4694d58977630fcc8ef036fa469d90fb223a6b9909d0e5abe11da58f97d",
+    "alpha4_full": "1b7f82f9a146fac793795f46e87a3483d828e60ac73eb3b8db5bca4bad011e06",
 }
 
 
@@ -638,6 +639,19 @@ def test_checker_exit_3_on_non_object_json(payload, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_checker_refuses_the_first_format(cert_files, tmp_path, capsys):
+    """sdinv-cert/1 stored per-prime evidence for each torsion witness; its
+    files are refused by name, not read as the current format."""
+    cert = json.loads(cert_files[0].read_text())
+    assert cert["format"] == certmod.CERT_FORMAT == "sdinv-cert/2"
+    cert["format"] = "sdinv-cert/1"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, _ = run(["--check-certificate", str(path)])
+    assert code == 3
+    assert "unsupported certificate format 'sdinv-cert/1'" in capsys.readouterr().err
+
+
 def test_checker_bounds_ambient_rank(tmp_path, capsys):
     """An index entry over an empty sub basis would make the checker build
     the standard lattice of the stated rank."""
@@ -689,37 +703,65 @@ def test_entry_layer_accepts_without_replay(entry_certs, name, monkeypatch):
     assert ok, failures
 
 
-# (field path inside an entry, test on the entry) of one value per kind of edit
+def _add_two(*field):
+    return lambda entry: _tamper(entry, field, 2)
+
+
+def _witness_times_its_order(entry):
+    """d times a witness of order d has order 1."""
+    d = entry["invariant_factors"][0]
+    entry["witnesses"][0] = [d * x for x in entry["witnesses"][0]]
+
+
+# (edit of an entry, test on the entry) of one kind of edit each
 ENTRY_EDITS = {
     "invariant factor": (
-        ("invariant_factors", 0), lambda e: e["kind"] == "subquotient" and e["invariant_factors"]
+        _add_two("invariant_factors", 0),
+        lambda e: e["kind"] == "subquotient" and e["invariant_factors"],
     ),
     "membership coordinate": (
-        ("coordinates", 0), lambda e: e["kind"] == "membership" and e["member"]
+        _add_two("coordinates", 0), lambda e: e["kind"] == "membership" and e["member"]
     ),
     "witness order": (
-        ("witnesses", 0, "order"), lambda e: e["kind"] == "subquotient" and e["witnesses"]
+        _witness_times_its_order, lambda e: e["kind"] == "subquotient" and e["witnesses"]
     ),
-    "trial count": (("trials",), lambda e: e["kind"] == "witt_trials"),
-    "trial number": (("cases", 1, "trial"), lambda e: e["kind"] == "witt_trials"),
+    "trial count": (_add_two("trials"), lambda e: e["kind"] == "witt_trials"),
+    "trial number": (_add_two("cases", 1, "trial"), lambda e: e["kind"] == "witt_trials"),
 }
 
 
 @pytest.mark.parametrize("edit", ENTRY_EDITS)
 def test_entry_layer_rejects_one_edit_without_replay(entry_certs, edit, monkeypatch):
     monkeypatch.setattr(certmod, "build_certificate", _no_replay)
-    field, applies = ENTRY_EDITS[edit]
+    change, applies = ENTRY_EDITS[edit]
     edited = 0
     for cert in entry_certs.values():
         i = next((i for i, e in enumerate(cert["entries"]) if applies(e)), None)
         if i is None:
             continue
         bad = json.loads(json.dumps(cert))
-        _tamper(bad, ("entries", i) + field, 2)
+        change(bad["entries"][i])
         ok, failures = certmod.check_certificate(bad, replay=False)
         assert not ok and failures[0].startswith(f"entry {i}:"), failures
         edited += 1
     assert edited >= 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda sample: sample.append(["q", "7"]), lambda sample: sample.pop(0),
+     lambda sample: sample.reverse()],
+    ids=["extra-slot", "missing-slot", "reordered-slots"],
+)
+def test_entry_layer_checks_witt_slot_names(entry_certs, edit, monkeypatch):
+    """Each sample names the identity's slots, in order: alpha2 has a and b."""
+    monkeypatch.setattr(certmod, "build_certificate", _no_replay)
+    bad = json.loads(json.dumps(entry_certs["witt"]))
+    edit(bad["entries"][0]["cases"][0]["sample"])
+    ok, failures = certmod.check_certificate(bad, replay=False)
+    assert not ok and failures == [
+        "entry 0: witt trial 0 of alpha2: sample names are not the slots a, b"
+    ], failures
 
 
 def test_checker_bounds_witt_sample_size(tmp_path, capsys):
@@ -770,45 +812,68 @@ def _entry_layer(entry):
 P46, Q46 = 35184372088891, 35184372088907
 
 
-def _rank_one_subquotient(order, primes):
-    """Z / order Z with one witness listing ``primes``; each proper
-    certificate pairs with the identity functional modulo its own prime."""
+def _cyclic_subquotient(order, witness):
+    """Z / order Z, presented by the identity Smith transforms, with the one
+    witness vector ``witness``."""
     return {
         "kind": "subquotient", "label": "crafted", "ambient_rank": 1,
         "sup_basis": [[1]], "sub_basis": [[order]], "relation": [[order]],
         "smith": {"U": [[1]], "D": [[order]], "V": [[1]]},
-        "free_rank": 0, "invariant_factors": [order],
-        "witnesses": [{
-            "vector": [1], "order": order, "multiple_coordinates": [1],
-            "proper_certificates": [
-                {"prime": p, "obstruction": "modular", "functional": [1],
-                 "modulus_prime": p, "modulus_power": 1}
-                for p in primes
-            ],
-        }],
+        "free_rank": 0, "invariant_factors": [order], "witnesses": [witness],
     }
 
 
-def test_checker_factors_no_witness_order(tmp_path, capsys):
-    """A witness that lists no prime of an order made of two 46-bit primes
-    is refused at once instead of the order being factored."""
-    path = _one_entry_cert(tmp_path, _rank_one_subquotient(P46 * Q46, []))
+def _factoring_calls(monkeypatch):
+    from sdinv import _factor
+
+    return [_count_calls(monkeypatch, _factor, name)
+            for name in ("factorize", "smallest_prime_factor", "is_probable_prime")]
+
+
+def test_checker_factors_no_witness_order(monkeypatch):
+    """A witness of an order made of two 46-bit primes is proved by its
+    Smith row, with nothing factored."""
+    factoring = _factoring_calls(monkeypatch)
     start = time.perf_counter()
-    code, _ = run(["--check-certificate", str(path)])
-    assert code == 3
+    ok, failures = _entry_layer(_cyclic_subquotient(P46 * Q46, [1]))
+    assert ok, failures
     assert time.perf_counter() - start < 1.0
-    assert "witness misses a prime" in capsys.readouterr().err
+    assert not any(factoring)
 
 
-@pytest.mark.parametrize(
-    "primes, ok",
-    [([P46, Q46], True), ([Q46, P46], True), ([P46], False), ([P46 * Q46], False),
-     ([P46, Q46, P46], False), ([1, P46, Q46], False)],
-    ids=["both", "reordered", "one-missing", "composite", "repeated", "one"],
-)
-def test_witness_primes_must_be_the_prime_factors_of_the_order(primes, ok):
-    passed, failures = _entry_layer(_rank_one_subquotient(P46 * Q46, primes))
-    assert passed is ok, failures
+# (order, witness vector, refusal or None): the witness's order is the order
+# of its image under U, whatever the factors of the stated order
+CYCLIC_WITNESSES = {
+    "order-P46Q46": (P46 * Q46, [1], None),
+    "unit-multiple": (P46 * Q46, [2], None),
+    "order-P46": (P46 * Q46, [Q46], f"witness 0 has order {P46}, not {P46 * Q46}"),
+    "order-Q46": (P46 * Q46, [P46], f"witness 0 has order {Q46}, not {P46 * Q46}"),
+    "order-2-of-4": (4, [2], "witness 0 has order 2, not 4"),
+    "zero": (4, [0], "witness 0 has order 1, not 4"),
+}
+
+
+@pytest.mark.parametrize("case", CYCLIC_WITNESSES)
+def test_witness_order_is_read_off_the_smith_row(case, monkeypatch):
+    order, witness, refusal = CYCLIC_WITNESSES[case]
+    factoring = _factoring_calls(monkeypatch)
+    ok, failures = _entry_layer(_cyclic_subquotient(order, witness))
+    if refusal is None:
+        assert ok, failures
+    else:
+        assert not ok and failures == [f"entry 0: crafted: {refusal}"], failures
+    assert not any(factoring)
+
+
+def test_witness_of_infinite_order_is_refused():
+    """Z + Z/2 as Z^2 over the span of (2, 0): (0, 1) has infinite order."""
+    sup = exactlin.Lattice.standard(2)
+    sub = exactlin.Lattice.from_columns(2, [(2, 0)])
+    entry = certmod.subquotient_entry("crafted", exactlin.subquotient_presentation(sub, sup))
+    assert entry["invariant_factors"] == [2] and _entry_layer(entry)[0]
+    entry["witnesses"][0] = [0, 1]
+    ok, failures = _entry_layer(entry)
+    assert not ok and "witness 0 has order infinite, not 2" in failures[0], failures
 
 
 def test_witness_outside_the_superlattice_is_refused():
@@ -817,13 +882,22 @@ def test_witness_outside_the_superlattice_is_refused():
     entry = certmod.subquotient_entry("crafted", exactlin.subquotient_presentation(sub, sup))
     assert entry["invariant_factors"] == [2] and _entry_layer(entry)[0]
     # (0, 1) is outside sup, yet twice it lies in sub and it does not
-    entry["witnesses"][0] = {
-        "vector": [0, 1], "order": 2, "multiple_coordinates": [0, 1],
-        "proper_certificates": [{"prime": 2, "obstruction": "modular", "functional": [0, 1],
-                                 "modulus_prime": 2, "modulus_power": 1}],
-    }
+    entry["witnesses"][0] = [0, 1]
     ok, failures = _entry_layer(entry)
-    assert not ok and "torsion witness fails" in failures[0], failures
+    assert not ok and "witness 0 is outside the superlattice" in failures[0], failures
+
+
+@pytest.mark.parametrize(
+    "witnesses, refusal",
+    [([], "witness count differs from the invariant factors"),
+     ([[1], [1]], "witness count differs from the invariant factors"),
+     ([[1, 0]], "witness 0 length differs from the ambient rank")],
+    ids=["dropped", "extra", "long"],
+)
+def test_witness_list_shape_is_checked(witnesses, refusal):
+    entry = dict(_cyclic_subquotient(4, [1]), witnesses=witnesses)
+    ok, failures = _entry_layer(entry)
+    assert not ok and failures == [f"entry 0: crafted: {refusal}"], failures
 
 
 def _identity_rows(n):
@@ -831,8 +905,8 @@ def _identity_rows(n):
 
 
 def _rank_one_with(relation=None, **smith):
-    """``_rank_one_subquotient(2, [2])`` with some of its matrices replaced."""
-    entry = _rank_one_subquotient(2, [2])
+    """``_cyclic_subquotient(2, [1])`` with some of its matrices replaced."""
+    entry = _cyclic_subquotient(2, [1])
     if relation is not None:
         entry["relation"] = relation
     entry["smith"].update(smith)
@@ -905,7 +979,7 @@ def test_entry_layer_rejects_a_dropped_witness(entry_certs, monkeypatch):
                 bad = json.loads(json.dumps(cert))
                 del bad["entries"][i]["witnesses"][-1]
                 ok, failures = certmod.check_certificate(bad, replay=False)
-                assert not ok and "witness orders differ" in failures[0], failures
+                assert not ok and "witness count differs" in failures[0], failures
                 dropped += 1
     assert dropped >= 2
 
@@ -989,11 +1063,12 @@ NON_INTEGER_EDITS = {
     "basis-generator": (_lattice_basis_entry([[2]], [[2]]), ("generators", 0, 0), 2.9),
     "basis-canonical": (_lattice_basis_entry([[2]], [[2]]), ("canonical_basis", 0, 0), 2.0),
     "basis-bool": (_lattice_basis_entry([[1]], [[1]]), ("generators", 0, 0), True),
-    "subquotient-sub-basis": (_rank_one_subquotient(2, [2]), ("sub_basis", 0, 0), 2.9),
-    "subquotient-factor": (_rank_one_subquotient(2, [2]), ("invariant_factors", 0), 2.0),
-    "subquotient-smith": (_rank_one_subquotient(2, [2]), ("smith", "D", 0, 0), 2.0),
-    "subquotient-relation": (_rank_one_subquotient(2, [2]), ("relation", 0, 0), 2.9),
-    "subquotient-free-rank": (_rank_one_subquotient(2, [2]), ("free_rank",), 0.0),
+    "subquotient-sub-basis": (_cyclic_subquotient(2, [1]), ("sub_basis", 0, 0), 2.9),
+    "subquotient-factor": (_cyclic_subquotient(2, [1]), ("invariant_factors", 0), 2.0),
+    "subquotient-smith": (_cyclic_subquotient(2, [1]), ("smith", "D", 0, 0), 2.0),
+    "subquotient-relation": (_cyclic_subquotient(2, [1]), ("relation", 0, 0), 2.9),
+    "subquotient-free-rank": (_cyclic_subquotient(2, [1]), ("free_rank",), 0.0),
+    "subquotient-witness": (_cyclic_subquotient(2, [1]), ("witnesses", 0, 0), 1.0),
     "fixed-vectors-matrix": (
         {"kind": "fixed_vectors", "label": "crafted", "matrices": [[[1, 0], [0, 1]]],
          "vectors": [[0, 1]]},

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdinv import exactlin
+from sdinv import exactlin, kgamma, roots
 from sdinv.exactlin import (
     ContainmentError,
     FinAbelianGroup,
@@ -49,6 +49,15 @@ def rational_inverse(m: IntMatrix) -> list[list[Fraction]]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def has_exact_order(vector, d: int, sub: Lattice) -> bool:
+    """``d * vector`` lies in ``sub`` and ``(d/p) * vector`` does not, for
+    each prime ``p`` dividing ``d``; decided by ``lattice_membership``."""
+    if not lattice_membership(tuple(d * x for x in vector), sub).member:
+        return False
+    primes = [p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))]
+    return not any(lattice_membership(tuple(d // p * x for x in vector), sub).member for p in primes)
 
 
 def snf_2x2_oracle(m: IntMatrix) -> tuple[int, int]:
@@ -250,10 +259,8 @@ def test_saturation_torsion_single_relation():
     data = subquotient_presentation(sub, sup)
     tors, wits = data.torsion, data.witnesses
     assert tors.label() == "Z/2"
-    assert len(wits) == 1
-    w = wits[0]
-    assert w.order == 2 and w.vector == (1, 0)
-    assert w.check(sub.basis_columns)
+    assert wits == ((1, 0),)
+    assert has_exact_order(wits[0], 2, sub)
 
 
 def test_saturation_torsion_mixed():
@@ -262,7 +269,7 @@ def test_saturation_torsion_mixed():
     data = subquotient_presentation(sub, sup)
     tors, wits = data.torsion, data.witnesses
     assert tors.label() == "Z/2"
-    assert wits[0].vector == (1, 0) and wits[0].order == 2
+    assert wits == ((1, 0),)
 
 
 def test_saturation_witness_orders():
@@ -270,38 +277,91 @@ def test_saturation_witness_orders():
     sup = Lattice.standard(3)
     data = subquotient_presentation(sub, sup)
     tors, wits = data.torsion, data.witnesses
-    orders = sorted(w.order for w in wits)
-    assert orders == [2, 3, 12] or orders == sorted(tors.invariant_factors)
-    for w in wits:
-        assert w.check(sub.basis_columns)
+    assert tors.invariant_factors == (6, 12)
+    for w, d in zip(wits, tors.invariant_factors, strict=True):
+        assert has_exact_order(w, d, sub)
 
 
 vectors3 = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(vectors3, min_size=1, max_size=3),
-    st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=4),
+sup_generators = st.lists(vectors3, min_size=1, max_size=3)
+combinations = st.lists(
+    st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=4
 )
-def test_witnesses_equal_columns_of_the_inverse_of_u(sup_gens, combos):
-    """Each witness is sup.basis times column i of U^-1, computed here with
-    the rational inverse oracle; the package reads it from V instead."""
+
+
+def _sub_and_sup(sup_gens, combos) -> tuple[Lattice, Lattice]:
+    """The span of ``sup_gens`` and the span of the combinations of them."""
     sup = Lattice.from_columns(3, sup_gens)
     sub = Lattice.from_columns(
         3, [tuple(sum(c * g[t] for c, g in zip(combo, sup_gens)) for t in range(3))
             for combo in combos]
     )
-    data = subquotient_presentation(sub, sup)
+    return sub, sup
+
+
+@settings(max_examples=60, deadline=None)
+@given(sup_generators, combinations)
+def test_witnesses_equal_columns_of_the_inverse_of_u(sup_gens, combos):
+    """Each witness is sup.basis times column i of U^-1, computed here with
+    the rational inverse oracle; the package reads it from V instead."""
+    data = subquotient_presentation(*_sub_and_sup(sup_gens, combos))
     uinv = rational_inverse(data.smith.U)
     expected = [
         data.sup.basis.matvec([int(row[i]) for row in uinv])
         for i, d in enumerate(data.smith.diagonal)
         if d > 1
     ]
-    assert [w.vector for w in data.witnesses] == expected
-    for w in data.witnesses:
-        assert w.check(data.sub.basis_columns)
+    assert list(data.witnesses) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(sup_generators, combinations)
+def test_witness_orders_are_read_off_the_smith_rows(sup_gens, combos):
+    """``class_order`` of each witness's coordinates is its invariant factor,
+    and the membership oracle agrees that the order is exact."""
+    sub, sup = _sub_and_sup(sup_gens, combos)
+    data = subquotient_presentation(sub, sup)
+    factors = data.group.invariant_factors
+    for w, d in zip(data.witnesses, factors, strict=True):
+        assert data.smith.class_order(sup._basis_coordinates(w)) == d
+        assert has_exact_order(w, d, sub)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sup_generators, combinations, st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+def test_class_order_matches_the_least_multiple_in_sub(sup_gens, combos, mix):
+    """The order of any class is the least k up to the exponent of the
+    torsion with k * v in sub, and infinite when there is none."""
+    sub, sup = _sub_and_sup(sup_gens, combos)
+    data = subquotient_presentation(sub, sup)
+    coords = tuple(mix[: sup.rank])
+    v = sup.basis.matvec(coords)
+    exponent = max(data.group.invariant_factors, default=1)
+    least = next(
+        (k for k in range(1, exponent + 1) if lattice_membership(tuple(k * x for x in v), sub).member),
+        None,
+    )
+    assert data.smith.class_order(coords) == least
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    [lambda: roots.indecomposable_group("sl2n:8").presentation,
+     lambda: kgamma.chow2_torsion("conics4").piece],
+    ids=["inv3 sl2n:8", "chow2 conics4"],
+)
+def test_subquotient_runs_one_smith_form_and_no_membership(presentation, monkeypatch):
+    data = presentation()
+    calls = []
+    for name in ("smith_normal_form", "lattice_membership"):
+        original = getattr(exactlin, name)
+        monkeypatch.setattr(
+            exactlin, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    assert subquotient_presentation(data.sub, data.sup) == data
+    assert data.witnesses and calls == ["smith_normal_form"]
 
 
 # --- index --------------------------------------------------------------------

@@ -612,7 +612,7 @@ def test_conics4_torsion_witness_is_triple_class():
     hits = 0
     for t in triples:
         target = parse(f"4*{t}", ring).y_vector()
-        diff = tuple(a - b for a, b in zip(w.vector, target))
+        diff = tuple(a - b for a, b in zip(w, target))
         if filt.level(3).contains(diff):
             hits += 1
     assert hits >= 1
