@@ -11,9 +11,18 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-_SMALL_PRIMES: tuple[int, ...] = tuple(
-    p for p in range(2, 1000) if all(p % q for q in range(2, int(math.isqrt(p)) + 1))
-)
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+_SMALL_PRIMES = _primes_below(1000)
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

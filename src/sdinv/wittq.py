@@ -26,24 +26,36 @@ Square classes are values
   a form built from them is +-1 times a product of slot classes, so the odd
   primes of the slots contain every place where its Hasse symbol can differ
   from that of the hyperbolic form.
-* Hasse exponents are summed over the distinct entries of a form weighted by
-  their multiplicities; a squarefree entry has valuation 1 at p exactly when
-  p divides it.
+* The Hasse exponent at a place is read in one pass over the distinct
+  entries of a form: a squarefree entry has valuation 1 at p exactly when p
+  divides it, and an entry of even multiplicity counts only toward the
+  number of entries divisible by p (and, at 2, toward the number of entries
+  whose unit part is 3 mod 4).  The Legendre bits of the other entries are
+  the bit of their product mod p.
+* The hyperbolic reference h<1, -1> has entries +-1 only, so its Hasse
+  symbol is (-1)^C(h, 2) at inf and at 2 and +1 at every odd prime; it is
+  written down, not computed.
+* Places are validated once per form or relation, and the symbols of a
+  form or relation are then evaluated on integers.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from ._factor import factorize, is_probable_prime
 from .errors import MAX_TRIALS, InputError, InternalInconsistencyError
 
 Place = object  # "inf" or a prime number
+
+# Sample text that ``int`` reads: the value ``Fraction`` would give, without
+# loading ``fractions``.
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +67,11 @@ def _num_den(value) -> int:
     same square class, with the same valuation parity at every prime."""
     if isinstance(value, int):
         n = value
+    elif isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):
+        n = int(value)
     else:
+        from fractions import Fraction
+
         f = Fraction(value)
         n = f.numerator * f.denominator
     if n == 0:
@@ -117,6 +133,25 @@ def _local_data(a: int, p: int) -> tuple[int, int]:
     return v, a
 
 
+def _hilbert_bit(a: int, b: int, place) -> int:
+    """0 when the Hilbert symbol of the nonzero integers a and b at a checked
+    place is +1, 1 when it is -1."""
+    if place == "inf":
+        return 1 if (a < 0 and b < 0) else 0
+    p = place
+    alpha, u = _local_data(a, p)
+    beta, v = _local_data(b, p)
+    if p == 2:
+        exp = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
+    else:
+        exp = alpha * beta * ((p - 1) // 2)
+        if beta % 2:
+            exp += _legendre_bit(u, p)
+        if alpha % 2:
+            exp += _legendre_bit(v, p)
+    return exp % 2
+
+
 def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b) at a place of the rationals.
 
@@ -126,19 +161,7 @@ def hilbert_symbol(a, b, place) -> int:
     their square classes.
     """
     _check_place(place)
-    a = _num_den(a)
-    b = _num_den(b)
-    if place == "inf":
-        return -1 if (a < 0 and b < 0) else 1
-    p = place
-    alpha, u = _local_data(a, p)
-    beta, v = _local_data(b, p)
-    if p == 2:
-        exp = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
-    else:
-        exp = alpha * beta * (((p - 1) // 2) % 2)
-        exp += beta * _legendre_bit(u, p) + alpha * _legendre_bit(v, p)
-    return -1 if exp % 2 else 1
+    return -1 if _hilbert_bit(_num_den(a), _num_den(b), place) else 1
 
 
 def relevant_places(entries) -> tuple:
@@ -153,27 +176,26 @@ def relevant_places(entries) -> tuple:
 # diagonal forms and their invariants
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(NamedTuple):
     """Nondegenerate diagonal quadratic form with canonical squarefree entries."""
 
     entries: tuple[int, ...]
 
     @classmethod
-    def of(cls, values) -> "DiagonalForm":
+    def of(cls, values) -> DiagonalForm:
         return cls(tuple(square_class(v) for v in values))
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
-    def perp(self, other: "DiagonalForm") -> "DiagonalForm":
+    def perp(self, other: DiagonalForm) -> DiagonalForm:
         return DiagonalForm(self.entries + other.entries)
 
-    def neg(self) -> "DiagonalForm":
+    def neg(self) -> DiagonalForm:
         return DiagonalForm(tuple(-e for e in self.entries))
 
-    def scaled(self, q) -> "DiagonalForm":
+    def scaled(self, q) -> DiagonalForm:
         c = square_class(q)
         return DiagonalForm(tuple(square_class_mul(c, e) for e in self.entries))
 
@@ -188,9 +210,17 @@ def pfister(slots) -> DiagonalForm:
 
 def _pfister(classes) -> DiagonalForm:
     """``pfister`` of slots that are already canonical square classes."""
-    entries = [1]
-    for c in classes:
-        entries += [square_class_mul(-c, e) for e in entries]
+    return _pfisters(classes)
+
+
+def _pfisters(*slot_tuples) -> DiagonalForm:
+    """Orthogonal sum of the Pfister forms of canonical slot tuples."""
+    entries = []
+    for classes in slot_tuples:
+        block = [1]
+        for c in classes:
+            block += [square_class_mul(-c, e) for e in block]
+        entries += block
     return DiagonalForm(tuple(entries))
 
 
@@ -198,19 +228,19 @@ def hyperbolic(half_dim: int) -> DiagonalForm:
     return DiagonalForm((1, -1) * half_dim)
 
 
-@dataclass(frozen=True)
-class QuaternionDatum:
+class QuaternionDatum(NamedTuple):
     a: int
     b: int
 
     @classmethod
-    def of(cls, a, b) -> "QuaternionDatum":
+    def of(cls, a, b) -> QuaternionDatum:
         return cls(square_class(a), square_class(b))
 
     @property
     def norm_form(self) -> DiagonalForm:
-        form = pfister((self.a, self.b))
-        expected = DiagonalForm.of((1, -self.a, -self.b, self.a * self.b))
+        a, b = square_class(self.a), square_class(self.b)
+        form = _pfister((a, b))
+        expected = DiagonalForm((1, -a, -b, square_class_mul(a, b)))
         if form != expected:
             raise InternalInconsistencyError("norm form convention drifted")
         return form
@@ -219,8 +249,7 @@ class QuaternionDatum:
         return f"({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class WittInvariants:
+class WittInvariants(NamedTuple):
     dimension: int
     signed_discriminant: int
     hasse: tuple[tuple[object, int], ...]
@@ -232,41 +261,59 @@ class WittInvariants:
 
 
 def _hasse_exponent_at(counts, place) -> int:
-    """Parity of the sum over pairs of Hilbert-symbol exponents.
+    """Parity of the sum over pairs of Hilbert-symbol exponents, in one pass
+    over ``counts``, the distinct entries with their multiplicities.
 
-    ``counts`` holds the distinct entries with their multiplicities.  An
-    entry is squarefree, so its valuation at p is 1 exactly when p divides
-    it.  With A the number of entries of valuation 1, the pairwise sum at an
-    odd p is (p-1)/2 * C(A, 2) + A * L - L1, where L sums the Legendre bits
-    of all unit parts and L1 those of the entries of valuation 1; at 2 it is
-    C(E, 2) + A * W - W1 with the eps and omega bits in place of Legendre
-    bits.  Mod 2 the last two terms leave the units if A is odd, and the
-    divisible entries if A is even.
+    An entry is squarefree, so its valuation at p is 1 exactly when p
+    divides it.  With A the number of entries of valuation 1, the pairwise
+    sum at an odd p is (p-1)/2 * C(A, 2) + A * L - L1, where L sums the
+    Legendre bits of all unit parts and L1 those of the entries of valuation
+    1; at 2 it is C(E, 2) + A * W - W1, where E counts the entries whose unit
+    part is 3 mod 4 and W, W1 sum omega bits.  Mod 2 the last two terms leave
+    the units if A is odd, and the divisible entries if A is even.  Only
+    their parity counts, so entries of even multiplicity drop out of them,
+    and the Legendre bits of the rest add up to the bit of their product.
+    C(E, 2) depends on E mod 4, so E counts every multiplicity.
     """
     if place == "inf":
         negs = sum(m for e, m in counts if e < 0)
         return (negs * (negs - 1) // 2) % 2
     p = place
+    A = 0
     if p == 2:
-        A = E = W_unit = W_div = 0
+        E = W_unit = W_div = 0
         for e, m in counts:
             if e % 2:
                 E += m * _eps(e)
-                W_unit += m * _omega(e)
+                if m % 2:
+                    W_unit ^= _omega(e)
             else:
                 A += m
                 E += m * _eps(e // 2)
-                W_div += m * _omega(e // 2)
+                if m % 2:
+                    W_div ^= _omega(e // 2)
         return (E * (E - 1) // 2 + (W_unit if A % 2 else W_div)) % 2
-    A = sum(m for e, m in counts if e % p == 0)
+    units = divisible = 1
+    for e, m in counts:
+        if e % p:
+            if m % 2:
+                units = units * e % p
+        else:
+            A += m
+            if m % 2:
+                divisible = divisible * (e // p) % p
     if A == 0:
         return 0
-    total = (A * (A - 1) // 2) * (((p - 1) // 2) % 2)
-    if A % 2:
-        total += sum(m * _legendre_bit(e, p) for e, m in counts if e % p)
-    else:
-        total += sum(m * _legendre_bit(e // p, p) for e, m in counts if e % p == 0)
-    return total % 2
+    bit = _legendre_bit(units if A % 2 else divisible, p)
+    return ((A * (A - 1) // 2) * ((p - 1) // 2) + bit) % 2
+
+
+def _hyperbolic_hasse(half_dim: int, places) -> tuple[tuple[object, int], ...]:
+    """Hasse family of ``hyperbolic(half_dim)`` at ``places``: its entries
+    are the units 1 and -1, so it is +1 at every odd prime, and C(h, 2)
+    pairs of entries -1 give (-1)^C(h, 2) at inf and at 2."""
+    sign = -1 if (half_dim * (half_dim - 1) // 2) % 2 else 1
+    return tuple((v, sign if v in ("inf", 2) else 1) for v in places)
 
 
 def witt_invariants(f: DiagonalForm, places=None) -> WittInvariants:
@@ -283,17 +330,11 @@ def witt_invariants(f: DiagonalForm, places=None) -> WittInvariants:
             signed = square_class_mul(signed, e)
     if places is None:
         places = relevant_places(counts)
-    else:
-        for v in places:
-            _check_place(v)
+    for v in places:
+        _check_place(v)
     items = tuple(counts.items())
     hasse = tuple((v, -1 if _hasse_exponent_at(items, v) else 1) for v in places)
-    return WittInvariants(
-        dimension=m,
-        signed_discriminant=signed,
-        hasse=hasse,
-        signature=f.signature(),
-    )
+    return WittInvariants(m, signed, hasse, f.signature())
 
 
 def is_hyperbolic(f: DiagonalForm, places=None) -> bool:
@@ -345,13 +386,11 @@ def in_power_of_i(f: DiagonalForm, n: int, places=None) -> bool:
         return False
     if n == 2:
         return True
-    ref = witt_invariants(hyperbolic(f.dim // 2), places)
-    if inv.hasse != ref.hasse:
+    if inv.hasse != _hyperbolic_hasse(f.dim // 2, places):
         return False
     if n == 3:
         return True
     return inv.signature % 16 == 0
-
 
 
 def e3_real(f: DiagonalForm) -> int:
@@ -376,15 +415,12 @@ def brauer_relation_holds(quats, places=None) -> bool:
     """Whether the classes of the quaternions sum to zero: at every relevant
     place the product of local symbols is +1.  ``places`` must include every
     odd prime dividing a slot; without it the slots are factored."""
+    pairs = [(_num_den(q.a), _num_den(q.b)) for q in quats]
     if places is None:
-        places = relevant_places([q.a for q in quats] + [q.b for q in quats])
+        places = relevant_places([x for pair in pairs for x in pair])
     for v in places:
-        prod = 1
-        for q in quats:
-            prod *= hilbert_symbol(q.a, q.b, v)
-        if prod != 1:
-            return False
-    return True
+        _check_place(v)
+    return all(sum(_hilbert_bit(a, b, v) for a, b in pairs) % 2 == 0 for v in places)
 
 
 def alpha_eval(quats) -> int:
@@ -403,8 +439,7 @@ def alpha_eval(quats) -> int:
     return e3_real(total)
 
 
-@dataclass(frozen=True)
-class AlbertComparison:
+class AlbertComparison(NamedTuple):
     similar: bool
     real_cup_vanishes: bool
 
@@ -423,7 +458,7 @@ def albert_similarity_check(a, b, c, d, q) -> AlbertComparison:
     together with the real-place principle for degree-3 cohomology of Q.
     """
     a, b, c, d = (square_class(t) for t in (a, b, c, d))
-    phi = DiagonalForm.of((a, b, -a * b, -c, -d, c * d))
+    phi = DiagonalForm((a, b, -square_class_mul(a, b), -c, -d, square_class_mul(c, d)))
     scaled = phi.scaled(q)
     similar = isometric(scaled, phi)
     cup = pfister((a, b, q)).perp(pfister((c, d, q)).neg())
@@ -487,8 +522,7 @@ def sample_norm(rng: SplitMix64, radicand: int) -> int:
     raise InternalInconsistencyError("norm sampling failed to find a nonzero value")
 
 
-@dataclass(frozen=True)
-class ChainConfiguration:
+class ChainConfiguration(NamedTuple):
     q1: QuaternionDatum
     q2: QuaternionDatum
     q3: QuaternionDatum
@@ -541,8 +575,7 @@ def sample_chain_configuration(seed: int) -> ChainConfiguration:
 # identity suites
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     identity_id: str
     trial: int
     seed: int
@@ -551,11 +584,6 @@ class IdentityCase:
     rhs: tuple[int, ...]
     congruence_level: str  # "exact-Witt" or "mod-I4"
     verdict: bool
-
-
-def _pfisters(*slot_tuples) -> DiagonalForm:
-    """Orthogonal sum of the Pfister forms of canonical slot tuples."""
-    return DiagonalForm(tuple(e for slots in slot_tuples for e in _pfister(slots).entries))
 
 
 def _doubled(a: int, s: int):
@@ -582,8 +610,7 @@ def _sample_linked(rng: SplitMix64) -> tuple[tuple[str, str], ...]:
     return tuple(zip("abcdx", map(str, (a, b, c, d, sample_norm(rng, a * c)))))
 
 
-@dataclass(frozen=True)
-class _Identity:
+class _Identity(NamedTuple):
     """One Witt identity: ``sides`` maps the canonical classes of the slots,
     in the order of ``slots``, to both sides as diagonal forms, and ``draw``
     samples the slots when they are not independent square classes."""
@@ -629,10 +656,11 @@ def _identity(identity_id: str) -> _Identity:
     )
 
 
-def verify_case(identity_id: str, sample) -> IdentityCase:
-    """Decide one case.  Every entry of both sides is +-1 times a product of
-    slot classes, so the odd primes of the slots are the only places where
-    the Hasse symbols can differ, and only the slots are factored."""
+def verify_case(identity_id: str, sample, trial: int = -1, seed: int = -1) -> IdentityCase:
+    """Decide one case, numbered ``trial`` of the suite run with ``seed``.
+    Every entry of both sides is +-1 times a product of slot classes, so the
+    odd primes of the slots are the only places where the Hasse symbols can
+    differ, and only the slots are factored."""
     classes = {k: square_class(v) for k, v in sample}
     row = _identity(identity_id)
     lhs, rhs = row.sides(*(classes[k] for k in row.slots))
@@ -642,14 +670,7 @@ def verify_case(identity_id: str, sample) -> IdentityCase:
     else:
         verdict = in_power_of_i(lhs.perp(rhs.neg()), 4, places)
     return IdentityCase(
-        identity_id=identity_id,
-        trial=-1,
-        seed=-1,
-        sample=tuple(sample),
-        lhs=lhs.entries,
-        rhs=rhs.entries,
-        congruence_level=row.level,
-        verdict=verdict,
+        identity_id, trial, seed, tuple(sample), lhs.entries, rhs.entries, row.level, verdict
     )
 
 
@@ -663,8 +684,4 @@ def verify_identity(identity_id: str, trials: int, seed: int) -> list[IdentityCa
     if not 1 <= trials <= MAX_TRIALS:
         raise InputError(f"trials must be between 1 and {MAX_TRIALS}")
     rng = SplitMix64((seed << 8) ^ 0x5D)
-    cases = []
-    for t in range(trials):
-        case = verify_case(identity_id, row.sample(rng))
-        cases.append(replace(case, trial=t, seed=seed))
-    return cases
+    return [verify_case(identity_id, row.sample(rng), t, seed) for t in range(trials)]

@@ -27,7 +27,7 @@ import contextlib, io, json, sys
 from sdinv import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.run(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sdinv"))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -41,11 +41,17 @@ def _fresh(code: str, *argv: str) -> str:
     return proc.stdout
 
 
-def _loaded_by(*argv: str) -> set[str]:
+def _modules_after(*argv: str) -> set[str]:
+    """Every module loaded once the command has run, which must succeed."""
     code, modules = json.loads(_fresh(_PROBE, *argv))
     assert code == 0, argv
+    return set(modules)
+
+
+def _loaded_by(*argv: str) -> set[str]:
+    modules = _modules_after(*argv)
     assert "sdinv" in modules
-    return {m.removeprefix("sdinv.") for m in modules if m != "sdinv"}
+    return {m.removeprefix("sdinv.") for m in modules if m.startswith("sdinv.")}
 
 
 WITT = ["witt", "verify", "--identity", "alpha2", "--trials", "3"]
@@ -80,6 +86,15 @@ def test_certificate_module_loads_only_for_certificates(argv, modules, tmp_path)
     path = str(tmp_path / "cert.json")
     assert _loaded_by(*argv, "--certificate", path) == BASE | modules | {"certificate"}
     assert _loaded_by("--check-certificate", path) == BASE | modules | {"certificate"}
+
+
+def test_witt_verify_loads_no_dataclasses_or_fractions(tmp_path):
+    # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
+    # wittq's records are NamedTuples and integer sample text is read by ``int``
+    assert not _modules_after(*WITT) & {"dataclasses", "inspect", "fractions"}
+    path = str(tmp_path / "cert.json")
+    _modules_after(*WITT, "--certificate", path)
+    assert "sdinv.wittq" in _modules_after("--check-certificate", path)
 
 
 def test_import_sdinv_loads_no_compute_module():

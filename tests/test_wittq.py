@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from sdinv.wittq import (
     DiagonalForm,
     QuaternionDatum,
     SplitMix64,
+    _hyperbolic_hasse,
     _pfister,
     albert_similarity_check,
     alpha_eval,
@@ -168,6 +170,26 @@ def test_square_class_mul_matches_direct(a, b):
     assert square_class_mul(square_class(a), square_class(b)) == square_class(a * b)
 
 
+@pytest.mark.parametrize("text", ["7", " 7 ", "+7", "-07", "1_0", "\u0663", "3/4", "-9/8"])
+def test_square_class_of_text_matches_fraction(text):
+    assert square_class(text) == square_class(Fraction(text))
+
+
+def test_square_class_of_bad_text_raises_as_fraction_does():
+    with pytest.raises(InputError, match="nonzero"):
+        square_class("0")
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+        square_class("x")
+
+
+def test_small_prime_table_matches_trial_division():
+    from sdinv._factor import _SMALL_PRIMES
+
+    assert _SMALL_PRIMES == tuple(
+        p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))
+    )
+
+
 # --- forms and invariants ------------------------------------------------------------
 
 
@@ -235,6 +257,32 @@ def test_hasse_prefix_sums_match_pairwise_oracle(vals):
     for v in relevant_places(f.entries)[:5]:
         inv = witt_invariants(f, (v,))
         assert inv.hasse_at(v) == hasse_oracle_pairwise(f, v)
+
+
+# Square classes from -1 and the primes up to 11, with at most two primes.
+_CLASSES = sorted({
+    sign * math.prod(ps) for sign in (1, -1) for k in range(3)
+    for ps in combinations((2, 3, 5, 7, 11), k)
+})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CLASSES), st.integers(1, 4)), min_size=1, max_size=5),
+       st.randoms(use_true_random=False))
+def test_hasse_of_repeated_entries_matches_pairwise_oracle(blocks, random):
+    entries = [c for c, m in blocks for _ in range(m)]
+    random.shuffle(entries)
+    f = DiagonalForm(tuple(entries))
+    places = relevant_places(f.entries)
+    inv = witt_invariants(f, places)
+    for v in places:
+        assert inv.hasse_at(v) == hasse_oracle_pairwise(f, v), v
+
+
+def test_closed_form_hyperbolic_reference():
+    places = ("inf", 2, 3, 5, 7, 11, 13)
+    for h in range(1, 17):
+        assert _hyperbolic_hasse(h, places) == witt_invariants(hyperbolic(h), places).hasse, h
 
 
 def test_e2_consistency_norm_forms():
@@ -555,6 +603,34 @@ def test_only_sampled_slots_are_factored(monkeypatch, identity, seed):
         assert args
         for n in args:
             assert any(m % n == 0 for m in products), (case.sample, n)
+
+
+# --- each place is checked once per form or relation ---------------------------------
+
+
+def test_places_checked_once_per_form_or_relation(monkeypatch):
+    from sdinv import wittq
+
+    checked, listed = [], []
+    check, places_of = wittq._check_place, wittq.relevant_places
+
+    def counting(place):
+        checked.append(place)
+        return check(place)
+
+    def listing(entries):
+        places = places_of(entries)
+        listed.append(len(places))
+        return places
+
+    monkeypatch.setattr(wittq, "_check_place", counting)
+    monkeypatch.setattr(wittq, "relevant_places", listing)
+    trials = 200
+    verify_identity("alpha4_full", trials, 5)
+    # per trial: the chain's Brauer relation, the form of the case, and the
+    # three norm spot checks, each through ``hilbert_symbol`` at 2
+    assert len(listed) == 2 * trials
+    assert len(checked) <= sum(listed) + 3 * trials
 
 
 # --- bounded memory ---------------------------------------------------------------------
