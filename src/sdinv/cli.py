@@ -105,7 +105,7 @@ def _graded_payload(preset: str, full: bool, cited: list):
             for d, p in enumerate(report.pieces)
         ]
         out["etas"] = list(report.eta)
-        out["deltas"] = [str(x) for x in report.delta]
+        out["deltas"] = list(report.delta)
         out["delta_note"] = (
             "deltas compare the filtration image with the monomial-degree "
             "filtration of the descended subring; reporting convenience only"

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from ._factor import smallest_prime_factor
 from .errors import (  # noqa: F401  (MAX_AMBIENT_RANK is re-exported)
@@ -55,16 +55,16 @@ from .errors import (  # noqa: F401  (MAX_AMBIENT_RANK is re-exported)
 # matrices
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable dense integer matrix, stored row-major."""
 
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        if len({len(r) for r in entries}) > 1:
             raise InputError("ragged matrix")
+        self.entries = entries
+
+    def __eq__(self, other) -> bool:
+        return type(other) is IntMatrix and self.entries == other.entries
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -200,8 +200,7 @@ def row_hermite(rows) -> tuple[tuple[int, ...], ...]:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """``U * source * V == D`` with ``U``, ``V`` unimodular and ``D`` in
     Smith form (diagonal, nonnegative, divisibility chain, zeros trailing)."""
 
@@ -415,7 +414,6 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
 # lattices
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Sublattice of ``Z^ambient_rank`` held as its canonical Hermite basis.
 
@@ -424,8 +422,17 @@ class Lattice:
     ``==`` says so, and they hash alike.
     """
 
-    ambient_rank: int
-    basis_columns: tuple[tuple[int, ...], ...]
+    def __init__(self, ambient_rank: int, basis_columns: tuple[tuple[int, ...], ...]) -> None:
+        self.ambient_rank = ambient_rank
+        self.basis_columns = basis_columns
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Lattice and (self.ambient_rank, self.basis_columns) == (
+            other.ambient_rank, other.basis_columns
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_rank, self.basis_columns))
 
     @classmethod
     def from_columns(cls, ambient_rank: int, cols) -> "Lattice":
@@ -522,8 +529,7 @@ def _divisible_by_prime_power(x: int, p: int, e: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NonMembershipCertificate:
+class NonMembershipCertificate(NamedTuple):
     """Witness that a vector is outside the span of some columns.
 
     ``kind == "rank"``: ``functional @ g == 0`` for every column while
@@ -552,8 +558,7 @@ class NonMembershipCertificate:
         )
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """YES carries coordinates in the canonical basis; NO a certificate."""
 
     member: bool
@@ -620,17 +625,20 @@ def _non_membership_certificate(v, lattice: Lattice) -> NonMembershipCertificate
 # finitely generated abelian groups as subquotients
 
 
-@dataclass(frozen=True)
 class FinAbelianGroup:
-    free_rank: int
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for i, d in enumerate(self.invariant_factors):
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...]) -> None:
+        for i, d in enumerate(invariant_factors):
             if d < 2:
                 raise InputError("invariant factors must be >= 2")
-            if i and d % self.invariant_factors[i - 1]:
+            if i and d % invariant_factors[i - 1]:
                 raise InputError("invariant factors must form a divisibility chain")
+        self.free_rank = free_rank
+        self.invariant_factors = invariant_factors
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FinAbelianGroup and (self.free_rank, self.invariant_factors) == (
+            other.free_rank, other.invariant_factors
+        )
 
     @property
     def is_trivial(self) -> bool:
@@ -666,8 +674,7 @@ class FinAbelianGroup:
         return cls(0, (n,)) if n > 1 else cls.trivial()
 
 
-@dataclass(frozen=True)
-class SubquotientData:
+class SubquotientData(NamedTuple):
     """Full presentation of ``sup/sub``: the Smith decomposition of the
     relation matrix, whose columns are the basis of the sublattice in the
     canonical basis of the superlattice, and the group read off it."""

@@ -35,10 +35,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar
+from typing import NamedTuple
 
 from .errors import MAX_AMBIENT_RANK, InputError, InternalInconsistencyError
 from .exactlin import (
@@ -63,15 +61,20 @@ class ParseError(InputError):
 # truncated polynomial ring
 
 
-@dataclass(frozen=True)
 class TruncatedPolyRing:
-    """Integral polynomial ring in x_1..x_n with (x_j - 1)^{d_j} = 0."""
+    """Integral polynomial ring in x_1..x_n with (x_j - 1)^{d_j} = 0; a
+    value, so its methods are cached by value."""
 
-    factor_degrees: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d < 2 for d in self.factor_degrees):
+    def __init__(self, factor_degrees: tuple[int, ...]) -> None:
+        if any(d < 2 for d in factor_degrees):
             raise InputError("factor degrees must be at least 2")
+        self.factor_degrees = factor_degrees
+
+    def __eq__(self, other) -> bool:
+        return type(other) is TruncatedPolyRing and self.factor_degrees == other.factor_degrees
+
+    def __hash__(self) -> int:
+        return hash(self.factor_degrees)
 
     @property
     def nvars(self) -> int:
@@ -181,16 +184,19 @@ class TruncatedPolyRing:
         return self.monomial(tuple(exps), "x")
 
 
-@dataclass(frozen=True)
 class RingElement:
     """Element with integer coefficients on the y-monomial basis."""
 
-    ring: TruncatedPolyRing
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.ring.rank:
+    def __init__(self, ring: TruncatedPolyRing, coefficients: tuple[int, ...]) -> None:
+        if len(coefficients) != ring.rank:
             raise InputError("coefficient vector length mismatch")
+        self.ring = ring
+        self.coefficients = coefficients
+
+    def __eq__(self, other) -> bool:
+        return type(other) is RingElement and (self.ring, self.coefficients) == (
+            other.ring, other.coefficients
+        )
 
     def x_coefficients(self) -> tuple[int, ...]:
         """Coefficients on the x-monomial basis."""
@@ -459,7 +465,6 @@ def parse_element(expr: str, ring: TruncatedPolyRing) -> RingElement:
 # Severi-Brauer configurations
 
 
-@dataclass(frozen=True)
 class SeveriBrauerConfig:
     """Index data for a product of Severi-Brauer varieties.
 
@@ -467,30 +472,33 @@ class SeveriBrauerConfig:
     the index of the corresponding tensor product of the algebras.
     """
 
-    name: str
-    factor_degrees: tuple[int, ...]
-    periods: tuple[int, ...]
-    index_table: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __post_init__(self) -> None:
-        table = dict(self.index_table)
-        zero = (0,) * len(self.factor_degrees)
+    def __init__(
+        self,
+        name: str,
+        factor_degrees: tuple[int, ...],
+        periods: tuple[int, ...],
+        index_table: tuple[tuple[tuple[int, ...], int], ...],
+    ) -> None:
+        table = dict(index_table)
+        zero = (0,) * len(factor_degrees)
         if table.get(zero) != 1:
             raise InputError("index of the trivial class must be 1")
         for cls, v in table.items():
-            neg = tuple((-c) % p for c, p in zip(cls, self.periods))
+            neg = tuple((-c) % p for c, p in zip(cls, periods))
             if table.get(neg) != v:
                 raise InputError(f"index table breaks ind(i) == ind(-i) at {cls}")
         keys = list(table)
         for a in keys:
             for b in keys:
-                s = tuple((x + y) % p for x, y, p in zip(a, b, self.periods))
+                s = tuple((x + y) % p for x, y, p in zip(a, b, periods))
                 if s not in table:
                     raise InputError(f"index table misses class {s}")
                 if (table[a] * table[b]) % table[s]:
-                    raise InputError(
-                        f"index table breaks divisibility at {a} + {b}"
-                    )
+                    raise InputError(f"index table breaks divisibility at {a} + {b}")
+        self.name = name
+        self.factor_degrees = factor_degrees
+        self.periods = periods
+        self.index_table = index_table
 
     @property
     def ring(self) -> TruncatedPolyRing:
@@ -653,8 +661,7 @@ def chern_class(x: RingElement, i: int) -> RingElement:
 # gamma filtration
 
 
-@dataclass(frozen=True)
-class GammaFiltration:
+class GammaFiltration(NamedTuple):
     config: SeveriBrauerConfig
     lattices: tuple[Lattice, ...]  # degrees 0 .. dim + 1, the last one zero
 
@@ -766,8 +773,7 @@ def filtration_membership(name: str, element, degree: int) -> tuple[RingElement,
 # graded structure, counting identity, torsion
 
 
-@dataclass(frozen=True)
-class GradedTorsionReport:
+class GradedTorsionReport(NamedTuple):
     """The graded pieces of a gamma filtration with the counting identity.
 
     ``pieces[d]`` presents step d + 1 inside step d, the graded piece of
@@ -786,9 +792,15 @@ class GradedTorsionReport:
         return tuple(map(lattice_index, self.split_images))
 
     @property
-    def delta(self) -> tuple[Fraction, ...]:
-        """epsilon_d / eta_d, reporting only."""
-        return tuple(Fraction(e, h) for e, h in zip(self.epsilon, self.eta))
+    def delta(self) -> tuple[str, ...]:
+        """epsilon_d / eta_d in lowest terms, written as ``str(Fraction)``
+        writes it ("n" or "n/d", the sign on n); reporting only."""
+        out = []
+        for e, h in zip(self.epsilon, self.eta):
+            g = math.gcd(e, h) if h > 0 else -math.gcd(e, h)
+            n, d = e // g, h // g
+            out.append(str(n) if d == 1 else f"{n}/{d}")
+        return tuple(out)
 
     @property
     def split_index(self) -> int:
@@ -854,13 +866,13 @@ def graded_torsion(name: str) -> GradedTorsionReport:
     )
 
 
-@dataclass(frozen=True)
-class Chow2Result:
+class Chow2Result(NamedTuple):
     """Codimension-2 torsion, read off the degree-2 piece of a graded report;
     below dimension 2 there is no such piece and the torsion is trivial."""
 
     report: GradedTorsionReport
-    provenance: ClassVar[tuple[str, ...]] = (
+    # unannotated, so a class attribute, not a field
+    provenance = (
         "replacing the variety by a smaller product generating the same "
         "subgroup of the Brauer group preserves codimension-2 torsion "
         "(projective bundle theorem, Izhboldin-Karpenko)",

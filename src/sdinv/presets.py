@@ -18,8 +18,7 @@ must equal the order of the middle group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import MAX_TRIALS, N_RANGE, InputError, InternalInconsistencyError
 from .exactlin import FinAbelianGroup
@@ -33,8 +32,7 @@ if TYPE_CHECKING:
     from .wittq import IdentityCase
 
 
-@dataclass(frozen=True)
-class CitedFact:
+class CitedFact(NamedTuple):
     fact_id: str
     statement: str
     reference: str
@@ -124,15 +122,13 @@ ALPHA_SUITES_BY_N = {
 }
 
 
-@dataclass(frozen=True)
-class GroupValue:
+class GroupValue(NamedTuple):
     group: FinAbelianGroup
     provenance: str  # "computed" or "cited" or "computed+cited"
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TheoremRow:
+class TheoremRow(NamedTuple):
     n: int
     inv3_ind_h: GroupValue
     inv3_ind_g: GroupValue
@@ -275,8 +271,7 @@ def theorem_table(ns=N_RANGE, trials: int = 12, seed: int = 1) -> list[TheoremRo
     return [assemble_theorem(n, trials=trials, seed=seed) for n in ns]
 
 
-@dataclass(frozen=True)
-class Sl4x4Report:
+class Sl4x4Report(NamedTuple):
     indecomposable: IndecomposableResult
     chow: Chow2Result
     sdec_mod_dec: FinAbelianGroup

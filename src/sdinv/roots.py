@@ -19,8 +19,8 @@ which would leave the integral structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import N_RANGE, ContainmentError, InputError, InternalInconsistencyError
 from .exactlin import (
@@ -92,7 +92,6 @@ def sym2_substitute(coeffs, matrix_cols, from_rank: int, to_rank: int):
 # domain types
 
 
-@dataclass(frozen=True)
 class CentralQuotientDatum:
     """Ambient weight lattice plus the residue map onto the character group
     of the central subgroup being divided out.
@@ -103,19 +102,19 @@ class CentralQuotientDatum:
     :func:`character_lattice` checks that through the index of the kernel.
     """
 
-    ambient_rank: int
-    factor_moduli: tuple[int, ...]
-    residue_rows: IntMatrix
-
-    def __post_init__(self) -> None:
-        if self.residue_rows.rows != len(self.factor_moduli):
+    def __init__(
+        self, ambient_rank: int, factor_moduli: tuple[int, ...], residue_rows: IntMatrix
+    ) -> None:
+        if residue_rows.rows != len(factor_moduli):
             raise InputError("one residue row per cyclic factor is required")
-        if self.residue_rows.rows and self.residue_rows.cols != self.ambient_rank:
+        if residue_rows.rows and residue_rows.cols != ambient_rank:
             raise InputError("residue rows must have ambient length")
+        self.ambient_rank = ambient_rank
+        self.factor_moduli = factor_moduli
+        self.residue_rows = residue_rows
 
 
-@dataclass(frozen=True)
-class WeightMultiset:
+class WeightMultiset(NamedTuple):
     """Weights of a character, with multiplicities, in ambient coordinates."""
 
     weights: tuple[tuple[tuple[int, ...], int], ...]
@@ -322,8 +321,7 @@ def dec_subgroup(
     return lat
 
 
-@dataclass(frozen=True)
-class IndecomposableResult:
+class IndecomposableResult(NamedTuple):
     """The group is ``presentation.group``, with its witnesses, presented as
     the invariant lattice (``presentation.sup``) over the Chern-class
     subgroup (``presentation.sub``).  The lattice the character lattice was
@@ -381,8 +379,7 @@ def sl4x4_witness_is_2q1_plus_6q2(res: IndecomposableResult) -> bool:
 # preset registry
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(NamedTuple):
     """Everything needed to run the lattice computations for one group."""
 
     name: str
@@ -606,7 +603,7 @@ def get_preset(name: str) -> GroupData:
 
 
 def _as_semisimple(data: GroupData, name: str) -> GroupData:
-    return replace(data, name=name, kind="semisimple")
+    return data._replace(name=name, kind="semisimple")
 
 
 def available_presets() -> list[str]:

@@ -404,6 +404,47 @@ def test_fin_abelian_group_labels():
         FinAbelianGroup(0, (4, 2))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix(((1, 2), (3,))), "ragged matrix"),
+        (lambda: IntMatrix.from_rows([[1], [2, 3], [4]]), "ragged matrix"),
+        (lambda: FinAbelianGroup(0, (1,)), "invariant factors must be >= 2"),
+        (lambda: FinAbelianGroup(2, (2, 0)), "invariant factors must be >= 2"),
+        (lambda: FinAbelianGroup(0, (-4,)), "invariant factors must be >= 2"),
+        (lambda: FinAbelianGroup(0, (2, 3)), "invariant factors must form a divisibility chain"),
+        (lambda: FinAbelianGroup(1, (2, 4, 6)), "invariant factors must form a divisibility chain"),
+    ],
+    ids=["ragged", "ragged-rows", "factor-1", "factor-0", "factor-negative", "chain", "chain-third"],
+)
+def test_construction_checks(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattices_are_equal_exactly_when_rank_and_canonical_basis_agree(data):
+    lattices = []
+    for _ in range(2):
+        r = data.draw(st.integers(1, 2))
+        gens = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * r), max_size=3))
+        lattices.append(Lattice.from_columns(r, gens))
+    a, b = lattices
+    same = a.ambient_rank == b.ambient_rank and a.basis_columns == b.basis_columns
+    assert (a == b) is same and (a != b) is not same
+    assert not same or hash(a) == hash(b)
+
+
+def test_lattice_equality_examples():
+    assert Lattice.from_columns(2, [(1, 1), (0, 1)]) == Lattice.standard(2)
+    assert hash(Lattice.from_columns(2, [(1, 1), (0, 1)])) == hash(Lattice.standard(2))
+    # the zero lattice of each ambient rank is its own value
+    assert Lattice.from_columns(2, []) != Lattice.from_columns(3, [])
+    assert Lattice.standard(1) != (1, ((1,),))
+
+
 def test_invert_unimodular_roundtrip():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
     inv = IntMatrix.from_rows(rational_inverse(m))

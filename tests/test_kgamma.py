@@ -303,6 +303,43 @@ def test_config_validation_catches_bad_tables():
         SeveriBrauerConfig("bad", (2,), (2,), (((0,), 2), ((1,), 2)))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TruncatedPolyRing((2, 1)), "factor degrees must be at least 2"),
+        (lambda: TruncatedPolyRing((0,)), "factor degrees must be at least 2"),
+        (lambda: RingElement(TruncatedPolyRing((2,)), (1,)), "coefficient vector length mismatch"),
+        (lambda: RingElement(TruncatedPolyRing((2, 3)), (0,) * 7), "coefficient vector length mismatch"),
+        (
+            lambda: kgamma.SeveriBrauerConfig("bad", (2,), (2,), (((1,), 2),)),
+            "index of the trivial class must be 1",
+        ),
+        (
+            lambda: kgamma.SeveriBrauerConfig("bad", (3,), (3,), (((0,), 1), ((1,), 3), ((2,), 9))),
+            "index table breaks ind(i) == ind(-i) at (1,)",
+        ),
+        (
+            lambda: kgamma.SeveriBrauerConfig("bad", (4,), (4,), (((0,), 1), ((1,), 4), ((3,), 4))),
+            "index table misses class (2,)",
+        ),
+        (
+            lambda: kgamma.SeveriBrauerConfig(
+                "bad", (4,), (4,), (((0,), 1), ((1,), 2), ((2,), 8), ((3,), 2))
+            ),
+            "index table breaks divisibility at (1,) + (1,)",
+        ),
+    ],
+    ids=[
+        "ring-degree-1", "ring-degree-0", "element-short", "element-long", "trivial-missing",
+        "negation", "missing-class", "divisibility",
+    ],
+)
+def test_construction_checks(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_split_index_values():
     assert get_config("conics3").split_index() == 2 ** 10
     assert get_config("conics4").split_index() == 2 ** 25
@@ -631,8 +668,27 @@ def test_deg4pair_graded_report():
     # delta is a reporting ratio; its product collapses to the torsion order
     dprod = Fraction(1)
     for x in rep.delta:
-        dprod *= x
+        dprod *= Fraction(x)
     assert dprod == rep.total_torsion_order
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 10 ** 6), st.integers(-(10 ** 6), 10 ** 6).filter(bool)),
+        max_size=5,
+    )
+)
+@example([(12, 8), (8, 12), (5, 1), (3, -6), (7, 7)])
+def test_delta_is_written_as_fraction_writes_it(pairs):
+    # epsilon_d is the index of a split image; a rank-1 lattice spanned by e has index e
+    rep = kgamma.GradedTorsionReport(
+        config=None,
+        pieces=(),
+        split_images=tuple(Lattice.from_columns(1, [(e,)]) for e, _ in pairs),
+        eta=tuple(h for _, h in pairs),
+    )
+    assert rep.delta == tuple(str(Fraction(e, h)) for e, h in pairs)
 
 
 def test_split_graded_everything_free():

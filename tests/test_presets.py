@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from sdinv import kgamma
@@ -93,7 +91,7 @@ def test_sl4x4_report_forced_failure_path(monkeypatch):
         # the report's degree-2 piece replaced by a presentation of Z/4
         report = live(name).report
         pieces = report.pieces[:2] + (z4,) + report.pieces[3:]
-        return kgamma.Chow2Result(dataclasses.replace(report, pieces=pieces))
+        return kgamma.Chow2Result(report._replace(pieces=pieces))
 
     monkeypatch.setattr(kgamma, "chow2_torsion", z4_torsion)
     rep = sl4x4_report()

@@ -98,6 +98,23 @@ def test_non_surjective_residue_map_is_refused():
         character_lattice(datum)
 
 
+@pytest.mark.parametrize(
+    "ambient, moduli, rows, message",
+    [
+        (2, (2, 2), [(1, 1)], "one residue row per cyclic factor is required"),
+        (2, (), [(1, 1)], "one residue row per cyclic factor is required"),
+        (3, (2,), [(1, 1)], "residue rows must have ambient length"),
+    ],
+    ids=["too-few-rows", "row-without-factor", "short-row"],
+)
+def test_central_quotient_datum_checks(ambient, moduli, rows, message):
+    from sdinv.roots import CentralQuotientDatum
+
+    with pytest.raises(InputError) as exc:
+        CentralQuotientDatum(ambient, moduli, IntMatrix.from_rows(rows))
+    assert str(exc.value) == message
+
+
 def test_trivial_center_gives_full_ambient():
     from sdinv.roots import CentralQuotientDatum
 

@@ -5,6 +5,7 @@ Every command runs in a fresh interpreter, because the test process itself
 has imported every module.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -56,6 +57,9 @@ def _loaded_by(*argv: str) -> set[str]:
 
 WITT = ["witt", "verify", "--identity", "alpha2", "--trials", "3"]
 INV3 = ["inv3", "--preset", "sl2n:2"]
+GAMMA_REPORT = ["gamma", "report", "--preset", "conic1"]
+GAMMA_MEMBER = ["gamma", "member", "--preset", "conic1", "--element", "y1", "--degree", "1"]
+CHOW2 = ["chow2", "--preset", "conic1"]
 
 
 @pytest.mark.parametrize(
@@ -63,12 +67,9 @@ INV3 = ["inv3", "--preset", "sl2n:2"]
     [
         (WITT, {"wittq"}),
         (INV3, {"exactlin", "roots"}),
-        (["gamma", "report", "--preset", "conic1"], {"exactlin", "kgamma"}),
-        (
-            ["gamma", "member", "--preset", "conic1", "--element", "y1", "--degree", "1"],
-            {"exactlin", "kgamma"},
-        ),
-        (["chow2", "--preset", "conic1"], {"exactlin", "kgamma", "presets"}),
+        (GAMMA_REPORT, {"exactlin", "kgamma"}),
+        (GAMMA_MEMBER, {"exactlin", "kgamma"}),
+        (CHOW2, {"exactlin", "kgamma", "presets"}),
         (["theorem", "--n", "6"], {"exactlin", "roots", "presets"}),
     ],
     ids=["witt", "inv3", "gamma-report", "gamma-member", "chow2", "theorem-6"],
@@ -95,6 +96,44 @@ def test_witt_verify_loads_no_dataclasses_or_fractions(tmp_path):
     path = str(tmp_path / "cert.json")
     _modules_after(*WITT, "--certificate", path)
     assert "sdinv.wittq" in _modules_after("--check-certificate", path)
+
+
+# ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
+# ``fractions`` pulls in ``decimal``: 13-18 ms of a fresh process together.
+# Records are NamedTuples or plain classes, and only fraction text loads
+# ``fractions``.
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [INV3, GAMMA_REPORT, GAMMA_MEMBER, CHOW2, ["theorem", "--n", "2"], ["theorem", "--n", "6"],
+     ["sl4x4"]],
+    ids=["inv3", "gamma-report", "gamma-member", "chow2", "theorem-2", "theorem-6", "sl4x4"],
+)
+def test_command_loads_no_dataclasses_or_fractions(argv):
+    assert not _modules_after(*argv) & HEAVY
+
+
+@pytest.mark.parametrize("argv", [INV3, GAMMA_REPORT, WITT], ids=["inv3", "gamma-report", "witt"])
+def test_certificates_load_no_dataclasses_or_fractions(argv, tmp_path):
+    path = str(tmp_path / "cert.json")
+    assert not _modules_after(*argv, "--certificate", path) & HEAVY
+    assert not _modules_after("--check-certificate", path) & HEAVY
+
+
+def test_no_module_imports_dataclasses():
+    paths = sorted(Path(SRC, "sdinv").glob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.partition(".")[0] == "dataclasses" for m in modules), path.name
 
 
 def test_import_sdinv_loads_no_compute_module():
