@@ -28,7 +28,7 @@ import json
 import re
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, commands
 from .errors import MAX_AMBIENT_RANK, MAX_TRIALS
 
 if TYPE_CHECKING:
@@ -535,10 +535,8 @@ _VERIFIERS = {
 
 def build_certificate(command: tuple[str, ...]) -> dict:
     """Certificate payload for a normalized command echo; pure in its input."""
-    from . import cli
-
-    args = cli._parse_args(list(command))
-    _, evidence, _ = cli._execute(args)
+    args = commands.parse(list(command))
+    _, evidence, _ = commands.execute(args)
     return certificate_dict(list(command), args, evidence)
 
 

@@ -1,279 +1,18 @@
-"""Command line front end: preset invocation, JSON reports, and certificates.
-
-Commands
---------
-* ``inv3 --preset P``: indecomposable degree-3 invariant group of a preset.
-* ``chow2 --preset C``: codimension-2 torsion of a variety configuration.
-* ``gamma member --preset C --element EXPR --degree D``: filtration membership.
-* ``gamma report --preset C``: full graded report with the counting identity.
-* ``witt verify --identity ID --trials N --seed S``: randomized identity suite.
-* ``theorem --n N``: one assembled classification row.
-* ``sl4x4``: the rank-3 pair report.
-* ``--check-certificate FILE``: standalone certificate verification.
-
-Exit codes: 0 success, 2 input error, 3 internal inconsistency or failed
-certificate check.  Reports are byte-deterministic for a fixed command,
-seed, and package version.
+"""Command line front end: runs a command of :mod:`sdinv.commands` and
+prints its report, writes and checks certificate files, and maps errors to
+the exit codes 0 (success), 2 (input error) and 3 (internal inconsistency
+or failed certificate check).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 
-from . import __version__
+from . import __version__, commands
 from .errors import InputError, InternalInconsistencyError
 
 REPORT_FORMAT = "sdinv-report/1"
-
-
-# ---------------------------------------------------------------------------
-# computation backends
-#
-# Each backend imports the compute modules it runs when it is called, so a
-# process loads only what its command needs.  A backend returns the report
-# results, the evidence they were read from, and the cited facts; the
-# certificate module builds a certificate's entries from the evidence.
-
-
-def _group_value_payload(gv) -> dict:
-    return {"group": gv.group.label(), "provenance": gv.provenance, "note": gv.note}
-
-
-def _fact_payload(fact) -> dict:
-    return {
-        "id": fact.fact_id,
-        "statement": fact.statement,
-        "reference": fact.reference,
-    }
-
-
-def _suite_payload(cases) -> dict:
-    """What a Witt identity suite reports, read off its decided cases."""
-    first = cases[0]
-    return {
-        "identity": first.identity_id,
-        "trials": len(cases),
-        "seed": first.seed,
-        "passes": sum(1 for c in cases if c.verdict),
-        "level": first.congruence_level,
-    }
-
-
-def _inv3_payload(args):
-    from .roots import indecomposable_group, sl4x4_witness_is_2q1_plus_6q2
-
-    res = indecomposable_group(args.preset)
-    pres = res.presentation
-    results = {
-        "preset": args.preset,
-        "group": pres.group.label(),
-        "witnesses": [list(w) for w in pres.witnesses],
-        "invariant_basis": [list(c) for c in pres.sup.basis_columns],
-        "dec_basis": [list(c) for c in pres.sub.basis_columns],
-    }
-    if args.preset == "sl4x4" and pres.witnesses:
-        results["witness_class_is_2q1_plus_6q2"] = sl4x4_witness_is_2q1_plus_6q2(res)
-    return results, res, []
-
-
-def _graded_payload(preset: str, full: bool, cited: list):
-    from .kgamma import chow2_torsion
-
-    chow = chow2_torsion(preset)
-    report = chow.report
-    out = {
-        "preset": preset,
-        "torsion": chow.torsion.label(),
-        "torsion_witnesses": [list(w) for w in chow.witnesses],
-        "provenance": list(chow.provenance),
-        "split_index": report.split_index,
-        "epsilons": list(report.epsilon),
-        "total_torsion_order": report.total_torsion_order,
-        "counting_identity_holds": report.counting_identity_holds,
-    }
-    if full:
-        out["graded"] = [
-            {
-                "degree": d,
-                "structure": p.group.label(),
-                "torsion": p.torsion.label(),
-                "witnesses": [list(w) for w in p.witnesses],
-            }
-            for d, p in enumerate(report.pieces)
-        ]
-        out["etas"] = list(report.eta)
-        out["deltas"] = list(report.delta)
-        out["delta_note"] = (
-            "deltas compare the filtration image with the monomial-degree "
-            "filtration of the descended subring; reporting convenience only"
-        )
-    return out, report, cited
-
-
-def _chow2_payload(args):
-    from .presets import cited_fact
-
-    cited = [
-        _fact_payload(cited_fact(fid)) for fid in ("chow_reduction", "chow_gamma", "index_tables")
-    ]
-    return _graded_payload(args.preset, False, cited)
-
-
-def _gamma_report_payload(args):
-    return _graded_payload(args.preset, True, [])
-
-
-def _member_payload(args):
-    from .kgamma import filtration_membership
-
-    preset, expr, degree = args.preset, args.element, args.degree
-    element, res = filtration_membership(preset, expr, degree)
-    vector = element.y_vector()
-    results = {
-        "preset": preset,
-        "element": expr,
-        "element_y_coordinates": list(vector),
-        "degree": degree,
-        "member": res.member,
-    }
-    if res.member:
-        results["coordinates"] = list(res.coordinates)
-    else:
-        results["certificate"] = {
-            "obstruction": res.certificate.kind,
-            "prime": res.certificate.prime,
-            "power": res.certificate.power,
-            "functional": list(res.certificate.functional),
-        }
-    return results, (preset, degree, vector, res), []
-
-
-def _witt_payload(args):
-    from .wittq import verify_identity
-
-    cases = verify_identity(args.identity, args.trials, args.seed)
-    results = {**_suite_payload(cases), "all_pass": all(c.verdict for c in cases)}
-    return results, cases, []
-
-
-def _theorem_payload(args):
-    from .presets import assemble_theorem
-
-    row = assemble_theorem(args.n, trials=args.trials, seed=args.seed)
-    results = {
-        "n": args.n,
-        "inv3_ind_H": _group_value_payload(row.inv3_ind_h),
-        "inv3_ind_G": _group_value_payload(row.inv3_ind_g),
-        "chow2_tors": _group_value_payload(row.chow2_tors),
-        "sdec_mod_dec_H": _group_value_payload(row.sdec_mod_dec_h),
-        "sdec_mod_dec_G": _group_value_payload(row.sdec_mod_dec_g),
-        "exactness_holds": row.exactness_holds,
-        "alpha_suites": [_suite_payload(s) for s in row.alpha_suites],
-    }
-    return results, row, [_fact_payload(f) for f in row.cited_facts]
-
-
-def _sl4x4_payload(args):
-    from .presets import sl4x4_report
-
-    rep = sl4x4_report()
-    results = {
-        "inv3_ind": rep.indecomposable.presentation.group.label(),
-        "chow2_tors": rep.chow.torsion.label(),
-        "sdec_mod_dec": rep.sdec_mod_dec.label(),
-        "all_normalized_semi_decomposable": rep.all_normalized_semi_decomposable,
-        "consistent": rep.consistent,
-        "inconsistencies": list(rep.inconsistencies),
-        "variety_config": rep.chow.report.config.name,
-    }
-    return results, rep, [_fact_payload(f) for f in rep.cited_facts]
-
-
-# ---------------------------------------------------------------------------
-# the command table
-#
-# Command words -> (arguments, backend).  Each argument is (name, type,
-# default or None when required), in the order the parser declares them and
-# the report echoes them.  A backend maps the parsed arguments to (results,
-# evidence, cited facts).
-
-_PRESET = ("preset", str, None)
-_COMMANDS = {
-    ("inv3",): ((_PRESET,), _inv3_payload),
-    ("chow2",): ((_PRESET,), _chow2_payload),
-    ("gamma", "member"): (
-        (_PRESET, ("element", str, None), ("degree", int, None)), _member_payload
-    ),
-    ("gamma", "report"): ((_PRESET,), _gamma_report_payload),
-    ("witt", "verify"): (
-        (("identity", str, None), ("trials", int, 100), ("seed", int, 1)), _witt_payload
-    ),
-    ("theorem",): ((("n", int, None), ("trials", int, 12), ("seed", int, 1)), _theorem_payload),
-    ("sl4x4",): ((), _sl4x4_payload),
-}
-
-
-def _execute(args):
-    """(results, evidence, cited) of parsed arguments."""
-    if getattr(args, "words", None) is None:
-        raise InputError("a command is required (inv3, chow2, gamma, witt, theorem, sl4x4)")
-    return _COMMANDS[args.words][1](args)
-
-
-def _normalized_command(args) -> list[str]:
-    """The command words, then every argument in declaration order.  Parsing
-    the echo again would read a separate string value with a leading minus
-    as an option; glued to its flag it stays a value."""
-    command = list(args.words)
-    for name, kind, _ in _COMMANDS[args.words][0]:
-        value = getattr(args, name)
-        if kind is str and value.startswith("-"):
-            command.append(f"--{name}={value}")
-        else:
-            command += [f"--{name}", str(value)]
-    return command
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
-
-
-@functools.cache
-def _build_parser() -> _ArgumentParser:
-    """The command line grammar, built once per process from the command
-    table; parsing does not change it."""
-    parser = _ArgumentParser(prog="sdinv", description=__doc__)
-    parser.add_argument("--check-certificate", metavar="FILE", default=None)
-    sub = parser.add_subparsers(dest="command")
-    groups = {}
-    for words, (arguments, _) in _COMMANDS.items():
-        if len(words) == 1:
-            p = sub.add_parser(words[0])
-        else:
-            head, tail = words
-            if head not in groups:
-                groups[head] = sub.add_parser(head).add_subparsers(
-                    dest=f"{head}_command", required=True
-                )
-            p = groups[head].add_parser(tail)
-        for name, kind, default in arguments:
-            p.add_argument(f"--{name}", type=kind, default=default, required=default is None)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--certificate", metavar="FILE", default=None)
-        p.set_defaults(words=words)
-    return parser
-
-
-def _parse_args(argv: list[str]):
-    return _build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +38,7 @@ def run(argv=None, out=None) -> int:
     out = out or sys.stdout
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parse_args(argv)
+        args = commands.parse(argv)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -308,7 +47,7 @@ def run(argv=None, out=None) -> int:
         return _run_checker(args.check_certificate, out)
 
     try:
-        results, evidence, cited = _execute(args)
+        results, evidence, cited = commands.execute(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -316,7 +55,7 @@ def run(argv=None, out=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
 
-    command = _normalized_command(args)
+    command = commands.normalized_command(args)
     seed = getattr(args, "seed", None)
     report = {
         "format": REPORT_FORMAT,
@@ -331,10 +70,14 @@ def run(argv=None, out=None) -> int:
         from .certificate import certificate_dict
 
         cert = certificate_dict(command, args, evidence)
-        with open(args.certificate, "w") as fh:
-            # json.dumps runs the C encoder; json.dump to a file does not
-            fh.write(json.dumps(cert, sort_keys=True))
-            fh.write("\n")
+        try:
+            with open(args.certificate, "w") as fh:
+                # json.dumps runs the C encoder; json.dump to a file does not
+                fh.write(json.dumps(cert, sort_keys=True))
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write certificate: {exc}", file=sys.stderr)
+            return 2
         report["certificate"] = {"file": args.certificate, "entries": len(cert["entries"])}
 
     if args.json:

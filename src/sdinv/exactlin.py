@@ -662,9 +662,6 @@ class FinAbelianGroup:
         parts.extend(f"Z/{d}" for d in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
 
-    def __str__(self) -> str:
-        return self.label()
-
     @classmethod
     def trivial(cls) -> "FinAbelianGroup":
         return cls(0, ())

@@ -178,11 +178,6 @@ class TruncatedPolyRing:
                 out[self.index_of(e[:j] + (nt,) + e[j + 1:])] += c * r
         return tuple(out)
 
-    def line_class(self, j: int) -> "RingElement":
-        exps = [0] * self.nvars
-        exps[j] = 1
-        return self.monomial(tuple(exps), "x")
-
 
 class RingElement:
     """Element with integer coefficients on the y-monomial basis."""
@@ -412,9 +407,7 @@ class _Parser:
                 raise ParseError(f"index {idx} out of range", at)
             exps = [0] * self.ring.nvars
             exps[idx - 1] = 1
-            if fam == "y":
-                return self.ring.monomial(tuple(exps), "y")
-            return self.ring.line_class(idx - 1)
+            return self.ring.monomial(tuple(exps), fam)
         if kind == "lparen":
             node = self.expr()
             kind2, _, at2 = self.advance()

@@ -205,12 +205,7 @@ class DiagonalForm(NamedTuple):
 
 def pfister(slots) -> DiagonalForm:
     """k-fold multiplicative form <<a1, ..., ak>> of dimension 2^k."""
-    return _pfister([square_class(s) for s in slots])
-
-
-def _pfister(classes) -> DiagonalForm:
-    """``pfister`` of slots that are already canonical square classes."""
-    return _pfisters(classes)
+    return _pfisters([square_class(s) for s in slots])
 
 
 def _pfisters(*slot_tuples) -> DiagonalForm:
@@ -224,10 +219,6 @@ def _pfisters(*slot_tuples) -> DiagonalForm:
     return DiagonalForm(tuple(entries))
 
 
-def hyperbolic(half_dim: int) -> DiagonalForm:
-    return DiagonalForm((1, -1) * half_dim)
-
-
 class QuaternionDatum(NamedTuple):
     a: int
     b: int
@@ -239,7 +230,7 @@ class QuaternionDatum(NamedTuple):
     @property
     def norm_form(self) -> DiagonalForm:
         a, b = square_class(self.a), square_class(self.b)
-        form = _pfister((a, b))
+        form = _pfisters((a, b))
         expected = DiagonalForm((1, -a, -b, square_class_mul(a, b)))
         if form != expected:
             raise InternalInconsistencyError("norm form convention drifted")
@@ -309,9 +300,9 @@ def _hasse_exponent_at(counts, place) -> int:
 
 
 def _hyperbolic_hasse(half_dim: int, places) -> tuple[tuple[object, int], ...]:
-    """Hasse family of ``hyperbolic(half_dim)`` at ``places``: its entries
-    are the units 1 and -1, so it is +1 at every odd prime, and C(h, 2)
-    pairs of entries -1 give (-1)^C(h, 2) at inf and at 2."""
+    """Hasse family at ``places`` of h<1, -1> with h = ``half_dim``: its
+    entries are the units 1 and -1, so it is +1 at every odd prime, and
+    C(h, 2) pairs of entries -1 give (-1)^C(h, 2) at inf and at 2."""
     sign = -1 if (half_dim * (half_dim - 1) // 2) % 2 else 1
     return tuple((v, sign if v in ("inf", 2) else 1) for v in places)
 
@@ -588,7 +579,7 @@ class IdentityCase(NamedTuple):
 
 def _doubled(a: int, s: int):
     """<<a, s>> twice against <<a, s, -1>>."""
-    return _pfisters((a, s), (a, s)), _pfister((a, s, -1))
+    return _pfisters((a, s), (a, s)), _pfisters((a, s, -1))
 
 
 def _alpha3(a: int, b: int, c: int, *rhs):
@@ -630,7 +621,7 @@ class _Identity(NamedTuple):
 _IDENTITIES = (
     _Identity("twofold", "xyz", "exact-Witt", lambda x, y, z: (
         _pfisters((x, y), (x, z)), _pfisters((x, y, z), (x, square_class_mul(y, z))))),
-    _Identity("square_slot", "a", "exact-Witt", lambda a: (_pfister((a, a)), _pfister((a, -1)))),
+    _Identity("square_slot", "a", "exact-Witt", lambda a: (_pfisters((a, a)), _pfisters((a, -1)))),
     _Identity("double", "abc", "exact-Witt", lambda a, b, c: _doubled(a, square_class_mul(b, c))),
     _Identity("alpha2", "ab", "exact-Witt", _doubled),
     _Identity("lemma_alpha3_exact", "abc", "exact-Witt", lambda a, b, c: _alpha3(

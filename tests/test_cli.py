@@ -1,5 +1,8 @@
+import ast
 import hashlib
 import io
+import os
+import subprocess
 import json
 import random
 import sys
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sdinv import certificate as certmod
-from sdinv import cli, errors, exactlin, kgamma, roots, wittq
+from sdinv import cli, commands, errors, exactlin, kgamma, roots, wittq
 from sdinv.roots import sym2_size
 
 
@@ -210,6 +213,27 @@ def test_refusal_stderr_is_pinned(argv, err, capsys):
     assert capsys.readouterr().err == err
 
 
+# SHA-256 of stdout at COLUMNS=80; the description is the docstring of
+# ``sdinv.commands``, which argparse reflows
+HELP_DIGESTS = {
+    "--help": "9b74cf64ce6c5eb9083f0c63ee4a860be4d2d19265bbe34ada4e9024dab9a461",
+    "gamma member --help": "b6a7fbf4c86cfced73cac25ec4961ee6aede015e9eeb434fbc0ae53df131e8ea",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_is_pinned(argv):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "COLUMNS": "80"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdinv.cli", *argv.split()],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS[argv]
+
+
 # --- determinism ------------------------------------------------------------------
 
 
@@ -233,14 +257,14 @@ def test_command_echo_parses_back_to_the_same_arguments():
         ["sl4x4"],
     ]
     for argv in argvs:
-        args = cli._parse_args(argv)
-        echo = cli._normalized_command(args)
-        again = cli._parse_args(echo)
+        args = commands.parse(argv)
+        echo = commands.normalized_command(args)
+        again = commands.parse(echo)
         assert vars(again) == vars(args), argv
-        assert cli._normalized_command(again) == echo
-    assert cli._normalized_command(cli._parse_args(argvs[2]))[4] == "--element=-3*y1^2+y2"
-    assert cli._normalized_command(cli._parse_args(argvs[5]))[-2:] == ["--seed", "-5"]
-    assert {cli._parse_args(argv).words for argv in argvs} == set(cli._COMMANDS)
+        assert commands.normalized_command(again) == echo
+    assert commands.normalized_command(commands.parse(argvs[2]))[4] == "--element=-3*y1^2+y2"
+    assert commands.normalized_command(commands.parse(argvs[5]))[-2:] == ["--seed", "-5"]
+    assert {commands.parse(argv).words for argv in argvs} == set(commands.COMMANDS)
 
 
 def test_json_report_roundtrip():
@@ -363,36 +387,86 @@ def test_certificate_adds_no_computation(argv, monkeypatch, tmp_path):
     assert counts[0] == counts[1]
 
 
-def test_cli_imports_only_what_produces_results():
-    """``cli.py`` holds the grammar, dispatch and output: from the compute
-    modules it imports only the functions whose results it reports, and from
-    ``certificate`` only the writer and the checker."""
-    import ast
+def _relative_imports(path, functions=True):
+    """(module, name) of each relative import in ``path``: ``from .m import
+    a`` gives ("m", "a") and ``from . import a`` gives (None, "a").  With
+    ``functions`` false, only the imports outside function bodies."""
+    tree = ast.parse(Path(path).read_text())
+    nodes = ast.walk(tree)
+    if not functions:
+        nodes = [n for top in tree.body if not isinstance(top, ast.FunctionDef)
+                 for n in ast.walk(top)]
+    pairs = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("sdinv") for a in node.names), ast.dump(node)
+        if isinstance(node, ast.ImportFrom):
+            assert node.level or not (node.module or "").startswith("sdinv"), ast.dump(node)
+            if node.level:
+                pairs.update((node.module, a.name) for a in node.names)
+    return pairs
 
+
+def test_commands_imports_only_what_produces_results():
+    """``commands.py`` holds the command table and its backends: from the
+    compute modules it imports only the functions whose results it reports,
+    and nothing from ``cli`` or ``certificate``."""
     allowed = {
+        "errors": {"InputError"},
         "exactlin": set(),
         "roots": {"indecomposable_group", "sl4x4_witness_is_2q1_plus_6q2"},
         "kgamma": {"chow2_torsion", "filtration_membership"},
         "wittq": {"verify_identity"},
         "presets": {"assemble_theorem", "sl4x4_report", "cited_fact"},
-        "certificate": {"certificate_dict", "check_certificate"},
     }
-    tree = ast.parse(Path(cli.__file__).read_text())
     imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module is None:
-            assert {a.name for a in node.names} == {"__version__"}, ast.dump(node)
-        if isinstance(node, ast.ImportFrom) and node.module in allowed:
-            imported.setdefault(node.module, set()).update(a.name for a in node.names)
-        if isinstance(node, ast.Import):
-            assert not any(a.name.startswith("sdinv") for a in node.names), ast.dump(node)
-    assert imported["roots"] and imported["kgamma"] and imported["certificate"]
+    for module, name in _relative_imports(commands.__file__):
+        assert module in allowed, (module, name)
+        imported.setdefault(module, set()).add(name)
+    assert imported["roots"] and imported["kgamma"]
     for module, names in imported.items():
         assert names <= allowed[module], (module, names - allowed[module])
 
 
+def test_cli_imports_only_commands_errors_and_the_certificate_files():
+    """``cli.py`` reports: from the package it imports ``__version__``,
+    ``commands`` and ``errors`` at module level, and the certificate writer
+    and checker only inside the functions that use them."""
+    top = _relative_imports(cli.__file__, functions=False)
+    inner = _relative_imports(cli.__file__) - top
+    assert {module or name for module, name in top} == {"__version__", "commands", "errors"}
+    assert inner == {("certificate", "certificate_dict"), ("certificate", "check_certificate")}
+
+
+def test_package_imports_form_no_cycle():
+    """Relative imports at any depth, inside functions and ``TYPE_CHECKING``
+    blocks included, form no cycle among the package's modules."""
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    modules = {p.stem for p in paths}
+    graph = {
+        p.stem: {
+            module.partition(".")[0] if module else name if name in modules else "__init__"
+            for module, name in _relative_imports(p)
+        }
+        for p in paths
+    }
+    assert len(graph) >= 10 and "certificate" in graph["cli"]
+
+    def cycle(path):
+        for nxt in sorted(graph[path[-1]]):
+            if nxt == path[0]:
+                return path + [nxt]
+            if nxt not in path and (found := cycle(path + [nxt])):
+                return found
+        return None
+
+    for module in sorted(graph):
+        found = cycle([module])
+        assert found is None, " -> ".join(found)
+
+
 def test_every_command_has_an_entry_list():
-    assert set(certmod._ENTRY_LISTS) == set(cli._COMMANDS)
+    assert set(certmod._ENTRY_LISTS) == set(commands.COMMANDS)
 
 
 def test_inv3_sl2n_8_runs_six_hermite_forms(monkeypatch):
@@ -565,6 +639,15 @@ def test_certificates_validate(cert_files):
 def test_checker_rejects_missing_file(capsys):
     code, _ = run(["--check-certificate", "/nonexistent/cert.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("target", ["missing/cert.json", "."], ids=["missing-directory", "directory"])
+def test_unwritable_certificate_exits_2(target, tmp_path, capsys):
+    """A certificate path that cannot be written is an input error: no report,
+    no traceback."""
+    code, out = run(["inv3", "--preset", "sl2n:2", "--certificate", str(tmp_path / target)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: cannot write certificate: ")
 
 
 def _int_paths(node, prefix=()):

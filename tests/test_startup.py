@@ -19,9 +19,10 @@ import sdinv
 
 SRC = str(Path(sdinv.__file__).resolve().parent.parent)
 
-# Loaded by every command: the front end, the shared errors and budgets, and
-# the factoring helpers that exactlin and wittq both use.
-BASE = {"cli", "errors", "_factor"}
+# Loaded by every command: the front end, the command table, the shared
+# errors and budgets, and the factoring helpers that exactlin and wittq both
+# use.
+BASE = {"cli", "commands", "errors", "_factor"}
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -139,6 +140,26 @@ def test_no_module_imports_dataclasses():
 def test_import_sdinv_loads_no_compute_module():
     probe = "import sys, sdinv; print(sorted(m for m in sys.modules if m.startswith('sdinv')))"
     assert _fresh(probe).split() == ["['sdinv']"]
+
+
+def test_import_sdinv_cli_loads_the_front_end_only():
+    """What the benchmark's set-up times: the front end, the command table
+    and the errors, and no compute module."""
+    probe = "import sys, json, sdinv.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = {m for m in json.loads(_fresh(probe)) if m.startswith("sdinv")}
+    assert loaded == {"sdinv", "sdinv.cli", "sdinv.commands", "sdinv.errors"}
+
+
+def test_commands_imports_only_argparse_functools_and_errors_at_module_level():
+    """Backends import the compute modules they run when they are called."""
+    tree = ast.parse(Path(SRC, "sdinv", "commands.py").read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "argparse", "functools", ".errors"}
 
 
 # Every name the package namespace exported when it imported all of its

@@ -14,13 +14,12 @@ from sdinv.wittq import (
     QuaternionDatum,
     SplitMix64,
     _hyperbolic_hasse,
-    _pfister,
+    _pfisters,
     albert_similarity_check,
     alpha_eval,
     brauer_relation_holds,
     e3_real,
     hilbert_symbol,
-    hyperbolic,
     in_power_of_i,
     is_hyperbolic,
     pfister,
@@ -36,6 +35,11 @@ from sdinv.wittq import (
 
 
 # --- oracles ---------------------------------------------------------------------
+
+
+def hyperbolic(half_dim: int) -> DiagonalForm:
+    """The hyperbolic form h<1, -1> with h = ``half_dim``."""
+    return DiagonalForm((1, -1) * half_dim)
 
 
 def hilbert2_oracle(a: int, b: int) -> int:
@@ -209,8 +213,8 @@ def test_canonical_slot_pfister_matches_expansion(slots):
         square_class(math.prod((-s for i, s in enumerate(slots) if j >> i & 1), start=Fraction(1)))
         for j in range(2 ** len(slots))
     )
-    assert _pfister(classes).entries == oracle
-    assert _pfister(classes) == pfister(slots)
+    assert _pfisters(classes).entries == oracle
+    assert _pfisters(classes) == pfister(slots)
 
 
 def test_quaternion_norm_form():
@@ -369,7 +373,7 @@ def _slot_form(data, classes):
     form = DiagonalForm(())
     for _ in range(data.draw(st.integers(1, 3))):
         words = [_slot_word(data, classes) for _ in range(data.draw(st.integers(1, 3)))]
-        term = _pfister(words) if data.draw(st.booleans()) else DiagonalForm(tuple(words))
+        term = _pfisters(words) if data.draw(st.booleans()) else DiagonalForm(tuple(words))
         form = form.perp(term)
     return form
 
