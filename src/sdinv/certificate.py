@@ -465,12 +465,13 @@ MAX_SAMPLE_BITS = 64
 # Sample text read as a number: an integer or a fraction whose parts have at
 # most 20 digits, as every value within the budget has.  Other text would
 # reach ``Fraction``, which reads "1e10000000" by computing 10**10000000.
-# Integers and integer text are read by ``int``, without loading ``fractions``.
+# A value is then read by ``wittq._num_den``, as replay reads it: integers
+# and integer text without loading ``fractions``.
 _SAMPLE_TEXT = re.compile(r"[+-]?[0-9]{1,20}(/[0-9]{1,20})?")
 
 
 def _verify_witt_trials(entry) -> None:
-    from .wittq import _identity, verify_case
+    from .wittq import _identity, _num_den, verify_case
 
     cases, trials = entry["cases"], entry["trials"]
     slots = list(_identity(entry["identity"]).slots)
@@ -494,14 +495,7 @@ def _verify_witt_trials(entry) -> None:
                     f"witt trial {i} of {entry['identity']}: sample {k} is not a "
                     f"numeral within the {MAX_SAMPLE_BITS}-bit replay limit"
                 )
-            if isinstance(v, int) or isinstance(v, str) and "/" not in v:
-                n = int(v)
-            else:
-                from fractions import Fraction
-
-                f = Fraction(v)
-                n = f.numerator * f.denominator
-            if n.bit_length() > MAX_SAMPLE_BITS:
+            if _num_den(v).bit_length() > MAX_SAMPLE_BITS:
                 raise CertificateError(
                     f"witt trial {i} of {entry['identity']}: sample {k} "
                     f"exceeds the {MAX_SAMPLE_BITS}-bit replay limit"

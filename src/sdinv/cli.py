@@ -7,6 +7,7 @@ or failed certificate check).
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from . import __version__, commands
@@ -46,6 +47,29 @@ def run(argv=None, out=None) -> int:
     if args.check_certificate:
         return _run_checker(args.check_certificate, out)
 
+    # an unwritable certificate path is refused before any work; opening for
+    # append creates a missing file and leaves an existing one as it is
+    path = getattr(args, "certificate", None)
+    created = False
+    if path:
+        created = not os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write certificate: {exc}", file=sys.stderr)
+            return 2
+    code = 1
+    try:
+        code = _report(args, out)
+    finally:
+        # a failed command leaves no certificate file it did not find
+        if code and created:
+            os.remove(path)
+    return code
+
+
+def _report(args, out) -> int:
+    """Run the command, write its certificate if asked and print its report."""
     try:
         results, evidence, cited = commands.execute(args)
     except InputError as exc:

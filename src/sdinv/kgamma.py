@@ -5,16 +5,21 @@ The split Grothendieck ring of a product of projective spaces of dimensions
 ``(x_j - 1)^{d_j} = 0``; substituting ``y_j = x_j - 1`` turns the relations
 into plain truncation, so ring elements hold y-monomial coordinates only.
 The x spelling is an input form of the parser and of
-:meth:`TruncatedPolyRing.monomial`; ``RingElement.x_coefficients`` reads an
-element back in it.
+:meth:`TruncatedPolyRing.monomial`.  Each basis change is one closed
+binomial rule: the y^t coefficient of x^e = prod (1 + y_j)^{e_j} is
+prod C(e_j, t_j), and ``RingElement.x_coefficients`` reads an element back
+with the inverse rule, the x^t coefficient of y^s being
+prod (-1)^{s_j - t_j} C(s_j, t_j).
 
 A :class:`SeveriBrauerConfig` records the index of every tensor power
 combination of the underlying algebras.  The subring that descends to the
 twisted form is spanned by ``ind(i) * x^i`` over all monomial exponents
 (the Quillen basis); the gamma filtration is generated by products of gamma
-operations of rank-zero elements of that subring, enumerated finitely via
-the observation that gamma_k lands in y-degree >= k (machine-checked) and
-everything above the total degree truncates to zero.
+operations of the rank-zero elements ``ind(i) * (x^i - 1)``, enumerated
+finitely via the observation that gamma_k lands in y-degree >= k
+(machine-checked) and everything above the total degree truncates to zero.
+Their gamma values are read straight from the line class ``x^i``:
+gamma_t(c (L - 1)) = (1 + (L - 1) t)^c.
 
 Products are index-additive.  Monomials are indexed in mixed-radix order
 with the last variable fastest, so when no factor truncates, the product of
@@ -140,43 +145,18 @@ class TruncatedPolyRing:
 
     def monomial(self, exps, basis: str, coeff: int = 1) -> "RingElement":
         """``coeff * basis^exps`` for ``basis`` "x" or "y", the two spellings
-        the parser reads; the element itself is stored on the y basis."""
+        the parser reads, stored on the y basis: the y^t coefficient of
+        x^e = prod (1 + y_j)^{e_j} is prod C(e_j, t_j), and that of y^e is
+        prod [e_j = t_j].  Exponents at or above the truncation are fine."""
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.nvars:
             raise InputError("wrong number of exponents")
-        if basis == "y":
-            if any(e >= d for e, d in zip(exps, self.factor_degrees)):
-                return self.zero()
-            c = [0] * self.rank
-            c[self.index_of(exps)] = coeff
-            return RingElement(self, tuple(c))
-        if basis == "x":
-            # expand prod (1 + y_j)^{e_j}; exponents above the truncation
-            # are fine, the binomial rows simply stop at degree d_j - 1
-            out = self.one().coefficients
-            for j, e in enumerate(exps):
-                row = [math.comb(e, t) for t in range(self.factor_degrees[j])]
-                out = self._mul_single_var(out, j, row)
-            return RingElement(self, tuple(c * coeff for c in out))
-        raise InputError("basis must be 'x' or 'y'")
-
-    def _mul_single_var(self, coeffs, j: int, row) -> tuple[int, ...]:
-        """Multiply a y-coefficient vector by a polynomial in y_j alone."""
-        out = [0] * self.rank
-        exps = self.exponents()
-        dj = self.factor_degrees[j]
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            e = exps[i]
-            for t, r in enumerate(row):
-                if not r:
-                    continue
-                nt = e[j] + t
-                if nt >= dj:
-                    break
-                out[self.index_of(e[:j] + (nt,) + e[j + 1:])] += c * r
-        return tuple(out)
+        rule = {"x": math.comb, "y": operator.eq}.get(basis)
+        if rule is None:
+            raise InputError("basis must be 'x' or 'y'")
+        return RingElement(self, tuple(
+            coeff * math.prod(map(rule, exps, t)) for t in self.exponents()
+        ))
 
 
 class RingElement:
@@ -194,23 +174,15 @@ class RingElement:
         )
 
     def x_coefficients(self) -> tuple[int, ...]:
-        """Coefficients on the x-monomial basis."""
-        # y_j^e = (x_j - 1)^e expands with signed binomials, no truncation
-        out = [0] * self.ring.rank
+        """Coefficients on the x-monomial basis: the x^t coefficient of
+        y^s = prod (x_j - 1)^{s_j} is prod (-1)^{s_j - t_j} C(s_j, t_j)."""
         exps = self.ring.exponents()
-        for i, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            parts = [(tuple(), 1)]
-            for j, e in enumerate(exps[i]):
-                parts = [
-                    (p + (t,), s * math.comb(e, t) * ((-1) ** (e - t)))
-                    for p, s in parts
-                    for t in range(e + 1)
-                ]
-            for p, s in parts:
-                out[self.ring.index_of(p)] += c * s
-        return tuple(out)
+        terms = [(exps[i], c) for i, c, _ in self._terms]
+        return tuple(
+            sum(c * math.prod(math.comb(a, b) * (-1) ** ((a - b) & 1) for a, b in zip(s, t))
+                for s, c in terms)
+            for t in exps
+        )
 
     # -- arithmetic (same-ring only)
 
@@ -491,7 +463,7 @@ class SeveriBrauerConfig:
         self.name = name
         self.factor_degrees = factor_degrees
         self.periods = periods
-        self.index_table = index_table
+        self.index_table = table
 
     @property
     def ring(self) -> TruncatedPolyRing:
@@ -503,7 +475,7 @@ class SeveriBrauerConfig:
 
     def ind(self, exps) -> int:
         cls = tuple(e % p for e, p in zip(exps, self.periods))
-        return dict(self.index_table)[cls]
+        return self.index_table[cls]
 
     def split_index(self) -> int:
         out = 1
@@ -590,52 +562,53 @@ def quillen_lattice(config: SeveriBrauerConfig) -> Lattice:
     return lat
 
 
-def _rank_zero_x_coefficients(a: RingElement) -> dict[tuple[int, ...], int]:
-    """Decompose a rank-zero element as an integer combination of x^m - 1."""
-    ring = a.ring
-    zero = (0,) * ring.nvars
-    coeffs = {}
-    total = 0
-    for i, c in enumerate(a.x_coefficients()):
-        e = ring.exponents()[i]
-        total += c
-        if c and e != zero:
-            coeffs[e] = c
-    if total != 0:
-        raise InputError("gamma operations require a rank-zero argument")
-    return coeffs
+def _line_gamma(w: RingElement, c: int, top: int) -> list[RingElement]:
+    """The nonzero coefficients of gamma_t(c * w) = (1 + w t)^c through t^top,
+    for the line class L = 1 + w.
+
+    gamma_t(L - 1) = 1 + (L - 1) t, so the t^k coefficient is C(c, k) w^k,
+    and for c < 0 the generalized binomial (-1)^k C(-c + k - 1, k) w^k of
+    the truncated inverse series.  It stops past k = c >= 0 and at the
+    first zero power of w, after which every power is zero.
+    """
+    ring = w.ring
+    factor = [ring.one()]
+    power = ring.one()
+    for k in range(1, (min(top, c) if c >= 0 else top) + 1):
+        power = power * w
+        if power.is_zero():
+            break
+        factor.append(power.scaled(
+            math.comb(c, k) if c >= 0 else (-1) ** k * math.comb(-c + k - 1, k)
+        ))
+    return factor
 
 
 def gamma_series(a: RingElement, top: int) -> list[RingElement]:
     """Coefficients of gamma_t(a) for t^0..t^top.
 
-    Uses gamma_t(L - 1) = 1 + (L - 1) t on line classes and multiplicativity;
-    negative multiplicities go through the generalized binomial series, which
-    is the truncated inverse power series.
+    A rank-zero element is the integer combination of x^m - 1 read off its
+    x coefficients; gamma_t is multiplicative, so the series is the product
+    of the line-class factors of :func:`_line_gamma`, in exponent order.
     """
     if top < 0:
         raise InputError("gamma degree must be nonnegative")
+    if a.rank_value():
+        raise InputError("gamma operations require a rank-zero argument")
     ring = a.ring
-    series = [ring.one()] + [ring.zero() for _ in range(top)]
-    for exps, c in sorted(_rank_zero_x_coefficients(a).items()):
-        w = ring.monomial(exps, "x") - ring.one()
-        # the nonzero terms only: comb(c, k) vanishes past k = c >= 0, and
-        # every power of w past a zero one is zero
-        factor = [ring.one()]
-        power = ring.one()
-        for k in range(1, (min(top, c) if c >= 0 else top) + 1):
-            power = power * w
-            if power.is_zero():
-                break
-            factor.append(power.scaled(
-                math.comb(c, k) if c >= 0 else (-1) ** k * math.comb(-c + k - 1, k)
-            ))
-        new = [ring.zero() for _ in range(top + 1)]
-        for i in range(top + 1):
-            if series[i].is_zero():
+    one = ring.one()
+    series = [one] + [ring.zero()] * top
+    # index 0 is the exponent of 1, where x^0 - 1 vanishes
+    for exps, c in zip(ring.exponents()[1:], a.x_coefficients()[1:]):
+        if not c:
+            continue
+        factor = _line_gamma(ring.monomial(exps, "x") - one, c, top)
+        new = [ring.zero()] * (top + 1)
+        for i, s in enumerate(series):
+            if s.is_zero():
                 continue
             for j, f in enumerate(factor[: top + 1 - i]):
-                new[i + j] = new[i + j] + series[i] * f
+                new[i + j] = new[i + j] + s * f
         series = new
     return series
 
@@ -667,16 +640,6 @@ class GammaFiltration(NamedTuple):
         return self.lattices[min(max(d, 0), len(self.lattices) - 1)]
 
 
-def _gamma_generators(config: SeveriBrauerConfig) -> list[RingElement]:
-    """Rank-zero generators ind(i)(x^i - 1) of the first filtration step."""
-    ring = config.ring
-    out = []
-    for e in ring.exponents():
-        if any(e):
-            out.append(ring.monomial(e, "x", config.ind(e)) - ring.one().scaled(config.ind(e)))
-    return out
-
-
 @lru_cache(maxsize=32)
 def gamma_filtration(name: str) -> GammaFiltration:
     """Filtration lattices through degree ``dim + 1``, the vanishing top
@@ -687,20 +650,19 @@ def gamma_filtration(name: str) -> GammaFiltration:
 
     k0 = quillen_lattice(config)
 
-    # gamma values of every generator through degree dim, with the y-order
-    # bound checked on each; values[k] collects the distinct nonzero gamma_k(g)
+    # gamma values of every generator g = ind(e) (x^e - 1), e != 0, read off
+    # its line class x^e through degree dim, with the y-order bound checked
+    # on each; values[k] collects the distinct nonzero gamma_k(g)
     values: dict[int, dict[tuple[int, ...], None]] = {k: {} for k in range(1, dim + 1)}
-    for g in _gamma_generators(config):
-        series = gamma_series(g, dim)
-        for k in range(1, dim + 1):
-            gk = series[k]
-            mind = gk.min_y_degree()
-            if mind is not None and mind < k:
+    one = ring.one()
+    for e in ring.exponents()[1:]:
+        series = _line_gamma(ring.monomial(e, "x") - one, config.ind(e), dim)
+        for k, gk in enumerate(series[1:], start=1):
+            if gk.min_y_degree() < k:
                 raise InternalInconsistencyError(
                     "gamma value violates the y-degree lower bound"
                 )
-            if mind is not None:
-                values[k][gk.coefficients] = None
+            values[k][gk.coefficients] = None
 
     # G_k = span{gamma_k(g)}.  k0 is a group, so its basis lying in k0 puts
     # every gamma_k(g) in the descended subring.

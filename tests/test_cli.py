@@ -357,6 +357,29 @@ def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_pat
     assert code == 0 and "certificate OK" in out
 
 
+def test_commands_read_gamma_values_off_line_classes(monkeypatch):
+    """No command converts a ring element back to x coefficients: the gamma
+    values of each generator ind(e) (x^e - 1) are read off its line class,
+    once per nonzero exponent e of the ring."""
+    lines = _count_calls(monkeypatch, kgamma, "_line_gamma")
+    to_x = []
+    original = kgamma.RingElement.x_coefficients
+    monkeypatch.setattr(
+        kgamma.RingElement, "x_coefficients", lambda self: to_x.append(self) or original(self)
+    )
+    for preset, argv in [
+        ("deg4pair", ["gamma", "report"]),
+        ("conics4", ["chow2"]),
+        ("conics3", ["gamma", "member", "--element", "2*x1*x2 - 2", "--degree", "1"]),
+    ]:
+        _clear_gamma_caches()
+        lines.clear()
+        code, _ = run(argv + ["--preset", preset, "--json"])
+        assert code == 0
+        assert len(lines) == kgamma.get_config(preset).ring.rank - 1
+    assert to_x == []
+
+
 # the functions whose calls a certificate once repeated from its report
 EVIDENCE_FUNCTIONS = [
     (roots, "action_in_basis"), (roots, "sym2_action_matrix"), (roots, "character_lattice"),
@@ -648,6 +671,34 @@ def test_unwritable_certificate_exits_2(target, tmp_path, capsys):
     code, out = run(["inv3", "--preset", "sl2n:2", "--certificate", str(tmp_path / target)])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith("error: cannot write certificate: ")
+
+
+def test_unwritable_certificate_runs_no_command(tmp_path, monkeypatch, capsys):
+    """The certificate path is opened before the command runs, so an
+    unwritable one costs no computation."""
+    monkeypatch.setattr(commands, "execute", lambda args: pytest.fail("the command ran"))
+    path = tmp_path / "missing" / "cert.json"
+    code, out = run(["gamma", "report", "--preset", "split:4,4,4", "--certificate", str(path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: cannot write certificate: ")
+
+
+def test_failed_command_leaves_no_new_certificate_file(tmp_path):
+    path = tmp_path / "cert.json"
+    code, _ = run(["inv3", "--preset", "sl2n:9", "--certificate", str(path)])
+    assert code == 2
+    assert not path.exists()
+
+
+def test_failed_command_keeps_an_existing_certificate_file(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"earlier bytes\n")
+    code, _ = run(["inv3", "--preset", "sl2n:9", "--certificate", str(path)])
+    assert code == 2
+    assert path.read_bytes() == b"earlier bytes\n"
+    code, _ = run(["inv3", "--preset", "sl2n:2", "--certificate", str(path)])
+    assert code == 0
+    assert json.loads(path.read_text())["format"] == certmod.CERT_FORMAT
 
 
 def _int_paths(node, prefix=()):

@@ -19,6 +19,7 @@ from sdinv.kgamma import (
     ParseError,
     RingElement,
     TruncatedPolyRing,
+    _line_gamma,
     chern_class,
     chow2_torsion,
     filtration_membership,
@@ -49,6 +50,27 @@ def from_x(ring, coeffs):
         if c:
             out = out + ring.monomial(e, "x", c)
     return out
+
+
+def x_power(ring, exps):
+    """x^exps as the ring product of the factors 1 + y_j, e_j of each."""
+    out = ring.one()
+    for j, e in enumerate(exps):
+        line = ring.one() + ring.monomial(tuple(int(i == j) for i in range(ring.nvars)), "y")
+        for _ in range(e):
+            out = out * line
+    return out
+
+
+def generators(config):
+    """The rank-zero generators ind(e) * x^e - ind(e), e != 0, with x^e built
+    by ring products: an oracle independent of the line-class path."""
+    ring = config.ring
+    return [
+        (x_power(ring, e) - ring.one()).scaled(config.ind(e))
+        for e in ring.exponents()
+        if any(e)
+    ]
 
 
 def pretty(el, basis="y"):
@@ -92,6 +114,62 @@ def test_basis_roundtrip_random(coeffs):
     assert from_x(ring, e.x_coefficients()).y_vector() == tuple(coeffs)
     f = from_x(ring, coeffs)
     assert f.x_coefficients() == tuple(coeffs)
+
+
+# --- the closed binomial rules -------------------------------------------------
+
+
+CLOSED_FORM_PRESETS = ["conics3", "deg4pair", "split:2,3"]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_PRESETS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_x_monomial_is_the_product_of_its_line_factors(name, data):
+    """Exponents run past the truncation, up to twice each degree."""
+    ring = ring_of(name)
+    exps = tuple(data.draw(st.integers(0, 2 * d)) for d in ring.factor_degrees)
+    coeff = data.draw(st.integers(-5, 5))
+    assert ring.monomial(exps, "x", coeff) == x_power(ring, exps).scaled(coeff)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_PRESETS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_x_coefficients_invert_the_x_rule(name, data):
+    ring = ring_of(name)
+    coeffs = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=ring.rank, max_size=ring.rank)))
+    assert from_x(ring, coeffs).x_coefficients() == coeffs
+    assert from_x(ring, RingElement(ring, coeffs).x_coefficients()).coefficients == coeffs
+
+
+def series_product(a, b, top):
+    """Product of two power series in t, as coefficient lists, through t^top."""
+    out = [a[0].ring.zero()] * (top + 1)
+    for i, f in enumerate(a[: top + 1]):
+        for j, g in enumerate(b[: top + 1 - i]):
+            out[i + j] = out[i + j] + f * g
+    return out
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_PRESETS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_line_gamma_is_the_gamma_series_of_a_line_class(name, data):
+    """(1 + w t)^c from the closed form agrees with the general series, and
+    times 1 + w t it is (1 + w t)^(c + 1), so negative c is the inverse."""
+    ring = ring_of(name)
+    e = data.draw(st.sampled_from(ring.exponents()[1:]))
+    c = data.draw(st.integers(-3, 5))
+    top = data.draw(st.integers(1, ring.dim + 1))
+    w = ring.monomial(e, "x") - ring.one()
+
+    def padded(c):
+        factor = _line_gamma(w, c, top)
+        return factor + [ring.zero()] * (top + 1 - len(factor))
+
+    assert padded(c) == gamma_series(w.scaled(c), top)
+    assert series_product(padded(c), [ring.one(), w], top) == padded(c + 1)
 
 
 def test_truncation_kills_high_powers():
@@ -469,9 +547,7 @@ def test_gamma_negative_multiplicity():
 def test_gamma_multiplicativity(ca, cb):
     config = get_config("conics3")
     ring = config.ring
-    from sdinv.kgamma import _gamma_generators
-
-    gens = _gamma_generators(config)
+    gens = generators(config)
     a = ring.zero()
     b = ring.zero()
     for c, g in zip(ca, gens):
@@ -533,13 +609,11 @@ def oracle_filtration(name):
     """Level d >= 2 spans every raw gamma_k(g) times the basis of level
     max(d - k, 1), plus the bare gamma_k(g) with k >= d; level 1 spans the
     generators and every gamma value lies in the descended subring."""
-    from sdinv.kgamma import _gamma_generators
-
     config = get_config(name)
     ring = config.ring
     dim = ring.dim
     k0 = quillen_lattice(config)
-    gens = _gamma_generators(config)
+    gens = generators(config)
     values = []
     for g in gens:
         for k, gk in enumerate(gamma_series(g, dim)[1:], start=1):
