@@ -104,14 +104,16 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InputError("matrix shape mismatch in product")
-        bt = other.transpose().entries
-        mul = operator.mul
-        return IntMatrix(
-            tuple(
-                tuple(sum(map(mul, row, col)) for col in bt)
-                for row in self.entries
-            )
-        )
+        # row i is the rows of other weighted by the nonzeros of row i of self
+        out = []
+        for row in self.entries:
+            acc = None
+            for x, b in zip(row, other.entries):
+                if x:
+                    b = b if x == 1 else tuple(x * y for y in b)
+                    acc = b if acc is None else tuple(map(operator.add, acc, b))
+            out.append((0,) * other.cols if acc is None else acc)
+        return IntMatrix(tuple(out))
 
     def matvec(self, v) -> tuple[int, ...]:
         if self.cols != len(v):
@@ -142,11 +144,15 @@ def det(m: IntMatrix) -> int:
                     break
             else:
                 return 0
+        p, tail = a[k][k], a[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            row = a[i]
+            q = row[k]
+            # with q == 0 the update is x * p // prev, the identity when p == prev
+            if q or p != prev:
+                row[k + 1:] = [(x * p - q * y) // prev for x, y in zip(row[k + 1:], tail)]
+            row[k] = 0
+        prev = p
     return sign * a[n - 1][n - 1]
 
 
@@ -293,18 +299,23 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
 
+    def smallest_at(t):
+        """First least nonzero ``abs(a[i][j])``, ``i, j >= t``; a unit ends the scan."""
+        for i in range(t, nr):
+            tail = a[i][t:]
+            units = [tail.index(u) for u in (1, -1) if u in tail]
+            if units:
+                return i, t + min(units)
+        cand = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        return min(cand)[1:] if cand else None
+
     def reduce_at(t):
         """Clear row ``t`` and column ``t`` outside the pivot position."""
         while True:
-            cand = [
-                (abs(a[i][j]), i, j)
-                for i in range(t, nr)
-                for j in range(t, nc)
-                if a[i][j]
-            ]
-            if not cand:
+            at = smallest_at(t)
+            if at is None:
                 return False
-            _, pi, pj = min(cand)
+            pi, pj = at
             if pi != t:
                 swap_rows(t, pi)
             if pj != t:
@@ -369,9 +380,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             negate_row(i)
 
     dec = SmithDecomposition(
-        U=IntMatrix.from_rows(u),
-        D=IntMatrix.from_rows(a),
-        V=IntMatrix.from_rows(v),
+        U=IntMatrix(tuple(map(tuple, u))),
+        D=IntMatrix(tuple(map(tuple, a))),
+        V=IntMatrix(tuple(map(tuple, v))),
         source=m,
     )
     if not dec.verify():
@@ -396,11 +407,16 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     n, r = m.cols, m.rows
     if not any(map(any, m.entries)):
         return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    mt = m.transpose()
     # row j is column j of m followed by e_j, so each Hermite row is (m @ c, c)
-    rows = row_hermite([col + tuple(int(i == j) for i in range(n)) for j, col in enumerate(zip(*m.entries))])
-    if len(rows) != n or any(len(row) != r + n or m.matvec(row[r:]) != row[:r] for row in rows):
+    rows = row_hermite([col + tuple(int(i == j) for i in range(n)) for j, col in enumerate(mt.entries)])
+    if len(rows) != n or any(len(row) != r + n for row in rows):
         raise InternalInconsistencyError("augmented Hermite form is not m.cols rows (m @ c, c)")
-    if abs(det(IntMatrix(tuple(row[r:] for row in rows)))) != 1:
+    right = IntMatrix(tuple(row[r:] for row in rows))
+    # (b) for every row at once: R @ m^T is the matrix of left parts
+    if right.mul(mt).entries != tuple(row[:r] for row in rows):
+        raise InternalInconsistencyError("augmented Hermite form is not m.cols rows (m @ c, c)")
+    if abs(det(right)) != 1:
         raise InternalInconsistencyError("augmented Hermite transform is not unimodular")
     # no row is zero, R being unimodular; a pivot below r is in the left part
     pivots = [next(i for i, x in enumerate(row) if x) for row in rows]

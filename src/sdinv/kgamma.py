@@ -26,9 +26,9 @@ with the last variable fastest, so when no factor truncates, the product of
 monomials i and k sits at index i + k.  A per-ring table of packed exponents
 with one guard bit per variable decides truncation with a single integer
 test.  The filtration multiplies canonical bases, of the span of each
-gamma_k and of each level, building their ring elements once, and drops
-repeated product columns before the Hermite form, which leaves the span
-unchanged.
+gamma_k and of each level, building their ring elements once; it skips pairs
+whose lowest y-degrees sum past the total degree (zero products) and drops
+repeated product columns before the Hermite form.
 
 Each graded piece is the subquotient presentation its structure is read
 from.  Certificate entries are built from it, and only when a certificate is
@@ -680,19 +680,19 @@ def gamma_filtration(name: str) -> GammaFiltration:
     # span is the same when gamma_k(g) runs over the basis of G_k instead,
     # and so is the canonical basis.  gamma_1 is the identity on rank-zero
     # elements, so G_1 is level 1, and the k = 1 products at d = 2 need only
-    # the pairs i <= j.  Repeated product columns are dropped as well.
+    # the pairs i <= j.  Zero and repeated product columns are dropped, and a
+    # pair whose lowest y-degrees sum past dim, a zero product, is not formed.
     levels: dict[int, Lattice] = {0: k0, 1: spans[1]}
     basis_elements = {1: span_elements[1]}
     for d in range(2, dim + 2):
         cols: dict[tuple[int, ...], None] = {}
         for k, elements in span_elements.items():
             low = basis_elements[max(d - k, 1)]
-            for i, c in enumerate(elements):
+            for i, (c, deg_c) in enumerate(elements):
                 if k >= d:
                     cols[c.coefficients] = None
-                for b in low[i:] if k == 1 and d == 2 else low:
-                    prod = (c * b).coefficients
-                    if any(prod):
+                for b, deg_b in low[i:] if k == 1 and d == 2 else low:
+                    if deg_c + deg_b <= dim and any(prod := (c * b).coefficients):
                         cols[prod] = None
         levels[d] = Lattice.from_columns(ring.rank, cols)
         basis_elements[d] = _elements(ring, levels[d])
@@ -707,8 +707,9 @@ def gamma_filtration(name: str) -> GammaFiltration:
     return GammaFiltration(config=config, lattices=lattices)
 
 
-def _elements(ring: TruncatedPolyRing, lat: Lattice) -> list[RingElement]:
-    return [RingElement(ring, b) for b in lat.basis_columns]
+def _elements(ring: TruncatedPolyRing, lat: Lattice) -> list[tuple[RingElement, int]]:
+    """Each basis column of ``lat`` as an element, with its lowest y-degree."""
+    return [(el, el.min_y_degree()) for el in (RingElement(ring, b) for b in lat.basis_columns)]
 
 
 def filtration_membership(name: str, element, degree: int) -> tuple[RingElement, MembershipResult]:

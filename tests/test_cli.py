@@ -543,6 +543,8 @@ def test_theorem_runs_each_suite_once(monkeypatch, tmp_path):
 GAMMA_REPORT_DIGESTS = {
     "split:4,4,4": "ae6e07d11eb630330c98d1f0fef3d3d52e767506119489db206fb96c748ebe2a",
     "split:8,8": "4001bb43e9a8b68a9b57b9ecd277b6f9447f9446299b0db02197a1e16c465c7f",
+    # rank 128, the largest Smith transforms of any split preset
+    "split:2,64": "e3031bd8088032c6336e82b274ab98bc79fdb70e5f3bae132619bbb59d0effdf",
 }
 
 

@@ -598,3 +598,135 @@ def test_kernel_basis_rejects_a_compression_that_drops_every_row(monkeypatch):
     with pytest.raises(InternalInconsistencyError):
         kernel_basis(IntMatrix.from_rows([[0, 1], [0, 2]]))
     assert kernel_basis(IntMatrix.from_rows([[0, 0], [0, 0]])) == [(1, 0), (0, 1)]
+
+
+# --- products and determinants against textbook oracles ---------------------------
+
+
+def product_oracle(a: IntMatrix, b: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The textbook triple sum ``(a b)[i][j] = sum_t a[i][t] b[t][j]``."""
+    return tuple(
+        tuple(sum(a.entries[i][t] * b.entries[t][j] for t in range(a.cols)) for j in range(b.cols))
+        for i in range(a.rows)
+    )
+
+
+def determinant_oracle(m: IntMatrix) -> int:
+    """Determinant by Gaussian elimination over Q."""
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    n = len(a)
+    out = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    assert out.denominator == 1
+    return int(out)
+
+
+# mostly zeros, as the Smith transforms and gamma relation matrices are
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 7])
+
+
+def _shaped(rows, cols, entries):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _square(n, entries):
+    return _shaped(n, n, entries)
+
+
+def _signed_permutation(n):
+    return st.tuples(st.permutations(range(n)), st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)).map(
+        lambda ps: [[ps[1][i] * int(j == ps[0][i]) for j in range(n)] for i in range(n)]
+    )
+
+
+def _triangular(n):
+    """Upper or lower triangular, diagonal included."""
+    def build(parts):
+        rows, upper = parts
+        return [[x if i == j or (j > i) == upper else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return st.tuples(_square(n, small), st.booleans()).map(build)
+
+
+def _singular(n):
+    """Row ``i`` replaced by a multiple of row ``j``, or by zeros when ``i == j``."""
+    def build(parts):
+        rows, i, j, f = parts
+        rows[i] = [f * x for x in rows[j]] if i != j else [0] * n
+        return rows
+    return st.tuples(_square(n, small), st.integers(0, n - 1), st.integers(0, n - 1), small).map(build)
+
+
+def _equal_leading_minors(n):
+    """``L * U`` with ``L`` sparse unit lower triangular and ``U`` upper
+    triangular with diagonal ``(c, 1, 1, ...)``, ``|c| >= 2``: every leading
+    minor is ``c``, so elimination meets the same non-unit pivot twice in a
+    row and skips the rows that are already zero in its column."""
+    def build(parts):
+        lower, upper, c = parts
+        low = [[1 if i == j else (x if j < i else 0) for j, x in enumerate(row)] for i, row in enumerate(lower)]
+        up = [[(c if i == 0 else 1) if i == j else (x if j > i else 0) for j, x in enumerate(row)]
+              for i, row in enumerate(upper)]
+        return _product(low, up)
+    return st.tuples(_square(n, sparse_entries), _square(n, small), st.sampled_from([2, -2, 3, 6, -5])).map(build)
+
+
+square_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.one_of(
+        _square(n, small), _square(n, sparse_entries), _signed_permutation(n),
+        _triangular(n), _singular(n), _equal_leading_minors(n),
+    )
+).map(IntMatrix.from_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_det_matches_the_rational_elimination_oracle(m):
+    assert det(m) == determinant_oracle(m)
+
+
+def test_det_skips_rows_under_a_repeated_non_unit_pivot():
+    # the second pivot equals the first (2, then 3) and the last row is
+    # already zero below it, so its update x * p // p is left out
+    m = IntMatrix.from_rows([[2, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert det(m) == determinant_oracle(m) == 2
+    m = IntMatrix.from_rows([[3, 0, 5], [0, 1, 0], [1, 0, 2]])
+    assert det(m) == determinant_oracle(m) == 1
+
+
+product_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda s: st.tuples(
+        st.one_of(_shaped(s[0], s[1], small), _shaped(s[0], s[1], sparse_entries)),
+        st.one_of(_shaped(s[1], s[2], small), _shaped(s[1], s[2], sparse_entries)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs)
+def test_mul_matches_the_triple_sum(pair):
+    a, b = (IntMatrix.from_rows(x) for x in pair)
+    assert a.mul(b).entries == product_oracle(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_signed_permutation(n), _square(n, small))))
+def test_mul_by_a_signed_permutation_permutes_rows(pair):
+    p, m = (IntMatrix.from_rows(x) for x in pair)
+    assert p.mul(m).entries == product_oracle(p, m)
+    assert m.mul(p).entries == product_oracle(m, p)
+
+
+def test_mul_rejects_mismatched_shapes():
+    with pytest.raises(InputError):
+        IntMatrix.identity(2).mul(IntMatrix.identity(3))

@@ -802,3 +802,23 @@ def test_chow2_verdicts():
     assert chow2_torsion("conic1").torsion.is_trivial
     assert len(chow2_torsion("conics4").provenance) == 2
     assert all(chow2_torsion("conics3").provenance)
+
+
+@pytest.mark.parametrize("name, limit", [("split:6,6", 2256), ("deg4pair", 927)])
+def test_filtration_skips_products_past_the_dimension(name, limit, monkeypatch):
+    """A product whose factors' lowest y-degrees sum past ``dim`` is zero in
+    the truncated ring, so the filtration never forms it; the spans are
+    checked by ``test_filtration_equals_the_raw_product_oracle``."""
+    calls = []
+    honest = RingElement.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return honest(self, other)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting)
+    gamma_filtration.cache_clear()
+    get_config.cache_clear()
+    gamma_filtration(name)
+    gamma_filtration.cache_clear()
+    assert len(calls) <= limit
