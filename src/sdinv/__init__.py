@@ -41,7 +41,6 @@ _EXPORTS = {
     "presets": ("assemble_theorem", "sl4x4_report", "theorem_table"),
     "roots": (
         "character_lattice",
-        "chern2_of_character",
         "dec_subgroup",
         "get_preset",
         "indecomposable_group",

@@ -1,6 +1,6 @@
 """Character lattices of central quotients, Weyl-invariant quadratic forms,
-second Chern classes of invariant characters, and the indecomposable
-degree-3 invariant group computed as a lattice subquotient.
+the subgroup spanned by second Chern classes of invariant characters, and the
+indecomposable degree-3 invariant group computed as a lattice subquotient.
 
 The supported groups are quotients of products of rank-1 and rank-3 special
 linear factors by a finite central subgroup; the registry exposes them under
@@ -14,6 +14,13 @@ a tuple in ``sym2_monomials`` order; a character lattice is an
 ``exactlin.Lattice`` and a Weyl action a tuple of integer matrices.  Weyl
 invariance is computed as an exact integer kernel rather than by averaging,
 which would leave the integral structure.
+
+The Chern-class subgroup is the span of the c2 forms a preset states, over
+ambient monomials: for ``sl2n:n`` the classes of the n weight pairs +-2e_i
+and of the tensor product of the n standard characters, written in closed
+form (the tests compare them with c2 of those characters); for ``sl4x4`` the
+forms 8 q1 and 4 q1 + 4 q2.  Nothing proves that a preset's list generates
+all of Dec, so the quotient computed is the one by the listed span.
 """
 
 from __future__ import annotations
@@ -114,37 +121,6 @@ class CentralQuotientDatum:
         self.residue_rows = residue_rows
 
 
-class WeightMultiset(NamedTuple):
-    """Weights of a character, with multiplicities, in ambient coordinates."""
-
-    weights: tuple[tuple[tuple[int, ...], int], ...]
-
-    @classmethod
-    def of(cls, pairs) -> "WeightMultiset":
-        return cls(tuple((tuple(int(x) for x in v), int(m)) for v, m in pairs))
-
-    def first_chern(self) -> tuple[int, ...]:
-        dim = len(self.weights[0][0])
-        out = [0] * dim
-        for v, m in self.weights:
-            for i, x in enumerate(v):
-                out[i] += m * x
-        return tuple(out)
-
-    def is_stable_under(self, weyl: tuple[IntMatrix, ...]) -> bool:
-        bag = {}
-        for v, m in self.weights:
-            bag[v] = bag.get(v, 0) + m
-        for w in weyl:
-            image = {}
-            for v, m in bag.items():
-                wv = w.matvec(v)
-                image[wv] = image.get(wv, 0) + m
-            if image != bag:
-                return False
-        return True
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -241,9 +217,15 @@ def invariant_quadratic_lattice(
 
 def ambient_to_basis_quad(L: Lattice, ambient_coeffs) -> tuple[int, ...]:
     """Rewrite a quadratic expression over ambient monomials as coefficients
-    over the lattice basis monomials; errors when they are not integral."""
+    over the lattice basis monomials; errors when it has the wrong length or
+    is not integral on the lattice."""
     m = L.ambient_rank
     r = L.rank
+    if len(ambient_coeffs) != sym2_size(m):
+        raise InputError(
+            f"a quadratic form in {m} variables has {sym2_size(m)} coefficients, "
+            f"not {len(ambient_coeffs)}"
+        )
     if r != m:
         # Full-rank lattices only: every preset here has finite index.
         raise InputError("basis change requires a full-rank character lattice")
@@ -253,66 +235,22 @@ def ambient_to_basis_quad(L: Lattice, ambient_coeffs) -> tuple[int, ...]:
     n = lattice_index(L)
     cols = [L.membership(tuple(n * int(t == i) for t in range(m))).coordinates
             for i in range(m)]
-    out = sym2_substitute(list(ambient_coeffs), cols, m, r)
+    out = sym2_substitute(ambient_coeffs, cols, m, r)
     if any(x % (n * n) for x in out):
         raise InputError("expression is not integral on the lattice")
     return tuple(x // (n * n) for x in out)
 
 
-def chern2_of_character(mult: WeightMultiset, L: Lattice) -> tuple[int, ...]:
-    """Second elementary symmetric value of the weight multiset, as a
-    quadratic expression in the lattice basis.
+def dec_subgroup(L: Lattice, forms, invariant_lattice: Lattice) -> Lattice:
+    """Subgroup of the invariant quadratic forms spanned by the given second
+    Chern classes, each an integral form over ambient monomials.
 
-    Computed by polarization: ``e2 = ((sum w)^2 - sum w^2) / 2``, where the
-    first term vanishes: the first Chern class (the plain weight sum) must be
-    zero, and every weight must lie in the lattice.
+    The result is checked to lie inside the invariant lattice; failure
+    signals a broken preset rather than bad user input.  Nothing here checks
+    that the forms span all of Dec: the subgroup is the span of the forms a
+    preset states.
     """
-    m = L.ambient_rank
-    s1 = mult.first_chern()
-    if any(s1):
-        raise InputError("first Chern class of the character is nonzero")
-    for v, _ in mult.weights:
-        if len(v) != m:
-            raise InputError("weight length does not match the ambient rank")
-        if not L.contains(v):
-            raise InputError(f"weight {v} is outside the character lattice")
-    total = [0] * sym2_size(m)
-    for v, mu in mult.weights:
-        sq = sym2_substitute((1,), (v,), 1, m)
-        for k in range(len(total)):
-            total[k] -= mu * sq[k]
-    for k in range(len(total)):
-        if total[k] % 2:
-            raise InternalInconsistencyError("polarization produced an odd coefficient")
-        total[k] //= 2
-    return ambient_to_basis_quad(L, total)
-
-
-def dec_subgroup(
-    L: Lattice,
-    weyl: tuple[IntMatrix, ...],
-    weight_multisets=(),
-    explicit_generators=(),
-    invariant_lattice: Lattice | None = None,
-) -> Lattice:
-    """Subgroup of the invariant quadratic forms generated by second Chern
-    classes of the given characters plus any explicit generators.
-
-    Explicit generators are given over ambient monomials.  The result is
-    checked to lie inside the invariant lattice; failure signals a broken
-    preset rather than bad user input.
-    """
-    cols = []
-    for ws in weight_multisets:
-        if not ws.is_stable_under(weyl):
-            raise InputError("character is not stable under the Weyl action")
-        cols.append(chern2_of_character(ws, L))
-    for g in explicit_generators:
-        cols.append(ambient_to_basis_quad(L, g))
-    n = sym2_size(L.rank)
-    lat = Lattice.from_columns(n, cols)
-    if invariant_lattice is None:
-        invariant_lattice = invariant_quadratic_lattice(L, weyl)[0]
+    lat = Lattice.from_columns(sym2_size(L.rank), [ambient_to_basis_quad(L, f) for f in forms])
     for idx, c in enumerate(lat.basis_columns):
         if not invariant_lattice.contains(c):
             raise InternalInconsistencyError(
@@ -348,13 +286,7 @@ def indecomposable_group(name: str) -> IndecomposableResult:
     reductive = data.reductive_lattice()
     lat = project_to_semisimple(reductive, data.projection)
     inv, actions = invariant_quadratic_lattice(lat, data.weyl)
-    dec = dec_subgroup(
-        lat,
-        data.weyl,
-        weight_multisets=data.dec_weights,
-        explicit_generators=data.dec_explicit,
-        invariant_lattice=inv,
-    )
+    dec = dec_subgroup(lat, data.dec_forms, inv)
     return IndecomposableResult(
         preset=data.name,
         character_lattice=lat,
@@ -380,7 +312,12 @@ def sl4x4_witness_is_2q1_plus_6q2(res: IndecomposableResult) -> bool:
 
 
 class GroupData(NamedTuple):
-    """Everything needed to run the lattice computations for one group."""
+    """Everything needed to run the lattice computations for one group.
+
+    ``dec_forms`` are the stated second Chern classes whose span is the
+    Chern-class subgroup, as integral forms over the monomials of the
+    semisimple coordinates.
+    """
 
     name: str
     datum: CentralQuotientDatum
@@ -388,8 +325,7 @@ class GroupData(NamedTuple):
     projection: IntMatrix
     semisimple_display: tuple[tuple[str, tuple[int, ...]], ...]
     weyl: tuple[IntMatrix, ...]  # Weyl generators on the semisimple coordinates
-    dec_weights: tuple[WeightMultiset, ...] = ()
-    dec_explicit: tuple[tuple[int, ...], ...] = ()
+    dec_forms: tuple[tuple[int, ...], ...]
     kind: str = "reductive"
 
     def reductive_lattice(self) -> Lattice:
@@ -449,13 +385,18 @@ def _gl2n_data(n: int) -> GroupData:
         for k in range(n)
     )
 
-    weights = []
-    for i in range(n):
-        weights.append(WeightMultiset.of([(_unit(n, i, 2), 1), (_unit(n, i, -2), 1)]))
-    signs = [[]]
-    for _ in range(n):
-        signs = [s + [e] for s in signs for e in (1, -1)]
-    weights.append(WeightMultiset.of([(tuple(s), 1) for s in signs]))
+    def diagonal(squares):
+        out = [0] * sym2_size(n)
+        for i, c in enumerate(squares):
+            out[sym2_index(i, i, n)] = c
+        return tuple(out)
+
+    # A character with c1 = 0 has c2 = -(1/2) sum of its squared weights.  So
+    # the weight pair +-2e_i gives -4 x_i^2, and the tensor product of the n
+    # standard characters, whose 2^n weights are the sign vectors s with
+    # sum_s (s.x)^2 = 2^n (x_1^2 + ... + x_n^2), gives -2^(n-1) sum x_i^2.
+    dec_forms = tuple(diagonal(_unit(n, i, -4)) for i in range(n))
+    dec_forms += (diagonal((-(2 ** (n - 1)),) * n),)
 
     return GroupData(
         name=f"gl2n:{n}",
@@ -464,7 +405,7 @@ def _gl2n_data(n: int) -> GroupData:
         projection=projection,
         semisimple_display=tuple(ss_display),
         weyl=weyl,
-        dec_weights=tuple(weights),
+        dec_forms=dec_forms,
     )
 
 
@@ -575,7 +516,7 @@ def _gl4x4_data() -> GroupData:
         projection=projection,
         semisimple_display=ss_display,
         weyl=weyl,
-        dec_explicit=(eight_q1, four_q1_plus_4q2),
+        dec_forms=(eight_q1, four_q1_plus_4q2),
     )
 
 

@@ -1,3 +1,6 @@
+import itertools
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,12 +9,10 @@ from sdinv import exactlin
 from sdinv.errors import InternalInconsistencyError
 from sdinv.exactlin import InputError, IntMatrix, Lattice, det, kernel_basis, lattice_index
 from sdinv.roots import (
-    WeightMultiset,
     action_in_basis,
     ambient_to_basis_quad,
     available_presets,
     character_lattice,
-    chern2_of_character,
     dec_subgroup,
     get_preset,
     indecomposable_group,
@@ -43,6 +44,71 @@ def reductive_display(data) -> Lattice:
 
 def semisimple_display(data) -> Lattice:
     return display_lattice(data.projection.rows, data.semisimple_display)
+
+
+class WeightMultiset(NamedTuple):
+    """Weights of a character, with multiplicities, in ambient coordinates."""
+
+    weights: tuple[tuple[tuple[int, ...], int], ...]
+
+    @classmethod
+    def of(cls, pairs) -> "WeightMultiset":
+        return cls(tuple((tuple(int(x) for x in v), int(m)) for v, m in pairs))
+
+    def first_chern(self) -> tuple[int, ...]:
+        dim = len(self.weights[0][0])
+        out = [0] * dim
+        for v, m in self.weights:
+            for i, x in enumerate(v):
+                out[i] += m * x
+        return tuple(out)
+
+    def is_stable_under(self, weyl) -> bool:
+        bag = {}
+        for v, m in self.weights:
+            bag[v] = bag.get(v, 0) + m
+        for w in weyl:
+            image = {}
+            for v, m in bag.items():
+                wv = w.matvec(v)
+                image[wv] = image.get(wv, 0) + m
+            if image != bag:
+                return False
+        return True
+
+
+def chern2_of_character(mult: WeightMultiset, L: Lattice) -> tuple[int, ...]:
+    """Second elementary symmetric value of the weight multiset, as a
+    quadratic expression in the lattice basis.
+
+    Computed by polarization, ``e2 = ((sum w)^2 - sum w^2) / 2``, for a
+    character whose first Chern class (the plain weight sum) is zero and
+    whose weights lie in the lattice.
+    """
+    m = L.ambient_rank
+    assert not any(mult.first_chern())
+    assert all(L.contains(v) for v, _ in mult.weights)
+    total = [0] * sym2_size(m)
+    for v, mu in mult.weights:
+        for k, x in enumerate(sym2_substitute((1,), (v,), 1, m)):
+            total[k] -= mu * x
+    assert not any(x % 2 for x in total)
+    return ambient_to_basis_quad(L, [x // 2 for x in total])
+
+
+def _unit(n: int, i: int, value: int) -> tuple[int, ...]:
+    return tuple(value if t == i else 0 for t in range(n))
+
+
+def sl2n_characters(n: int) -> list[WeightMultiset]:
+    """The characters of ``sl2n:n`` whose c2 its ``dec_forms`` state, in
+    order: the n weight pairs +-2e_i, then the tensor product of the n
+    standard characters, whose weights are the 2^n sign vectors."""
+    pairs = [
+        WeightMultiset.of([(_unit(n, i, 2), 1), (_unit(n, i, -2), 1)]) for i in range(n)
+    ]
+    signs = itertools.product((1, -1), repeat=n)
+    return pairs + [WeightMultiset.of([(s, 1) for s in signs])]
 
 
 def chern2_pairwise_oracle(mult: WeightMultiset, rank: int) -> tuple[int, ...]:
@@ -167,6 +233,16 @@ def test_weyl_preserves_lattice(name):
         assert abs(det(m)) == 1
 
 
+@pytest.mark.parametrize("name", [f"sl2n:{n}" for n in range(2, 9)] + ["sl4x4"])
+def test_weyl_generators_are_reflections(name):
+    """w w = 1 and w - 1 has rank 1 for every Weyl generator."""
+    for w in get_preset(name).weyl:
+        r = w.rows
+        assert w.mul(w) == IntMatrix.identity(r)
+        cols = [tuple(w.entries[i][j] - (i == j) for i in range(r)) for j in range(r)]
+        assert Lattice.from_columns(r, cols).rank == 1  # the columns of w - 1
+
+
 def test_weyl_violation_reports_generator():
     lat = Lattice.from_columns(2, [(2, 0), (0, 2)])
     bad = (IntMatrix.from_rows([[0, 1], [1, 1]]),)
@@ -279,7 +355,7 @@ def test_chern2_sign_vectors_closed_form():
     n = 3
     data = get_preset(f"sl2n:{n}")
     lat = data.semisimple_lattice()
-    ws = data.dec_weights[-1]
+    ws = sl2n_characters(n)[-1]
     q = chern2_of_character(ws, lat)
     amb = basis_to_ambient_quad(lat, q)
     expected = [0] * sym2_size(n)
@@ -321,28 +397,25 @@ def test_chern2_polarization_matches_pairwise(pairs):
     assert basis_to_ambient_quad(lat, q) == chern2_pairwise_oracle(ws, 2)
 
 
-def test_chern2_rejects_nonzero_first_chern():
-    data = get_preset("sl2n:2")
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sl2n_dec_forms_are_c2_of_their_characters(n):
+    """Each closed-form class is c2 of its character, sign included, and each
+    character has c1 = 0 and is stable under the Weyl generators."""
+    data = get_preset(f"sl2n:{n}")
     lat = data.semisimple_lattice()
-    ws = WeightMultiset.of([((2, 0), 1)])
-    with pytest.raises(InputError, match="first Chern"):
-        chern2_of_character(ws, lat)
+    characters = sl2n_characters(n)
+    assert len(data.dec_forms) == len(characters)
+    for form, ws in zip(data.dec_forms, characters):
+        assert not any(ws.first_chern())
+        assert ws.is_stable_under(data.weyl)
+        assert form == basis_to_ambient_quad(lat, chern2_of_character(ws, lat))
 
 
-def test_chern2_rejects_weight_outside_lattice():
-    data = get_preset("sl2n:2")
-    lat = data.semisimple_lattice()
-    ws = WeightMultiset.of([((1, 0), 1), ((-1, 0), 1)])
-    with pytest.raises(InputError, match="outside"):
-        chern2_of_character(ws, lat)
-
-
-def test_preset_weights_are_stable_with_zero_first_chern():
-    for name in [f"sl2n:{n}" for n in range(2, 9)]:
-        data = get_preset(name)
-        for ws in data.dec_weights:
-            assert not any(ws.first_chern())
-            assert ws.is_stable_under(data.weyl)
+@pytest.mark.parametrize("form", [(4,), (4, 0, 0, 0, 0)], ids=["short", "long"])
+def test_ambient_form_of_wrong_length_is_refused(form):
+    lat = get_preset("sl2n:2").semisimple_lattice()
+    with pytest.raises(InputError, match="has 3 coefficients, not"):
+        ambient_to_basis_quad(lat, form)
 
 
 # --- dec subgroup and the indecomposable quotient ---------------------------------
@@ -352,23 +425,17 @@ def test_preset_weights_are_stable_with_zero_first_chern():
 def test_dec_subgroup_expected_span(n):
     data = get_preset(f"sl2n:{n}")
     lat = data.semisimple_lattice()
-    dec = dec_subgroup(lat, data.weyl, weight_multisets=data.dec_weights)
-    vectors = []
-    for i in range(n):
-        v = [0] * sym2_size(n)
-        v[sym2_index(i, i, n)] = 4
-        vectors.append(tuple(v))
-    v = [0] * sym2_size(n)
-    for i in range(n):
-        v[sym2_index(i, i, n)] = 2 ** (n - 1)
-    vectors.append(tuple(v))
-    assert dec == quad_lattice_from_ambient(lat, vectors)
+    inv, _ = invariant_quadratic_lattice(lat, data.weyl)
+    dec = dec_subgroup(lat, data.dec_forms, inv)
+    oracle = [chern2_of_character(ws, lat) for ws in sl2n_characters(n)]
+    assert dec == Lattice.from_columns(sym2_size(n), oracle)
 
 
 def test_dec_subgroup_empty_is_zero():
     data = get_preset("sl2n:2")
     lat = data.semisimple_lattice()
-    dec = dec_subgroup(lat, data.weyl)
+    inv, _ = invariant_quadratic_lattice(lat, data.weyl)
+    dec = dec_subgroup(lat, (), inv)
     assert dec.rank == 0
 
 

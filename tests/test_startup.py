@@ -177,8 +177,8 @@ _EXPORTED = {
     ),
     "presets": ("assemble_theorem", "sl4x4_report", "theorem_table"),
     "roots": (
-        "character_lattice", "chern2_of_character", "dec_subgroup", "get_preset",
-        "indecomposable_group", "invariant_quadratic_lattice", "project_to_semisimple",
+        "character_lattice", "dec_subgroup", "get_preset", "indecomposable_group",
+        "invariant_quadratic_lattice", "project_to_semisimple",
     ),
     "wittq": (
         "DiagonalForm", "QuaternionDatum", "albert_similarity_check",
