@@ -521,7 +521,9 @@ def get_config(name: str) -> SeveriBrauerConfig:
         return SeveriBrauerConfig("deg4pair", (4, 4), (4, 4), _table_from_rule((4, 4), rule))
     if name.startswith("split:"):
         try:
-            degrees = tuple(int(t) for t in name.split(":", 1)[1].split(","))
+            degrees = tuple(int(t) for t in name[6:].split(","))
+            if name != "split:" + ",".join(map(str, degrees)):
+                raise ValueError(name)
         except ValueError:
             raise InputError(f"malformed split preset {name!r}")
         if not degrees or any(d < 2 for d in degrees):

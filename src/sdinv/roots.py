@@ -2,10 +2,11 @@
 the subgroup spanned by second Chern classes of invariant characters, and the
 indecomposable degree-3 invariant group computed as a lattice subquotient.
 
-The supported groups are quotients of products of rank-1 and rank-3 special
-linear factors by a finite central subgroup; the registry exposes them under
-the preset names ``gl2n:{n}`` / ``sl2n:{n}`` for n in ``errors.N_RANGE`` and
-``gl4x4`` / ``sl4x4``.
+The supported groups are products of special linear blocks SL_m modulo a
+finite central subgroup, each built by ``_type_a`` from its blocks and the
+generators of that subgroup.  The registry exposes them under the preset
+names ``gl2n:{n}`` / ``sl2n:{n}`` (n blocks SL_2) for n in
+``errors.N_RANGE`` and ``gl4x4`` / ``sl4x4`` (two blocks SL_4).
 
 Quadratic forms live in the degree-2 part of the symmetric algebra on a
 character lattice.  A form "on the lattice" means one with integer
@@ -15,16 +16,17 @@ a tuple in ``sym2_monomials`` order; a character lattice is an
 invariance is computed as an exact integer kernel rather than by averaging,
 which would leave the integral structure.
 
-The Chern-class subgroup is the span of the c2 forms a preset states, over
-ambient monomials: for ``sl2n:n`` the classes of the n weight pairs +-2e_i
-and of the tensor product of the n standard characters, written in closed
-form (the tests compare them with c2 of those characters); for ``sl4x4`` the
-forms 8 q1 and 4 q1 + 4 q2.  Nothing proves that a preset's list generates
+The Chern-class subgroup is the span of the c2 forms a preset states in the
+block forms q_b: -4 q_i for the weight pair +-2e_i of ``sl2n:n`` and
+-2^(n-1) (q_1 + ... + q_n) for the tensor product of its n standard
+characters (the tests compare them with c2 of those characters); 8 q1 and
+4 q1 + 4 q2 for ``sl4x4``.  Nothing proves that a preset's list generates
 all of Dec, so the quotient computed is the one by the listed span.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import NamedTuple
@@ -339,184 +341,149 @@ def _unit(n: int, i: int, value: int = 1) -> tuple[int, ...]:
     return tuple(value if t == i else 0 for t in range(n))
 
 
+def _free_coordinates(sizes) -> list[range]:
+    """Semisimple coordinates of each SL_m block, block by block: the block's
+    first m - 1 weights (the last one is minus their sum)."""
+    ends = list(itertools.accumulate(m - 1 for m in sizes))
+    return [range(e - m + 1, e) for m, e in zip(sizes, ends)]
+
+
+def _block_forms(sizes) -> tuple[tuple[int, ...], ...]:
+    """Killing-normalized invariant form of each SL_m block, over the
+    semisimple monomials: sum of squares plus sum of cross terms of the
+    block's free coordinates."""
+    free = _free_coordinates(sizes)
+    mons = sym2_monomials(sum(sizes) - len(sizes))
+    return tuple(tuple(int(i in f and j in f) for i, j in mons) for f in free)
+
+
+def _block_weyl(sizes) -> tuple[IntMatrix, ...]:
+    """Adjacent transpositions of each block's weights on the semisimple
+    coordinates, block by block.  The last one swaps the last free weight
+    with the dependent one, so it sends that coordinate to minus the sum of
+    the block's free coordinates."""
+    r = sum(sizes) - len(sizes)
+    out = []
+    for f in _free_coordinates(sizes):
+        for k in f:
+            cols = [_unit(r, i) for i in range(r)]
+            if k + 1 in f:
+                cols[k], cols[k + 1] = cols[k + 1], cols[k]
+            else:
+                cols[k] = tuple(-1 if t in f else 0 for t in range(r))
+            out.append(IntMatrix.from_columns(cols))
+    return tuple(out)
+
+
+def sl4_block_form(block: int) -> tuple[int, ...]:
+    """Invariant form of one rank-3 block of ``sl4x4`` over its six
+    semisimple coordinates."""
+    return _block_forms((4, 4))[block]
+
+
+def _type_a(name, blocks, center, display, semisimple_display, dec) -> GroupData:
+    """A product of special linear blocks modulo a central subgroup.
+
+    ``blocks[b]`` lists the ambient coordinates of the diagonal weights of
+    an SL_m block, m = len(blocks[b]).  Each generator in ``center`` gives
+    the exponent c_b of the primitive m_b-th root of unity on block b; its
+    order o is the lcm of m_b / gcd(c_b, m_b), and its residue row is
+    c_b o / m_b on every coordinate of block b, mod o.  The projection
+    drops each block's last weight.  ``dec`` states each Chern class as
+    integer coefficients of the block forms.
+    """
+    amb = sum(len(b) for b in blocks)
+    moduli, rows = [], []
+    for gen in center:
+        o = math.lcm(*(len(b) // math.gcd(c, len(b)) for b, c in zip(blocks, gen)))
+        row = [0] * amb
+        for b, c in zip(blocks, gen):
+            for t in b:
+                row[t] = c * o // len(b)
+        moduli.append(o)
+        rows.append(row)
+    projection = IntMatrix.from_rows(
+        [[int(u == t) - int(u == b[-1]) for u in range(amb)] for b in blocks for t in b[:-1]]
+    )
+    sizes = [len(b) for b in blocks]
+    forms = _block_forms(sizes)
+    return GroupData(
+        name=name,
+        datum=CentralQuotientDatum(amb, tuple(moduli), IntMatrix.from_rows(rows)),
+        display_basis=tuple(display),
+        projection=projection,
+        semisimple_display=tuple(semisimple_display),
+        weyl=_block_weyl(sizes),
+        dec_forms=tuple(
+            tuple(sum(c * x for c, x in zip(coeffs, column)) for column in zip(*forms))
+            for coeffs in dec
+        ),
+    )
+
+
 def _gl2n_data(n: int) -> GroupData:
     """Product of n rank-1 general linear factors, modulo the central
     subgroup of sign tuples with product one.
 
     Ambient coordinates are x1..xn then y1..yn (the two diagonal weights of
-    each factor).  The center's characters form (Z/2)^(n-1); row i compares
-    the parity of factor i with the parity of factor n.
+    each factor), so block i is (xi, yi).  The center is generated by the
+    n - 1 sign tuples that are -1 on factors i and n, a group (Z/2)^(n-1).
     """
     amb = 2 * n
-    rows = []
-    for i in range(n - 1):
-        row = [0] * amb
-        row[i] = row[n + i] = 1
-        row[n - 1] = row[2 * n - 1] = 1
-        rows.append(tuple(row))
-    datum = CentralQuotientDatum(amb, (2,) * (n - 1), IntMatrix.from_rows(rows))
-
-    display = []
-    for i in range(n):
-        v = [0] * amb
-        v[i] = 1
-        v[n + i] = -1
-        display.append((f"x{i + 1}-y{i + 1}", tuple(v)))
-    for k in range(n - 1):
-        display.append((f"2x{k + 1}", _unit(amb, k, 2)))
+    display = [
+        (f"x{i + 1}-y{i + 1}", tuple(int(t == i) - int(t == n + i) for t in range(amb)))
+        for i in range(n)
+    ]
+    display += [(f"2x{k + 1}", _unit(amb, k, 2)) for k in range(n - 1)]
     sum_label = "+".join(f"x{i + 1}" for i in range(n))
-    display.append((sum_label, tuple(1 if t < n else 0 for t in range(amb))))
-
-    proj_rows = []
-    for i in range(n):
-        row = [0] * amb
-        row[i] = 1
-        row[n + i] = -1
-        proj_rows.append(tuple(row))
-    projection = IntMatrix.from_rows(proj_rows)
-
+    display.append((sum_label, tuple(int(t < n) for t in range(amb))))
     ss_display = [(f"2x{k + 1}", _unit(n, k, 2)) for k in range(n - 1)]
     ss_display.append((sum_label, (1,) * n))
-
-    weyl = tuple(
-        IntMatrix.from_rows(
-            [[(-1 if (i == j == k) else (1 if i == j else 0)) for j in range(n)] for i in range(n)]
-        )
-        for k in range(n)
-    )
-
-    def diagonal(squares):
-        out = [0] * sym2_size(n)
-        for i, c in enumerate(squares):
-            out[sym2_index(i, i, n)] = c
-        return tuple(out)
-
     # A character with c1 = 0 has c2 = -(1/2) sum of its squared weights.  So
     # the weight pair +-2e_i gives -4 x_i^2, and the tensor product of the n
     # standard characters, whose 2^n weights are the sign vectors s with
     # sum_s (s.x)^2 = 2^n (x_1^2 + ... + x_n^2), gives -2^(n-1) sum x_i^2.
-    dec_forms = tuple(diagonal(_unit(n, i, -4)) for i in range(n))
-    dec_forms += (diagonal((-(2 ** (n - 1)),) * n),)
-
-    return GroupData(
-        name=f"gl2n:{n}",
-        datum=datum,
-        display_basis=tuple(display),
-        projection=projection,
-        semisimple_display=tuple(ss_display),
-        weyl=weyl,
-        dec_forms=dec_forms,
+    return _type_a(
+        f"gl2n:{n}",
+        blocks=[(i, n + i) for i in range(n)],
+        center=[tuple(int(b in (i, n - 1)) for b in range(n)) for i in range(n - 1)],
+        display=display,
+        semisimple_display=ss_display,
+        dec=[_unit(n, i, -4) for i in range(n)] + [(-(2 ** (n - 1)),) * n],
     )
-
-
-def sl4_block_form(block: int) -> tuple[int, ...]:
-    """Killing-normalized invariant form of one rank-3 block inside Z^6, as
-    ambient monomial coefficients: sum of squares plus sum of cross terms
-    over that block's coordinates."""
-    out = [0] * sym2_size(6)
-    base = 3 * block
-    for i in range(3):
-        out[sym2_index(base + i, base + i, 6)] = 1
-        for j in range(i + 1, 3):
-            out[sym2_index(base + i, base + j, 6)] = 1
-    return tuple(out)
-
-
-def _perm_matrix_on_sl4_block(rank6: int, block: int, k: int) -> IntMatrix:
-    """Adjacent transposition (k, k+1) of the four diagonal weights of one
-    special linear factor of rank 3, written on the three free coordinates
-    (the fourth weight is minus their sum)."""
-    base = 3 * block
-    cols = [list(_unit(rank6, i)) for i in range(rank6)]
-    if k < 2:
-        a, b = base + k, base + k + 1
-        cols[a], cols[b] = cols[b], cols[a]
-    else:
-        # swap the third free weight with the dependent fourth one
-        a = base + 2
-        col = [0] * rank6
-        for t in range(3):
-            col[base + t] = -1
-        cols[a] = col
-    return IntMatrix.from_columns([tuple(c) for c in cols])
 
 
 def _gl4x4_data() -> GroupData:
     """Two rank-3 general linear factors modulo the central subgroup of
     fourth-root pairs whose squares multiply to one.
 
-    Ambient coordinates are x1..x4 then y1..y4.  The center's characters are
-    Z/2 + Z/4: the Z/2 row reads the second factor's total weight mod 2, the
-    Z/4 row the difference of the two total weights mod 4.
+    Ambient coordinates are x1..x4 then y1..y4, one block each.  The center,
+    of order 8, is generated by (1, z^2) and (z, z^-1), z a primitive fourth
+    root of unity; its characters are Z/2 + Z/4.
     """
-    amb = 8
-    rows = [
-        (0, 0, 0, 0, 1, 1, 1, 1),
-        (1, 1, 1, 1, -1, -1, -1, -1),
-    ]
-    datum = CentralQuotientDatum(amb, (2, 4), IntMatrix.from_rows(rows))
-
-    def vec(pairs):
-        v = [0] * amb
-        for idx, val in pairs:
-            v[idx] = val
-        return tuple(v)
-
-    display = (
-        ("x1-x2", vec([(0, 1), (1, -1)])),
-        ("x1-x3", vec([(0, 1), (2, -1)])),
-        ("x1-x4", vec([(0, 1), (3, -1)])),
-        ("y1-y2", vec([(4, 1), (5, -1)])),
-        ("y1-y3", vec([(4, 1), (6, -1)])),
-        ("y1-y4", vec([(4, 1), (7, -1)])),
-        ("2x1+2y1", vec([(0, 2), (4, 2)])),
-        ("2x1-2y1", vec([(0, 2), (4, -2)])),
-    )
-
-    # x_i -> xb_i, x_4 -> -(xb_1+xb_2+xb_3), same for the second block
-    proj_rows = []
-    for i in range(3):
-        row = [0] * amb
-        row[i] = 1
-        row[3] = -1
-        proj_rows.append(tuple(row))
-    for i in range(3):
-        row = [0] * amb
-        row[4 + i] = 1
-        row[7] = -1
-        proj_rows.append(tuple(row))
-    projection = IntMatrix.from_rows(proj_rows)
-
-    def vec6(pairs):
-        v = [0] * 6
-        for idx, val in pairs:
-            v[idx] = val
-        return tuple(v)
-
-    ss_display = (
-        ("x1-x2", vec6([(0, 1), (1, -1)])),
-        ("x1-x3", vec6([(0, 1), (2, -1)])),
-        ("y1-y2", vec6([(3, 1), (4, -1)])),
-        ("y1-y3", vec6([(3, 1), (5, -1)])),
-        ("2x1+2y1", vec6([(0, 2), (3, 2)])),
-        ("2x1-2y1", vec6([(0, 2), (3, -2)])),
-    )
-
-    weyl = tuple(_perm_matrix_on_sl4_block(6, block, k) for block in (0, 1) for k in range(3))
-
-    q1 = sl4_block_form(0)
-    q2 = sl4_block_form(1)
-    eight_q1 = tuple(8 * x for x in q1)
-    four_q1_plus_4q2 = tuple(4 * a + 4 * b for a, b in zip(q1, q2))
-
-    return GroupData(
-        name="gl4x4",
-        datum=datum,
-        display_basis=display,
-        projection=projection,
-        semisimple_display=ss_display,
-        weyl=weyl,
-        dec_forms=(eight_q1, four_q1_plus_4q2),
+    return _type_a(
+        "gl4x4",
+        blocks=[(0, 1, 2, 3), (4, 5, 6, 7)],
+        center=[(0, 2), (1, -1)],
+        display=[
+            ("x1-x2", (1, -1, 0, 0, 0, 0, 0, 0)),
+            ("x1-x3", (1, 0, -1, 0, 0, 0, 0, 0)),
+            ("x1-x4", (1, 0, 0, -1, 0, 0, 0, 0)),
+            ("y1-y2", (0, 0, 0, 0, 1, -1, 0, 0)),
+            ("y1-y3", (0, 0, 0, 0, 1, 0, -1, 0)),
+            ("y1-y4", (0, 0, 0, 0, 1, 0, 0, -1)),
+            ("2x1+2y1", (2, 0, 0, 0, 2, 0, 0, 0)),
+            ("2x1-2y1", (2, 0, 0, 0, -2, 0, 0, 0)),
+        ],
+        semisimple_display=[
+            ("x1-x2", (1, -1, 0, 0, 0, 0)),
+            ("x1-x3", (1, 0, -1, 0, 0, 0)),
+            ("y1-y2", (0, 0, 0, 1, -1, 0)),
+            ("y1-y3", (0, 0, 0, 1, 0, -1)),
+            ("2x1+2y1", (2, 0, 0, 2, 0, 0)),
+            ("2x1-2y1", (2, 0, 0, -2, 0, 0)),
+        ],
+        dec=[(8, 0), (4, 4)],
     )
 
 
@@ -524,7 +491,9 @@ def _gl4x4_data() -> GroupData:
 def get_preset(name: str) -> GroupData:
     if name.startswith("gl2n:") or name.startswith("sl2n:"):
         try:
-            n = int(name.split(":", 1)[1])
+            n = int(name[5:])
+            if name[5:] != str(n):
+                raise ValueError(name)
         except ValueError:
             raise InputError(f"malformed preset name {name!r}")
         if n not in N_RANGE:

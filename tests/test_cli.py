@@ -213,6 +213,22 @@ def test_refusal_stderr_is_pinned(argv, err, capsys):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["inv3", "--preset", p] for p in ("sl2n:03", "sl2n:0_3", "sl2n:+3", "sl2n: 3", "sl2n:\u0663")]
+    + [["gamma", "report", "--preset", p] for p in ("split:2,02", "split:1_0", "split:\u0662,2")],
+    ids=["sl2n:03", "sl2n:0_3", "sl2n:+3", "sl2n:space3", "sl2n:arabic3",
+         "split:2,02", "split:1_0", "split:arabic2,2"],
+)
+def test_preset_numbers_have_one_spelling(argv, capsys):
+    """A number in a preset name is refused unless it reads ``str(int(t))``,
+    so each preset has one name, which its report echoes."""
+    code, out = run(argv)
+    assert (code, out) == (2, "")
+    kind = "split preset" if argv[0] == "gamma" else "preset name"
+    assert capsys.readouterr().err == f"error: malformed {kind} {argv[-1]!r}\n"
+
+
 # SHA-256 of stdout at COLUMNS=80; the description is the docstring of
 # ``sdinv.commands``, which argparse reflows
 HELP_DIGESTS = {
@@ -560,7 +576,13 @@ def test_large_gamma_reports_are_byte_identical(preset):
 # format string swapped and each witness replaced by its vector; the entries
 # must not change.
 CERTIFICATE_DIGESTS = {
+    "inv3 --preset sl2n:2": "1c6ebfd23a0a3c3c2888519549f803418c0a23a65ead383e5ebacf7df5eecf62",
+    "inv3 --preset sl2n:3": "4511d41da7f3f2051991cd8ace05d47753aa58f80b1b6cd5f3c0544a9b94e537",
+    "inv3 --preset sl2n:4": "3f19343641db62659beb93087fa0ba4e88078c6a2d34e63fdca88eabbc6649fd",
+    "inv3 --preset sl2n:5": "bb84c4777d409a18660e90245e85317fbecd0db56f01746dfdfa2fef72f46903",
+    "inv3 --preset sl2n:6": "1b2344ad506e149725c460b748d052a2e80efeb5d1cf946dc66f5c387b0e0be8",
     "inv3 --preset sl2n:7": "20aeb3d710122f431a28baa2ece85a9b5caefb0ab820528c97de4bdba13837ad",
+    "inv3 --preset sl2n:8": "b81a3f82049e8ef53a685c668c48099c9f3007311f343f4029c6c2ea06934c62",
     "sl4x4": "8e09cc3978ed192a43a2c54e9672eceade0f007339f29222df5731924e0e9de6",
     "chow2 --preset conics4": "776eae93b048f4686a3acf889c5c9c83a11f6f9465621a2c4790ad5c67cde09c",
     "gamma report --preset deg4pair":

@@ -9,6 +9,7 @@ from sdinv import exactlin
 from sdinv.errors import InternalInconsistencyError
 from sdinv.exactlin import InputError, IntMatrix, Lattice, det, kernel_basis, lattice_index
 from sdinv.roots import (
+    _type_a,
     action_in_basis,
     ambient_to_basis_quad,
     available_presets,
@@ -241,6 +242,33 @@ def test_weyl_generators_are_reflections(name):
         assert w.mul(w) == IntMatrix.identity(r)
         cols = [tuple(w.entries[i][j] - (i == j) for i in range(r)) for j in range(r)]
         assert Lattice.from_columns(r, cols).rank == 1  # the columns of w - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_type_a_weyl_generators_are_the_block_transpositions(data):
+    """For 1-3 blocks of sizes 2-5 on shuffled ambient coordinates, the k-th
+    generator of block b is a reflection, is the transposition of weights
+    b[k] and b[k + 1] seen through the projection, and fixes every block
+    form."""
+    sizes = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    coords = iter(data.draw(st.permutations(range(sum(sizes)))))
+    blocks = [tuple(itertools.islice(coords, m)) for m in sizes]
+    one_per_block = [_unit(len(blocks), b, 1) for b in range(len(blocks))]
+    group = _type_a("blocks", blocks, (), (), (), one_per_block)
+    proj, amb, r = group.projection, sum(sizes), sum(sizes) - len(sizes)
+    swaps = [(b[k], b[k + 1]) for b in blocks for k in range(len(b) - 1)]
+    assert len(group.weyl) == len(swaps)
+    assert [sum(q) for q in group.dec_forms] == [m * (m - 1) // 2 for m in sizes]
+    for w, (s, t) in zip(group.weyl, swaps):
+        assert w.mul(w) == IntMatrix.identity(r)
+        cols = [tuple(w.entries[i][j] - (i == j) for i in range(r)) for j in range(r)]
+        assert Lattice.from_columns(r, cols).rank == 1  # the columns of w - 1
+        perm = {s: t, t: s}
+        swap = IntMatrix.from_columns([_unit(amb, perm.get(i, i), 1) for i in range(amb)])
+        assert proj.mul(swap) == w.mul(proj)
+        for q in group.dec_forms:
+            assert tuple(sym2_substitute(q, w.columns(), r, r)) == q
 
 
 def test_weyl_violation_reports_generator():
