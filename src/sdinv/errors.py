@@ -10,12 +10,13 @@ class InputError(ValueError):
     """Bad user-supplied data (dimension mismatch, unknown name, parse error)."""
 
 
-class ContainmentError(InputError):
-    """A claimed sublattice generator is not a member of the superlattice."""
-
-
 class InternalInconsistencyError(RuntimeError):
     """A structural invariant failed; indicates a broken preset or a bug."""
+
+
+class ContainmentError(InternalInconsistencyError):
+    """A computed lattice vector lies outside the lattice it must lie in; no
+    user input reaches the two checks that raise it."""
 
 
 # Largest ambient rank of a lattice built from outside input: a ring rank

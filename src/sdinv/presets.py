@@ -12,8 +12,9 @@ Bookkeeping across the short exact sequence
 
     0 -> Sdec/Dec -> Inv3_ind -> CH2_tors -> 0
 
-is enforced exactly: the order of the left quotient times the torsion order
-must equal the order of the middle group.
+is one step, shared by the theorem rows and the rank-3 pair: the left
+quotient has the order of the middle group over the torsion order, and a
+torsion order that does not divide it is an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -142,22 +143,29 @@ class TheoremRow(NamedTuple):
 
     @property
     def exactness_holds(self) -> bool:
-        sdec = self.sdec_mod_dec_h.group.order()
-        tors = self.chow2_tors.group.order()
-        inv = self.inv3_ind_h.group.order()
-        return sdec is not None and tors is not None and sdec * tors == inv
+        return _exact(self.sdec_mod_dec_h.group, self.chow2_tors.group, self.inv3_ind_h.group)
 
 
-def _sdec_from_exactness(inv: FinAbelianGroup, tors: FinAbelianGroup) -> FinAbelianGroup | None:
-    """Left term of the exact sequence, by order bookkeeping, or None when
-    the torsion order does not divide the indecomposable order.
+def _exact(sdec: FinAbelianGroup, tors: FinAbelianGroup, inv: FinAbelianGroup) -> bool:
+    """|Sdec/Dec| * |CH2_tors| == |Inv3_ind|, the identity the bookkeeping states."""
+    so, to = sdec.order(), tors.order()
+    return so is not None and to is not None and so * to == inv.order()
+
+
+def _sdec_from_exactness(inv: FinAbelianGroup, tors: FinAbelianGroup) -> FinAbelianGroup:
+    """Left term of the exact sequence, by order bookkeeping; raises
+    InternalInconsistencyError when the torsion order does not divide the
+    indecomposable order.
 
     Every group in this table is trivial or cyclic of order 2, so the order
     determines the isomorphism type.
     """
     oi, ot = inv.order(), tors.order()
     if oi is None or ot is None or oi % ot:
-        return None
+        raise InternalInconsistencyError(
+            "torsion order does not divide the indecomposable order; "
+            "the exact-sequence bookkeeping cannot hold"
+        )
     return FinAbelianGroup.cyclic(oi // ot)
 
 
@@ -203,14 +211,10 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
         )
         facts += [_FACTS["torsion_high_n"], _FACTS["restriction_induction"]]
 
-    sdec = _sdec_from_exactness(inv_h.group, chow_value.group)
-    if sdec is None:
-        raise InternalInconsistencyError(
-            "torsion order does not divide the indecomposable order; "
-            "the exact-sequence bookkeeping cannot hold"
-        )
     sdec_h = GroupValue(
-        sdec, "cited" if chow is None else "computed", "exact-sequence bookkeeping"
+        _sdec_from_exactness(inv_h.group, chow_value.group),
+        "cited" if chow is None else "computed",
+        "exact-sequence bookkeeping",
     )
 
     suites = []
@@ -250,7 +254,7 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
         )
         facts += [_FACTS["g_upper_bound"], _FACTS["restriction_induction"]]
 
-    row = TheoremRow(
+    return TheoremRow(
         n=n,
         inv3_ind_h=inv_h,
         inv3_ind_g=inv_g,
@@ -262,9 +266,6 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
         indecomposable=ind,
         chow=chow,
     )
-    if not row.exactness_holds:
-        raise InternalInconsistencyError("assembled row violates exact bookkeeping")
-    return row
 
 
 def theorem_table(ns=N_RANGE, trials: int = 12, seed: int = 1) -> list[TheoremRow]:
@@ -275,19 +276,15 @@ class Sl4x4Report(NamedTuple):
     indecomposable: IndecomposableResult
     chow: Chow2Result
     sdec_mod_dec: FinAbelianGroup
-    inconsistencies: tuple[str, ...]
     cited_facts: tuple[CitedFact, ...]
 
     @property
     def consistent(self) -> bool:
-        return not self.inconsistencies
+        return _exact(self.sdec_mod_dec, self.chow.torsion, self.indecomposable.presentation.group)
 
     @property
     def all_normalized_semi_decomposable(self) -> bool:
-        return (
-            self.sdec_mod_dec.order() == self.indecomposable.presentation.group.order()
-            and self.chow.torsion.is_trivial
-        )
+        return self.chow.torsion.is_trivial
 
 
 def sl4x4_report() -> Sl4x4Report:
@@ -298,20 +295,10 @@ def sl4x4_report() -> Sl4x4Report:
 
     ind = indecomposable_group("sl4x4")
     chow = chow2_torsion(SL4X4_CONFIG)
-    sdec = _sdec_from_exactness(ind.presentation.group, chow.torsion)
-    inconsistencies = []
-    if sdec is None:
-        inconsistencies.append(
-            "torsion order does not divide the indecomposable order; exact "
-            "bookkeeping fails"
-        )
-        sdec = FinAbelianGroup.trivial()
-
     return Sl4x4Report(
         indecomposable=ind,
         chow=chow,
-        sdec_mod_dec=sdec,
-        inconsistencies=tuple(inconsistencies),
+        sdec_mod_dec=_sdec_from_exactness(ind.presentation.group, chow.torsion),
         cited_facts=(
             _FACTS["exact_sequence"],
             _FACTS["chow_reduction"],

@@ -243,22 +243,15 @@ def ambient_to_basis_quad(L: Lattice, ambient_coeffs) -> tuple[int, ...]:
     return tuple(x // (n * n) for x in out)
 
 
-def dec_subgroup(L: Lattice, forms, invariant_lattice: Lattice) -> Lattice:
-    """Subgroup of the invariant quadratic forms spanned by the given second
-    Chern classes, each an integral form over ambient monomials.
+def dec_subgroup(L: Lattice, forms) -> Lattice:
+    """Span of the given second Chern classes, each an integral form over
+    ambient monomials, as quadratic forms in the basis of ``L``.
 
-    The result is checked to lie inside the invariant lattice; failure
-    signals a broken preset rather than bad user input.  Nothing here checks
-    that the forms span all of Dec: the subgroup is the span of the forms a
-    preset states.
+    That the span lies in the invariant lattice is proved where the quotient
+    is presented.  Nothing here checks that the forms span all of Dec: the
+    subgroup is the span of the forms a preset states.
     """
-    lat = Lattice.from_columns(sym2_size(L.rank), [ambient_to_basis_quad(L, f) for f in forms])
-    for idx, c in enumerate(lat.basis_columns):
-        if not invariant_lattice.contains(c):
-            raise InternalInconsistencyError(
-                f"chern-class basis vector {idx} escapes the invariant lattice"
-            )
-    return lat
+    return Lattice.from_columns(sym2_size(L.rank), [ambient_to_basis_quad(L, f) for f in forms])
 
 
 class IndecomposableResult(NamedTuple):
@@ -288,7 +281,7 @@ def indecomposable_group(name: str) -> IndecomposableResult:
     reductive = data.reductive_lattice()
     lat = project_to_semisimple(reductive, data.projection)
     inv, actions = invariant_quadratic_lattice(lat, data.weyl)
-    dec = dec_subgroup(lat, data.dec_forms, inv)
+    dec = dec_subgroup(lat, data.dec_forms)
     return IndecomposableResult(
         preset=data.name,
         character_lattice=lat,

@@ -229,12 +229,7 @@ class QuaternionDatum(NamedTuple):
 
     @property
     def norm_form(self) -> DiagonalForm:
-        a, b = square_class(self.a), square_class(self.b)
-        form = _pfisters((a, b))
-        expected = DiagonalForm((1, -a, -b, square_class_mul(a, b)))
-        if form != expected:
-            raise InternalInconsistencyError("norm form convention drifted")
-        return form
+        return pfister((self.a, self.b))
 
     def label(self) -> str:
         return f"({self.a},{self.b})"

@@ -303,8 +303,26 @@ GAMMA_REPORTS = [
 ] + [["chow2", "--preset", p, "--json"] for p in ("conics3", "conics4", "deg4pair")]
 
 
-def _assert_recorded_digest(argv):
-    recorded = json.loads(DIGESTS.read_text())["commands"][" ".join(argv)]
+RECORDED = json.loads(DIGESTS.read_text())["commands"]
+# one seed of the benchmark's pool, read off its recorded theorem rows
+BENCH_SEED = min(k.split()[4] for k in RECORDED if k.startswith("theorem --n 2 "))
+THEOREM_REPORTS = [
+    ["theorem", "--n", str(n), "--seed", BENCH_SEED, "--json"] for n in range(2, 9)
+]
+WITT_REPORTS = [
+    k.split() for k in sorted(RECORDED)
+    if k.startswith("witt verify ") and k.endswith(f" --trials 500 --seed {BENCH_SEED} --json")
+]
+# every command the benchmark certifies at that seed (and every recorded
+# member query), each with the check of its certificate
+CERTIFY_EMITS = [
+    k.split()[1:] for k in sorted(RECORDED)
+    if k.startswith("check: ") and ("--seed" not in k or f"--seed {BENCH_SEED} " in k)
+]
+
+
+def _assert_recorded_digest(argv, key=None):
+    recorded = RECORDED[key or " ".join(argv)]
     code, out = run(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == recorded
@@ -318,6 +336,76 @@ def test_classification_reports_match_recorded_digests(argv):
 @pytest.mark.parametrize("argv", GAMMA_REPORTS, ids=" ".join)
 def test_gamma_reports_match_recorded_digests(argv):
     _assert_recorded_digest(argv)
+
+
+@pytest.mark.parametrize("argv", THEOREM_REPORTS + WITT_REPORTS, ids=" ".join)
+def test_theorem_and_witt_reports_match_recorded_digests(argv):
+    _assert_recorded_digest(argv)
+
+
+@pytest.mark.parametrize("emit", CERTIFY_EMITS, ids=" ".join)
+def test_certify_pairs_match_recorded_digests(emit, tmp_path, monkeypatch):
+    """The emit runs where the benchmark runs it, beside a .bench_work
+    directory, so the report names the same relative certificate path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ".bench_work").mkdir()
+    _assert_recorded_digest(emit)
+    _assert_recorded_digest(["--check-certificate", emit[-1]], key="check: " + " ".join(emit))
+
+
+def test_recorded_digests_cover_every_benchmark_op_kind():
+    assert len(WITT_REPORTS) == len(wittq.IDENTITY_IDS)
+    assert {e[-1] for e in CERTIFY_EMITS} == {f".bench_work/cert_{k}.json" for k in range(8)}
+
+
+def _broken_sl2n_3(field):
+    data = roots.get_preset("sl2n:3")
+    if field == "weyl":
+        # a shear, which moves the lattice basis vector (1, 1, 1) to (1, 2, 1)
+        shear = exactlin.IntMatrix.from_rows([(1, 0, 0), (1, 1, 0), (0, 0, 1)])
+        return data._replace(weyl=(shear,) + data.weyl[1:])
+    # 4 x1 x2, which the sign change of x1 negates
+    return data._replace(dec_forms=data.dec_forms + ((0, 4, 0, 0, 0, 0),))
+
+
+@pytest.mark.parametrize("field, message", [
+    ("weyl", "weyl generator 0 moves basis vector 0 outside the lattice"),
+    ("dec_forms", "of the sublattice is outside the superlattice"),
+])
+def test_broken_preset_is_an_internal_inconsistency(field, message, monkeypatch, capsys):
+    """A Weyl generator that leaves the lattice, or a Chern class that is not
+    invariant, is a broken preset: no user input reaches either check."""
+    broken = _broken_sl2n_3(field)
+    monkeypatch.setattr(roots, "get_preset", lambda name: broken)
+    roots.indecomposable_group.cache_clear()
+    try:
+        code, out = run(["inv3", "--preset", "sl2n:3", "--json"])
+    finally:
+        roots.indecomposable_group.cache_clear()
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: ") and message in err
+
+
+def test_filtration_level_out_of_its_predecessor_exits_3(monkeypatch, capsys):
+    """graded_torsion presents each step inside the one before it, the one
+    proof that the levels nest: a step 2 outside step 1 exits 3."""
+    live = kgamma.gamma_filtration
+
+    def broken(name):
+        lattices = live(name).lattices
+        return live(name)._replace(lattices=lattices[:2] + lattices[:1] + lattices[3:])
+
+    monkeypatch.setattr(kgamma, "gamma_filtration", broken)
+    kgamma.graded_torsion.cache_clear()
+    try:
+        code, out = run(["gamma", "report", "--preset", "conics3", "--json"])
+    finally:
+        kgamma.graded_torsion.cache_clear()
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: basis vector ")
+    assert err.rstrip().endswith("of the sublattice is outside the superlattice")
 
 
 def _count_calls(monkeypatch, module, name):

@@ -1,6 +1,9 @@
+import io
+
 import pytest
 
-from sdinv import kgamma
+from sdinv import cli, kgamma
+from sdinv.errors import InternalInconsistencyError
 from sdinv.exactlin import InputError, Lattice, subquotient_presentation
 from sdinv.presets import (
     ALPHA_SUITES_BY_N,
@@ -83,7 +86,10 @@ def test_sl4x4_report_default():
     assert rep.consistent
 
 
-def test_sl4x4_report_forced_failure_path(monkeypatch):
+def test_sl4x4_report_forced_failure_path(monkeypatch, capsys):
+    """A torsion order that does not divide the indecomposable order fails
+    the one bookkeeping step, which exits 3 for the rank-3 pair and for a
+    theorem row alike and prints no report."""
     live = kgamma.chow2_torsion
     z4 = subquotient_presentation(Lattice.from_columns(1, [(4,)]), Lattice.standard(1))
 
@@ -94,8 +100,11 @@ def test_sl4x4_report_forced_failure_path(monkeypatch):
         return kgamma.Chow2Result(report._replace(pieces=pieces))
 
     monkeypatch.setattr(kgamma, "chow2_torsion", z4_torsion)
-    rep = sl4x4_report()
-    assert rep.chow.torsion.label() == "Z/4"
-    assert not rep.consistent
-    assert any("bookkeeping" in s for s in rep.inconsistencies)
-    assert not rep.all_normalized_semi_decomposable
+    with pytest.raises(InternalInconsistencyError, match="bookkeeping"):
+        sl4x4_report()
+    for argv in (["sl4x4", "--json"], ["theorem", "--n", "5", "--json"]):
+        out = io.StringIO()
+        assert cli.run(argv, out=out) == 3
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("internal inconsistency: torsion order does not divide")

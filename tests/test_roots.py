@@ -453,17 +453,14 @@ def test_ambient_form_of_wrong_length_is_refused(form):
 def test_dec_subgroup_expected_span(n):
     data = get_preset(f"sl2n:{n}")
     lat = data.semisimple_lattice()
-    inv, _ = invariant_quadratic_lattice(lat, data.weyl)
-    dec = dec_subgroup(lat, data.dec_forms, inv)
+    dec = dec_subgroup(lat, data.dec_forms)
     oracle = [chern2_of_character(ws, lat) for ws in sl2n_characters(n)]
     assert dec == Lattice.from_columns(sym2_size(n), oracle)
 
 
 def test_dec_subgroup_empty_is_zero():
     data = get_preset("sl2n:2")
-    lat = data.semisimple_lattice()
-    inv, _ = invariant_quadratic_lattice(lat, data.weyl)
-    dec = dec_subgroup(lat, (), inv)
+    dec = dec_subgroup(data.semisimple_lattice(), ())
     assert dec.rank == 0
 
 

@@ -25,6 +25,7 @@ from sdinv.wittq import (
     pfister,
     relevant_places,
     sample_chain_configuration,
+    sample_square_class,
     square_class,
     square_class_mul,
     verify_case,
@@ -222,6 +223,16 @@ def test_quaternion_norm_form():
     assert q.norm_form.entries == (1, -2, -3, 6)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_norm_form_is_written_out_from_its_slots(seed):
+    """The norm form of (a, b) is <1, -a, -b, ab>, for sampled square classes."""
+    rng = SplitMix64(seed)
+    a, b = sample_square_class(rng), sample_square_class(rng)
+    expected = DiagonalForm((1, -a, -b, square_class_mul(a, b)))
+    assert QuaternionDatum.of(a, b).norm_form == expected
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=4))
 def test_symbols_outside_relevant_places_trivial(vals):
@@ -292,8 +303,6 @@ def test_closed_form_hyperbolic_reference():
 def test_e2_consistency_norm_forms():
     # image of the norm form under the degree-2 invariant is the symbol class
     rng = SplitMix64(11)
-    from sdinv.wittq import sample_square_class
-
     for _ in range(25):
         a = sample_square_class(rng)
         b = sample_square_class(rng)
@@ -415,8 +424,6 @@ def test_pfister_in_matching_power(slots):
 
 def test_power_chain_monotone():
     rng = SplitMix64(3)
-    from sdinv.wittq import sample_square_class
-
     for _ in range(20):
         f = DiagonalForm.of([sample_square_class(rng) for _ in range(4)])
         flags = [in_power_of_i(f, n) for n in (1, 2, 3, 4)]
@@ -445,8 +452,6 @@ def test_alpha_eval_matches_alpha2():
 
 def test_alpha_eval_restriction_by_split_factor():
     rng = SplitMix64(5)
-    from sdinv.wittq import sample_square_class
-
     for _ in range(10):
         a = sample_square_class(rng)
         b = sample_square_class(rng)
@@ -551,8 +556,6 @@ def test_albert_negative_scaling_definite_mismatch():
 @pytest.mark.parametrize("seed", [4, 8, 15, 16, 23, 42])
 def test_albert_agreement_with_real_cup(seed):
     rng = SplitMix64(seed)
-    from sdinv.wittq import sample_square_class
-
     for _ in range(12):
         a, b, c, d = (sample_square_class(rng) for _ in range(4))
         q = sample_square_class(rng)
@@ -566,8 +569,6 @@ def test_albert_agreement_with_real_cup(seed):
 
 def test_product_formula_batch():
     rng = SplitMix64(99)
-    from sdinv.wittq import sample_square_class
-
     for _ in range(200):
         a = sample_square_class(rng)
         b = sample_square_class(rng)
