@@ -24,9 +24,11 @@ block.  Membership evidence is checked against the columns it is stated
 for, with no Hermite form.
 
 Smith normal form, computed with explicit transform accumulation so that the
-decomposition is a certificate (``U * A * V == D``), is kept where its
-output is needed: NO membership certificates and the group structure and
-torsion witnesses of ``subquotient_presentation``, which runs it once.
+decomposition is a certificate (``U * A * V == D``), comes from one
+elimination that enforces ``d_i | d_{i+1}`` at each pivot, with no repair
+pass.  It is kept where its output is needed: NO membership certificates
+and the group structure and torsion witnesses of
+``subquotient_presentation``, which runs it once.
 Torsion witnesses are read from the columns of ``V``: the sublattice basis
 times column i of ``V`` is exactly ``d_i`` times the witness, so the package
 has no matrix inverse routine.  A witness's order is read off the rows of
@@ -257,14 +259,10 @@ class SmithDecomposition(NamedTuple):
             for j in range(self.D.cols):
                 if i != j and self.D.entries[i][j]:
                     return False
-        for i in range(len(diag) - 1):
-            if diag[i] < 0 or diag[i + 1] < 0:
-                return False
-            if diag[i] == 0 and diag[i + 1] != 0:
-                return False
-            if diag[i] and diag[i + 1] % diag[i]:
-                return False
-        return True
+        if any(d < 0 for d in diag):
+            return False
+        # d_i | d_{i+1}, which also puts the zeros last
+        return all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -310,7 +308,13 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         return min(cand)[1:] if cand else None
 
     def reduce_at(t):
-        """Clear row ``t`` and column ``t`` outside the pivot position."""
+        """Clear row ``t`` and column ``t`` outside the pivot position, with a
+        pivot that divides every entry of the block below and to the right.
+
+        A pivot that fails to divide some block entry takes that entry's row
+        into row ``t``; the next clean pivot is then strictly smaller in
+        absolute value, so the loop ends.  A unit pivot skips the scan.
+        """
         while True:
             at = smallest_at(t)
             if at is None:
@@ -330,54 +334,22 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                 if a[t][j]:
                     add_col(j, t, a[t][j] // p)
                     clean = clean and a[t][j] == 0
-            if clean:
+            if not clean:
+                continue
+            if p in (1, -1):
+                return True
+            for i in range(t + 1, nr):
+                if any(x % p for x in a[i][t + 1:]):
+                    add_row(t, i, -1)  # row_t += row_i
+                    break
+            else:
                 return True
 
-    k = min(nr, nc)
     t = 0
-    while t < k and reduce_at(t):
+    while t < min(nr, nc) and reduce_at(t):
+        if a[t][t] < 0:
+            negate_row(t)
         t += 1
-    rank = t
-
-    def fix_block(i):
-        """Local Smith step on the 2x2 block {i, i+1} after a chain fix.
-
-        Rows and columns i, i+1 vanish outside the block, so these
-        operations cannot disturb the rest of the diagonal.  The block ends
-        as diag(gcd, lcm) up to sign.
-        """
-        while a[i][i + 1] or a[i + 1][i]:
-            entries = [
-                (abs(a[r][c]), r, c)
-                for r in (i, i + 1)
-                for c in (i, i + 1)
-                if a[r][c]
-            ]
-            _, r, c = min(entries)
-            if r != i:
-                swap_rows(i, r)
-            if c != i:
-                swap_cols(i, c)
-            p = a[i][i]
-            if a[i + 1][i]:
-                add_row(i + 1, i, a[i + 1][i] // p)
-            if a[i][i + 1]:
-                add_col(i + 1, i, a[i][i + 1] // p)
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di and dj % di:
-                add_col(i, i + 1, -1)  # col_i += col_{i+1}
-                fix_block(i)
-                changed = True
-
-    for i in range(rank):
-        if a[i][i] < 0:
-            negate_row(i)
 
     dec = SmithDecomposition(
         U=IntMatrix(tuple(map(tuple, u))),

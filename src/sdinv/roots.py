@@ -171,13 +171,12 @@ def action_in_basis(L: Lattice, w: IntMatrix, generator_index: int) -> IntMatrix
     """
     cols = []
     for i, b in enumerate(L.basis_columns):
-        img = w.matvec(b)
-        res = L.membership(img)
-        if not res.member:
+        coords = L._basis_coordinates(w.matvec(b))
+        if coords is None:
             raise ContainmentError(
                 f"weyl generator {generator_index} moves basis vector {i} outside the lattice"
             )
-        cols.append(res.coordinates)
+        cols.append(coords)
     mat = IntMatrix.from_columns(cols)
     if abs(det(mat)) != 1:
         raise ContainmentError(f"weyl generator {generator_index} is not unimodular on the lattice")

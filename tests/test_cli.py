@@ -1105,6 +1105,14 @@ def _cyclic_subquotient(order, witness):
     }
 
 
+def test_entry_layer_refuses_a_negative_smith_diagonal():
+    """Z/2 stated as trivial through D = [[-2]]: U * relation * V == D holds,
+    but -2 is no invariant factor."""
+    entry = dict(_cyclic_subquotient(2, [1]), invariant_factors=[], witnesses=[],
+                 smith={"U": [[1]], "D": [[-2]], "V": [[-1]]})
+    assert _entry_layer(entry) == (False, ["entry 0: crafted: smith decomposition invalid"])
+
+
 def _factoring_calls(monkeypatch):
     from sdinv import _factor
 

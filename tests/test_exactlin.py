@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -107,15 +108,20 @@ def test_snf_rectangular_and_zero():
     assert dec.verify()
 
 
-matrices = st.integers(min_value=1, max_value=12).flatmap(
-    lambda r: st.integers(min_value=1, max_value=12).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(min_value=-50, max_value=50), min_size=c, max_size=c),
-            min_size=r,
-            max_size=r,
+def int_matrices(max_dim: int, bound: int):
+    """Row lists of matrices up to ``max_dim`` square, entries in ``[-bound, bound]``."""
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda r: st.integers(min_value=1, max_value=max_dim).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(min_value=-bound, max_value=bound), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
         )
     )
-)
+
+
+matrices = int_matrices(12, 50)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,6 +129,49 @@ matrices = st.integers(min_value=1, max_value=12).flatmap(
 def test_snf_invariants_random(rows):
     dec = smith_normal_form(IntMatrix.from_rows(rows))
     assert dec.verify()
+
+
+def determinantal_divisor(m: IntMatrix, k: int) -> int:
+    """gcd of all k x k minors of ``m``."""
+    g = 0
+    for rows in itertools.combinations(m.entries, k):
+        for cols in itertools.combinations(range(m.cols), k):
+            g = math.gcd(g, det(IntMatrix(tuple(tuple(r[j] for j in cols) for r in rows))))
+    return g
+
+
+# unsorted diagonals such as diag(6, 4, 3) need divisibility at the pivot
+small_diagonals = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=4).map(
+    lambda d: [[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(int_matrices(4, 12), small_diagonals))
+def test_snf_diagonal_is_the_quotient_of_determinantal_divisors(rows):
+    m = IntMatrix.from_rows(rows)
+    dec = smith_normal_form(m)
+    assert dec.verify()
+    divisors = [1] + [determinantal_divisor(m, k) for k in range(1, min(m.rows, m.cols) + 1)]
+    expected = tuple(
+        divisors[k] // divisors[k - 1] if divisors[k - 1] else 0 for k in range(1, len(divisors))
+    )
+    assert dec.diagonal == expected
+
+
+@pytest.mark.parametrize(
+    "source, D",
+    [([[2]], [[-2]]), ([[2], [0]], [[-2], [0]])],
+    ids=["1x1", "2x1"],
+)
+def test_verify_refuses_a_negative_diagonal_of_any_length(source, D):
+    """``U * source * V == D`` holds, yet -2 is no invariant factor."""
+    dec = exactlin.SmithDecomposition(
+        U=IntMatrix.identity(len(source)), D=IntMatrix.from_rows(D),
+        V=IntMatrix.from_rows([[-1]]), source=IntMatrix.from_rows(source),
+    )
+    assert dec.U.mul(dec.source).mul(dec.V) == dec.D
+    assert not dec.verify()
 
 
 # --- membership --------------------------------------------------------------
@@ -568,6 +617,9 @@ def test_yes_coordinates_rebuild_from_the_basis(gens, mix):
 
 # Certificates the Smith-form decision gave before YES moved to the Hermite
 # basis: (ambient rank, generators, vector, kind, functional, prime, power).
+# On the rank-4 lattice a first elimination without divisibility at the pivot
+# breaks the chain d_i | d_{i+1}; since the pivot enforces it, the Smith rows
+# differ there and the functional moved from (-720, 80, 27, -324).
 NO_CERTIFICATES = [
     (2, [(2, 0), (0, 2)], (1, 0), "modular", (1, 0), 2, 1),
     (2, [(4, 4), (2, 6)], (1, 1), "modular", (1, 0), 2, 1),
@@ -577,9 +629,9 @@ NO_CERTIFICATES = [
     (3, [(6, 0, 0), (0, 4, 2)], (0, 0, 1), "modular", (0, 0, 1), 2, 1),
     (3, [], (0, 5, 0), "rank", (0, 1, 0), None, None),
     (4, [(3, 0, 0, 0), (1, 9, 0, 0), (0, 0, 12, 6), (0, 0, 0, 5)], (1, 1, 6, 1),
-     "modular", (-720, 80, 27, -324), 2, 2),
+     "modular", (-180, 20, 27, -324), 2, 2),
     (4, [(3, 0, 0, 0), (1, 9, 0, 0), (0, 0, 12, 6), (0, 0, 0, 5)], (0, 3, 0, 0),
-     "modular", (-720, 80, 27, -324), 3, 3),
+     "modular", (-180, 20, 27, -324), 3, 3),
 ]
 
 

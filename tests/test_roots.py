@@ -302,6 +302,24 @@ def test_kernels_and_character_lattices_run_no_smith_form(name, monkeypatch):
     assert ker == Lattice.from_columns(3, [(-2, 1, 0), (-3, 0, 1)])
 
 
+def test_action_outside_the_lattice_builds_no_smith_form(monkeypatch):
+    """A shear that moves a basis vector out is refused by back-substitution:
+    no NO certificate is built only to be thrown away."""
+    calls = []
+    original = exactlin.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(exactlin, "smith_normal_form", counting)
+    lat = Lattice.from_columns(2, [(2, 0), (0, 1)])
+    shear = IntMatrix.from_rows([[1, 1], [0, 1]])  # (0, 1) -> (1, 1), outside
+    with pytest.raises(exactlin.ContainmentError, match="weyl generator 3 moves basis vector 1 outside"):
+        action_in_basis(lat, shear, generator_index=3)
+    assert calls == []
+
+
 def test_invariant_forms_rank1_trivial_weyl():
     lat = Lattice.standard(1)
     assert invariant_quadratic_lattice(lat, ()) == (Lattice.standard(1), ())
