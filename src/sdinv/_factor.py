@@ -24,8 +24,34 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 _SMALL_PRIMES = _primes_below(1000)
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
+# A cofactor that trial division by _SMALL_PRIMES leaves has no prime factor
+# below 1009, the least prime above them, so below 1009^2 it is prime.
+_PRIME_COFACTOR_BOUND = 1009 * 1009
+
+# Deterministic Miller-Rabin witness sets: the first k primes as bases decide
+# every n below the bound (Pomerance, Selfridge and Wagstaff 1980 and
+# Jaeschke 1993 up to 7 bases, Jiang and Deng 2014 for 9 and 12).  All 13
+# bases decide every n < 3.3 * 10^24 (Sorenson and Webster 2015); above that
+# the test is probabilistic.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUNDS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+)
+
+
+def _witnesses(n: int) -> tuple[int, ...]:
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            return _MR_BASES[:k]
+    return _MR_BASES
 
 
 def is_probable_prime(n: int) -> bool:
@@ -38,7 +64,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _witnesses(n):
         if a % n == 0:
             continue
         x = pow(a, d, n)
@@ -102,7 +128,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_probable_prime(m):
+        if m < _PRIME_COFACTOR_BOUND or is_probable_prime(m):
             fact[m] = fact.get(m, 0) + 1
             continue
         d = _pollard_rho(m)

@@ -25,7 +25,8 @@ class ContainmentError(InternalInconsistencyError):
 MAX_AMBIENT_RANK = 128
 
 # Largest trial count of an identity suite; at this size the slowest
-# identity, alpha4_full, runs for about 7 s on one core of a 2-vCPU VM.
+# identity, alpha4_full, runs for about 3 s on one core of a 2-vCPU VM
+# (Python 3.11, a fresh process).
 MAX_TRIALS = 10_000
 
 # Numbers n of rank-1 factors of the ``gl2n:{n}`` / ``sl2n:{n}`` presets and

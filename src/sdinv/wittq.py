@@ -9,9 +9,11 @@ Conventions and named assumptions
 * ``pfister([a1, .., ak])`` expands ``<<a1, .., ak>>`` as the tensor product
   of the binary forms ``<1, -ai>``, so the 2-fold form is the reduced norm
   form of the quaternion algebra ``(a1, a2)``.
-* Isometry and hyperbolicity over Q are decided by comparing the complete
-  invariant set; correctness rests on the Hasse-Minkowski classification of
-  forms over number fields.
+* Ideal-power membership, and with it isometry and hyperbolicity over Q, is
+  decided on the Witt class: pairs of entries e, -e are cancelled as
+  hyperbolic planes, and the complete invariant set of what is left is
+  compared with that of the hyperbolic form; correctness rests on the
+  Hasse-Minkowski classification of forms over number fields.
 * Degree-3 cohomology of Q is a single Z/2 carried by the real place, so the
   Arason value of a form in the third ideal power is ``signature/8 mod 2``
   and fourth-power membership adds the condition ``signature = 0 mod 16``.
@@ -22,10 +24,11 @@ Square classes are values
 * A rational square class is its canonical squarefree integer.  The product
   of two classes is ``(a // g) * (b // g)`` with ``g = gcd(a, b)``, so no
   class carries a prime list.
-* Only the sampled slot values of an identity are factored.  Every entry of
-  a form built from them is +-1 times a product of slot classes, so the odd
-  primes of the slots contain every place where its Hasse symbol can differ
-  from that of the hyperbolic form.
+* Only the sampled slot values of an identity are factored, each once: the
+  factoring gives its class and its odd primes of odd exponent.  Every
+  entry of a form built from them is +-1 times a product of slot classes,
+  so the odd primes of the slots contain every place where its Hasse symbol
+  can differ from that of the hyperbolic form.
 * The Hasse exponent at a place is read in one pass over the distinct
   entries of a form: a squarefree entry has valuation 1 at p exactly when p
   divides it, and an entry of even multiplicity counts only toward the
@@ -35,6 +38,10 @@ Square classes are values
 * The hyperbolic reference h<1, -1> has entries +-1 only, so its Hasse
   symbol is (-1)^C(h, 2) at inf and at 2 and +1 at every odd prime; it is
   written down, not computed.
+* A Brauer relation at an odd place reads one Legendre symbol: the symbols
+  of its pairs multiply to that of the product of the unit parts whose
+  partner has odd valuation, times (-1)^((p-1)/2) for each pair whose two
+  valuations are odd.
 * Places are validated once per form or relation, and the symbols of a
   form or relation are then evaluated on integers.
 """
@@ -45,7 +52,7 @@ import re
 from collections import Counter
 from collections.abc import Callable
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from ._factor import factorize, is_probable_prime
@@ -79,14 +86,29 @@ def _num_den(value) -> int:
     return n
 
 
+def _class_and_primes(value) -> tuple[int, list[int]]:
+    """Canonical square class of a nonzero rational and its primes of odd
+    exponent, from one factoring."""
+    n = _num_den(value)
+    primes = [p for p, e in factorize(n) if e % 2]
+    return (-1 if n < 0 else 1) * prod(primes), primes
+
+
 def square_class(value) -> int:
     """Canonical squarefree integer representative of a rational square class."""
-    n = _num_den(value)
-    out = -1 if n < 0 else 1
-    for p, e in factorize(n):
-        if e % 2:
-            out *= p
-    return out
+    return _class_and_primes(value)[0]
+
+
+def _classes_and_places(values) -> tuple[list[int], tuple]:
+    """Canonical square classes of ``values`` and inf, 2 and the odd primes
+    dividing one of them, each value factored once."""
+    classes, primes = [], set()
+    for value in values:
+        c, ps = _class_and_primes(value)
+        classes.append(c)
+        primes.update(ps)
+    primes.discard(2)
+    return classes, ("inf", 2) + tuple(sorted(primes))
 
 
 def square_class_mul(a: int, b: int) -> int:
@@ -166,10 +188,7 @@ def hilbert_symbol(a, b, place) -> int:
 
 def relevant_places(entries) -> tuple:
     """inf, 2, and every odd prime dividing a canonical entry."""
-    primes = set()
-    for e in set(entries):
-        primes.update(p for p, _ in factorize(e) if p > 2)
-    return ("inf", 2) + tuple(sorted(primes))
+    return _classes_and_places(set(entries))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +368,33 @@ def isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
     return witt_equivalent(f, g)
 
 
+def _cancel_hyperbolic_planes(f: DiagonalForm) -> DiagonalForm:
+    """f with every pair of entries e, -e cancelled: each pair is a
+    hyperbolic plane, so the result lies in the Witt class of f."""
+    counts = Counter(f.entries)
+    kept = []
+    for e, m in counts.items():
+        kept += [e] * (m - counts.get(-e, 0))
+    return DiagonalForm(tuple(kept))
+
+
 def in_power_of_i(f: DiagonalForm, n: int, places=None) -> bool:
     """Membership of the Witt class in the n-th power of the fundamental
     ideal, for n up to 4.
 
-    n=1 is even dimension; n=2 adds trivial signed discriminant; n=3 adds a
-    Hasse family matching the hyperbolic reference everywhere (trivial
-    Clifford invariant); n=4 adds signature divisible by 16, which is the
-    vanishing of the degree-3 cohomology class at the real place.
-    ``places`` is as in :func:`is_hyperbolic`.
+    Membership depends only on the Witt class, so the invariants are those
+    of f with its pairs of entries e, -e cancelled.  n=1 is even dimension;
+    n=2 adds trivial signed discriminant; n=3 adds a Hasse family matching
+    the hyperbolic reference everywhere (trivial Clifford invariant); n=4
+    adds signature divisible by 16, which is the vanishing of the degree-3
+    cohomology class at the real place.  ``places`` is as in
+    :func:`is_hyperbolic`.
     """
     if n not in (1, 2, 3, 4):
         raise InputError("only ideal powers 1 through 4 are supported")
     if f.dim % 2:
         return False
+    f = _cancel_hyperbolic_planes(f)
     if places is None:
         places = relevant_places(f.entries)
     inv = witt_invariants(f, places)
@@ -397,6 +429,30 @@ def e3_real(f: DiagonalForm) -> int:
 # quaternion tuples
 
 
+def _brauer_bit(pairs, place) -> int:
+    """Parity of the sum of the Hilbert-symbol exponents of ``pairs`` at a
+    checked place.  At an odd p the exponent of (a, b) is
+    alpha * beta * (p-1)/2 plus the Legendre bits of the unit part of a when
+    beta is odd and of b when alpha is odd; the bits add up to the bit of
+    the product of those unit parts, so one Legendre symbol serves the sum."""
+    if place == "inf" or place == 2:
+        return sum(_hilbert_bit(a, b, place) for a, b in pairs) % 2
+    p = place
+    valuations = 0
+    units = 1
+    for a, b in pairs:
+        if a % p and b % p:
+            continue  # both units: exponent 0
+        alpha, u = _local_data(a, p)
+        beta, v = _local_data(b, p)
+        valuations += alpha * beta
+        if beta % 2:
+            units = units * u % p
+        if alpha % 2:
+            units = units * v % p
+    return (valuations * ((p - 1) // 2) + _legendre_bit(units, p)) % 2
+
+
 def brauer_relation_holds(quats, places=None) -> bool:
     """Whether the classes of the quaternions sum to zero: at every relevant
     place the product of local symbols is +1.  ``places`` must include every
@@ -406,7 +462,7 @@ def brauer_relation_holds(quats, places=None) -> bool:
         places = relevant_places([x for pair in pairs for x in pair])
     for v in places:
         _check_place(v)
-    return all(sum(_hilbert_bit(a, b, v) for a, b in pairs) % 2 == 0 for v in places)
+    return not any(_brauer_bit(pairs, v) for v in places)
 
 
 def alpha_eval(quats) -> int:
@@ -538,7 +594,7 @@ def sample_chain_configuration(seed: int) -> ChainConfiguration:
     y = sample_norm(rng, ac)
     z = sample_norm(rng, ac)
     slots = (a, b, c, d, x, y, z)
-    A, B, C, D, X, Y, Z = (square_class(s) for s in slots)
+    (A, B, C, D, X, Y, Z), places = _classes_and_places(slots)
     mul = square_class_mul
     w = mul(mul(X, Y), Z)
     q1 = QuaternionDatum(A, B)
@@ -547,7 +603,7 @@ def sample_chain_configuration(seed: int) -> ChainConfiguration:
     q4 = QuaternionDatum(C, mul(D, w))
     quats = (q1, q2, q3, q4)
     # every slot of the quaternions is a product of the sampled classes
-    if not brauer_relation_holds(quats, relevant_places((A, B, C, D, X, Y, Z))):
+    if not brauer_relation_holds(quats, places):
         raise InternalInconsistencyError("constructed chain violates the Brauer relation")
     for radicand in (x, y, z):
         if hilbert_symbol(ac, radicand, 2) != 1:
@@ -646,11 +702,11 @@ def verify_case(identity_id: str, sample, trial: int = -1, seed: int = -1) -> Id
     """Decide one case, numbered ``trial`` of the suite run with ``seed``.
     Every entry of both sides is +-1 times a product of slot classes, so the
     odd primes of the slots are the only places where the Hasse symbols can
-    differ, and only the slots are factored."""
-    classes = {k: square_class(v) for k, v in sample}
+    differ, and only the slots are factored, each once."""
+    values, places = _classes_and_places(v for _, v in sample)
+    classes = dict(zip((k for k, _ in sample), values))
     row = _identity(identity_id)
     lhs, rhs = row.sides(*(classes[k] for k in row.slots))
-    places = relevant_places(classes.values())
     if row.level == "exact-Witt":
         verdict = witt_equivalent(lhs, rhs, places)
     else:

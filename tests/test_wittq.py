@@ -13,6 +13,8 @@ from sdinv.wittq import (
     DiagonalForm,
     QuaternionDatum,
     SplitMix64,
+    _brauer_bit,
+    _hilbert_bit,
     _hyperbolic_hasse,
     _pfisters,
     albert_similarity_check,
@@ -22,6 +24,7 @@ from sdinv.wittq import (
     hilbert_symbol,
     in_power_of_i,
     is_hyperbolic,
+    isometric,
     pfister,
     relevant_places,
     sample_chain_configuration,
@@ -87,6 +90,27 @@ def hyperbolic_oracle(f: DiagonalForm, places=None) -> bool:
         and mine.signature == ref.signature
         and mine.hasse == ref.hasse
     )
+
+
+def ideal_power_oracle(f: DiagonalForm, n: int) -> bool:
+    """Membership in I^n from the invariants of f itself, with no hyperbolic
+    plane cancelled, against those of the hyperbolic form of equal rank."""
+    if f.dim % 2:
+        return False
+    places = relevant_places(f.entries)
+    mine = witt_invariants(f, places)
+    ref = witt_invariants(hyperbolic(f.dim // 2), places)
+    conditions = (
+        mine.signed_discriminant == ref.signed_discriminant,
+        mine.hasse == ref.hasse,
+        mine.signature % 16 == 0,
+    )
+    return all(conditions[: n - 1])
+
+
+def brauer_oracle(pairs, place) -> int:
+    """Parity of the sum of the pairwise Hilbert-symbol exponents."""
+    return sum(_hilbert_bit(a, b, place) for a, b in pairs) % 2
 
 
 def test_hilbert_golden_values():
@@ -400,6 +424,83 @@ def test_slot_places_give_the_same_verdicts(slots, data):
     assert witt_equivalent(f, f, places)
 
 
+# --- hyperbolic planes cancelled -------------------------------------------------------
+
+
+def _with_planted_pairs(data, base):
+    """``base`` with pairs e, -e of classes from ``_CLASSES`` mixed in."""
+    entries = list(base)
+    for e in data.draw(st.lists(st.sampled_from(_CLASSES), max_size=4)):
+        entries += [e, -e]
+    return DiagonalForm(tuple(data.draw(st.permutations(entries))))
+
+
+def test_planted_planes_leave_a_pfister_form_in_its_power():
+    # <<-1, -1, -1>> has signature 8: in I^3, not in I^4, not hyperbolic
+    f = DiagonalForm((3, 1, -3, 1, 5, 1, -5, 1, 1, 1, 1, 1))
+    assert [in_power_of_i(f, n) for n in (1, 2, 3, 4)] == [True, True, True, False]
+    assert not is_hyperbolic(f)
+    assert is_hyperbolic(DiagonalForm((3, -3, 5, -5, -3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_CLASSES), max_size=6), st.data())
+def test_cancelled_planes_keep_every_verdict(base, data):
+    f = _with_planted_pairs(data, base)
+    for n in (1, 2, 3, 4):
+        assert in_power_of_i(f, n) == ideal_power_oracle(f, n), n
+    assert is_hyperbolic(f) == hyperbolic_oracle(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_CLASSES), max_size=5), st.data())
+def test_isometry_with_planted_pairs_matches_invariant_comparison(base, data):
+    f = _with_planted_pairs(data, base)
+    other = data.draw(st.lists(st.sampled_from(_CLASSES), max_size=2))
+    g = _with_planted_pairs(data, base[len(other):] + other)
+    expected = f.dim == g.dim and hyperbolic_oracle(f.perp(g.neg()))
+    assert isometric(f, g) == expected
+
+
+def test_cancelled_forms_still_report_their_own_invariants():
+    f = DiagonalForm((3, -3, 5, 1, -1))
+    inv = witt_invariants(f)
+    assert inv.dimension == 5
+    assert inv.signature == 1
+    assert inv.hasse_at(3) == hasse_oracle_pairwise(f, 3)
+
+
+# --- one Legendre symbol per place in a Brauer relation ----------------------------------
+
+# signed values with repeated small primes, so that many are divisible by a
+# place, some by its square, and few are squarefree
+_RAW = st.tuples(
+    st.sampled_from((1, -1)),
+    st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=5),
+    st.integers(1, 40),
+).map(lambda t: t[0] * math.prod(t[1]) * t[2])
+_PLACES = st.sampled_from(("inf", 2, 3, 5, 7, 11, 13))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_RAW, _RAW), min_size=1, max_size=5), _PLACES)
+@example([(3, 3)], 3)  # (p, p) = (p, -1): a pair of odd valuations
+@example([(9, 5), (18, 3)], 3)  # even valuation, then a unit against 3
+def test_one_pass_brauer_sum_matches_pairwise_symbols(pairs, place):
+    assert _brauer_bit(pairs, place) == brauer_oracle(pairs, place)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_RAW, _RAW), min_size=1, max_size=4))
+def test_brauer_relation_matches_pairwise_symbols(pairs):
+    quats = [QuaternionDatum(a, b) for a, b in pairs]
+    places = relevant_places([square_class(x) for pair in pairs for x in pair])
+    expected = all(brauer_oracle(pairs, v) == 0 for v in places)
+    assert brauer_relation_holds(quats) == expected
+    # a tuple next to its own copy always sums to zero
+    assert brauer_relation_holds(quats + quats)
+
+
 # --- ideal powers ----------------------------------------------------------------------
 
 
@@ -616,26 +717,29 @@ def test_only_sampled_slots_are_factored(monkeypatch, identity, seed):
 def test_places_checked_once_per_form_or_relation(monkeypatch):
     from sdinv import wittq
 
-    checked, listed = [], []
-    check, places_of = wittq._check_place, wittq.relevant_places
+    checked, listed, refactored = [], [], []
+    check, classes_and_places = wittq._check_place, wittq._classes_and_places
 
     def counting(place):
         checked.append(place)
         return check(place)
 
-    def listing(entries):
-        places = places_of(entries)
+    def listing(values):
+        classes, places = classes_and_places(values)
         listed.append(len(places))
-        return places
+        return classes, places
 
     monkeypatch.setattr(wittq, "_check_place", counting)
-    monkeypatch.setattr(wittq, "relevant_places", listing)
+    monkeypatch.setattr(wittq, "_classes_and_places", listing)
+    monkeypatch.setattr(wittq, "relevant_places", lambda entries: refactored.append(entries))
     trials = 200
     verify_identity("alpha4_full", trials, 5)
     # per trial: the chain's Brauer relation, the form of the case, and the
-    # three norm spot checks, each through ``hilbert_symbol`` at 2
+    # three norm spot checks, each through ``hilbert_symbol`` at 2; the
+    # places come from the one factoring of the sampled values
     assert len(listed) == 2 * trials
     assert len(checked) <= sum(listed) + 3 * trials
+    assert not refactored
 
 
 # --- bounded memory ---------------------------------------------------------------------
