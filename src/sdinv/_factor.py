@@ -1,9 +1,10 @@
-"""Integer factorization helpers shared by the lattice and quadratic-form code.
+"""Integer factorization for the quadratic-form code and for the prime of a
+modular non-membership certificate, the first prime ``factorize`` returns.
 
 Everything here is exact and deterministic.  Inputs in this project are
-either tiny (invariant factors of small lattices) or smooth products of
-small primes (square-class representatives), so trial division does almost
-all the work; Pollard rho is a fallback for stray large cofactors.
+either tiny (parts of the invariant factors of small lattices) or smooth
+products of small primes (square-class representatives), so trial division
+does almost all the work; Pollard rho is a fallback for stray large cofactors.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ def is_probable_prime(n: int) -> bool:
 
 def _pollard_rho(n: int) -> int:
     """Brent's cycle variant with batched gcds; n must be odd and composite."""
-    if n % 2 == 0:
-        return 2
     c = 0
     while True:
         c += 1
@@ -135,18 +134,4 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         stack.append(d)
         stack.append(m // d)
     return tuple(sorted(fact.items()))
-
-
-def smallest_prime_factor(n: int) -> int:
-    n = abs(n)
-    if n <= 1:
-        raise ValueError("no prime factor of a unit")
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return p
-        if p * p > n:
-            return n
-    if is_probable_prime(n):
-        return n
-    return min(p for p, _ in factorize(n))
 

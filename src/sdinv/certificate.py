@@ -385,12 +385,10 @@ def _verify_subquotient(entry) -> None:
         rebuilt = sup.basis.matvec(coords)
         if rebuilt != col:
             raise CertificateError(f"{entry['label']}: relation column {j} wrong")
-    diag = smith.diagonal
-    factors = [d for d in diag if d > 1]
-    if factors != list(entry["invariant_factors"]):
+    factors = smith.invariant_factors()
+    if list(factors) != list(entry["invariant_factors"]):
         raise CertificateError(f"{entry['label']}: invariant factors mismatch")
-    rank = sum(1 for d in diag if d)
-    if sup.basis.cols - rank != entry["free_rank"]:
+    if sup.basis.cols - smith.rank != entry["free_rank"]:
         raise CertificateError(f"{entry['label']}: free rank mismatch")
     # one witness of exact order d for each invariant factor d, in order;
     # U maps sup/sub onto the sum of the Z/d_i, so its Smith row proves the
@@ -465,8 +463,10 @@ MAX_SAMPLE_BITS = 64
 # Sample text read as a number: an integer or a fraction whose parts have at
 # most 20 digits, as every value within the budget has.  Other text would
 # reach ``Fraction``, which reads "1e10000000" by computing 10**10000000.
-# A value is then read by ``wittq._num_den``, as replay reads it: integers
-# and integer text without loading ``fractions``.
+# The package writes every sample as text, so any other JSON value, a float
+# included, is refused before it reaches arithmetic.  A value is then read
+# by ``wittq._num_den``, as replay reads it: integer text without loading
+# ``fractions``.
 _SAMPLE_TEXT = re.compile(r"[+-]?[0-9]{1,20}(/[0-9]{1,20})?")
 
 
@@ -490,7 +490,7 @@ def _verify_witt_trials(entry) -> None:
                 f"{', '.join(slots)}"
             )
         for k, v in sample:
-            if isinstance(v, str) and not _SAMPLE_TEXT.fullmatch(v):
+            if not (isinstance(v, str) and _SAMPLE_TEXT.fullmatch(v)):
                 raise CertificateError(
                     f"witt trial {i} of {entry['identity']}: sample {k} is not a "
                     f"numeral within the {MAX_SAMPLE_BITS}-bit replay limit"

@@ -44,7 +44,6 @@ import operator
 from functools import cached_property
 from typing import NamedTuple
 
-from ._factor import smallest_prime_factor
 from .errors import (  # noqa: F401  (MAX_AMBIENT_RANK is re-exported)
     MAX_AMBIENT_RANK,
     ContainmentError,
@@ -377,8 +376,6 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     the unimodular ``R``, so the kernel they span is saturated.
     """
     n, r = m.cols, m.rows
-    if not any(map(any, m.entries)):
-        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
     mt = m.transpose()
     # row j is column j of m followed by e_j, so each Hermite row is (m @ c, c)
     rows = row_hermite([col + tuple(int(i == j) for i in range(n)) for j, col in enumerate(mt.entries)])
@@ -588,9 +585,6 @@ def lattice_membership(v, lattice: Lattice) -> MembershipResult:
 def _non_membership_certificate(v, lattice: Lattice) -> NonMembershipCertificate:
     """The first Smith row of the basis on which ``v`` fails to be integral."""
     basis = lattice.basis
-    if basis.cols == 0:
-        first = next(i for i, x in enumerate(v) if x)
-        return NonMembershipCertificate("rank", tuple(int(i == first) for i in range(len(v))))
     dec = lattice._basis_smith
     w = dec.U.matvec(v)
     for i in range(basis.rows):
@@ -600,7 +594,10 @@ def _non_membership_certificate(v, lattice: Lattice) -> NonMembershipCertificate
                 return NonMembershipCertificate("rank", dec.U.row(i))
             continue
         if w[i] % d:
-            p = smallest_prime_factor(d // math.gcd(d, w[i]))
+            # only a modular NO certificate factors: lattice commands skip _factor
+            from ._factor import factorize
+
+            p = factorize(d // math.gcd(d, w[i]))[0][0]
             e = 0
             while d % p == 0:
                 d //= p

@@ -95,18 +95,12 @@ class TruncatedPolyRing:
 
     @lru_cache(maxsize=32)
     def exponents(self) -> tuple[tuple[int, ...], ...]:
-        """All monomial exponents in mixed-radix order, last variable fastest."""
+        """All monomial exponents in mixed-radix order, last variable fastest;
+        the exponent of 1 comes first."""
         outs = [()]
         for d in self.factor_degrees:
             outs = [e + (k,) for e in outs for k in range(d)]
         return tuple(outs)
-
-    @lru_cache(maxsize=32)
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {e: i for i, e in enumerate(self.exponents())}
-
-    def index_of(self, exps: tuple[int, ...]) -> int:
-        return self._index()[exps]
 
     @lru_cache(maxsize=32)
     def degrees(self) -> tuple[int, ...]:
@@ -139,9 +133,7 @@ class TruncatedPolyRing:
         return RingElement(self, (0,) * self.rank)
 
     def one(self) -> "RingElement":
-        c = [0] * self.rank
-        c[self.index_of((0,) * self.nvars)] = 1
-        return RingElement(self, tuple(c))
+        return RingElement(self, (1,) + (0,) * (self.rank - 1))
 
     def monomial(self, exps, basis: str, coeff: int = 1) -> "RingElement":
         """``coeff * basis^exps`` for ``basis`` "x" or "y", the two spellings
@@ -229,7 +221,7 @@ class RingElement:
 
     def rank_value(self) -> int:
         """Value of the rank homomorphism (constant y-coefficient)."""
-        return self.coefficients[self.ring.index_of((0,) * self.ring.nvars)]
+        return self.coefficients[0]
 
     def is_zero(self) -> bool:
         return not any(self.coefficients)
@@ -495,18 +487,16 @@ def _table_from_rule(periods, rule) -> tuple:
 def get_config(name: str) -> SeveriBrauerConfig:
     """Named index configurations.
 
-    ``conics3`` and ``conics4`` are the generic three- and four-conic
-    products, where a subset S of the k conics has index
-    2^min(|S|, k + 1 - |S|); ``conic1`` is a single nonsplit conic,
+    ``conic1``, ``conics3`` and ``conics4`` are the generic products of
+    k = 1, 3 and 4 conics, where a subset S of the k conics has index
+    2^min(|S|, k + 1 - |S|), so ``conic1`` is a single nonsplit conic;
     ``deg4pair`` the pair of generic degree-4 algebras whose squares are
     inverse quaternions, and ``split:d1,...,dn`` the fully split reference.
     """
-    if name in ("conics3", "conics4"):
+    if name in ("conic1", "conics3", "conics4"):
         k = int(name[-1])
         table = _table_from_rule((2,) * k, lambda c: 2 ** min(sum(c), k + 1 - sum(c)))
         return SeveriBrauerConfig(name, (2,) * k, (2,) * k, table)
-    if name == "conic1":
-        return SeveriBrauerConfig("conic1", (2,), (2,), (((0,), 1), ((1,), 2)))
     if name == "deg4pair":
         def rule(c):
             i, j = c

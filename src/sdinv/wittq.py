@@ -155,25 +155,6 @@ def _local_data(a: int, p: int) -> tuple[int, int]:
     return v, a
 
 
-def _hilbert_bit(a: int, b: int, place) -> int:
-    """0 when the Hilbert symbol of the nonzero integers a and b at a checked
-    place is +1, 1 when it is -1."""
-    if place == "inf":
-        return 1 if (a < 0 and b < 0) else 0
-    p = place
-    alpha, u = _local_data(a, p)
-    beta, v = _local_data(b, p)
-    if p == 2:
-        exp = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
-    else:
-        exp = alpha * beta * ((p - 1) // 2)
-        if beta % 2:
-            exp += _legendre_bit(u, p)
-        if alpha % 2:
-            exp += _legendre_bit(v, p)
-    return exp % 2
-
-
 def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b) at a place of the rationals.
 
@@ -183,7 +164,7 @@ def hilbert_symbol(a, b, place) -> int:
     their square classes.
     """
     _check_place(place)
-    return -1 if _hilbert_bit(_num_den(a), _num_den(b), place) else 1
+    return -1 if _brauer_bit([(_num_den(a), _num_den(b))], place) else 1
 
 
 def relevant_places(entries) -> tuple:
@@ -357,8 +338,6 @@ def is_hyperbolic(f: DiagonalForm, places=None) -> bool:
 def witt_equivalent(f: DiagonalForm, g: DiagonalForm, places=None) -> bool:
     """Exact equality in the Witt group: f + (-g) is hyperbolic.  ``places``
     is as in :func:`is_hyperbolic`, for the entries of both forms."""
-    if (f.dim + g.dim) % 2:
-        return False
     return is_hyperbolic(f.perp(g.neg()), places)
 
 
@@ -431,12 +410,21 @@ def e3_real(f: DiagonalForm) -> int:
 
 def _brauer_bit(pairs, place) -> int:
     """Parity of the sum of the Hilbert-symbol exponents of ``pairs`` at a
-    checked place.  At an odd p the exponent of (a, b) is
-    alpha * beta * (p-1)/2 plus the Legendre bits of the unit part of a when
-    beta is odd and of b when alpha is odd; the bits add up to the bit of
-    the product of those unit parts, so one Legendre symbol serves the sum."""
-    if place == "inf" or place == 2:
-        return sum(_hilbert_bit(a, b, place) for a, b in pairs) % 2
+    checked place (Serre, A Course in Arithmetic, III.1.2); one pair gives
+    ``hilbert_symbol``.  With a = p^alpha u and b = p^beta v the exponent is
+    [a, b < 0] at inf, eps(u) eps(v) + alpha omega(v) + beta omega(u) at 2,
+    and at an odd p alpha * beta * (p-1)/2 plus the Legendre bits of u when
+    beta is odd and of v when alpha is odd; those bits add up to the bit of
+    the product of the unit parts, so one Legendre symbol serves the sum."""
+    if place == "inf":
+        return sum(1 for a, b in pairs if a < 0 and b < 0) % 2
+    if place == 2:
+        exp = 0
+        for a, b in pairs:
+            alpha, u = _local_data(a, 2)
+            beta, v = _local_data(b, 2)
+            exp += _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
+        return exp % 2
     p = place
     valuations = 0
     units = 1

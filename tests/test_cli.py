@@ -1016,32 +1016,36 @@ _TRIAL_0 = "entry 0: witt trial 0 of alpha2"
 @pytest.mark.parametrize(
     "value, failure",
     [
-        (2 ** 64, f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
+        (2 ** 64, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
         (str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
         ("-" + str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
         (f"{2 ** 32}/{2 ** 32 + 1}", f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
-        (1e300, f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
+        (1e300, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
         ("x", f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
         ("1/0", "entry 0: malformed (Fraction(1, 0))"),
-        (None, "entry 0: malformed (argument should be a string or a Rational instance)"),
-        ([1], "entry 0: malformed (argument should be a string or a Rational instance)"),
+        (None, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+        ([1], f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
         ("-0", "entry 0: malformed (square classes are defined for nonzero values only)"),
         ("0/3", "entry 0: malformed (square classes are defined for nonzero values only)"),
         ("+7", f"{_TRIAL_0} fails replay"),
         ("6/4", f"{_TRIAL_0} fails replay"),
-        (True, f"{_TRIAL_0} fails replay"),
-        (0.5, f"{_TRIAL_0} fails replay"),
+        (True, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+        (0.5, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+        # the stored "-1" as a JSON number: same value, so only its type refuses it
+        (-1, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+        (-1.0, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
     ],
 )
 def test_checker_reads_every_sample_value_as_a_fraction_would(
     entry_certs, value, failure, monkeypatch
 ):
-    """Integers and integer text are read by ``int``, the rest by ``Fraction``;
-    each edited value is refused with the same message either way."""
+    """Only text is read: integer text by ``int``, the rest by ``Fraction``,
+    each edited value refused with the same message either way.  A JSON
+    number or any other value is refused as not a numeral."""
     monkeypatch.setattr(certmod, "build_certificate", _no_replay)
     bad = json.loads(json.dumps(entry_certs["witt"]))
     sample = bad["entries"][0]["cases"][0]["sample"]
-    assert sample[0][0] == "a" and sample[0][1] not in ("7", "3/2")
+    assert sample[0] == ["a", "-1"]
     sample[0][1] = value
     assert certmod.check_certificate(bad, replay=False) == (False, [failure])
 
@@ -1117,7 +1121,7 @@ def _factoring_calls(monkeypatch):
     from sdinv import _factor
 
     return [_count_calls(monkeypatch, _factor, name)
-            for name in ("factorize", "smallest_prime_factor", "is_probable_prime")]
+            for name in ("factorize", "is_probable_prime")]
 
 
 def test_checker_factors_no_witness_order(monkeypatch):

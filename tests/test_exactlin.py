@@ -632,6 +632,7 @@ NO_CERTIFICATES = [
      "modular", (-180, 20, 27, -324), 2, 2),
     (4, [(3, 0, 0, 0), (1, 9, 0, 0), (0, 0, 12, 6), (0, 0, 0, 5)], (0, 3, 0, 0),
      "modular", (-180, 20, 27, -324), 3, 3),
+    (3, [], (0, 0, 3), "rank", (0, 0, 1), None, None),
 ]
 
 
@@ -646,10 +647,12 @@ def test_no_certificates_are_unchanged(rank, gens, v, kind, functional, prime, p
 
 
 def test_kernel_basis_rejects_a_compression_that_drops_every_row(monkeypatch):
+    zero = IntMatrix.from_rows([[0, 0], [0, 0]])
+    assert kernel_basis(zero) == [(1, 0), (0, 1)]
     monkeypatch.setattr(exactlin, "row_hermite", lambda rows: ())
-    with pytest.raises(InternalInconsistencyError):
-        kernel_basis(IntMatrix.from_rows([[0, 1], [0, 2]]))
-    assert kernel_basis(IntMatrix.from_rows([[0, 0], [0, 0]])) == [(1, 0), (0, 1)]
+    for m in (IntMatrix.from_rows([[0, 1], [0, 2]]), zero):
+        with pytest.raises(InternalInconsistencyError):
+            kernel_basis(m)
 
 
 # --- products and determinants against textbook oracles ---------------------------

@@ -210,7 +210,7 @@ def tuple_product(a, b):
                 continue
             ne = tuple(p + q for p, q in zip(exps[i], exps[j]))
             if all(p < d for p, d in zip(ne, ring.factor_degrees)):
-                out[ring.index_of(ne)] += ca * cb
+                out[ring.exponents().index(ne)] += ca * cb
     return tuple(out)
 
 
@@ -333,7 +333,7 @@ def test_oversized_element_exits_2(element, message, capsys):
 def test_budget_edge():
     ring = TruncatedPolyRing((2, 2))
     top = 2**BUDGET - 1
-    assert parse(f"{top}*y1", ring).coefficients[ring.index_of((1, 0))] == top
+    assert parse(f"{top}*y1", ring).coefficients[ring.exponents().index((1, 0))] == top
     assert parse(f"000{top}", ring).rank_value() == top
     with pytest.raises(ParseError, match="budget"):
         parse(f"{top + 1}", ring)
@@ -372,7 +372,7 @@ def test_roots_and_kgamma_caches_are_bounded():
                 if hasattr(fn, "cache_info"):
                     caches.append(attr)
                     assert fn.cache_info().maxsize is not None, attr
-    assert len(caches) >= 11, caches
+    assert len(caches) >= 10, caches
 
 
 # --- configurations ---------------------------------------------------------------

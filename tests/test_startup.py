@@ -19,10 +19,10 @@ import sdinv
 
 SRC = str(Path(sdinv.__file__).resolve().parent.parent)
 
-# Loaded by every command: the front end, the command table, the shared
-# errors and budgets, and the factoring helpers that exactlin and wittq both
-# use.
-BASE = {"cli", "commands", "errors", "_factor"}
+# Loaded by every command: the front end, the command table and the shared
+# errors and budgets.  The factoring helpers load with wittq, and in exactlin
+# only for a modular NO certificate.
+BASE = {"cli", "commands", "errors"}
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -66,10 +66,10 @@ CHOW2 = ["chow2", "--preset", "conic1"]
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (WITT, {"wittq"}),
+        (WITT, {"wittq", "_factor"}),
         (INV3, {"exactlin", "roots"}),
         (GAMMA_REPORT, {"exactlin", "kgamma"}),
-        (GAMMA_MEMBER, {"exactlin", "kgamma"}),
+        (GAMMA_MEMBER, {"exactlin", "kgamma", "_factor"}),  # a NO answer
         (CHOW2, {"exactlin", "kgamma", "presets"}),
         (["theorem", "--n", "6"], {"exactlin", "roots", "presets"}),
     ],
@@ -81,7 +81,7 @@ def test_command_loads_only_its_modules(argv, modules):
 
 @pytest.mark.parametrize(
     "argv, modules",
-    [(WITT, {"wittq"}), (INV3, {"exactlin", "roots"})],
+    [(WITT, {"wittq", "_factor"}), (INV3, {"exactlin", "roots"})],
     ids=["witt", "inv3"],
 )
 def test_certificate_module_loads_only_for_certificates(argv, modules, tmp_path):

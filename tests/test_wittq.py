@@ -14,8 +14,11 @@ from sdinv.wittq import (
     QuaternionDatum,
     SplitMix64,
     _brauer_bit,
-    _hilbert_bit,
+    _eps,
     _hyperbolic_hasse,
+    _legendre_bit,
+    _local_data,
+    _omega,
     _pfisters,
     albert_similarity_check,
     alpha_eval,
@@ -106,6 +109,26 @@ def ideal_power_oracle(f: DiagonalForm, n: int) -> bool:
         mine.signature % 16 == 0,
     )
     return all(conditions[: n - 1])
+
+
+def _hilbert_bit(a: int, b: int, place) -> int:
+    """Serre's local formula for one pair (A Course in Arithmetic, III.1.2):
+    0 when the Hilbert symbol of the nonzero integers a and b at a place is
+    +1, 1 when it is -1."""
+    if place == "inf":
+        return 1 if (a < 0 and b < 0) else 0
+    p = place
+    alpha, u = _local_data(a, p)
+    beta, v = _local_data(b, p)
+    if p == 2:
+        exp = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
+    else:
+        exp = alpha * beta * ((p - 1) // 2)
+        if beta % 2:
+            exp += _legendre_bit(u, p)
+        if alpha % 2:
+            exp += _legendre_bit(v, p)
+    return exp % 2
 
 
 def brauer_oracle(pairs, place) -> int:
@@ -488,6 +511,22 @@ _PLACES = st.sampled_from(("inf", 2, 3, 5, 7, 11, 13))
 @example([(9, 5), (18, 3)], 3)  # even valuation, then a unit against 3
 def test_one_pass_brauer_sum_matches_pairwise_symbols(pairs, place):
     assert _brauer_bit(pairs, place) == brauer_oracle(pairs, place)
+
+
+# signed values with valuations 0 to 3 at each of 2..13, times a unit there
+_VALUED = st.tuples(
+    st.sampled_from((1, -1)),
+    st.lists(st.integers(0, 3), min_size=6, max_size=6),
+    st.sampled_from((1, 17, 19, 23, 29, 31, 37, 41)),
+).map(lambda t: t[0] * math.prod(p**e for p, e in zip((2, 3, 5, 7, 11, 13), t[1])) * t[2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUED, _VALUED, _PLACES)
+@example(-8, -27, 2)
+@example(-125, 3, 5)
+def test_hilbert_symbol_matches_pairwise_oracle(a, b, place):
+    assert hilbert_symbol(a, b, place) == (-1 if _hilbert_bit(a, b, place) else 1)
 
 
 @settings(max_examples=100, deadline=None)
