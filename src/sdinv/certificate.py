@@ -34,7 +34,7 @@ from .errors import MAX_AMBIENT_RANK, MAX_TRIALS
 if TYPE_CHECKING:
     from .exactlin import Lattice, MembershipResult, SubquotientData
     from .kgamma import GradedTorsionReport
-    from .presets import TheoremRow
+    from .presets import Row
     from .roots import IndecomposableResult
 
 CERT_FORMAT = "sdinv-cert/2"
@@ -231,7 +231,7 @@ def _member_entries(evidence) -> list[dict]:
     ]
 
 
-def _theorem_entries(row: TheoremRow) -> list[dict]:
+def _theorem_entries(row: Row) -> list[dict]:
     entries = [
         subquotient_entry("indecomposable invariant group", row.indecomposable.presentation)
     ]
@@ -251,7 +251,7 @@ _ENTRY_LISTS = {
     ("gamma", "report"): _graded_entries,
     ("witt", "verify"): lambda cases: [witt_trials_entry(cases)],
     ("theorem",): _theorem_entries,
-    ("sl4x4",): lambda rep: _inv3_entries(rep.indecomposable) + [counting_entry(rep.chow.report)],
+    ("sl4x4",): lambda row: _inv3_entries(row.indecomposable) + [counting_entry(row.chow.report)],
 }
 
 

@@ -1,25 +1,27 @@
 """Assembly of the main classification table from computed pieces.
 
-Each supported group pairs a character-lattice preset with the index
-configuration of its generic variety.  The indecomposable invariant group
-and the codimension-2 torsion are computed live; the handful of facts that
-are functorial arguments rather than finite computations (comparison along
-the derived subgroup, the two-factor adjoint identification, restriction
-and induction above five factors) enter as tagged citations and are never
+A row is a preset, the variety of its group or a cited torsion, the Witt
+identity suites that exhibit its invariants, and, for the theorem rows, the
+column of the reductive quotient G.  The indecomposable invariant group and
+the codimension-2 torsion are computed live; the handful of facts that are
+functorial arguments rather than finite computations (comparison along the
+derived subgroup, the two-factor adjoint identification, restriction and
+induction above five factors) enter as tagged citations and are never
 presented as machine-verified.
 
-Bookkeeping across the short exact sequence
+``_assemble`` builds every row, the theorem rows and the rank-3 pair alike,
+and is the one place that states the bookkeeping across the short exact
+sequence
 
     0 -> Sdec/Dec -> Inv3_ind -> CH2_tors -> 0
 
-is one step, shared by the theorem rows and the rank-3 pair: the left
-quotient has the order of the middle group over the torsion order, and a
-torsion order that does not divide it is an internal inconsistency.
+the left quotient has the order of the middle group over the torsion order,
+and a torsion order that does not divide it is an internal inconsistency.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import MAX_TRIALS, N_RANGE, InputError, InternalInconsistencyError
 from .exactlin import FinAbelianGroup
@@ -114,7 +116,6 @@ def cited_fact(fact_id: str) -> CitedFact:
 # Severi-Brauer varieties generating the same Brauer subgroup; rows of
 # ``sl2n:n`` missing here cite their torsion instead of computing it
 CHOW_CONFIG_BY_N = {2: "conic1", 3: "split:2,2", 4: "conics3", 5: "conics4"}
-SL4X4_CONFIG = "deg4pair"
 
 ALPHA_SUITES_BY_N = {
     2: ("alpha2",),
@@ -129,47 +130,114 @@ class GroupValue(NamedTuple):
     note: str = ""
 
 
-class TheoremRow(NamedTuple):
-    n: int
+# The _h groups belong to the preset's semisimple group, the _g groups to the
+# reductive quotient (None for the rank-3 pair); chow is None where the
+# torsion is cited.
+class Row(NamedTuple):
     inv3_ind_h: GroupValue
-    inv3_ind_g: GroupValue
     chow2_tors: GroupValue
     sdec_mod_dec_h: GroupValue
-    sdec_mod_dec_g: GroupValue
+    inv3_ind_g: GroupValue | None
+    sdec_mod_dec_g: GroupValue | None
     alpha_suites: tuple[tuple[IdentityCase, ...], ...]  # the decided cases of each suite
     cited_facts: tuple[CitedFact, ...]
     indecomposable: IndecomposableResult
     chow: Chow2Result | None
 
-    @property
-    def exactness_holds(self) -> bool:
-        return _exact(self.sdec_mod_dec_h.group, self.chow2_tors.group, self.inv3_ind_h.group)
 
-
-def _exact(sdec: FinAbelianGroup, tors: FinAbelianGroup, inv: FinAbelianGroup) -> bool:
-    """|Sdec/Dec| * |CH2_tors| == |Inv3_ind|, the identity the bookkeeping states."""
-    so, to = sdec.order(), tors.order()
-    return so is not None and to is not None and so * to == inv.order()
-
-
-def _sdec_from_exactness(inv: FinAbelianGroup, tors: FinAbelianGroup) -> FinAbelianGroup:
-    """Left term of the exact sequence, by order bookkeeping; raises
-    InternalInconsistencyError when the torsion order does not divide the
-    indecomposable order.
-
-    Every group in this table is trivial or cyclic of order 2, so the order
-    determines the isomorphism type.
+def _assemble(preset: str, config: str | None, suites: Iterable, g_column: tuple | None) -> Row:
+    """The row of ``preset``: its torsion from the variety ``config``, or the
+    cited cyclic group of order 2 when ``config`` is None, the left quotient
+    by order bookkeeping, the cases of each ``(identity id, cases)`` suite,
+    each of which must pass, and the G column (Inv3_ind, Sdec/Dec, fact ids).
+    Raises InternalInconsistencyError when the torsion order does not divide
+    the indecomposable order or a suite fails.
     """
-    oi, ot = inv.order(), tors.order()
+    from .roots import indecomposable_group
+
+    ind = indecomposable_group(preset)
+    inv = ind.presentation.group
+    facts = ["exact_sequence"]
+    if g_column is not None:
+        facts.append("reductive_comparison")
+    chow: Chow2Result | None = None
+    if config is None:
+        tors = GroupValue(FinAbelianGroup.cyclic(2), "cited", "propagated from the five-factor case")
+        facts += ["torsion_high_n", "restriction_induction"]
+    else:
+        from .kgamma import chow2_torsion
+
+        chow = chow2_torsion(config)
+        tors = GroupValue(chow.torsion, "computed", f"gamma filtration of {chow.report.config.name}")
+        facts += ["chow_reduction", "chow_gamma", "index_tables"]
+
+    # every group in this table is trivial or cyclic of order 2, so the
+    # order determines the isomorphism type
+    oi, ot = inv.order(), tors.group.order()
     if oi is None or ot is None or oi % ot:
         raise InternalInconsistencyError(
             "torsion order does not divide the indecomposable order; "
             "the exact-sequence bookkeeping cannot hold"
         )
-    return FinAbelianGroup.cyclic(oi // ot)
+    # the left term is computed exactly when the torsion is
+    sdec = GroupValue(FinAbelianGroup.cyclic(oi // ot), tors.provenance, "exact-sequence bookkeeping")
+
+    decided = []
+    for identity_id, cases in suites:
+        if not all(c.verdict for c in cases):
+            raise InternalInconsistencyError(f"identity suite {identity_id} failed during assembly")
+        decided.append(cases)
+
+    inv_g, sdec_g, g_facts = g_column or (None, None, ())
+    return Row(
+        inv3_ind_h=GroupValue(inv, "computed", "lattice subquotient"),
+        chow2_tors=tors,
+        sdec_mod_dec_h=sdec,
+        inv3_ind_g=inv_g,
+        sdec_mod_dec_g=sdec_g,
+        alpha_suites=tuple(decided),
+        cited_facts=tuple(_FACTS[f] for f in dict.fromkeys(facts + list(g_facts))),
+        indecomposable=ind,
+        chow=chow,
+    )
 
 
-def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
+def _suites(identity_ids: tuple[str, ...], trials: int, seed: int):
+    """Each suite's id and cases, run when the assembly reaches it; a row
+    without suites loads no wittq."""
+    for identity_id in identity_ids:
+        from .wittq import verify_identity
+
+        yield identity_id, tuple(verify_identity(identity_id, trials, seed))
+
+
+def _g_column(n: int) -> tuple[GroupValue, GroupValue, tuple[str, ...]]:
+    """Inv3_ind and Sdec/Dec of the reductive quotient of ``sl2n:n``, and the
+    ids of the facts they cite."""
+    z2, zero = FinAbelianGroup.cyclic(2), FinAbelianGroup.trivial()
+    if n == 2:
+        return (
+            GroupValue(zero, "cited", "two-factor adjoint identification"),
+            GroupValue(zero, "cited", "forced by the trivial middle term"),
+            ("pgl2_case",),
+        )
+    if n in (3, 4):
+        return (
+            GroupValue(z2, "computed+cited", "nontrivial class exhibited by the live identity "
+                       "suites; upper bound cited"),
+            GroupValue(z2, "computed+cited", "explicit semi-decomposable expression verified "
+                       "live; nondecomposability cited"),
+            ("g_upper_bound", "alpha_not_decomposable"),
+        )
+    return (
+        GroupValue(z2, "cited", "stable in the number of factors"),
+        GroupValue(zero, "cited", "vanishing forced through the comparison with the "
+                   "semisimple quotient"),
+        ("g_upper_bound", "restriction_induction"),
+    )
+
+
+def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> Row:
     """One row of the classification table.
 
     Rows with a configuration in ``CHOW_CONFIG_BY_N`` (2..5) are fully
@@ -187,122 +255,15 @@ def assemble_theorem(n: int, trials: int = 12, seed: int = 1) -> TheoremRow:
         )
     if not 1 <= trials <= MAX_TRIALS:
         raise InputError(f"trials must be between 1 and {MAX_TRIALS}")
-
-    from .roots import indecomposable_group
-
-    ind = indecomposable_group(f"sl2n:{n}")
-    inv_h = GroupValue(ind.presentation.group, "computed", "lattice subquotient")
-
-    facts = [_FACTS["exact_sequence"], _FACTS["reductive_comparison"]]
-    chow: Chow2Result | None = None
-    if n in CHOW_CONFIG_BY_N:
-        from .kgamma import chow2_torsion
-
-        chow = chow2_torsion(CHOW_CONFIG_BY_N[n])
-        chow_value = GroupValue(
-            chow.torsion,
-            "computed",
-            f"gamma filtration of {chow.report.config.name}",
-        )
-        facts += [_FACTS["chow_reduction"], _FACTS["chow_gamma"], _FACTS["index_tables"]]
-    else:
-        chow_value = GroupValue(
-            FinAbelianGroup.cyclic(2), "cited", "propagated from the five-factor case"
-        )
-        facts += [_FACTS["torsion_high_n"], _FACTS["restriction_induction"]]
-
-    sdec_h = GroupValue(
-        _sdec_from_exactness(inv_h.group, chow_value.group),
-        "cited" if chow is None else "computed",
-        "exact-sequence bookkeeping",
-    )
-
-    suites = []
-    for identity_id in ALPHA_SUITES_BY_N.get(n, ()):
-        from .wittq import verify_identity
-
-        cases = tuple(verify_identity(identity_id, trials, seed))
-        if not all(c.verdict for c in cases):
-            raise InternalInconsistencyError(
-                f"identity suite {identity_id} failed during assembly"
-            )
-        suites.append(cases)
-
-    if n == 2:
-        inv_g = GroupValue(FinAbelianGroup.trivial(), "cited", "two-factor adjoint identification")
-        sdec_g = GroupValue(FinAbelianGroup.trivial(), "cited", "forced by the trivial middle term")
-        facts.append(_FACTS["pgl2_case"])
-    elif n in (3, 4):
-        inv_g = GroupValue(
-            FinAbelianGroup.cyclic(2),
-            "computed+cited",
-            "nontrivial class exhibited by the live identity suites; upper bound cited",
-        )
-        sdec_g = GroupValue(
-            FinAbelianGroup.cyclic(2),
-            "computed+cited",
-            "explicit semi-decomposable expression verified live; "
-            "nondecomposability cited",
-        )
-        facts += [_FACTS["g_upper_bound"], _FACTS["alpha_not_decomposable"]]
-    else:
-        inv_g = GroupValue(FinAbelianGroup.cyclic(2), "cited", "stable in the number of factors")
-        sdec_g = GroupValue(
-            FinAbelianGroup.trivial(),
-            "cited",
-            "vanishing forced through the comparison with the semisimple quotient",
-        )
-        facts += [_FACTS["g_upper_bound"], _FACTS["restriction_induction"]]
-
-    return TheoremRow(
-        n=n,
-        inv3_ind_h=inv_h,
-        inv3_ind_g=inv_g,
-        chow2_tors=chow_value,
-        sdec_mod_dec_h=sdec_h,
-        sdec_mod_dec_g=sdec_g,
-        alpha_suites=tuple(suites),
-        cited_facts=tuple(dict.fromkeys(facts)),
-        indecomposable=ind,
-        chow=chow,
-    )
+    suites = _suites(ALPHA_SUITES_BY_N.get(n, ()), trials, seed)
+    return _assemble(f"sl2n:{n}", CHOW_CONFIG_BY_N.get(n), suites, _g_column(n))
 
 
-def theorem_table(ns=N_RANGE, trials: int = 12, seed: int = 1) -> list[TheoremRow]:
+def theorem_table(ns=N_RANGE, trials: int = 12, seed: int = 1) -> list[Row]:
     return [assemble_theorem(n, trials=trials, seed=seed) for n in ns]
 
 
-class Sl4x4Report(NamedTuple):
-    indecomposable: IndecomposableResult
-    chow: Chow2Result
-    sdec_mod_dec: FinAbelianGroup
-    cited_facts: tuple[CitedFact, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return _exact(self.sdec_mod_dec, self.chow.torsion, self.indecomposable.presentation.group)
-
-    @property
-    def all_normalized_semi_decomposable(self) -> bool:
-        return self.chow.torsion.is_trivial
-
-
-def sl4x4_report() -> Sl4x4Report:
-    """Combination of the rank-3 pair's invariant group with the torsion of
-    its generic variety."""
-    from .kgamma import chow2_torsion
-    from .roots import indecomposable_group
-
-    ind = indecomposable_group("sl4x4")
-    chow = chow2_torsion(SL4X4_CONFIG)
-    return Sl4x4Report(
-        indecomposable=ind,
-        chow=chow,
-        sdec_mod_dec=_sdec_from_exactness(ind.presentation.group, chow.torsion),
-        cited_facts=(
-            _FACTS["exact_sequence"],
-            _FACTS["chow_reduction"],
-            _FACTS["chow_gamma"],
-            _FACTS["index_tables"],
-        ),
-    )
+def sl4x4_report() -> Row:
+    """The rank-3 pair's invariant group with the torsion of its generic
+    variety: a row with no identity suite and no G column."""
+    return _assemble("sl4x4", "deg4pair", (), None)

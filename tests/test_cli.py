@@ -642,6 +642,21 @@ def test_theorem_runs_each_suite_once(monkeypatch, tmp_path):
     assert code == 0 and "certificate OK" in out
 
 
+def test_failed_suite_during_assembly_exits_3(monkeypatch, tmp_path, capsys):
+    """A suite case that fails while a row is assembled is an internal
+    inconsistency: exit 3, no report and no certificate file."""
+
+    def failing(identity_id, trials, seed):
+        return [wittq.IdentityCase(identity_id, 0, seed, (), (), (), "exact-Witt", False)]
+
+    monkeypatch.setattr(wittq, "verify_identity", failing)
+    path = tmp_path / "theorem.json"
+    code, out = run(["theorem", "--n", "3", "--json", "--certificate", str(path)])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("internal inconsistency: identity suite")
+    assert not path.exists()
+
+
 # SHA-256 of the stdout of the two largest gamma reports, which the benchmark
 # does not run, as the code before span bases wrote them.
 GAMMA_REPORT_DIGESTS = {
@@ -1013,28 +1028,32 @@ def test_entry_layer_checks_witt_slot_names(entry_certs, edit, monkeypatch):
 _TRIAL_0 = "entry 0: witt trial 0 of alpha2"
 
 
+# (edited sample value, the checker's failure); a case's id is the value alone,
+# so a reworded refusal keeps the names of the cases
+_SAMPLE_VALUE_CASES = [
+    (2 ** 64, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    (str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
+    ("-" + str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
+    (f"{2 ** 32}/{2 ** 32 + 1}", f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
+    (1e300, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    ("x", f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    ("1/0", "entry 0: malformed (Fraction(1, 0))"),
+    (None, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    ([1], f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    ("-0", "entry 0: malformed (square classes are defined for nonzero values only)"),
+    ("0/3", "entry 0: malformed (square classes are defined for nonzero values only)"),
+    ("+7", f"{_TRIAL_0} fails replay"),
+    ("6/4", f"{_TRIAL_0} fails replay"),
+    (True, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    (0.5, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    # the stored "-1" as a JSON number: same value, so only its type refuses it
+    (-1, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    (-1.0, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+]
+
+
 @pytest.mark.parametrize(
-    "value, failure",
-    [
-        (2 ** 64, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-        (str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
-        ("-" + str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
-        (f"{2 ** 32}/{2 ** 32 + 1}", f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
-        (1e300, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-        ("x", f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-        ("1/0", "entry 0: malformed (Fraction(1, 0))"),
-        (None, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-        ([1], f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-        ("-0", "entry 0: malformed (square classes are defined for nonzero values only)"),
-        ("0/3", "entry 0: malformed (square classes are defined for nonzero values only)"),
-        ("+7", f"{_TRIAL_0} fails replay"),
-        ("6/4", f"{_TRIAL_0} fails replay"),
-        (True, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-        (0.5, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-        # the stored "-1" as a JSON number: same value, so only its type refuses it
-        (-1, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-        (-1.0, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-    ],
+    "value, failure", _SAMPLE_VALUE_CASES, ids=[repr(v) for v, _ in _SAMPLE_VALUE_CASES]
 )
 def test_checker_reads_every_sample_value_as_a_fraction_would(
     entry_certs, value, failure, monkeypatch

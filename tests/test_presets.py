@@ -35,7 +35,16 @@ def test_theorem_rows(n):
     assert row.chow2_tors.group.label() == chow
     assert row.sdec_mod_dec_h.group.label() == sdec_h
     assert row.sdec_mod_dec_g.group.label() == sdec_g
-    assert row.exactness_holds
+    assert _exact(row)
+
+
+def _exact(row) -> bool:
+    """|Sdec/Dec| * |CH2_tors| == |Inv3_ind|, the identity the assembly's
+    bookkeeping states, recomputed from the row's groups."""
+    return (
+        row.sdec_mod_dec_h.group.order() * row.chow2_tors.group.order()
+        == row.inv3_ind_h.group.order()
+    )
 
 
 def test_rows_above_five_are_flagged_cited():
@@ -78,12 +87,15 @@ def test_out_of_range():
 
 
 def test_sl4x4_report_default():
-    rep = sl4x4_report()
-    assert rep.indecomposable.presentation.group.label() == "Z/2"
-    assert rep.chow.torsion.is_trivial
-    assert rep.sdec_mod_dec.label() == "Z/2"
-    assert rep.all_normalized_semi_decomposable
-    assert rep.consistent
+    row = sl4x4_report()
+    assert row.indecomposable.presentation.group.label() == "Z/2"
+    assert row.inv3_ind_h.group.label() == "Z/2"
+    assert row.chow.torsion.is_trivial
+    assert row.chow2_tors.group.is_trivial
+    assert row.sdec_mod_dec_h.group.label() == "Z/2"
+    assert row.inv3_ind_g is None and row.sdec_mod_dec_g is None
+    assert row.alpha_suites == ()
+    assert _exact(row)
 
 
 def test_sl4x4_report_forced_failure_path(monkeypatch, capsys):
