@@ -539,6 +539,9 @@ def _shape_failure(entry) -> str | None:
     the rank bound keeps the work of ``Lattice.standard`` bounded."""
     if not isinstance(entry, dict):
         return "entry is not a JSON object"
+    kind = entry.get("kind")
+    if not (isinstance(kind, str) and kind in _VERIFIERS):
+        return f"unknown kind {kind!r}"
     rank = entry.get("ambient_rank", 0)
     if type(rank) is not int or not 0 <= rank <= MAX_AMBIENT_RANK:
         return f"ambient_rank must be an integer from 0 to the limit of {MAX_AMBIENT_RANK}"
@@ -558,14 +561,11 @@ def check_certificate(cert, replay: bool = True) -> tuple[bool, list[str]]:
     ]
     if failures:
         return False, failures
+    if replay and (missing := [k for k in ("command", "seed") if k not in cert]):
+        return False, [f"certificate has no {k!r} key" for k in missing]
     for i, entry in enumerate(entries):
-        kind = entry.get("kind")
-        verifier = _VERIFIERS.get(kind)
-        if verifier is None:
-            failures.append(f"entry {i}: unknown kind {kind!r}")
-            continue
         try:
-            verifier(entry)
+            _VERIFIERS[entry["kind"]](entry)
         except CertificateError as exc:
             failures.append(f"entry {i}: {exc}")
         except Exception as exc:  # malformed payloads land here

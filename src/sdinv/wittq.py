@@ -29,19 +29,13 @@ Square classes are values
   entry of a form built from them is +-1 times a product of slot classes,
   so the odd primes of the slots contain every place where its Hasse symbol
   can differ from that of the hyperbolic form.
-* The Hasse exponent at a place is read in one pass over the distinct
-  entries of a form: a squarefree entry has valuation 1 at p exactly when p
-  divides it, and an entry of even multiplicity counts only toward the
-  number of entries divisible by p (and, at 2, toward the number of entries
-  whose unit part is 3 mod 4).  The Legendre bits of the other entries are
-  the bit of their product mod p.
 * The hyperbolic reference h<1, -1> has entries +-1 only, so its Hasse
   symbol is (-1)^C(h, 2) at inf and at 2 and +1 at every odd prime; it is
   written down, not computed.
-* A Brauer relation at an odd place reads one Legendre symbol: the symbols
-  of its pairs multiply to that of the product of the unit parts whose
-  partner has odd valuation, times (-1)^((p-1)/2) for each pair whose two
-  valuations are odd.
+* A list of pairs, a Brauer relation or the prefix pairs of a form, reads
+  one Legendre symbol at an odd place: the symbols of its pairs multiply to
+  that of the product of the unit parts whose partner has odd valuation,
+  times (-1)^((p-1)/2) for each pair whose two valuations are odd.
 * Places are validated once per form or relation, and the symbols of a
   form or relation are then evaluated on integers.
 """
@@ -155,6 +149,43 @@ def _local_data(a: int, p: int) -> tuple[int, int]:
     return v, a
 
 
+def _brauer_bit(pairs, place) -> int:
+    """Parity of the sum of the Hilbert-symbol exponents of ``pairs`` at a
+    checked place (Serre, A Course in Arithmetic, III.1.2): the one local
+    symbol routine.  One pair gives ``hilbert_symbol``, the pairs of a
+    quaternion tuple its Brauer relation, and the prefix pairs
+    (a_1 ... a_{j-1}, a_j) of a form its Hasse symbol, since the symbol of
+    phi + <a> is that of phi times (d phi, a).  With a = p^alpha u and
+    b = p^beta v the exponent is [a, b < 0] at inf,
+    eps(u) eps(v) + alpha omega(v) + beta omega(u) at 2, and at an odd p
+    alpha * beta * (p-1)/2 plus the Legendre bits of u when beta is odd and
+    of v when alpha is odd; those bits add up to the bit of the product of
+    the unit parts, so one Legendre symbol serves the sum."""
+    if place == "inf":
+        return sum(1 for a, b in pairs if a < 0 and b < 0) % 2
+    if place == 2:
+        exp = 0
+        for a, b in pairs:
+            alpha, u = _local_data(a, 2)
+            beta, v = _local_data(b, 2)
+            exp += _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
+        return exp % 2
+    p = place
+    valuations = 0
+    units = 1
+    for a, b in pairs:
+        if a % p and b % p:
+            continue  # both units: exponent 0
+        alpha, u = _local_data(a, p)
+        beta, v = _local_data(b, p)
+        valuations += alpha * beta
+        if beta % 2:
+            units = units * u % p
+        if alpha % 2:
+            units = units * v % p
+    return (valuations * ((p - 1) // 2) + _legendre_bit(units, p)) % 2
+
+
 def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b) at a place of the rationals.
 
@@ -246,54 +277,6 @@ class WittInvariants(NamedTuple):
         return table.get(place, 1)
 
 
-def _hasse_exponent_at(counts, place) -> int:
-    """Parity of the sum over pairs of Hilbert-symbol exponents, in one pass
-    over ``counts``, the distinct entries with their multiplicities.
-
-    An entry is squarefree, so its valuation at p is 1 exactly when p
-    divides it.  With A the number of entries of valuation 1, the pairwise
-    sum at an odd p is (p-1)/2 * C(A, 2) + A * L - L1, where L sums the
-    Legendre bits of all unit parts and L1 those of the entries of valuation
-    1; at 2 it is C(E, 2) + A * W - W1, where E counts the entries whose unit
-    part is 3 mod 4 and W, W1 sum omega bits.  Mod 2 the last two terms leave
-    the units if A is odd, and the divisible entries if A is even.  Only
-    their parity counts, so entries of even multiplicity drop out of them,
-    and the Legendre bits of the rest add up to the bit of their product.
-    C(E, 2) depends on E mod 4, so E counts every multiplicity.
-    """
-    if place == "inf":
-        negs = sum(m for e, m in counts if e < 0)
-        return (negs * (negs - 1) // 2) % 2
-    p = place
-    A = 0
-    if p == 2:
-        E = W_unit = W_div = 0
-        for e, m in counts:
-            if e % 2:
-                E += m * _eps(e)
-                if m % 2:
-                    W_unit ^= _omega(e)
-            else:
-                A += m
-                E += m * _eps(e // 2)
-                if m % 2:
-                    W_div ^= _omega(e // 2)
-        return (E * (E - 1) // 2 + (W_unit if A % 2 else W_div)) % 2
-    units = divisible = 1
-    for e, m in counts:
-        if e % p:
-            if m % 2:
-                units = units * e % p
-        else:
-            A += m
-            if m % 2:
-                divisible = divisible * (e // p) % p
-    if A == 0:
-        return 0
-    bit = _legendre_bit(units if A % 2 else divisible, p)
-    return ((A * (A - 1) // 2) * ((p - 1) // 2) + bit) % 2
-
-
 def _hyperbolic_hasse(half_dim: int, places) -> tuple[tuple[object, int], ...]:
     """Hasse family at ``places`` of h<1, -1> with h = ``half_dim``: its
     entries are the units 1 and -1, so it is +1 at every odd prime, and
@@ -305,21 +288,23 @@ def _hyperbolic_hasse(half_dim: int, places) -> tuple[tuple[object, int], ...]:
 def witt_invariants(f: DiagonalForm, places=None) -> WittInvariants:
     """Dimension, signed discriminant, Hasse symbol family, and signature.
 
-    Without ``places`` the Hasse symbols are taken at inf, 2 and every odd
-    prime dividing an entry; elsewhere they are +1.
+    The Hasse symbols are those of the prefix pairs (a_1 ... a_{j-1}, a_j),
+    whose first slots are running products of square classes; the last
+    product gives the signed discriminant.  Without ``places`` they are
+    taken at inf, 2 and every odd prime dividing an entry; elsewhere they
+    are +1.
     """
     m = f.dim
-    counts = Counter(f.entries)
-    signed = 1 if (m * (m - 1) // 2) % 2 == 0 else -1
-    for e, k in counts.items():
-        if k % 2:
-            signed = square_class_mul(signed, e)
+    pairs, d = [], 1
+    for e in f.entries:
+        pairs.append((d, e))
+        d = square_class_mul(d, e)
+    signed = d if (m * (m - 1) // 2) % 2 == 0 else -d
     if places is None:
-        places = relevant_places(counts)
+        places = relevant_places(f.entries)
     for v in places:
         _check_place(v)
-    items = tuple(counts.items())
-    hasse = tuple((v, -1 if _hasse_exponent_at(items, v) else 1) for v in places)
+    hasse = tuple((v, -1 if _brauer_bit(pairs, v) else 1) for v in places)
     return WittInvariants(m, signed, hasse, f.signature())
 
 
@@ -406,39 +391,6 @@ def e3_real(f: DiagonalForm) -> int:
 
 # ---------------------------------------------------------------------------
 # quaternion tuples
-
-
-def _brauer_bit(pairs, place) -> int:
-    """Parity of the sum of the Hilbert-symbol exponents of ``pairs`` at a
-    checked place (Serre, A Course in Arithmetic, III.1.2); one pair gives
-    ``hilbert_symbol``.  With a = p^alpha u and b = p^beta v the exponent is
-    [a, b < 0] at inf, eps(u) eps(v) + alpha omega(v) + beta omega(u) at 2,
-    and at an odd p alpha * beta * (p-1)/2 plus the Legendre bits of u when
-    beta is odd and of v when alpha is odd; those bits add up to the bit of
-    the product of the unit parts, so one Legendre symbol serves the sum."""
-    if place == "inf":
-        return sum(1 for a, b in pairs if a < 0 and b < 0) % 2
-    if place == 2:
-        exp = 0
-        for a, b in pairs:
-            alpha, u = _local_data(a, 2)
-            beta, v = _local_data(b, 2)
-            exp += _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
-        return exp % 2
-    p = place
-    valuations = 0
-    units = 1
-    for a, b in pairs:
-        if a % p and b % p:
-            continue  # both units: exponent 0
-        alpha, u = _local_data(a, p)
-        beta, v = _local_data(b, p)
-        valuations += alpha * beta
-        if beta % 2:
-            units = units * u % p
-        if alpha % 2:
-            units = units * v % p
-    return (valuations * ((p - 1) // 2) + _legendre_bit(units, p)) % 2
 
 
 def brauer_relation_holds(quats, places=None) -> bool:

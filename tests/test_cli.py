@@ -900,6 +900,82 @@ def test_checker_exit_3_on_non_object_json(payload, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_checker_refuses_an_unhashable_kind(kind, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(
+        json.dumps({"format": certmod.CERT_FORMAT, "entries": [{"kind": kind}], "command": []})
+    )
+    code, out = run(["--check-certificate", str(path)])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == f"certificate FAILED: entry 0: unknown kind {kind!r}\n"
+
+
+@pytest.mark.parametrize("key", ["command", "seed"])
+def test_checker_refuses_a_certificate_without_command_or_seed(
+    key, cert_files, tmp_path, monkeypatch, capsys
+):
+    """Replay compares the command echo, the seed and the entries with those
+    of a rebuilt certificate, so a certificate that lacks one of them is
+    refused before any entry runs."""
+
+    def never(entry):
+        raise AssertionError("an entry ran")
+
+    monkeypatch.setattr(certmod, "_VERIFIERS", dict.fromkeys(certmod._VERIFIERS, never))
+    for path in cert_files:
+        cert = json.loads(path.read_text())
+        del cert[key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert))
+        code, out = run(["--check-certificate", str(bad)])
+        assert (code, out) == (3, ""), path
+        assert capsys.readouterr().err == f"certificate FAILED: certificate has no {key!r} key\n"
+
+
+_FUZZ_VALUES = (None, True, 0, -1, "x", [], {})
+_DELETE = object()
+
+
+def _field_variants(cert):
+    """Copies of ``cert`` with one top-level key or one field of one entry
+    deleted, or replaced by one of ``_FUZZ_VALUES``."""
+    paths = [(k,) for k in cert]
+    paths += [("entries", i, k) for i, e in enumerate(cert["entries"]) for k in e]
+    for path in paths:
+        for value in (_DELETE,) + _FUZZ_VALUES:
+            variant = json.loads(json.dumps(cert))
+            node = variant
+            for key in path[:-1]:
+                node = node[key]
+            if value is _DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+            yield path, value, variant
+
+
+def test_checker_exit_contract_holds_under_field_type_fuzz(tmp_path, capsys):
+    """Every variant of two certificates with a field deleted or of the wrong
+    JSON type is checked with exit 0 or 3, never a crash."""
+    certs = []
+    for cmd in (["witt", "verify", "--identity", "alpha2", "--trials", "2"],
+                ["inv3", "--preset", "sl2n:2"]):
+        path = tmp_path / "cert.json"
+        assert run(cmd + ["--certificate", str(path), "--json"])[0] == 0
+        certs.append(json.loads(path.read_text()))
+    bad = tmp_path / "variant.json"
+    cases = 0
+    for cert in certs:
+        for path, value, variant in _field_variants(cert):
+            bad.write_text(json.dumps(variant))
+            code, _ = run(["--check-certificate", str(bad)])
+            assert code in (0, 3), (path, value)
+            assert "Traceback" not in capsys.readouterr().err, (path, value)
+            cases += 1
+    assert cases == 8 * (10 + 43)
+
+
 def test_checker_refuses_the_first_format(cert_files, tmp_path, capsys):
     """sdinv-cert/1 stored per-prime evidence for each torsion witness; its
     files are refused by name, not read as the current format."""
@@ -1105,7 +1181,9 @@ def test_checker_refuses_sample_text_before_parsing_it(tmp_path, capsys):
 
 def _one_entry_cert(tmp_path, entry):
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps({"format": certmod.CERT_FORMAT, "command": [], "entries": [entry]}))
+    path.write_text(
+        json.dumps({"format": certmod.CERT_FORMAT, "command": [], "seed": None, "entries": [entry]})
+    )
     return path
 
 

@@ -32,3 +32,25 @@ def test_tracer_names_resolve_in_sdinv():
         assert callable(_resolve(name)), name
     for module, attr in tracer["CACHES"].values():
         assert hasattr(_resolve(f"{module}.{attr}"), "cache_info"), attr
+
+
+def test_witt_pass_reaches_every_span_the_witt_benchmark_requires(monkeypatch):
+    """``perfbench/run.py`` marks a traced witt pass incorrect when one of
+    these spans reads zero calls; a witt suite must reach each of them."""
+    from sdinv import wittq
+
+    calls = dict.fromkeys(
+        ("witt_invariants", "hilbert_symbol", "sample_chain_configuration", "factorize"), 0
+    )
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(wittq, name, counting(name, getattr(wittq, name)))
+    wittq.verify_identity("alpha4_full", 3, 1)
+    assert all(calls.values()), calls

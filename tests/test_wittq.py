@@ -14,11 +14,7 @@ from sdinv.wittq import (
     QuaternionDatum,
     SplitMix64,
     _brauer_bit,
-    _eps,
     _hyperbolic_hasse,
-    _legendre_bit,
-    _local_data,
-    _omega,
     _pfisters,
     albert_similarity_check,
     alpha_eval,
@@ -72,12 +68,10 @@ def legendre_oracle(u: int, p: int) -> int:
 
 
 def hasse_oracle_pairwise(f: DiagonalForm, place) -> int:
-    """Literal product over pairs of Hilbert symbols."""
-    out = 1
-    for i in range(f.dim):
-        for j in range(i + 1, f.dim):
-            out *= hilbert_symbol(f.entries[i], f.entries[j], place)
-    return out
+    """Literal product over pairs i < j of the symbols of ``_hilbert_bit``,
+    which shares no code with the package."""
+    bits = sum(_hilbert_bit(a, b, place) for a, b in combinations(f.entries, 2))
+    return -1 if bits % 2 else 1
 
 
 def hyperbolic_oracle(f: DiagonalForm, places=None) -> bool:
@@ -111,23 +105,37 @@ def ideal_power_oracle(f: DiagonalForm, n: int) -> bool:
     return all(conditions[: n - 1])
 
 
+def _valuation_and_unit(a: int, p: int) -> tuple[int, int]:
+    v = 0
+    while a % p == 0:
+        a, v = a // p, v + 1
+    return v, a
+
+
 def _hilbert_bit(a: int, b: int, place) -> int:
     """Serre's local formula for one pair (A Course in Arithmetic, III.1.2):
     0 when the Hilbert symbol of the nonzero integers a and b at a place is
-    +1, 1 when it is -1."""
+    +1, 1 when it is -1.  eps and omega are taken from their definitions and
+    the Legendre symbol by search, not from the package's helpers."""
     if place == "inf":
         return 1 if (a < 0 and b < 0) else 0
     p = place
-    alpha, u = _local_data(a, p)
-    beta, v = _local_data(b, p)
+    alpha, u = _valuation_and_unit(a, p)
+    beta, v = _valuation_and_unit(b, p)
     if p == 2:
-        exp = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
+        def eps(w):
+            return (w - 1) // 2
+
+        def omega(w):
+            return (w * w - 1) // 8
+
+        exp = eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)
     else:
         exp = alpha * beta * ((p - 1) // 2)
         if beta % 2:
-            exp += _legendre_bit(u, p)
+            exp += legendre_oracle(u, p) == -1
         if alpha % 2:
-            exp += _legendre_bit(v, p)
+            exp += legendre_oracle(v, p) == -1
     return exp % 2
 
 
@@ -326,11 +334,12 @@ _CLASSES = sorted({
     sign * math.prod(ps) for sign in (1, -1) for k in range(3)
     for ps in combinations((2, 3, 5, 7, 11), k)
 })
+# (class, multiplicity) blocks of a form with repeated entries
+_BLOCKS = st.lists(st.tuples(st.sampled_from(_CLASSES), st.integers(1, 4)), min_size=1, max_size=5)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(_CLASSES), st.integers(1, 4)), min_size=1, max_size=5),
-       st.randoms(use_true_random=False))
+@given(_BLOCKS, st.randoms(use_true_random=False))
 def test_hasse_of_repeated_entries_matches_pairwise_oracle(blocks, random):
     entries = [c for c, m in blocks for _ in range(m)]
     random.shuffle(entries)
@@ -339,6 +348,16 @@ def test_hasse_of_repeated_entries_matches_pairwise_oracle(blocks, random):
     inv = witt_invariants(f, places)
     for v in places:
         assert inv.hasse_at(v) == hasse_oracle_pairwise(f, v), v
+
+
+@settings(max_examples=80, deadline=None)
+@given(_BLOCKS, st.randoms(use_true_random=False))
+def test_signed_discriminant_of_repeated_entries_is_the_signed_product(blocks, random):
+    entries = [c for c, m in blocks for _ in range(m)]
+    random.shuffle(entries)
+    m = len(entries)
+    inv = witt_invariants(DiagonalForm(tuple(entries)))
+    assert inv.signed_discriminant == square_class((-1) ** (m * (m - 1) // 2) * math.prod(entries))
 
 
 def test_closed_form_hyperbolic_reference():
