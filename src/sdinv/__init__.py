@@ -28,11 +28,9 @@ _EXPORTS = {
         "subquotient_presentation",
     ),
     "kgamma": (
-        "chern_class",
         "chow2_torsion",
         "filtration_membership",
         "gamma_filtration",
-        "gamma_op",
         "get_config",
         "graded_torsion",
         "parse_element",

@@ -15,7 +15,8 @@ layers:
 * the replay layer rebuilds the whole certificate from the stored command
   echo, which is a pure function of it, and compares payloads, so any edit
   of a semantic field is caught even when the edited value is internally
-  consistent.
+  consistent.  The echo is read by the command table and must be in the
+  normalized form a report echoes.
 
 Negative claims (non-membership, exact torsion orders) therefore travel
 with evidence that an auditor can re-check without trusting the code that
@@ -29,7 +30,7 @@ import re
 from typing import TYPE_CHECKING
 
 from . import __version__, commands
-from .errors import MAX_AMBIENT_RANK, MAX_TRIALS
+from .errors import MAX_AMBIENT_RANK, MAX_TRIALS, InputError
 
 if TYPE_CHECKING:
     from .exactlin import Lattice, MembershipResult, SubquotientData
@@ -528,10 +529,15 @@ _VERIFIERS = {
 
 
 def build_certificate(command: tuple[str, ...]) -> dict:
-    """Certificate payload for a normalized command echo; pure in its input."""
-    args = commands.parse(list(command))
+    """Certificate payload for a normalized command echo; pure in its input.
+    The echo is read by the command table alone, and anything but the
+    normalized form of what it reads is refused."""
+    echo = list(command)
+    args = commands.read(echo) if all(isinstance(t, str) for t in echo) else None
+    if args is None or args.command is None or commands.normalized_command(args) != echo:
+        raise InputError("the command echo is not a command in its normalized form")
     _, evidence, _ = commands.execute(args)
-    return certificate_dict(list(command), args, evidence)
+    return certificate_dict(echo, args, evidence)
 
 
 def _shape_failure(entry) -> str | None:
@@ -568,12 +574,14 @@ def check_certificate(cert, replay: bool = True) -> tuple[bool, list[str]]:
             _VERIFIERS[entry["kind"]](entry)
         except CertificateError as exc:
             failures.append(f"entry {i}: {exc}")
-        except Exception as exc:  # malformed payloads land here
+        # malformed payloads land here; a verifier's SystemExit is a failure,
+        # never the checker's exit
+        except (Exception, SystemExit) as exc:
             failures.append(f"entry {i}: malformed ({exc})")
     if replay and not failures:
         try:
             rebuilt = build_certificate(tuple(cert["command"]))
-        except Exception as exc:
+        except (Exception, SystemExit) as exc:
             failures.append(f"replay failed: {exc}")
         else:
             a = json.dumps({k: cert[k] for k in ("command", "seed", "entries")}, sort_keys=True)

@@ -18,13 +18,13 @@ seed, and package version.
 
 # The docstring above is the parser's description, printed by ``--help``.
 # This module holds the command table, the backends it dispatches to, the
-# grammar built from it and the echo of a parsed command.  ``cli`` reports
-# what a command returns; ``certificate`` replays a command echo through the
-# same table.  Both import this module, which imports neither.
+# reader of argv built from it, the argparse grammar built from it for help
+# and refusals, and the echo of a parsed command.  ``cli`` reports what a
+# command returns; ``certificate`` replays a command echo through the same
+# table.  Both import this module, which imports neither.
 
 from __future__ import annotations
 
-import argparse
 import functools
 
 from .errors import InputError
@@ -242,17 +242,89 @@ def normalized_command(args) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+#
+# The table reader accepts what a command needs: the command words, then each
+# declared option and ``--certificate`` at most once, as ``--name value`` or
+# ``--name=value``, and ``--json``; or ``--check-certificate FILE`` alone.  It
+# sets the attributes argparse would.  Every other argv (help, abbreviations,
+# repeats, errors) goes to the argparse grammar, so argparse loads only for
+# those and their texts stay its own.
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
+def read(argv: list[str]):
+    """The parsed arguments of ``argv`` as the command table reads them, or
+    None where the table leaves the argv to argparse."""
+    from types import SimpleNamespace
+
+    words = tuple(argv[:2])
+    if words not in COMMANDS:
+        words = words[:1]
+    if words not in COMMANDS:
+        values = _read_options(argv, {"--check-certificate": ("check_certificate", str)})
+        return SimpleNamespace(**values, command=None) if values else None
+    arguments = COMMANDS[words][0]
+    options = {f"--{name}": (name, kind) for name, kind, _ in arguments}
+    options["--json"] = ("json", bool)
+    options["--certificate"] = ("certificate", str)
+    values = _read_options(argv[len(words):], options)
+    if values is None:
+        return None
+    args = {"check_certificate": None, "command": words[0]}
+    if len(words) == 2:
+        args[f"{words[0]}_command"] = words[1]
+    for name, _, default in arguments:
+        if name not in values and default is None:
+            return None
+        args[name] = values.get(name, default)
+    return SimpleNamespace(
+        **args, json=values.get("json", False), certificate=values.get("certificate"),
+        words=words,
+    )
+
+
+def _read_options(tokens: list[str], options: dict) -> dict | None:
+    """``{name: value}`` of the option tokens, each option at most once, or
+    None unless argparse would read each one as given here."""
+    values = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        name, kind = options.get(option, (None, None))
+        if name is None or name in values:
+            return None
+        if kind is bool:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            # a separate value that starts with "-" is argparse's to read,
+            # but for the negative integers it reads as values
+            if value is None or value.startswith("-") and not (
+                kind is int and value[1:].isdecimal()
+            ):
+                return None
+        elif value == "--":  # argparse drops a "--" value
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[name] = value
+    return values
 
 
 @functools.cache
-def _build_parser() -> _ArgumentParser:
+def _build_parser():
     """The command line grammar, built once per process from the command
     table; parsing does not change it."""
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise InputError(message)
+
     parser = _ArgumentParser(prog="sdinv", description=__doc__)
     parser.add_argument("--check-certificate", metavar="FILE", default=None)
     sub = parser.add_subparsers(dest="command")
@@ -276,5 +348,6 @@ def _build_parser() -> _ArgumentParser:
 
 
 def parse(argv: list[str]):
-    """The parsed arguments of ``argv``; a parse error raises InputError."""
-    return _build_parser().parse_args(argv)
+    """The parsed arguments of ``argv``: the table reader's, or argparse's
+    where the reader leaves the argv to it; a parse error raises InputError."""
+    return read(argv) or _build_parser().parse_args(argv)

@@ -5,11 +5,8 @@ The split Grothendieck ring of a product of projective spaces of dimensions
 ``(x_j - 1)^{d_j} = 0``; substituting ``y_j = x_j - 1`` turns the relations
 into plain truncation, so ring elements hold y-monomial coordinates only.
 The x spelling is an input form of the parser and of
-:meth:`TruncatedPolyRing.monomial`.  Each basis change is one closed
-binomial rule: the y^t coefficient of x^e = prod (1 + y_j)^{e_j} is
-prod C(e_j, t_j), and ``RingElement.x_coefficients`` reads an element back
-with the inverse rule, the x^t coefficient of y^s being
-prod (-1)^{s_j - t_j} C(s_j, t_j).
+:meth:`TruncatedPolyRing.monomial`, read by one closed binomial rule: the
+y^t coefficient of x^e = prod (1 + y_j)^{e_j} is prod C(e_j, t_j).
 
 A :class:`SeveriBrauerConfig` records the index of every tensor power
 combination of the underlying algebras.  The subring that descends to the
@@ -129,9 +126,6 @@ class TruncatedPolyRing:
         )
         return packed, bias, guard
 
-    def zero(self) -> "RingElement":
-        return RingElement(self, (0,) * self.rank)
-
     def one(self) -> "RingElement":
         return RingElement(self, (1,) + (0,) * (self.rank - 1))
 
@@ -160,38 +154,15 @@ class RingElement:
         self.ring = ring
         self.coefficients = coefficients
 
-    def __eq__(self, other) -> bool:
-        return type(other) is RingElement and (self.ring, self.coefficients) == (
-            other.ring, other.coefficients
-        )
-
-    def x_coefficients(self) -> tuple[int, ...]:
-        """Coefficients on the x-monomial basis: the x^t coefficient of
-        y^s = prod (x_j - 1)^{s_j} is prod (-1)^{s_j - t_j} C(s_j, t_j)."""
-        exps = self.ring.exponents()
-        terms = [(exps[i], c) for i, c, _ in self._terms]
-        return tuple(
-            sum(c * math.prod(math.comb(a, b) * (-1) ** ((a - b) & 1) for a, b in zip(s, t))
-                for s, c in terms)
-            for t in exps
-        )
-
     # -- arithmetic (same-ring only)
 
     def _check_ring(self, other: "RingElement") -> None:
         if self.ring != other.ring:
             raise InputError("mixed rings")
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check_ring(other)
-        return RingElement(self.ring, tuple(map(operator.add, self.coefficients, other.coefficients)))
-
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check_ring(other)
         return RingElement(self.ring, tuple(map(operator.sub, self.coefficients, other.coefficients)))
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, tuple(-x for x in self.coefficients))
 
     def scaled(self, c: int) -> "RingElement":
         return RingElement(self.ring, tuple(c * x for x in self.coefficients))
@@ -218,10 +189,6 @@ class RingElement:
         return tuple((i, c, packed[i]) for i, c in enumerate(self.coefficients) if c)
 
     # -- structure
-
-    def rank_value(self) -> int:
-        """Value of the rank homomorphism (constant y-coefficient)."""
-        return self.coefficients[0]
 
     def is_zero(self) -> bool:
         return not any(self.coefficients)
@@ -256,10 +223,10 @@ def _literal(expr: str, i: int, j: int) -> int:
     raise ParseError(f"integer exceeds the {MAX_COEFF_BITS}-bit budget", i)
 
 
-def _check_budget(el: RingElement, at: int) -> RingElement:
-    if any(c.bit_length() > MAX_COEFF_BITS for c in el.coefficients):
+def _check_budget(terms: dict[int, int], at: int) -> dict[int, int]:
+    if any(c.bit_length() > MAX_COEFF_BITS for c in terms.values()):
         raise ParseError(f"coefficient exceeds the {MAX_COEFF_BITS}-bit budget", at)
-    return el
+    return terms
 
 
 def _tokenize(expr: str):
@@ -300,13 +267,20 @@ def _tokenize(expr: str):
 
 
 class _Parser:
-    """Recursive descent over +, -, *, ^ with a single identifier family."""
+    """Recursive descent over +, -, *, ^ with a single identifier family.
+
+    Values are sparse, ``{packed exponent: coefficient}`` with no zero
+    coefficient, in the packing of :meth:`TruncatedPolyRing._product_table`:
+    a product adds packed exponents, and the guard bits drop each term past
+    the truncation.
+    """
 
     def __init__(self, tokens, ring: TruncatedPolyRing):
         self.tokens = tokens
         self.pos = 0
         self.ring = ring
         self.family: str | None = None
+        self.packed, self.bias, self.guard = ring._product_table()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -321,32 +295,35 @@ class _Parser:
         if kind != "end":
             raise ParseError("trailing input", at)
 
-    def expr(self) -> RingElement:
+    def expr(self) -> dict[int, int]:
         node = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.term()
-                node = node + rhs if val == "+" else node - rhs
+                sign = 1 if val == "+" else -1
+                for k, c in rhs.items():
+                    node[k] = node.get(k, 0) + sign * c
+                node = {k: c for k, c in node.items() if c}
             else:
                 return node
 
-    def term(self) -> RingElement:
+    def term(self) -> dict[int, int]:
         node = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                node = node * self.factor()
+                node = self.product(node, self.factor())
             else:
                 return node
 
-    def factor(self) -> RingElement:
+    def factor(self) -> dict[int, int]:
         kind, val, at = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return -self.factor()
+            return {k: -c for k, c in self.factor().items()}
         base = self.atom()
         kind, val, at = self.peek()
         if kind == "op" and val == "^":
@@ -354,13 +331,13 @@ class _Parser:
             kind2, e, at2 = self.advance()
             if kind2 != "int":
                 raise ParseError("exponent must be an integer literal", at2)
-            return _power(base, e, at)
+            return self.power(base, e, at)
         return base
 
-    def atom(self) -> RingElement:
+    def atom(self) -> dict[int, int]:
         kind, val, at = self.advance()
         if kind == "int":
-            return self.ring.one().scaled(val)
+            return {0: val} if val else {}
         if kind == "ident":
             fam, idx = val
             if self.family is None:
@@ -369,9 +346,9 @@ class _Parser:
                 raise ParseError("mixed x/y identifiers in one expression", at)
             if not 1 <= idx <= self.ring.nvars:
                 raise ParseError(f"index {idx} out of range", at)
-            exps = [0] * self.ring.nvars
-            exps[idx - 1] = 1
-            return self.ring.monomial(tuple(exps), fam)
+            # y_idx sits at the mixed-radix stride of its variable
+            y = self.packed[math.prod(self.ring.factor_degrees[idx:])]
+            return {0: 1, y: 1} if fam == "x" else {y: 1}
         if kind == "lparen":
             node = self.expr()
             kind2, _, at2 = self.advance()
@@ -380,25 +357,35 @@ class _Parser:
             return node
         raise ParseError("expected a value", at)
 
+    def product(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        bias, guard = self.bias, self.guard
+        out: dict[int, int] = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                if not (k + bias) & guard:
+                    out[k] = out.get(k, 0) + ca * cb
+        return {k: c for k, c in out.items() if c}
 
-def _power(base: RingElement, e: int, at: int) -> RingElement:
-    """``base ** e`` by repeated squaring, zero as soon as a square is.
+    def power(self, base: dict[int, int], e: int, at: int) -> dict[int, int]:
+        """``base ** e`` by repeated squaring, zero as soon as a square is.
 
-    Never more products than ``e - 1``, so a huge exponent on a nilpotent
-    element costs a few products and on a unit ``log2(e)`` of them.  A square
-    over the coefficient budget raises a :class:`ParseError` at ``at``.
-    """
-    out = None
-    square = base
-    while True:
-        if e & 1:
-            out = square if out is None else out * square
-        e >>= 1
-        if not e:
-            return base.ring.one() if out is None else out
-        square = _check_budget(square * square, at)
-        if square.is_zero():
-            return square
+        Never more products than ``e - 1``, so a huge exponent on a nilpotent
+        element costs a few products and on a unit ``log2(e)`` of them.  A
+        square over the coefficient budget raises a :class:`ParseError` at
+        ``at``.
+        """
+        out = None
+        square = base
+        while True:
+            if e & 1:
+                out = square if out is None else self.product(out, square)
+            e >>= 1
+            if not e:
+                return {0: 1} if out is None else out
+            square = _check_budget(self.product(square, square), at)
+            if not square:
+                return square
 
 
 def parse_element(expr: str, ring: TruncatedPolyRing) -> RingElement:
@@ -415,7 +402,8 @@ def parse_element(expr: str, ring: TruncatedPolyRing) -> RingElement:
     except RecursionError:
         raise ParseError("expression nests too deeply", 0) from None
     parser.expect_end()
-    return _check_budget(node, 0)
+    _check_budget(node, 0)
+    return RingElement(ring, tuple(node.get(p, 0) for p in parser.packed))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +448,6 @@ class SeveriBrauerConfig:
     @property
     def ring(self) -> TruncatedPolyRing:
         return TruncatedPolyRing(self.factor_degrees)
-
-    @property
-    def dim(self) -> int:
-        return self.ring.dim
 
     def ind(self, exps) -> int:
         cls = tuple(e % p for e, p in zip(exps, self.periods))
@@ -576,45 +560,6 @@ def _line_gamma(w: RingElement, c: int, top: int) -> list[RingElement]:
     return factor
 
 
-def gamma_series(a: RingElement, top: int) -> list[RingElement]:
-    """Coefficients of gamma_t(a) for t^0..t^top.
-
-    A rank-zero element is the integer combination of x^m - 1 read off its
-    x coefficients; gamma_t is multiplicative, so the series is the product
-    of the line-class factors of :func:`_line_gamma`, in exponent order.
-    """
-    if top < 0:
-        raise InputError("gamma degree must be nonnegative")
-    if a.rank_value():
-        raise InputError("gamma operations require a rank-zero argument")
-    ring = a.ring
-    one = ring.one()
-    series = [one] + [ring.zero()] * top
-    # index 0 is the exponent of 1, where x^0 - 1 vanishes
-    for exps, c in zip(ring.exponents()[1:], a.x_coefficients()[1:]):
-        if not c:
-            continue
-        factor = _line_gamma(ring.monomial(exps, "x") - one, c, top)
-        new = [ring.zero()] * (top + 1)
-        for i, s in enumerate(series):
-            if s.is_zero():
-                continue
-            for j, f in enumerate(factor[: top + 1 - i]):
-                new[i + j] = new[i + j] + s * f
-        series = new
-    return series
-
-
-def gamma_op(a: RingElement, d: int) -> RingElement:
-    """d-th gamma operation of a rank-zero element."""
-    return gamma_series(a, d)[d]
-
-
-def chern_class(x: RingElement, i: int) -> RingElement:
-    """c_i(x) = gamma_i(x - rank(x))."""
-    return gamma_op(x - x.ring.one().scaled(x.rank_value()), i)
-
-
 # ---------------------------------------------------------------------------
 # gamma filtration
 
@@ -622,10 +567,6 @@ def chern_class(x: RingElement, i: int) -> RingElement:
 class GammaFiltration(NamedTuple):
     config: SeveriBrauerConfig
     lattices: tuple[Lattice, ...]  # degrees 0 .. dim + 1, the last one zero
-
-    @property
-    def dim(self) -> int:
-        return self.config.dim
 
     def level(self, d: int) -> Lattice:
         """Step ``d``; below 0 it is step 0, above ``dim + 1`` the zero step."""

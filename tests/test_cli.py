@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 import io
 import os
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdinv import certificate as certmod
 from sdinv import cli, commands, errors, exactlin, kgamma, roots, wittq
@@ -283,6 +286,65 @@ def test_command_echo_parses_back_to_the_same_arguments():
     assert {commands.parse(argv).words for argv in argvs} == set(commands.COMMANDS)
 
 
+# --- the table reader against argparse -----------------------------------------
+
+_OPTION_STRINGS = sorted(
+    {f"--{name}" for arguments, _ in commands.COMMANDS.values() for name, _, _ in arguments}
+    | {"--json", "--certificate", "--check-certificate"}
+)
+_VALUES = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.sampled_from([
+        "sl2n:2", "conics4", "y1", "-2*y1", "-5", "-05", "-", "--", "", " 7", "1_0", "x",
+        "a=b", "--json", "-h", "x y", "-2 *y1", "-\u0663", "\u0663", "3\n", "-3\n",
+    ]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Command words of the table, then its options in any order and either
+    spelling; in about half of the argvs, stray tokens too: repeats,
+    abbreviations, help and unknown options."""
+    words = draw(st.sampled_from(sorted(commands.COMMANDS)))
+    arguments = commands.COMMANDS[words][0] + (("certificate", str, ""),)
+    tokens = []
+    for name, kind, default in arguments:
+        if draw(st.integers(0, 7)) if default is None else draw(st.booleans()):
+            value = draw(st.integers(-30, 30).map(str) if kind is int else _VALUES)
+            tokens.append([f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value])
+    if draw(st.booleans()):
+        tokens.append(["--json"])
+    if draw(st.booleans()):
+        option = st.sampled_from(_OPTION_STRINGS)
+        stray = st.one_of(
+            st.sampled_from(["-h", "--help", "--json", "--bogus", "-x", "--json=1", "--", "extra"]),
+            option.map(lambda o: o[:-2]),  # an abbreviation
+            st.tuples(option, _VALUES).map(list),  # maybe a repeat
+            st.tuples(option, _VALUES).map("=".join),
+            _VALUES,
+        )
+        tokens += [t if isinstance(t, list) else [t] for t in draw(st.lists(stray, max_size=2))]
+    tokens = draw(st.permutations(tokens))
+    head = list(words) if draw(st.integers(0, 7)) else draw(st.lists(st.sampled_from(
+        ["inv3", "gamma", "member", "witt", "--check-certificate", "F", "-h"]), max_size=2))
+    return head + [t for group in tokens for t in group]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argvs())
+@example(["theorem", "--n", "2", "--seed", "-5"])
+@example(["gamma", "member", "--preset", "c", "--element=-2*y1", "--degree=-3", "--json"])
+@example(["--check-certificate", "F"])
+@example(["--check-certificate="])
+@example(["witt", "verify", "--identity", "alpha2", "--certificate=", "--trials", "\u0663"])
+def test_table_reader_agrees_with_argparse(argv):
+    """Wherever the table reader accepts an argv, it sets what argparse sets."""
+    args = commands.read(argv)
+    if args is not None:
+        assert vars(args) == vars(commands._build_parser().parse_args(argv)), argv
+
+
 def test_json_report_roundtrip():
     code, out = run(["chow2", "--preset", "conics3", "--json"])
     rep = json.loads(out)
@@ -452,7 +514,7 @@ def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_pat
     argv = ["gamma", "report", "--preset", "split:3,3,3", "--json"]
     code, _ = run(argv)
     assert code == 0
-    assert len(calls) == kgamma.get_config("split:3,3,3").dim + 1 == 7
+    assert len(calls) == kgamma.get_config("split:3,3,3").ring.dim + 1 == 7
     path = tmp_path / "gamma.json"
     code, out = run(argv + ["--certificate", str(path)])
     assert code == 0
@@ -462,15 +524,12 @@ def test_gamma_report_without_certificate_builds_no_entries(monkeypatch, tmp_pat
 
 
 def test_commands_read_gamma_values_off_line_classes(monkeypatch):
-    """No command converts a ring element back to x coefficients: the gamma
-    values of each generator ind(e) (x^e - 1) are read off its line class,
-    once per nonzero exponent e of the ring."""
+    """No command converts a ring element back to x coefficients (the package
+    has no such conversion): the gamma values of each generator
+    ind(e) (x^e - 1) are read off its line class, once per nonzero exponent e
+    of the ring."""
+    assert not hasattr(kgamma.RingElement, "x_coefficients")
     lines = _count_calls(monkeypatch, kgamma, "_line_gamma")
-    to_x = []
-    original = kgamma.RingElement.x_coefficients
-    monkeypatch.setattr(
-        kgamma.RingElement, "x_coefficients", lambda self: to_x.append(self) or original(self)
-    )
     for preset, argv in [
         ("deg4pair", ["gamma", "report"]),
         ("conics4", ["chow2"]),
@@ -481,7 +540,6 @@ def test_commands_read_gamma_values_off_line_classes(monkeypatch):
         code, _ = run(argv + ["--preset", preset, "--json"])
         assert code == 0
         assert len(lines) == kgamma.get_config(preset).ring.rank - 1
-    assert to_x == []
 
 
 # the functions whose calls a certificate once repeated from its report
@@ -931,6 +989,131 @@ def test_checker_refuses_a_certificate_without_command_or_seed(
         code, out = run(["--check-certificate", str(bad)])
         assert (code, out) == (3, ""), path
         assert capsys.readouterr().err == f"certificate FAILED: certificate has no {key!r} key\n"
+
+
+# --- the command echo is read by the table, in its normalized form only ----------
+
+
+def _checked_with_echo(cert, echo, path):
+    """(exit code, stdout, stderr) of checking ``cert`` with its echo replaced."""
+    path.write_text(json.dumps({**cert, "command": echo}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(["--check-certificate", str(path)], out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+INV3_ECHO = ["inv3", "--preset", "sl2n:2"]
+
+
+@pytest.mark.parametrize(
+    "echo",
+    [
+        ["--help"], ["-h"], ["inv3", "--help"], ["gamma", "-h"],
+        ["inv3", "--pre", "sl2n:2"],
+        ["inv3", "--preset", "sl2n:3", "--preset", "sl2n:2"],
+        INV3_ECHO + ["--json", "--certificate", "F"],
+        ["inv3", "--preset=sl2n:2"],
+        ["--check-certificate", "F"],
+        [], ["inv3", "--preset", 2], "inv3 --preset sl2n:2",
+    ],
+    ids=["help", "h", "inv3-help", "gamma-h", "abbreviation", "repeat", "trailing-options",
+         "glued", "check", "empty", "int-token", "string"],
+)
+def test_checker_refuses_an_echo_not_in_normalized_form(echo, tmp_path):
+    """Replay reads the echo by the command table, never by argparse: an
+    echo that asks for help, abbreviates, repeats, glues a plain value or
+    adds options is refused with exit 3, and nothing is printed."""
+    path = tmp_path / "cert.json"
+    assert run(INV3_ECHO + ["--certificate", str(path)])[0] == 0
+    cert = json.loads(path.read_text())
+    assert _checked_with_echo(cert, INV3_ECHO, tmp_path / "same.json")[0] == 0
+    code, out, err = _checked_with_echo(cert, echo, tmp_path / "echo.json")
+    assert (code, out) == (3, "")
+    assert err == (
+        "certificate FAILED: replay failed: the command echo is not a command in its "
+        "normalized form\n"
+    )
+
+
+def test_checker_reports_a_verifier_exit_as_a_failure(cert_files, monkeypatch, capsys):
+    def exits(entry):
+        raise SystemExit(0)
+
+    monkeypatch.setattr(certmod, "_VERIFIERS", dict.fromkeys(certmod._VERIFIERS, exits))
+    code, out = run(["--check-certificate", str(cert_files[0])])
+    assert (code, out) == (3, "")
+    assert "certificate FAILED: entry 0: malformed (0)" in capsys.readouterr().err
+
+
+# one certificate of each command shape, small enough to check in a few ms
+ECHO_FUZZ_COMMANDS = [
+    INV3_ECHO,
+    ["chow2", "--preset", "conic1"],
+    ["gamma", "member", "--preset", "conic1", "--element", "y1", "--degree", "1"],
+    ["gamma", "report", "--preset", "conic1"],
+    ["witt", "verify", "--identity", "alpha2", "--trials", "2", "--seed", "1"],
+    ["theorem", "--n", "2", "--trials", "1", "--seed", "1"],
+    ["sl4x4"],
+]
+
+
+@pytest.fixture(scope="module")
+def echo_certs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("echo")
+    certs = []
+    for cmd in ECHO_FUZZ_COMMANDS:
+        path = root / "cert.json"
+        assert run(cmd + ["--certificate", str(path)])[0] == 0
+        cert = json.loads(path.read_text())
+        assert cert["command"] == cmd
+        certs.append(cert)
+    assert {tuple(c["command"][:2]) for c in certs} >= {("gamma", "member"), ("witt", "verify")}
+    return certs
+
+
+@st.composite
+def _echo_edits(draw, echo):
+    """``echo`` with tokens deleted, repeated, abbreviated, reordered or
+    replaced, or with option strings, help, the checker's flag and unknown
+    options added."""
+    tokens = list(echo)
+    alphabet = sorted(set(echo) | set(_OPTION_STRINGS) | {
+        "-h", "--help", "--bogus", "--json", "--", "=", "inv3", "gamma", "member", "report",
+        "witt", "verify", "theorem", "sl4x4", "chow2",
+    })
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["delete", "repeat", "abbreviate", "swap", "insert", "glue"]))
+        if edit == "insert" or not tokens:
+            tokens.insert(at, draw(st.sampled_from(alphabet)))
+            continue
+        at = min(at, len(tokens) - 1)
+        if edit == "delete":
+            del tokens[at]
+        elif edit == "repeat":
+            tokens[at:at] = tokens[at:at + 2]
+        elif edit == "abbreviate" and len(tokens[at]) > 3:
+            tokens[at] = tokens[at][:-2]
+        elif edit == "swap":
+            other = draw(st.integers(0, len(tokens) - 1))
+            tokens[at], tokens[other] = tokens[other], tokens[at]
+        elif edit == "glue" and at + 1 < len(tokens):
+            tokens[at:at + 2] = [f"{tokens[at]}={tokens[at + 1]}"]
+    return tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checker_exit_contract_holds_under_echo_fuzz(echo_certs, tmp_path_factory, data):
+    """Every edited echo of a valid certificate is checked with exit 3, but
+    the unedited echo, with exit 0; never a traceback or printed help."""
+    cert = data.draw(st.sampled_from(echo_certs))
+    echo = data.draw(_echo_edits(cert["command"]))
+    path = tmp_path_factory.getbasetemp() / "echo-fuzz.json"
+    code, out, err = _checked_with_echo(cert, echo, path)
+    assert "Traceback" not in err and "usage:" not in out + err
+    assert code == (0 if echo == cert["command"] else 3), echo
 
 
 _FUZZ_VALUES = (None, True, 0, -1, "x", [], {})

@@ -123,6 +123,61 @@ def test_certificates_load_no_dataclasses_or_fractions(argv, tmp_path):
     assert not _modules_after("--check-certificate", path) & HEAVY
 
 
+# ``argparse`` imports ``gettext``, which imports ``locale``: about 2 ms of a
+# fresh process, and building the grammar and the first parse about 3 ms
+# more (Python 3.11, 2 vCPUs).  The command table reads every argv that a
+# command runs on; argparse loads for help and refusals only.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "argv", [INV3, GAMMA_REPORT, GAMMA_MEMBER, WITT, ["theorem", "--n", "2", "--seed", "-5"]],
+    ids=["inv3", "gamma-report", "gamma-member", "witt", "theorem-negative-seed"],
+)
+def test_command_loads_no_argparse(argv, tmp_path):
+    path = str(tmp_path / "cert.json")
+    assert not _modules_after(*argv) & ARGPARSE
+    assert not _modules_after(*argv, "--json", "--certificate", path) & ARGPARSE
+    assert not _modules_after("--check-certificate", path) & ARGPARSE
+
+
+_PROBE_TEXT = """
+import contextlib, io, json, sys
+from sdinv import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = cli.run(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["inv3"], 2, "error: the following arguments are required: --preset\n"),
+        (GAMMA_MEMBER[:5] + ["-2*y1", "--degree", "1"], 2,
+         "error: argument --element: expected one argument\n"),
+        (["theorem", "--n", "x"], 2, "error: argument --n: invalid int value: 'x'\n"),
+        (["inv3", "--pre", "sl2n:2"], 0, ""),
+        (INV3 + ["--preset", "sl2n:3"], 0, ""),
+        (["--help"], 0, ""),
+    ],
+    ids=["missing", "leading-minus", "invalid-int", "abbreviation", "repeat", "help"],
+)
+def test_argparse_reads_what_the_table_refuses(argv, code, err):
+    """Help, refusals and the spellings the table leaves to argparse (an
+    abbreviation, a repeated option) load argparse, and its texts."""
+    got = json.loads(_fresh(_PROBE_TEXT, *argv))
+    assert got[0] == code and got[2] == err and got[3]
+    if argv == ["--help"]:
+        assert got[1].startswith("usage: sdinv [-h] [--check-certificate FILE]")
+    elif code == 0:
+        assert got[1].startswith("command: inv3 --preset ")
+
+
 def test_no_module_imports_dataclasses():
     paths = sorted(Path(SRC, "sdinv").glob("*.py"))
     assert len(paths) >= 10
@@ -150,8 +205,9 @@ def test_import_sdinv_cli_loads_the_front_end_only():
     assert loaded == {"sdinv", "sdinv.cli", "sdinv.commands", "sdinv.errors"}
 
 
-def test_commands_imports_only_argparse_functools_and_errors_at_module_level():
-    """Backends import the compute modules they run when they are called."""
+def test_commands_imports_only_functools_and_errors_at_module_level():
+    """Backends import the compute modules they run when they are called, and
+    the argparse grammar imports argparse when it is built."""
     tree = ast.parse(Path(SRC, "sdinv", "commands.py").read_text())
     imported = set()
     for node in tree.body:
@@ -159,7 +215,7 @@ def test_commands_imports_only_argparse_functools_and_errors_at_module_level():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert imported == {"__future__", "argparse", "functools", ".errors"}
+    assert imported == {"__future__", "functools", ".errors"}
 
 
 # Every name the package namespace exported when it imported all of its
@@ -172,8 +228,8 @@ _EXPORTED = {
         "smith_normal_form", "subquotient_presentation",
     ),
     "kgamma": (
-        "chern_class", "chow2_torsion", "filtration_membership", "gamma_filtration",
-        "gamma_op", "get_config", "graded_torsion", "parse_element", "quillen_lattice",
+        "chow2_torsion", "filtration_membership", "gamma_filtration", "get_config",
+        "graded_torsion", "parse_element", "quillen_lattice",
     ),
     "presets": ("assemble_theorem", "sl4x4_report", "theorem_table"),
     "roots": (

@@ -800,6 +800,26 @@ def test_places_checked_once_per_form_or_relation(monkeypatch):
     assert not refactored
 
 
+def test_odd_prime_cache_tests_each_place_once_per_suite(monkeypatch):
+    """The prime test of the places is cached for a whole suite: it misses
+    once for each distinct odd place checked, and hits after that."""
+    from sdinv import wittq
+
+    places = set()
+    check = wittq._check_place
+
+    def recording(place):
+        places.add(place)
+        return check(place)
+
+    monkeypatch.setattr(wittq, "_check_place", recording)
+    wittq._is_odd_prime.cache_clear()
+    verify_identity("alpha4_full", 500, 1)
+    odd = {p for p in places if isinstance(p, int) and p > 2}
+    assert len(odd) > 256
+    assert wittq._is_odd_prime.cache_info().misses == len(odd)
+
+
 # --- bounded memory ---------------------------------------------------------------------
 
 
