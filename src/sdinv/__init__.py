@@ -48,15 +48,9 @@ _EXPORTS = {
     "wittq": (
         "DiagonalForm",
         "QuaternionDatum",
-        "albert_similarity_check",
-        "alpha_eval",
         "hilbert_symbol",
-        "in_power_of_i",
-        "pfister",
         "sample_chain_configuration",
         "verify_identity",
-        "witt_equivalent",
-        "witt_invariants",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -104,11 +104,27 @@ def _report(args, out) -> int:
             return 2
         report["certificate"] = {"file": args.certificate, "entries": len(cert["entries"])}
 
-    if args.json:
-        print(json.dumps(report, sort_keys=True), file=out)
-    else:
-        _print_text(report, out)
+    try:
+        if args.json:
+            print(json.dumps(report, sort_keys=True), file=out)
+        else:
+            _print_text(report, out)
+        out.flush()
+    except OSError as exc:
+        return _unwritable(exc, out)
     return 0
+
+
+def _unwritable(exc: OSError, out) -> int:
+    print(f"error: cannot write report: {exc}", file=sys.stderr)
+    if out is sys.stdout:
+        # a buffered stdout keeps what it could not write and flushes it
+        # again at exit; the descriptor goes to os.devnull so that the
+        # second flush succeeds and the exit status stays 2
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+    return 2
 
 
 def _run_checker(path: str, out) -> int:
@@ -123,7 +139,11 @@ def _run_checker(path: str, out) -> int:
         return 2
     ok, failures = check_certificate(cert)
     if ok:
-        print(f"certificate OK ({len(cert.get('entries', []))} entries)", file=out)
+        try:
+            print(f"certificate OK ({len(cert.get('entries', []))} entries)", file=out)
+            out.flush()
+        except OSError as exc:
+            return _unwritable(exc, out)
         return 0
     for f in failures:
         print(f"certificate FAILED: {f}", file=sys.stderr)

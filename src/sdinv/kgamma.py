@@ -4,9 +4,9 @@ The split Grothendieck ring of a product of projective spaces of dimensions
 ``d_j - 1`` is the truncated polynomial ring with relations
 ``(x_j - 1)^{d_j} = 0``; substituting ``y_j = x_j - 1`` turns the relations
 into plain truncation, so ring elements hold y-monomial coordinates only.
-The x spelling is an input form of the parser and of
-:meth:`TruncatedPolyRing.monomial`, read by one closed binomial rule: the
-y^t coefficient of x^e = prod (1 + y_j)^{e_j} is prod C(e_j, t_j).
+:meth:`TruncatedPolyRing.monomial` builds x-monomials by one closed binomial
+rule: the y^t coefficient of x^e = prod (1 + y_j)^{e_j} is prod C(e_j, t_j).
+The parser reads an atom x_j itself, as 1 + y_j.
 
 A :class:`SeveriBrauerConfig` records the index of every tensor power
 combination of the underlying algebras.  The subring that descends to the
@@ -129,19 +129,15 @@ class TruncatedPolyRing:
     def one(self) -> "RingElement":
         return RingElement(self, (1,) + (0,) * (self.rank - 1))
 
-    def monomial(self, exps, basis: str, coeff: int = 1) -> "RingElement":
-        """``coeff * basis^exps`` for ``basis`` "x" or "y", the two spellings
-        the parser reads, stored on the y basis: the y^t coefficient of
-        x^e = prod (1 + y_j)^{e_j} is prod C(e_j, t_j), and that of y^e is
-        prod [e_j = t_j].  Exponents at or above the truncation are fine."""
+    def monomial(self, exps, coeff: int = 1) -> "RingElement":
+        """``coeff * x^exps`` stored on the y basis: the y^t coefficient of
+        x^e = prod (1 + y_j)^{e_j} is prod C(e_j, t_j).  Exponents at or above
+        the truncation are fine."""
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.nvars:
             raise InputError("wrong number of exponents")
-        rule = {"x": math.comb, "y": operator.eq}.get(basis)
-        if rule is None:
-            raise InputError("basis must be 'x' or 'y'")
         return RingElement(self, tuple(
-            coeff * math.prod(map(rule, exps, t)) for t in self.exponents()
+            coeff * math.prod(map(math.comb, exps, t)) for t in self.exponents()
         ))
 
 
@@ -523,7 +519,7 @@ def available_configs() -> list[str]:
 def quillen_basis_elements(config: SeveriBrauerConfig) -> list[RingElement]:
     ring = config.ring
     return [
-        ring.monomial(e, "x", config.ind(e)) for e in ring.exponents()
+        ring.monomial(e, config.ind(e)) for e in ring.exponents()
     ]
 
 
@@ -589,7 +585,7 @@ def gamma_filtration(name: str) -> GammaFiltration:
     values: dict[int, dict[tuple[int, ...], None]] = {k: {} for k in range(1, dim + 1)}
     one = ring.one()
     for e in ring.exponents()[1:]:
-        series = _line_gamma(ring.monomial(e, "x") - one, config.ind(e), dim)
+        series = _line_gamma(ring.monomial(e) - one, config.ind(e), dim)
         for k, gk in enumerate(series[1:], start=1):
             if gk.min_y_degree() < k:
                 raise InternalInconsistencyError(

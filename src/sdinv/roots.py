@@ -325,9 +325,6 @@ class GroupData(NamedTuple):
     def reductive_lattice(self) -> Lattice:
         return character_lattice(self.datum)
 
-    def semisimple_lattice(self) -> Lattice:
-        return project_to_semisimple(self.reductive_lattice(), self.projection)
-
 
 def _unit(n: int, i: int, value: int = 1) -> tuple[int, ...]:
     return tuple(value if t == i else 0 for t in range(n))

@@ -6,17 +6,18 @@ invariants of quaternion tuples.
 
 Conventions and named assumptions
 ---------------------------------
-* ``pfister([a1, .., ak])`` expands ``<<a1, .., ak>>`` as the tensor product
-  of the binary forms ``<1, -ai>``, so the 2-fold form is the reduced norm
-  form of the quaternion algebra ``(a1, a2)``.
-* Ideal-power membership, and with it isometry and hyperbolicity over Q, is
-  decided on the Witt class: pairs of entries e, -e are cancelled as
-  hyperbolic planes, and the complete invariant set of what is left is
-  compared with that of the hyperbolic form; correctness rests on the
-  Hasse-Minkowski classification of forms over number fields.
-* Degree-3 cohomology of Q is a single Z/2 carried by the real place, so the
-  Arason value of a form in the third ideal power is ``signature/8 mod 2``
-  and fourth-power membership adds the condition ``signature = 0 mod 16``.
+* ``_pfisters((a1, .., ak))`` expands ``<<a1, .., ak>>`` of canonical slot
+  classes as the tensor product of the binary forms ``<1, -ai>``, so the
+  2-fold form is the reduced norm form of the quaternion algebra
+  ``(a1, a2)``.
+* Ideal-power membership, and with it Witt equivalence over Q, is decided
+  on the Witt class: pairs of entries e, -e are cancelled as hyperbolic
+  planes, and the complete invariant set of what is left is compared with
+  that of the hyperbolic form; correctness rests on the Hasse-Minkowski
+  classification of forms over number fields.
+* Degree-3 cohomology of Q is a single Z/2 carried by the real place, where
+  the Arason value of a form in the third ideal power is ``signature/8 mod 2``,
+  so fourth-power membership adds the condition ``signature = 0 mod 16``.
 Both assumptions are surfaced in reports and in the package documentation.
 
 Square classes are values
@@ -80,27 +81,16 @@ def _num_den(value) -> int:
     return n
 
 
-def _class_and_primes(value) -> tuple[int, list[int]]:
-    """Canonical square class of a nonzero rational and its primes of odd
-    exponent, from one factoring."""
-    n = _num_den(value)
-    primes = [p for p, e in factorize(n) if e % 2]
-    return (-1 if n < 0 else 1) * prod(primes), primes
-
-
-def square_class(value) -> int:
-    """Canonical squarefree integer representative of a rational square class."""
-    return _class_and_primes(value)[0]
-
-
 def _classes_and_places(values) -> tuple[list[int], tuple]:
     """Canonical square classes of ``values`` and inf, 2 and the odd primes
-    dividing one of them, each value factored once."""
+    dividing one of them, each value factored once: its primes of odd
+    exponent give both."""
     classes, primes = [], set()
     for value in values:
-        c, ps = _class_and_primes(value)
-        classes.append(c)
-        primes.update(ps)
+        n = _num_den(value)
+        odd = [p for p, e in factorize(n) if e % 2]
+        classes.append((-1 if n < 0 else 1) * prod(odd))
+        primes.update(odd)
     primes.discard(2)
     return classes, ("inf", 2) + tuple(sorted(primes))
 
@@ -200,11 +190,6 @@ def hilbert_symbol(a, b, place) -> int:
     return -1 if _brauer_bit([(_num_den(a), _num_den(b))], place) else 1
 
 
-def relevant_places(entries) -> tuple:
-    """inf, 2, and every odd prime dividing a canonical entry."""
-    return _classes_and_places(set(entries))[1]
-
-
 # ---------------------------------------------------------------------------
 # diagonal forms and their invariants
 
@@ -213,10 +198,6 @@ class DiagonalForm(NamedTuple):
     """Nondegenerate diagonal quadratic form with canonical squarefree entries."""
 
     entries: tuple[int, ...]
-
-    @classmethod
-    def of(cls, values) -> DiagonalForm:
-        return cls(tuple(square_class(v) for v in values))
 
     @property
     def dim(self) -> int:
@@ -228,17 +209,8 @@ class DiagonalForm(NamedTuple):
     def neg(self) -> DiagonalForm:
         return DiagonalForm(tuple(-e for e in self.entries))
 
-    def scaled(self, q) -> DiagonalForm:
-        c = square_class(q)
-        return DiagonalForm(tuple(square_class_mul(c, e) for e in self.entries))
-
     def signature(self) -> int:
         return sum(1 if e > 0 else -1 for e in self.entries)
-
-
-def pfister(slots) -> DiagonalForm:
-    """k-fold multiplicative form <<a1, ..., ak>> of dimension 2^k."""
-    return _pfisters([square_class(s) for s in slots])
 
 
 def _pfisters(*slot_tuples) -> DiagonalForm:
@@ -256,27 +228,12 @@ class QuaternionDatum(NamedTuple):
     a: int
     b: int
 
-    @classmethod
-    def of(cls, a, b) -> QuaternionDatum:
-        return cls(square_class(a), square_class(b))
-
-    @property
-    def norm_form(self) -> DiagonalForm:
-        return pfister((self.a, self.b))
-
-    def label(self) -> str:
-        return f"({self.a},{self.b})"
-
 
 class WittInvariants(NamedTuple):
     dimension: int
     signed_discriminant: int
     hasse: tuple[tuple[object, int], ...]
     signature: int
-
-    def hasse_at(self, place) -> int:
-        table = dict(self.hasse)
-        return table.get(place, 1)
 
 
 def _hyperbolic_hasse(half_dim: int, places) -> tuple[tuple[object, int], ...]:
@@ -287,14 +244,13 @@ def _hyperbolic_hasse(half_dim: int, places) -> tuple[tuple[object, int], ...]:
     return tuple((v, sign if v in ("inf", 2) else 1) for v in places)
 
 
-def witt_invariants(f: DiagonalForm, places=None) -> WittInvariants:
-    """Dimension, signed discriminant, Hasse symbol family, and signature.
+def witt_invariants(f: DiagonalForm, places) -> WittInvariants:
+    """Dimension, signed discriminant, Hasse symbol family at ``places``, and
+    signature.
 
     The Hasse symbols are those of the prefix pairs (a_1 ... a_{j-1}, a_j),
     whose first slots are running products of square classes; the last
-    product gives the signed discriminant.  Without ``places`` they are
-    taken at inf, 2 and every odd prime dividing an entry; elsewhere they
-    are +1.
+    product gives the signed discriminant.  Each place is checked once.
     """
     m = f.dim
     pairs, d = [], 1
@@ -302,36 +258,19 @@ def witt_invariants(f: DiagonalForm, places=None) -> WittInvariants:
         pairs.append((d, e))
         d = square_class_mul(d, e)
     signed = d if (m * (m - 1) // 2) % 2 == 0 else -d
-    if places is None:
-        places = relevant_places(f.entries)
     for v in places:
         _check_place(v)
     hasse = tuple((v, -1 if _brauer_bit(pairs, v) else 1) for v in places)
     return WittInvariants(m, signed, hasse, f.signature())
 
 
-def is_hyperbolic(f: DiagonalForm, places=None) -> bool:
-    """Whether f is hyperbolic: in the third ideal power with signature 0.
-
-    The hyperbolic form of equal rank has signed discriminant 1 and
-    signature 0, so this is the full invariant comparison against it.
-    ``places`` must include every odd prime dividing an entry of ``f``;
-    extra places are harmless, since there both forms have Hasse symbol +1.
-    Without it the entries are factored.
-    """
-    return in_power_of_i(f, 3, places) and f.signature() == 0
-
-
-def witt_equivalent(f: DiagonalForm, g: DiagonalForm, places=None) -> bool:
-    """Exact equality in the Witt group: f + (-g) is hyperbolic.  ``places``
-    is as in :func:`is_hyperbolic`, for the entries of both forms."""
-    return is_hyperbolic(f.perp(g.neg()), places)
-
-
-def isometric(f: DiagonalForm, g: DiagonalForm) -> bool:
-    if f.dim != g.dim:
-        return False
-    return witt_equivalent(f, g)
+def witt_equivalent(f: DiagonalForm, g: DiagonalForm, places) -> bool:
+    """Exact equality in the Witt group: f + (-g) is hyperbolic, that is in
+    the third ideal power with signature 0, since the hyperbolic form of
+    equal rank has signed discriminant 1 and signature 0.  ``places`` is as
+    in :func:`in_power_of_i`, for the entries of both forms."""
+    h = f.perp(g.neg())
+    return in_power_of_i(h, 3, places) and h.signature() == 0
 
 
 def _cancel_hyperbolic_planes(f: DiagonalForm) -> DiagonalForm:
@@ -344,7 +283,7 @@ def _cancel_hyperbolic_planes(f: DiagonalForm) -> DiagonalForm:
     return DiagonalForm(tuple(kept))
 
 
-def in_power_of_i(f: DiagonalForm, n: int, places=None) -> bool:
+def in_power_of_i(f: DiagonalForm, n: int, places) -> bool:
     """Membership of the Witt class in the n-th power of the fundamental
     ideal, for n up to 4.
 
@@ -353,16 +292,15 @@ def in_power_of_i(f: DiagonalForm, n: int, places=None) -> bool:
     n=2 adds trivial signed discriminant; n=3 adds a Hasse family matching
     the hyperbolic reference everywhere (trivial Clifford invariant); n=4
     adds signature divisible by 16, which is the vanishing of the degree-3
-    cohomology class at the real place.  ``places`` is as in
-    :func:`is_hyperbolic`.
+    cohomology class at the real place.  ``places`` must include every odd
+    prime dividing an entry of ``f``; extra places are harmless, since there
+    both f and the hyperbolic reference have Hasse symbol +1.
     """
     if n not in (1, 2, 3, 4):
         raise InputError("only ideal powers 1 through 4 are supported")
     if f.dim % 2:
         return False
     f = _cancel_hyperbolic_planes(f)
-    if places is None:
-        places = relevant_places(f.entries)
     inv = witt_invariants(f, places)
     if n == 1:
         return True
@@ -377,78 +315,18 @@ def in_power_of_i(f: DiagonalForm, n: int, places=None) -> bool:
     return inv.signature % 16 == 0
 
 
-def e3_real(f: DiagonalForm) -> int:
-    """Arason value of a class in the third ideal power.
-
-    Over the rationals degree-3 cohomology is one Z/2 carried by the real
-    place, so the value is signature/8 mod 2.
-    """
-    sig = f.signature()
-    if sig % 8:
-        raise InternalInconsistencyError(
-            "arason evaluation needs a class of the third ideal power"
-        )
-    return (sig // 8) % 2
-
-
 # ---------------------------------------------------------------------------
 # quaternion tuples
 
 
-def brauer_relation_holds(quats, places=None) -> bool:
+def brauer_relation_holds(quats, places) -> bool:
     """Whether the classes of the quaternions sum to zero: at every relevant
     place the product of local symbols is +1.  ``places`` must include every
-    odd prime dividing a slot; without it the slots are factored."""
+    odd prime dividing a slot."""
     pairs = [(_num_den(q.a), _num_den(q.b)) for q in quats]
-    if places is None:
-        places = relevant_places([x for pair in pairs for x in pair])
     for v in places:
         _check_place(v)
     return not any(_brauer_bit(pairs, v) for v in places)
-
-
-def alpha_eval(quats) -> int:
-    """Arason value of the sum of the reduced norm forms of a quaternion
-    tuple whose Brauer classes sum to zero."""
-    quats = list(quats)
-    if not brauer_relation_holds(quats):
-        raise InputError("quaternion classes do not sum to zero in the Brauer group")
-    total = DiagonalForm(())
-    for q in quats:
-        total = total.perp(q.norm_form)
-    if not in_power_of_i(total, 3):
-        raise InternalInconsistencyError(
-            "norm-form sum escaped the third ideal power despite the relation"
-        )
-    return e3_real(total)
-
-
-class AlbertComparison(NamedTuple):
-    similar: bool
-    real_cup_vanishes: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.similar == self.real_cup_vanishes
-
-
-def albert_similarity_check(a, b, c, d, q) -> AlbertComparison:
-    """Is q a similarity factor of the Albert form <a, b, -ab, -c, -d, cd>?
-
-    Decided by full invariant comparison of the scaled form against the form
-    itself, at every relevant place.  The companion bit is the real-place
-    vanishing of the degree-3 class of the biquaternion pair cupped with q;
-    the two verdicts agree by the similarity-factor theorem for Albert forms
-    together with the real-place principle for degree-3 cohomology of Q.
-    """
-    a, b, c, d = (square_class(t) for t in (a, b, c, d))
-    phi = DiagonalForm((a, b, -square_class_mul(a, b), -c, -d, square_class_mul(c, d)))
-    scaled = phi.scaled(q)
-    similar = isometric(scaled, phi)
-    cup = pfister((a, b, q)).perp(pfister((c, d, q)).neg())
-    if not in_power_of_i(cup, 3):
-        raise InternalInconsistencyError("cup comparison form escaped the third power")
-    return AlbertComparison(similar=similar, real_cup_vanishes=e3_real(cup) == 0)
 
 
 # ---------------------------------------------------------------------------

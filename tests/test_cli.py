@@ -886,6 +886,74 @@ def test_failed_command_keeps_an_existing_certificate_file(tmp_path):
     assert json.loads(path.read_text())["format"] == certmod.CERT_FORMAT
 
 
+class _FullOutput(io.StringIO):
+    """An output stream on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.fixture(scope="module")
+def sl2n_2_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("full") / "sl2n2.json"
+    assert run(["inv3", "--preset", "sl2n:2", "--certificate", str(path)])[0] == 0
+    return path
+
+
+@pytest.mark.parametrize("mode", ["text", "json", "check"])
+def test_unwritable_report_exits_2(mode, sl2n_2_certificate, tmp_path, capsys):
+    """A report that cannot be written is refused like a certificate that
+    cannot be: exit 2, one error line, and no certificate file left behind."""
+    cert = tmp_path / "cert.json"
+    argv = {
+        "text": ["inv3", "--preset", "sl2n:2", "--certificate", str(cert)],
+        "json": ["inv3", "--preset", "sl2n:2", "--json", "--certificate", str(cert)],
+        "check": ["--check-certificate", str(sl2n_2_certificate)],
+    }[mode]
+    assert cli.run(argv, out=_FullOutput()) == 2
+    assert capsys.readouterr().err == "error: cannot write report: [Errno 28] No space left on device\n"
+    assert not cert.exists()
+
+
+def _report_to(stdout, argv, buffered):
+    """Run ``python -m sdinv.cli argv`` with stdout on ``stdout``; stdout is
+    block-buffered unless ``buffered`` is false (``PYTHONUNBUFFERED=1``)."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdinv.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: cannot write report: ")
+    assert proc.stderr.count(b"\n") == 1, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("extra", [[], ["--json"], None], ids=["text", "json", "check"])
+def test_report_to_a_full_device_exits_2_without_traceback(extra, buffered, sl2n_2_certificate):
+    argv = ["--check-certificate", str(sl2n_2_certificate)] if extra is None else [
+        "inv3", "--preset", "sl2n:2", *extra
+    ]
+    with open("/dev/full", "w") as full:
+        _report_to(full, argv, buffered)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_report_to_a_closed_pipe_exits_2_without_traceback(buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        _report_to(write_end, ["inv3", "--preset", "sl2n:2"], buffered)
+    finally:
+        os.close(write_end)
+
+
 def _int_paths(node, prefix=()):
     """Paths to every integer leaf (bools excluded)."""
     out = []

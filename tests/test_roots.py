@@ -34,6 +34,11 @@ def basis_to_ambient_quad(L: Lattice, q) -> tuple[int, ...]:
     return tuple(int(x) for x in out)
 
 
+def semisimple_lattice(data) -> Lattice:
+    """A preset's character lattice projected to its semisimple coordinates."""
+    return project_to_semisimple(data.reductive_lattice(), data.projection)
+
+
 def display_lattice(ambient_rank: int, named) -> Lattice:
     """Span of a preset's displayed (label, vector) basis."""
     return Lattice.from_columns(ambient_rank, [v for _, v in named])
@@ -201,7 +206,7 @@ def test_gl4x4_display_basis():
 
 def test_sl2n_3_projection():
     data = get_preset("sl2n:3")
-    th = data.semisimple_lattice()
+    th = semisimple_lattice(data)
     expected = Lattice.from_columns(3, [(2, 0, 0), (0, 2, 0), (1, 1, 1)])
     assert th == expected
     assert th == semisimple_display(data)
@@ -211,14 +216,14 @@ def test_sl2n_3_projection():
 def test_sl2n_index_is_two_power(n):
     # determinant oracle: the semisimple lattice has index 2^(n-1) in Z^n
     data = get_preset(f"sl2n:{n}")
-    th = data.semisimple_lattice()
+    th = semisimple_lattice(data)
     assert lattice_index(th) == 2 ** (n - 1)
     assert abs(det(th.basis)) == 2 ** (n - 1)
 
 
 def test_sl4x4_projection_display():
     data = get_preset("sl4x4")
-    th = data.semisimple_lattice()
+    th = semisimple_lattice(data)
     assert th == semisimple_display(data)
 
 
@@ -228,7 +233,7 @@ def test_sl4x4_projection_display():
 @pytest.mark.parametrize("name", ["sl2n:2", "sl2n:4", "sl4x4"])
 def test_weyl_preserves_lattice(name):
     data = get_preset(name)
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     for idx, w in enumerate(data.weyl):
         m = action_in_basis(lat, w, generator_index=idx)
         assert abs(det(m)) == 1
@@ -296,7 +301,7 @@ def test_kernels_and_character_lattices_run_no_smith_form(name, monkeypatch):
     monkeypatch.setattr(exactlin, "smith_normal_form", no_smith)
     data = get_preset(name)
     assert character_lattice(data.datum) == reductive_display(data)
-    inv, _ = invariant_quadratic_lattice(data.semisimple_lattice(), data.weyl)
+    inv, _ = invariant_quadratic_lattice(semisimple_lattice(data), data.weyl)
     assert inv.rank >= 1
     ker = Lattice.from_columns(3, kernel_basis(IntMatrix.from_rows([[2, 4, 6]])))
     assert ker == Lattice.from_columns(3, [(-2, 1, 0), (-3, 0, 1)])
@@ -327,7 +332,7 @@ def test_invariant_forms_rank1_trivial_weyl():
 
 def test_invariant_forms_sl2n2_congruence():
     data = get_preset("sl2n:2")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     inv, _ = invariant_quadratic_lattice(lat, data.weyl)
     # expected: diagonal forms d1 x1^2 + d2 x2^2 with d1 + d2 = 0 mod 4
     amb = [basis_to_ambient_quad(lat, c) for c in inv.basis.columns()]
@@ -344,7 +349,7 @@ def test_invariant_forms_sl2n2_congruence():
 @pytest.mark.parametrize("n", [3, 5])
 def test_invariant_forms_sl2n_expected_span(n):
     data = get_preset(f"sl2n:{n}")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     inv, _ = invariant_quadratic_lattice(lat, data.weyl)
     vectors = []
     for k in range(n - 1):
@@ -360,7 +365,7 @@ def test_invariant_forms_sl2n_expected_span(n):
 
 def test_invariant_forms_fixed_pointwise():
     data = get_preset("sl2n:4")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     inv, actions = invariant_quadratic_lattice(lat, data.weyl)
     assert actions == tuple(
         sym2_action_matrix(action_in_basis(lat, w, idx)) for idx, w in enumerate(data.weyl)
@@ -372,7 +377,7 @@ def test_invariant_forms_fixed_pointwise():
 
 def test_sl4x4_invariant_lattice_is_expected_span():
     data = get_preset("sl4x4")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     inv, _ = invariant_quadratic_lattice(lat, data.weyl)
     q1 = sl4_block_form(0)
     q2 = sl4_block_form(1)
@@ -388,7 +393,7 @@ def test_sl4x4_invariant_lattice_is_expected_span():
 
 def test_chern2_single_pair():
     data = get_preset("sl2n:3")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     ws = WeightMultiset.of([((2, 0, 0), 1), ((-2, 0, 0), 1)])
     q = chern2_of_character(ws, lat)
     amb = basis_to_ambient_quad(lat, q)
@@ -400,7 +405,7 @@ def test_chern2_single_pair():
 def test_chern2_sign_vectors_closed_form():
     n = 3
     data = get_preset(f"sl2n:{n}")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     ws = sl2n_characters(n)[-1]
     q = chern2_of_character(ws, lat)
     amb = basis_to_ambient_quad(lat, q)
@@ -413,7 +418,7 @@ def test_chern2_sign_vectors_closed_form():
 def test_chern2_against_pairwise_oracle():
     ws = WeightMultiset.of([((2, 0), 1), ((-2, 0), 1), ((0, 2), 2), ((0, -2), 2)])
     data = get_preset("sl2n:2")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     q = chern2_of_character(ws, lat)
     amb = basis_to_ambient_quad(lat, q)
     assert amb == chern2_pairwise_oracle(ws, 2)
@@ -438,7 +443,7 @@ def test_chern2_polarization_matches_pairwise(pairs):
         sym.append((tuple(-2 * x for x in v), m))
     ws = WeightMultiset.of(sym)
     data = get_preset("sl2n:2")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     q = chern2_of_character(ws, lat)
     assert basis_to_ambient_quad(lat, q) == chern2_pairwise_oracle(ws, 2)
 
@@ -448,7 +453,7 @@ def test_sl2n_dec_forms_are_c2_of_their_characters(n):
     """Each closed-form class is c2 of its character, sign included, and each
     character has c1 = 0 and is stable under the Weyl generators."""
     data = get_preset(f"sl2n:{n}")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     characters = sl2n_characters(n)
     assert len(data.dec_forms) == len(characters)
     for form, ws in zip(data.dec_forms, characters):
@@ -459,7 +464,7 @@ def test_sl2n_dec_forms_are_c2_of_their_characters(n):
 
 @pytest.mark.parametrize("form", [(4,), (4, 0, 0, 0, 0)], ids=["short", "long"])
 def test_ambient_form_of_wrong_length_is_refused(form):
-    lat = get_preset("sl2n:2").semisimple_lattice()
+    lat = semisimple_lattice(get_preset("sl2n:2"))
     with pytest.raises(InputError, match="has 3 coefficients, not"):
         ambient_to_basis_quad(lat, form)
 
@@ -470,7 +475,7 @@ def test_ambient_form_of_wrong_length_is_refused(form):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_dec_subgroup_expected_span(n):
     data = get_preset(f"sl2n:{n}")
-    lat = data.semisimple_lattice()
+    lat = semisimple_lattice(data)
     dec = dec_subgroup(lat, data.dec_forms)
     oracle = [chern2_of_character(ws, lat) for ws in sl2n_characters(n)]
     assert dec == Lattice.from_columns(sym2_size(n), oracle)
@@ -478,7 +483,7 @@ def test_dec_subgroup_expected_span(n):
 
 def test_dec_subgroup_empty_is_zero():
     data = get_preset("sl2n:2")
-    dec = dec_subgroup(data.semisimple_lattice(), ())
+    dec = dec_subgroup(semisimple_lattice(data), ())
     assert dec.rank == 0
 
 

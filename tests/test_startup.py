@@ -237,10 +237,8 @@ _EXPORTED = {
         "invariant_quadratic_lattice", "project_to_semisimple",
     ),
     "wittq": (
-        "DiagonalForm", "QuaternionDatum", "albert_similarity_check",
-        "alpha_eval", "hilbert_symbol", "in_power_of_i", "pfister",
-        "sample_chain_configuration", "verify_identity", "witt_equivalent",
-        "witt_invariants",
+        "DiagonalForm", "QuaternionDatum", "hilbert_symbol",
+        "sample_chain_configuration", "verify_identity",
     ),
 }
 
