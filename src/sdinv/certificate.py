@@ -530,11 +530,15 @@ _VERIFIERS = {
 
 def build_certificate(command: tuple[str, ...]) -> dict:
     """Certificate payload for a normalized command echo; pure in its input.
-    The echo is read by the command table alone, and anything but the
-    normalized form of what it reads is refused."""
+    The echo is read by the command table, and anything but the normalized
+    form of a command, a help request or an unreadable echo included, is
+    refused."""
     echo = list(command)
-    args = commands.read(echo) if all(isinstance(t, str) for t in echo) else None
-    if args is None or args.command is None or commands.normalized_command(args) != echo:
+    try:
+        args = commands.read(echo) if all(isinstance(t, str) for t in echo) else None
+    except InputError:
+        args = None
+    if args is None or args.words is None or commands.normalized_command(args) != echo:
         raise InputError("the command echo is not a command in its normalized form")
     _, evidence, _ = commands.execute(args)
     return certificate_dict(echo, args, evidence)

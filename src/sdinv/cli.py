@@ -1,7 +1,7 @@
 """Command line front end: runs a command of :mod:`sdinv.commands` and
-prints its report, writes and checks certificate files, and maps errors to
-the exit codes 0 (success), 2 (input error) and 3 (internal inconsistency
-or failed certificate check).
+prints its report, or the help (that module's docstring), writes and checks
+certificate files, and maps errors to the exit codes 0 (success), 2 (input
+error) and 3 (internal inconsistency or failed certificate check).
 """
 
 from __future__ import annotations
@@ -20,36 +20,58 @@ REPORT_FORMAT = "sdinv-report/1"
 # output
 
 
-def _print_text(report: dict, out) -> None:
-    print(f"command: {' '.join(report['command'])}", file=out)
+def _lines(report: dict):
+    """The lines of the text report, one at a time."""
+    yield f"command: {' '.join(report['command'])}"
     results = report["results"]
     for key in sorted(results):
         value = results[key]
         if isinstance(value, (dict, list)):
             value = json.dumps(value, sort_keys=True)
-        print(f"{key}: {value}", file=out)
+        yield f"{key}: {value}"
     for fact in report.get("cited_facts", []):
-        print(f"cited [{fact['reference']}]: {fact['statement']}", file=out)
+        yield f"cited [{fact['reference']}]: {fact['statement']}"
     cert = report.get("certificate")
     if cert:
-        print(f"certificate: {cert['file']} ({cert['entries']} entries)", file=out)
+        yield f"certificate: {cert['file']} ({cert['entries']} entries)"
+
+
+def _write(lines, out) -> int:
+    """Print ``lines`` to ``out``: exit code 0, or 2 where ``out`` cannot
+    take them."""
+    try:
+        for line in lines:
+            print(line, file=out)
+        out.flush()
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        if out is sys.stdout:
+            # a buffered stdout keeps what it could not write and flushes it
+            # again at exit; the descriptor goes to os.devnull so that the
+            # second flush succeeds and the exit status stays 2
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return 2
+    return 0
 
 
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = commands.parse(argv)
+        args = commands.read(argv)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.check_certificate:
+    if args is None:
+        return _write(commands.__doc__.splitlines(), out)
+    if args.words is None:
         return _run_checker(args.check_certificate, out)
 
     # an unwritable certificate path is refused before any work; opening for
     # append creates a missing file and leaves an existing one as it is
-    path = getattr(args, "certificate", None)
+    path = args.certificate
     created = False
     if path:
         created = not os.path.exists(path)
@@ -104,27 +126,7 @@ def _report(args, out) -> int:
             return 2
         report["certificate"] = {"file": args.certificate, "entries": len(cert["entries"])}
 
-    try:
-        if args.json:
-            print(json.dumps(report, sort_keys=True), file=out)
-        else:
-            _print_text(report, out)
-        out.flush()
-    except OSError as exc:
-        return _unwritable(exc, out)
-    return 0
-
-
-def _unwritable(exc: OSError, out) -> int:
-    print(f"error: cannot write report: {exc}", file=sys.stderr)
-    if out is sys.stdout:
-        # a buffered stdout keeps what it could not write and flushes it
-        # again at exit; the descriptor goes to os.devnull so that the
-        # second flush succeeds and the exit status stays 2
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
-    return 2
+    return _write([json.dumps(report, sort_keys=True)] if args.json else _lines(report), out)
 
 
 def _run_checker(path: str, out) -> int:
@@ -139,12 +141,7 @@ def _run_checker(path: str, out) -> int:
         return 2
     ok, failures = check_certificate(cert)
     if ok:
-        try:
-            print(f"certificate OK ({len(cert.get('entries', []))} entries)", file=out)
-            out.flush()
-        except OSError as exc:
-            return _unwritable(exc, out)
-        return 0
+        return _write([f"certificate OK ({len(cert.get('entries', []))} entries)"], out)
     for f in failures:
         print(f"certificate FAILED: {f}", file=sys.stderr)
     return 3

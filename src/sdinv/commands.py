@@ -1,4 +1,8 @@
-"""Command line front end: preset invocation, JSON reports, and certificates.
+"""sdinv: degree-3 invariants, gamma-filtration torsion and Witt identities,
+with JSON reports and checkable certificates.
+
+usage: sdinv COMMAND [--json] [--certificate FILE]
+       sdinv --check-certificate FILE
 
 Commands
 --------
@@ -6,26 +10,31 @@ Commands
 * ``chow2 --preset C``: codimension-2 torsion of a variety configuration.
 * ``gamma member --preset C --element EXPR --degree D``: filtration membership.
 * ``gamma report --preset C``: full graded report with the counting identity.
-* ``witt verify --identity ID --trials N --seed S``: randomized identity suite.
-* ``theorem --n N``: one assembled classification row.
+* ``witt verify --identity ID [--trials N] [--seed S]``: randomized identity
+  suite; 100 trials and seed 1 unless given.
+* ``theorem --n N [--trials T] [--seed S]``: one assembled classification
+  row; 12 trials of each alpha suite and seed 1 unless given.
 * ``sl4x4``: the rank-3 pair report.
 * ``--check-certificate FILE``: standalone certificate verification.
+
+Every command takes ``--json`` (print the report as JSON) and ``--certificate
+FILE`` (write a certificate of the report's evidence to FILE).  Each option is
+given at most once, as ``--name value`` or ``--name=value``; a separate value
+is the next token, whatever it starts with.  ``-h`` or ``--help`` where an
+option is expected prints this text.
 
 Exit codes: 0 success, 2 input error, 3 internal inconsistency or failed
 certificate check.  Reports are byte-deterministic for a fixed command,
 seed, and package version.
 """
 
-# The docstring above is the parser's description, printed by ``--help``.
-# This module holds the command table, the backends it dispatches to, the
-# reader of argv built from it, the argparse grammar built from it for help
-# and refusals, and the echo of a parsed command.  ``cli`` reports what a
-# command returns; ``certificate`` replays a command echo through the same
-# table.  Both import this module, which imports neither.
+# The docstring above is the help text.  This module holds the command
+# table, the backends it dispatches to, the reader of argv built from it, and
+# the echo of a parsed command.  ``cli`` reports what a command returns;
+# ``certificate`` replays a command echo through the same table.  Both
+# import this module, which imports neither.
 
 from __future__ import annotations
-
-import functools
 
 from .errors import InputError
 
@@ -199,9 +208,8 @@ def _sl4x4_payload(args):
 # the command table
 #
 # Command words -> (arguments, backend).  Each argument is (name, type,
-# default or None when required), in the order the parser declares them and
-# the report echoes them.  A backend maps the parsed arguments to (results,
-# evidence, cited facts).
+# default or None when required), in the order the report echoes them.  A
+# backend maps the parsed arguments to (results, evidence, cited facts).
 
 _PRESET = ("preset", str, None)
 COMMANDS = {
@@ -221,15 +229,13 @@ COMMANDS = {
 
 def execute(args):
     """(results, evidence, cited) of parsed arguments."""
-    if getattr(args, "words", None) is None:
-        raise InputError("a command is required (inv3, chow2, gamma, witt, theorem, sl4x4)")
     return COMMANDS[args.words][1](args)
 
 
 def normalized_command(args) -> list[str]:
-    """The command words, then every argument in declaration order.  Parsing
-    the echo again would read a separate string value with a leading minus
-    as an option; glued to its flag it stays a value."""
+    """The command words, then every argument in declaration order.  A string
+    value with a leading minus is glued to its flag, ``--element=-2*y1``, as
+    reports and certificates echo it."""
     command = list(args.words)
     for name, kind, _ in COMMANDS[args.words][0]:
         value = getattr(args, name)
@@ -241,113 +247,67 @@ def normalized_command(args) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# reading argv
 #
-# The table reader accepts what a command needs: the command words, then each
-# declared option and ``--certificate`` at most once, as ``--name value`` or
-# ``--name=value``, and ``--json``; or ``--check-certificate FILE`` alone.  It
-# sets the attributes argparse would.  Every other argv (help, abbreviations,
-# repeats, errors) goes to the argparse grammar, so argparse loads only for
-# those and their texts stay its own.
+# The only grammar, and the one the module docstring states: the command
+# words of the table, then each declared option and ``--certificate`` at most
+# once, as ``--name value`` or ``--name=value``, and ``--json``; or
+# ``--check-certificate FILE`` alone.  Anything else is refused.
 
 
 def read(argv: list[str]):
-    """The parsed arguments of ``argv`` as the command table reads them, or
-    None where the table leaves the argv to argparse."""
+    """The parsed arguments of ``argv``, or None where it asks for help.  An
+    argv the grammar does not read raises InputError naming the first token
+    it cannot read."""
     from types import SimpleNamespace
 
     words = tuple(argv[:2])
     if words not in COMMANDS:
         words = words[:1]
-    if words not in COMMANDS:
-        values = _read_options(argv, {"--check-certificate": ("check_certificate", str)})
-        return SimpleNamespace(**values, command=None) if values else None
-    arguments = COMMANDS[words][0]
-    options = {f"--{name}": (name, kind) for name, kind, _ in arguments}
-    options["--json"] = ("json", bool)
-    options["--certificate"] = ("certificate", str)
-    values = _read_options(argv[len(words):], options)
-    if values is None:
-        return None
-    args = {"check_certificate": None, "command": words[0]}
-    if len(words) == 2:
-        args[f"{words[0]}_command"] = words[1]
-    for name, _, default in arguments:
-        if name not in values and default is None:
-            return None
-        args[name] = values.get(name, default)
-    return SimpleNamespace(
-        **args, json=values.get("json", False), certificate=values.get("certificate"),
-        words=words,
-    )
-
-
-def _read_options(tokens: list[str], options: dict) -> dict | None:
-    """``{name: value}`` of the option tokens, each option at most once, or
-    None unless argparse would read each one as given here."""
+    if words in COMMANDS:
+        options = {f"--{name}": (name, kind) for name, kind, _ in COMMANDS[words][0]}
+        options |= {"--json": ("json", bool), "--certificate": ("certificate", str)}
+    elif argv[:1] and argv[0].startswith("-"):
+        words, options = (), {"--check-certificate": ("check_certificate", str)}
+    else:
+        names = ", ".join(" ".join(w) for w in COMMANDS)
+        if not argv:
+            raise InputError(f"a command is required: {names}")
+        # a first word that needs a second one is named with what follows it
+        shown = argv[:2] if any(w[0] == argv[0] for w in COMMANDS if len(w) == 2) else argv[:1]
+        raise InputError(f"unknown command {' '.join(shown)!r}; the commands are {names}")
     values = {}
-    tokens = iter(tokens)
+    tokens = iter(argv[len(words):])
     for token in tokens:
-        option, eq, value = token.partition("=")
-        name, kind = options.get(option, (None, None))
-        if name is None or name in values:
+        if token in ("-h", "--help"):
             return None
+        option, eq, value = token.partition("=")
+        if option not in options:
+            what = "option" if token.startswith("-") else "argument"
+            raise InputError(f"unknown {what} {token!r}")
+        name, kind = options[option]
+        if name in values:
+            raise InputError(f"option {option} is given twice")
         if kind is bool:
             if eq:
-                return None
+                raise InputError(f"option {option} takes no value")
             value = True
         elif not eq:
             value = next(tokens, None)
-            # a separate value that starts with "-" is argparse's to read,
-            # but for the negative integers it reads as values
-            if value is None or value.startswith("-") and not (
-                kind is int and value[1:].isdecimal()
-            ):
-                return None
-        elif value == "--":  # argparse drops a "--" value
-            return None
+            if value is None:
+                raise InputError(f"option {option} needs a value")
         if kind is int:
             try:
                 value = int(value)
             except ValueError:
-                return None
+                raise InputError(f"option {option} needs an integer, not {value!r}") from None
         values[name] = value
-    return values
-
-
-@functools.cache
-def _build_parser():
-    """The command line grammar, built once per process from the command
-    table; parsing does not change it."""
-    import argparse
-
-    class _ArgumentParser(argparse.ArgumentParser):
-        def error(self, message):
-            raise InputError(message)
-
-    parser = _ArgumentParser(prog="sdinv", description=__doc__)
-    parser.add_argument("--check-certificate", metavar="FILE", default=None)
-    sub = parser.add_subparsers(dest="command")
-    groups = {}
-    for words, (arguments, _) in COMMANDS.items():
-        if len(words) == 1:
-            p = sub.add_parser(words[0])
-        else:
-            head, tail = words
-            if head not in groups:
-                groups[head] = sub.add_parser(head).add_subparsers(
-                    dest=f"{head}_command", required=True
-                )
-            p = groups[head].add_parser(tail)
-        for name, kind, default in arguments:
-            p.add_argument(f"--{name}", type=kind, default=default, required=default is None)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--certificate", metavar="FILE", default=None)
-        p.set_defaults(words=words)
-    return parser
-
-
-def parse(argv: list[str]):
-    """The parsed arguments of ``argv``: the table reader's, or argparse's
-    where the reader leaves the argv to it; a parse error raises InputError."""
-    return read(argv) or _build_parser().parse_args(argv)
+    if not words:
+        return SimpleNamespace(words=None, **values)
+    args = {"words": words, "json": False, "certificate": None, **values}
+    for name, _, default in COMMANDS[words][0]:
+        if name not in values:
+            if default is None:
+                raise InputError(f"option --{name} is required")
+            args[name] = default
+    return SimpleNamespace(**args)

@@ -232,18 +232,17 @@ def test_preset_numbers_have_one_spelling(argv, capsys):
     assert capsys.readouterr().err == f"error: malformed {kind} {argv[-1]!r}\n"
 
 
-# SHA-256 of stdout at COLUMNS=80; the description is the docstring of
-# ``sdinv.commands``, which argparse reflows
+# SHA-256 of stdout; the help is the docstring of ``sdinv.commands``
 HELP_DIGESTS = {
-    "--help": "9b74cf64ce6c5eb9083f0c63ee4a860be4d2d19265bbe34ada4e9024dab9a461",
-    "gamma member --help": "b6a7fbf4c86cfced73cac25ec4961ee6aede015e9eeb434fbc0ae53df131e8ea",
+    "--help": "212c3191b7bfabe829fd9e85ce2dbbee499bf28ae2ae4cd8ee9917ff0a0b3512",
+    "gamma member --help": "212c3191b7bfabe829fd9e85ce2dbbee499bf28ae2ae4cd8ee9917ff0a0b3512",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
 def test_help_is_pinned(argv):
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "COLUMNS": "80"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sdinv.cli", *argv.split()],
@@ -251,6 +250,72 @@ def test_help_is_pinned(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS[argv]
+
+
+def test_help_is_written_to_out(capsys):
+    """In-process help is a return value, not an exit: the docstring goes to
+    ``out``, and nothing to the process's stdout or stderr."""
+    for argv in (["--help"], ["-h"], ["inv3", "--help"], ["witt", "verify", "--seed", "2", "-h"]):
+        assert run(argv) == (0, commands.__doc__), argv
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_states_every_command_and_option():
+    """The help names each command of the table with its options, and the
+    options every command takes."""
+    lines = commands.__doc__.splitlines()
+    for words, (arguments, _) in commands.COMMANDS.items():
+        line = next(line for line in lines if line.startswith(f"* ``{' '.join(words)}"))
+        for name, _, _ in arguments:
+            assert f"--{name} " in line, (words, name)
+    for option in ("--json", "--certificate FILE", "--check-certificate FILE", "--help"):
+        assert option in commands.__doc__
+
+
+MEMBER = ["gamma", "member", "--preset", "conics4", "--element", "y1", "--degree", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([], "a command is required: inv3, chow2, gamma member, gamma report, witt verify, "
+             "theorem, sl4x4"),
+        (["inv4", "--preset", "sl2n:2"], "unknown command 'inv4'; the commands are inv3, chow2, "
+             "gamma member, gamma report, witt verify, theorem, sl4x4"),
+        (["gamma", "--preset", "conic1"], "unknown command 'gamma --preset'; the commands are "
+             "inv3, chow2, gamma member, gamma report, witt verify, theorem, sl4x4"),
+        (["inv3", "--pre", "sl2n:2"], "unknown option '--pre'"),
+        (["inv3", "--preset=sl2n:2", "--bogus"], "unknown option '--bogus'"),
+        (["--check-certificate", "F", "--json"], "unknown option '--json'"),
+        (["inv3", "--preset", "sl2n:3", "--preset", "sl2n:2"], "option --preset is given twice"),
+        (["inv3", "--json", "--preset", "sl2n:2", "--json"], "option --json is given twice"),
+        (["inv3", "--preset"], "option --preset needs a value"),
+        (["--check-certificate"], "option --check-certificate needs a value"),
+        (["inv3", "--preset", "sl2n:2", "--json=1"], "option --json takes no value"),
+        (["theorem", "--n", "x"], "option --n needs an integer, not 'x'"),
+        (["theorem", "--n=2", "--seed", "1.5"], "option --seed needs an integer, not '1.5'"),
+        (["inv3"], "option --preset is required"),
+        (MEMBER[:6], "option --degree is required"),
+        (["inv3", "--preset", "sl2n:2", "extra"], "unknown argument 'extra'"),
+        (["--check-certificate", "F", "inv3"], "unknown argument 'inv3'"),
+    ],
+    ids=["none", "unknown-command", "unknown-second-word", "abbreviation", "unknown-option",
+         "checker-option", "repeat", "repeated-flag", "missing-value", "checker-missing-value",
+         "flag-value", "non-integer", "non-integer-seed", "missing-option", "missing-degree",
+         "stray", "checker-stray"],
+)
+def test_refused_argv_exits_2_with_one_error_line(argv, err, capsys):
+    """Each argv the grammar does not read is refused before any work: exit
+    2, nothing on stdout, and one stderr line that names the token."""
+    assert run(argv) == (2, "")
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_a_separate_value_is_the_next_token():
+    """A value with a leading minus reads as a value, and its echo is glued."""
+    code, out = run(MEMBER[:5] + ["-2*y1", "--degree", "1"])
+    assert code == 0
+    assert out.startswith("command: gamma member --preset conics4 --element=-2*y1 --degree 1\n")
 
 
 # --- determinism ------------------------------------------------------------------
@@ -276,17 +341,17 @@ def test_command_echo_parses_back_to_the_same_arguments():
         ["sl4x4"],
     ]
     for argv in argvs:
-        args = commands.parse(argv)
+        args = commands.read(argv)
         echo = commands.normalized_command(args)
-        again = commands.parse(echo)
+        again = commands.read(echo)
         assert vars(again) == vars(args), argv
         assert commands.normalized_command(again) == echo
-    assert commands.normalized_command(commands.parse(argvs[2]))[4] == "--element=-3*y1^2+y2"
-    assert commands.normalized_command(commands.parse(argvs[5]))[-2:] == ["--seed", "-5"]
-    assert {commands.parse(argv).words for argv in argvs} == set(commands.COMMANDS)
+    assert commands.normalized_command(commands.read(argvs[2]))[4] == "--element=-3*y1^2+y2"
+    assert commands.normalized_command(commands.read(argvs[5]))[-2:] == ["--seed", "-5"]
+    assert {commands.read(argv).words for argv in argvs} == set(commands.COMMANDS)
 
 
-# --- the table reader against argparse -----------------------------------------
+# --- the table reader on drawn argvs -------------------------------------------
 
 _OPTION_STRINGS = sorted(
     {f"--{name}" for arguments, _ in commands.COMMANDS.values() for name, _, _ in arguments}
@@ -335,14 +400,22 @@ def _argvs(draw):
 @given(_argvs())
 @example(["theorem", "--n", "2", "--seed", "-5"])
 @example(["gamma", "member", "--preset", "c", "--element=-2*y1", "--degree=-3", "--json"])
+@example(["gamma", "member", "--preset", "c", "--element", "-h", "--degree", "1"])
 @example(["--check-certificate", "F"])
 @example(["--check-certificate="])
 @example(["witt", "verify", "--identity", "alpha2", "--certificate=", "--trials", "\u0663"])
-def test_table_reader_agrees_with_argparse(argv):
-    """Wherever the table reader accepts an argv, it sets what argparse sets."""
-    args = commands.read(argv)
-    if args is not None:
-        assert vars(args) == vars(commands._build_parser().parse_args(argv)), argv
+def test_table_reader_reads_or_refuses(argv):
+    """The reader returns arguments, a help request (None) or raises
+    InputError, never anything else; what it reads as a command echoes
+    through ``normalized_command`` to an argv that reads back equal."""
+    try:
+        args = commands.read(argv)
+    except errors.InputError:
+        return
+    if args is None or args.words is None:
+        return
+    echo = commands.normalized_command(args)
+    assert vars(commands.read(echo)) == {**vars(args), "json": False, "certificate": None}, argv
 
 
 def test_json_report_roundtrip():

@@ -5,9 +5,9 @@ A fixed command set runs in one fresh process under ``sys.setprofile``: a
 fresh process, because the ``lru_cache``s that other tests warm would hide
 the callees of a cached function.  Each command runs plain, then with
 ``--json --certificate F``, then as ``--check-certificate F``; each refusal
-runs once, and so does a report to an output that cannot take it.  Every
-entered code object is mapped to its ``def`` by file, first line and name
-(``co_qualname`` is Python 3.11+).  A function that only tests call belongs
+runs once, and so do ``--help`` and a report to an output that cannot take
+it.  Every entered code object is mapped to its ``def`` by file, first line
+and name (``co_qualname`` is Python 3.11+).  A function that only tests call belongs
 in ``tests/``, so the functions never entered must be exactly the allowlist.
 """
 
@@ -92,6 +92,7 @@ with tempfile.TemporaryDirectory() as tmp:
             assert cli.run(run, out=io.StringIO()) == 0, run
     for argv in refusals:
         assert cli.run(argv.split(), out=io.StringIO()) == 2, argv
+    assert cli.run(["--help"], out=io.StringIO()) == 0
     assert cli.run(commands[0].split(), out=Full()) == 2
 sys.setprofile(None)
 print(json.dumps(sorted(entered)))

@@ -124,9 +124,9 @@ def test_certificates_load_no_dataclasses_or_fractions(argv, tmp_path):
 
 
 # ``argparse`` imports ``gettext``, which imports ``locale``: about 2 ms of a
-# fresh process, and building the grammar and the first parse about 3 ms
-# more (Python 3.11, 2 vCPUs).  The command table reads every argv that a
-# command runs on; argparse loads for help and refusals only.
+# fresh process, and building a grammar and the first parse about 3 ms more
+# (Python 3.11, 2 vCPUs).  The command table reads, refuses and documents
+# every argv, so no argv loads them.
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 
@@ -146,41 +146,40 @@ import contextlib, io, json, sys
 from sdinv import cli
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    try:
-        code = cli.run(sys.argv[1:])
-    except SystemExit as exc:
-        code = exc.code
-print(json.dumps([code, out.getvalue(), err.getvalue(), "argparse" in sys.modules]))
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), sorted(sys.modules)]))
 """
 
 
 @pytest.mark.parametrize(
     "argv, code, err",
     [
-        (["inv3"], 2, "error: the following arguments are required: --preset\n"),
-        (GAMMA_MEMBER[:5] + ["-2*y1", "--degree", "1"], 2,
-         "error: argument --element: expected one argument\n"),
-        (["theorem", "--n", "x"], 2, "error: argument --n: invalid int value: 'x'\n"),
-        (["inv3", "--pre", "sl2n:2"], 0, ""),
-        (INV3 + ["--preset", "sl2n:3"], 0, ""),
+        (["inv3"], 2, "error: option --preset is required\n"),
+        (GAMMA_MEMBER[:5] + ["-2*y1", "--degree", "1"], 0, ""),
+        (["theorem", "--n", "x"], 2, "error: option --n needs an integer, not 'x'\n"),
+        (["inv3", "--pre", "sl2n:2"], 2, "error: unknown option '--pre'\n"),
+        (INV3 + ["--preset", "sl2n:3"], 2, "error: option --preset is given twice\n"),
         (["--help"], 0, ""),
     ],
     ids=["missing", "leading-minus", "invalid-int", "abbreviation", "repeat", "help"],
 )
-def test_argparse_reads_what_the_table_refuses(argv, code, err):
-    """Help, refusals and the spellings the table leaves to argparse (an
-    abbreviation, a repeated option) load argparse, and its texts."""
+def test_help_and_refusals_load_no_argparse(argv, code, err):
+    """Help, refusals, and a separate value with a leading minus are read by
+    the command table in a fresh process, with no argparse."""
     got = json.loads(_fresh(_PROBE_TEXT, *argv))
-    assert got[0] == code and got[2] == err and got[3]
+    assert got[0] == code and got[2] == err
+    assert not set(got[3]) & ARGPARSE
     if argv == ["--help"]:
-        assert got[1].startswith("usage: sdinv [-h] [--check-certificate FILE]")
+        assert got[1].startswith("sdinv: degree-3 invariants")
     elif code == 0:
-        assert got[1].startswith("command: inv3 --preset ")
+        assert got[1].startswith("command: gamma member --preset conic1 --element=-2*y1 ")
 
 
-def test_no_module_imports_dataclasses():
+def _importers_of(package: str) -> list[str]:
+    """The sdinv modules that import ``package`` anywhere in their source."""
     paths = sorted(Path(SRC, "sdinv").glob("*.py"))
     assert len(paths) >= 10
+    found = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -189,7 +188,18 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            assert not any(m.partition(".")[0] == "dataclasses" for m in modules), path.name
+            if any(m.partition(".")[0] == package for m in modules):
+                found.append(path.name)
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    assert _importers_of("dataclasses") == []
+
+
+def test_no_module_imports_argparse():
+    """So no argv, help and refusals included, loads argparse."""
+    assert _importers_of("argparse") == []
 
 
 def test_import_sdinv_loads_no_compute_module():
@@ -206,8 +216,8 @@ def test_import_sdinv_cli_loads_the_front_end_only():
 
 
 def test_commands_imports_only_functools_and_errors_at_module_level():
-    """Backends import the compute modules they run when they are called, and
-    the argparse grammar imports argparse when it is built."""
+    """Backends import the compute modules they run when they are called; at
+    module level the command table imports ``errors`` alone."""
     tree = ast.parse(Path(SRC, "sdinv", "commands.py").read_text())
     imported = set()
     for node in tree.body:
@@ -215,7 +225,7 @@ def test_commands_imports_only_functools_and_errors_at_module_level():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert imported == {"__future__", "functools", ".errors"}
+    assert imported == {"__future__", ".errors"}
 
 
 # Every name the package namespace exported when it imported all of its
