@@ -1,5 +1,5 @@
 """Command line front end: runs a command of :mod:`sdinv.commands` and
-prints its report, or the help (that module's docstring), writes and checks
+prints its report, or the help (that module's ``HELP``), writes and checks
 certificate files, and maps errors to the exit codes 0 (success), 2 (input
 error) and 3 (internal inconsistency or failed certificate check).
 """
@@ -65,7 +65,7 @@ def run(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args is None:
-        return _write(commands.__doc__.splitlines(), out)
+        return _write(commands.HELP.splitlines(), out)
     if args.words is None:
         return _run_checker(args.check_certificate, out)
 

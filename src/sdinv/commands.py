@@ -1,4 +1,15 @@
-"""sdinv: degree-3 invariants, gamma-filtration torsion and Witt identities,
+# ``HELP`` below is the help text and the module docstring: ``cli`` prints
+# the constant, which ``python -OO`` keeps where it strips docstrings.  This
+# module holds the command table, the backends it dispatches to, the reader
+# of argv built from it, and the echo of a parsed command.  ``cli`` reports
+# what a command returns; ``certificate`` replays a command echo through the
+# same table.  Both import this module, which imports neither.
+
+from __future__ import annotations
+
+from .errors import InputError
+
+HELP = """sdinv: degree-3 invariants, gamma-filtration torsion and Witt identities,
 with JSON reports and checkable certificates.
 
 usage: sdinv COMMAND [--json] [--certificate FILE]
@@ -27,16 +38,7 @@ Exit codes: 0 success, 2 input error, 3 internal inconsistency or failed
 certificate check.  Reports are byte-deterministic for a fixed command,
 seed, and package version.
 """
-
-# The docstring above is the help text.  This module holds the command
-# table, the backends it dispatches to, the reader of argv built from it, and
-# the echo of a parsed command.  ``cli`` reports what a command returns;
-# ``certificate`` replays a command echo through the same table.  Both
-# import this module, which imports neither.
-
-from __future__ import annotations
-
-from .errors import InputError
+__doc__ = HELP
 
 # ---------------------------------------------------------------------------
 # computation backends

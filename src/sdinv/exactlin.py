@@ -44,12 +44,7 @@ import operator
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (  # noqa: F401  (MAX_AMBIENT_RANK is re-exported)
-    MAX_AMBIENT_RANK,
-    ContainmentError,
-    InputError,
-    InternalInconsistencyError,
-)
+from .errors import ContainmentError, InputError, InternalInconsistencyError
 
 
 # ---------------------------------------------------------------------------

@@ -224,11 +224,6 @@ def _pfisters(*slot_tuples) -> DiagonalForm:
     return DiagonalForm(tuple(entries))
 
 
-class QuaternionDatum(NamedTuple):
-    a: int
-    b: int
-
-
 class WittInvariants(NamedTuple):
     dimension: int
     signed_discriminant: int
@@ -319,11 +314,11 @@ def in_power_of_i(f: DiagonalForm, n: int, places) -> bool:
 # quaternion tuples
 
 
-def brauer_relation_holds(quats, places) -> bool:
-    """Whether the classes of the quaternions sum to zero: at every relevant
-    place the product of local symbols is +1.  ``places`` must include every
-    odd prime dividing a slot."""
-    pairs = [(_num_den(q.a), _num_den(q.b)) for q in quats]
+def brauer_relation_holds(pairs, places) -> bool:
+    """Whether the quaternions (a, b) of the nonzero integer ``pairs`` sum to
+    zero in the Brauer group: at every relevant place the product of local
+    symbols is +1.  ``places`` must include every odd prime dividing a
+    slot."""
     for v in places:
         _check_place(v)
     return not any(_brauer_bit(pairs, v) for v in places)
@@ -384,20 +379,10 @@ def sample_norm(rng: SplitMix64, radicand: int) -> int:
     raise InternalInconsistencyError("norm sampling failed to find a nonzero value")
 
 
-class ChainConfiguration(NamedTuple):
-    q1: QuaternionDatum
-    q2: QuaternionDatum
-    q3: QuaternionDatum
-    q4: QuaternionDatum
-    x: int
-    y: int
-    z: int
-    sample: tuple[tuple[str, str], ...]
-
-
-def sample_chain_configuration(seed: int) -> ChainConfiguration:
-    """Quadruple of quaternions with vanishing Brauer sum, built so the
-    biquaternion chain constraints hold by construction.
+def sample_chain_configuration(seed: int) -> tuple[tuple[str, str], ...]:
+    """Sample of the slots a, b, c, d, x, y, z of the quaternions (a, b),
+    (c, d), (a, b w), (c, d w) with w = x y z, whose Brauer sum vanishes and
+    whose biquaternion chain constraints hold by construction.
 
     The slots x, y, z are norms from the quadratic extension by the product
     of the first slots, which forces the three linking classes to vanish;
@@ -417,11 +402,7 @@ def sample_chain_configuration(seed: int) -> ChainConfiguration:
     (A, B, C, D, X, Y, Z), places = _classes_and_places(slots)
     mul = square_class_mul
     w = mul(mul(X, Y), Z)
-    q1 = QuaternionDatum(A, B)
-    q2 = QuaternionDatum(C, D)
-    q3 = QuaternionDatum(A, mul(B, w))
-    q4 = QuaternionDatum(C, mul(D, w))
-    quats = (q1, q2, q3, q4)
+    quats = ((A, B), (C, D), (A, mul(B, w)), (C, mul(D, w)))
     # every slot of the quaternions is a product of the sampled classes
     if not brauer_relation_holds(quats, places):
         raise InternalInconsistencyError("constructed chain violates the Brauer relation")
@@ -429,8 +410,7 @@ def sample_chain_configuration(seed: int) -> ChainConfiguration:
         if hilbert_symbol(ac, radicand, 2) != 1:
             # norms are split everywhere by construction; spot check
             raise InternalInconsistencyError("norm slot fails its local check")
-    sample = tuple((k, str(v)) for k, v in zip("abcdxyz", slots))
-    return ChainConfiguration(q1, q2, q3, q4, x, y, z, sample)
+    return tuple((k, str(v)) for k, v in zip("abcdxyz", slots))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +483,7 @@ _IDENTITIES = (
     # the chain sampler gives a fully constrained configuration
     _Identity("alpha4_full", "abcdxyz", "mod-I4", lambda a, b, c, d, x, y, z: _linked(
         a, b, c, d, square_class_mul(square_class_mul(x, y), z)),
-        lambda rng: sample_chain_configuration(rng.next_u64() or 1).sample),
+        lambda rng: sample_chain_configuration(rng.next_u64() or 1)),
 )
 
 IDENTITY_IDS = tuple(row.identity_id for row in _IDENTITIES)

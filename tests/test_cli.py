@@ -158,7 +158,7 @@ def test_ring_rank_over_the_limit_exits_2(preset, capsys):
     start = time.perf_counter()
     code, _ = run(["gamma", "report", "--preset", preset])
     assert code == 2
-    assert f"limit of {exactlin.MAX_AMBIENT_RANK}" in capsys.readouterr().err
+    assert f"limit of {errors.MAX_AMBIENT_RANK}" in capsys.readouterr().err
     assert time.perf_counter() - start < 2.0
 
 
@@ -250,6 +250,23 @@ def test_help_is_pinned(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS[argv]
+
+
+def test_help_survives_stripped_docstrings():
+    """``python -OO`` strips docstrings, not the help constant: the help
+    prints the same bytes, exits 0 and writes nothing to stderr."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    plain, stripped = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "sdinv.cli", "--help"],
+            capture_output=True, env=env, timeout=60,
+        )
+        for flags in ((), ("-OO",))
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert (stripped.returncode, stripped.stdout, stripped.stderr) == (0, plain.stdout, b"")
 
 
 def test_help_is_written_to_out(capsys):
@@ -1323,7 +1340,7 @@ def test_checker_bounds_ambient_rank(tmp_path, capsys):
     code, _ = run(["--check-certificate", str(path)])
     assert code == 3
     assert time.perf_counter() - start < 2.0
-    assert f"limit of {exactlin.MAX_AMBIENT_RANK}" in capsys.readouterr().err
+    assert f"limit of {errors.MAX_AMBIENT_RANK}" in capsys.readouterr().err
 
 
 # --- the entry layer alone --------------------------------------------------------

@@ -52,7 +52,6 @@ REFUSALS = (
 
 # qualified name -> why no command of the set enters it
 ALLOWED = {
-    "__init__.__dir__": "lazy-export hook, run by dir(sdinv)",
     "cli.main": "console-script entry; the set calls cli.run",
     "_factor._pollard_rho": "factoring past trial division; sampled slots are 23-smooth",
     "exactlin.FinAbelianGroup.__eq__": "value-type equality",

@@ -1,12 +1,11 @@
-"""Start-up cost: each command loads only the sdinv modules it runs, and the
-package namespace resolves its exports lazily.
+"""Start-up cost: each command loads only the sdinv modules it runs, and
+``import sdinv`` loads none.
 
 Every command runs in a fresh interpreter, because the test process itself
 has imported every module.
 """
 
 import ast
-import importlib
 import json
 import os
 import subprocess
@@ -227,44 +226,3 @@ def test_commands_imports_only_functools_and_errors_at_module_level():
             imported.add("." * node.level + (node.module or ""))
     assert imported == {"__future__", ".errors"}
 
-
-# Every name the package namespace exported when it imported all of its
-# submodules, with the module it was imported from.
-_EXPORTED = {
-    "exactlin": (
-        "ContainmentError", "FinAbelianGroup", "InputError", "IntMatrix",
-        "InternalInconsistencyError", "Lattice", "MembershipResult",
-        "SmithDecomposition", "lattice_index", "lattice_membership",
-        "smith_normal_form", "subquotient_presentation",
-    ),
-    "kgamma": (
-        "chow2_torsion", "filtration_membership", "gamma_filtration", "get_config",
-        "graded_torsion", "parse_element", "quillen_lattice",
-    ),
-    "presets": ("assemble_theorem", "sl4x4_report", "theorem_table"),
-    "roots": (
-        "character_lattice", "dec_subgroup", "get_preset", "indecomposable_group",
-        "invariant_quadratic_lattice", "project_to_semisimple",
-    ),
-    "wittq": (
-        "DiagonalForm", "QuaternionDatum", "hilbert_symbol",
-        "sample_chain_configuration", "verify_identity",
-    ),
-}
-
-
-@pytest.mark.parametrize("module", sorted(_EXPORTED))
-def test_package_exports_resolve_to_their_definitions(module):
-    source = importlib.import_module(f"sdinv.{module}")
-    for name in _EXPORTED[module]:
-        namespace = {}
-        exec(f"from sdinv import {name}", namespace)
-        obj = namespace[name]
-        assert obj is getattr(source, name), name
-        assert obj is getattr(importlib.import_module(obj.__module__), name), name
-    assert set(_EXPORTED[module]) <= set(sdinv.__all__) <= set(dir(sdinv))
-
-
-def test_unknown_package_attribute_raises():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        sdinv.no_such_name

@@ -10,7 +10,6 @@ from sdinv.exactlin import InputError
 from sdinv.wittq import (
     IDENTITY_IDS,
     DiagonalForm,
-    QuaternionDatum,
     SplitMix64,
     _brauer_bit,
     _classes_and_places,
@@ -304,7 +303,7 @@ def test_canonical_slot_pfister_matches_expansion(slots):
 
 
 def test_quaternion_norm_form():
-    assert _pfisters(QuaternionDatum(2, 3)).entries == (1, -2, -3, 6)
+    assert _pfisters((2, 3)).entries == (1, -2, -3, 6)
 
 
 @settings(max_examples=50, deadline=None)
@@ -589,12 +588,11 @@ def test_hilbert_symbol_matches_pairwise_oracle(a, b, place):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_RAW, _RAW), min_size=1, max_size=4))
 def test_brauer_relation_matches_pairwise_symbols(pairs):
-    quats = [QuaternionDatum(a, b) for a, b in pairs]
     places = relevant_places([square_class(x) for pair in pairs for x in pair])
     expected = all(brauer_oracle(pairs, v) == 0 for v in places)
-    assert brauer_relation_holds(quats, places) == expected
+    assert brauer_relation_holds(pairs, places) == expected
     # a tuple next to its own copy always sums to zero
-    assert brauer_relation_holds(quats + quats, places)
+    assert brauer_relation_holds(pairs + pairs, places)
 
 
 # --- ideal powers ----------------------------------------------------------------------
@@ -640,23 +638,30 @@ def test_chain_configuration_norm_example():
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 9, 77])
 def test_chain_configuration_brauer_relation(seed):
-    cfg = sample_chain_configuration(seed)
-    quats = (cfg.q1, cfg.q2, cfg.q3, cfg.q4)
-    assert brauer_relation_holds(quats, relevant_places([x for q in quats for x in q]))
+    """From the sample alone: the quaternions (A, B), (C, D), (A, B w),
+    (C, D w) with w = X Y Z, built from the seven sampled classes, sum to
+    zero at every relevant place, and the norms x, y, z from the extension by
+    ac satisfy (ac, x) = (ac, y) = (ac, z) = 1 at every place, not only at 2,
+    where the sampler spot-checks them."""
+    sample = sample_chain_configuration(seed)
+    assert [k for k, _ in sample] == list("abcdxyz")
+    values = [int(v) for _, v in sample]
+    # inf, 2 and every odd prime dividing a slot: at any other prime each
+    # symbol below has two unit arguments and is +1
+    (A, B, C, D, X, Y, Z), places = _classes_and_places(values)
+    w = square_class_mul(square_class_mul(X, Y), Z)
+    quats = [(A, B), (C, D), (A, square_class_mul(B, w)), (C, square_class_mul(D, w))]
+    assert brauer_relation_holds(quats, places)
+    for v in places:
+        assert brauer_oracle(quats, v) == 0, v
+        for norm in values[4:]:
+            assert _hilbert_bit(values[0] * values[2], norm, v) == 0, (norm, v)
 
 
 def test_chain_configuration_reproducible():
     a = sample_chain_configuration(42)
     b = sample_chain_configuration(42)
     assert a == b
-
-
-def test_chain_same_first_slots_degenerate():
-    cfg = sample_chain_configuration(1)
-    quats = (cfg.q1, cfg.q2, cfg.q3, cfg.q4)
-    # relation reduces along shared slots: the product of all four classes
-    # splits at every place by construction
-    assert brauer_relation_holds(quats, relevant_places([x for q in quats for x in q]))
 
 
 # --- identities --------------------------------------------------------------------------
