@@ -225,4 +225,3 @@ def test_commands_imports_only_functools_and_errors_at_module_level():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported == {"__future__", ".errors"}
-
