@@ -664,6 +664,21 @@ def test_chain_configuration_reproducible():
     assert a == b
 
 
+def test_chain_same_first_slots_degenerate():
+    sample = sample_chain_configuration(1)
+    (A, B, C, D, X, Y, Z), places = _classes_and_places([int(v) for _, v in sample])
+    w = square_class_mul(square_class_mul(X, Y), Z)
+    quats = [(A, B), (C, D), (A, square_class_mul(B, w)), (C, square_class_mul(D, w))]
+    # relation reduces along shared slots: (A, B) + (A, B w) = (A, w) and
+    # (C, D) + (C, D w) = (C, w), so the four quaternions sum to (A C, w),
+    # which splits at every place because w is a norm from the extension by ac
+    reduced = [(square_class_mul(A, C), w)]
+    for v in places:
+        assert _brauer_bit(quats, v) == _brauer_bit(reduced, v), v
+    assert brauer_relation_holds(reduced, places)
+    assert brauer_relation_holds(quats, places)
+
+
 # --- identities --------------------------------------------------------------------------
 
 
