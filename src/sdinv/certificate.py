@@ -5,10 +5,11 @@ list is built from the evidence its report was read from, so writing a
 certificate computes nothing the report did not.  Verification runs in two
 layers:
 
-* the algebraic layer re-verifies each entry on its own terms with the
-  exact linear algebra primitives (products of stored transforms, membership
-  coordinates, torsion witness orders) or, for randomized trials, by
-  re-deciding the stored samples.  A torsion witness is a bare vector: the
+* the algebraic layer refuses an entry that holds a number other than a
+  JSON integer, one rule for every kind, then re-verifies each entry on its
+  own terms with the exact linear algebra primitives (products of stored
+  transforms, membership coordinates, torsion witness orders) or, for
+  randomized trials, by re-deciding the stored samples.  A torsion witness is a bare vector: the
   stored Smith decomposition maps the subquotient onto the sum of the
   ``Z/d_i``, so the image of the witness under ``U`` proves its order with
   nothing factored;
@@ -26,6 +27,7 @@ produced them.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from typing import TYPE_CHECKING
 
@@ -138,7 +140,7 @@ def witt_trials_entry(cases) -> dict:
         "cases": [
             {
                 "trial": c.trial,
-                "sample": [[k, v] for k, v in c.sample],
+                "sample": [[k, str(v)] for k, v in c.sample],
                 "lhs": list(c.lhs),
                 "rhs": list(c.rhs),
                 "level": c.congruence_level,
@@ -276,26 +278,27 @@ class CertificateError(Exception):
     pass
 
 
-# entry fields that hold text or a flag
-_NON_NUMBER_FIELDS = frozenset({"kind", "label", "holds", "obstruction"})
+# Evidence is exact: ``int()`` would truncate a float into a passing claim and
+# ``==`` takes 2.0 for 2, so every number of an entry must be a JSON integer
+# (a bool is not), checked on the whole entry before its verifier runs.  The
+# fields below hold text or a flag, and a rank obstruction leaves its prime
+# and power null.
+_NON_NUMBER_FIELDS = frozenset(
+    {"kind", "label", "holds", "obstruction", "member", "verdict", "identity", "level", "sample"}
+)
+_NULL_FIELDS = frozenset({"prime", "power"})
 
 
 def _only_integers(value) -> bool:
-    """Every number in ``value``, through lists and dict fields, is an int
-    (a bool is not)."""
+    """Every number in ``value``, through lists and dict fields, is an int."""
     if isinstance(value, list):
         return all(type(x) is int or _only_integers(x) for x in value)
     if isinstance(value, dict):
-        return all(_only_integers(v) for k, v in value.items() if k not in _NON_NUMBER_FIELDS)
+        return all(
+            k in _NON_NUMBER_FIELDS or (v is None and k in _NULL_FIELDS) or _only_integers(v)
+            for k, v in value.items()
+        )
     return type(value) is int
-
-
-def _refuse_non_integers(entry) -> None:
-    """Evidence is exact: ``int()`` would truncate a float into a passing
-    claim and ``==`` takes 2.0 for 2, so an entry holding a number that is
-    not a JSON integer fails before any arithmetic runs."""
-    if not _only_integers(entry):
-        raise CertificateError(f"{entry.get('label', entry['kind'])}: evidence holds a non-integer")
 
 
 def _stated_lattice(entry, key: str) -> Lattice:
@@ -328,39 +331,65 @@ def _verify_lattice_basis(entry) -> None:
     canonical."""
     from .exactlin import Lattice
 
-    _refuse_non_integers(entry)
     lat = Lattice.from_columns(entry["ambient_rank"], entry["generators"])
     if list(lat.basis_columns) != [tuple(c) for c in entry["canonical_basis"]]:
         raise CertificateError(f"{entry['label']}: canonical basis mismatch")
 
 
+def _pairing(functional, w) -> int:
+    return sum(map(operator.mul, functional, w))
+
+
+def _divisible_by_prime_power(x: int, p: int, e: int) -> bool:
+    """``p**e`` divides ``x``, decided in at most ``log_p |x| + 1`` divisions
+    without forming ``p**e``, so a huge stated ``e`` costs nothing."""
+    if x == 0:
+        return True
+    while e:
+        x, r = divmod(x, p)
+        if r:
+            return False
+        e -= 1
+    return True
+
+
+def _membership_holds(entry) -> bool:
+    """YES: the coordinates rebuild the vector from the columns.  NO, a rank
+    obstruction: the functional pairs to 0 with every column but not with the
+    vector; a modular one: the same with 0 mod ``prime**power``, for a prime
+    of at least 2 and a power of at least 1."""
+    columns, vector = entry["lattice_basis"], entry["vector"]
+    if entry["member"]:
+        coords = entry["coordinates"]
+        if len(coords) != len(columns):
+            return False
+        rebuilt = [_pairing(row, coords) for row in zip(*columns)] if columns else [0] * len(vector)
+        return rebuilt == vector
+    c = entry["certificate"]
+    pairs = [_pairing(c["functional"], g) for g in columns]
+    target = _pairing(c["functional"], vector)
+    if c["obstruction"] == "rank":
+        return target != 0 and not any(pairs)
+    p, e = c["prime"], c["power"]
+    if c["obstruction"] != "modular" or p is None or e is None or p < 2 or e < 1:
+        return False
+    return not _divisible_by_prime_power(target, p, e) and all(
+        _divisible_by_prime_power(x, p, e) for x in pairs
+    )
+
+
 def _verify_membership(entry) -> None:
     """The evidence is checked against the stored columns as they stand, so
     no Hermite form runs."""
-    from .exactlin import MembershipResult, NonMembershipCertificate
-
-    columns = [tuple(c) for c in entry["lattice_basis"]]
-    vector = tuple(entry["vector"])
-    if any(len(c) != entry["ambient_rank"] for c in columns + [vector]):
+    if any(len(c) != entry["ambient_rank"] for c in entry["lattice_basis"] + [entry["vector"]]):
         raise CertificateError(f"{entry['label']}: a length differs from the ambient rank")
-    if entry["member"]:
-        res = MembershipResult(True, coordinates=tuple(entry["coordinates"]))
-    else:
-        c = entry["certificate"]
-        res = MembershipResult(
-            False,
-            certificate=NonMembershipCertificate(
-                c["obstruction"], tuple(c["functional"]), c["prime"], c["power"]
-            ),
-        )
-    if not res.check(vector, columns):
+    if not _membership_holds(entry):
         raise CertificateError(f"{entry['label']}: membership evidence fails")
 
 
 def _verify_subquotient(entry) -> None:
     from .exactlin import IntMatrix, SmithDecomposition
 
-    _refuse_non_integers(entry)
     sup = _stated_lattice(entry, "sup_basis")
     sub = _stated_lattice(entry, "sub_basis")
     relation = IntMatrix.from_rows(entry["relation"])
@@ -413,13 +442,11 @@ def _verify_subquotient(entry) -> None:
 def _verify_index(entry) -> None:
     from .exactlin import lattice_index
 
-    _refuse_non_integers(entry)
     if lattice_index(_stated_lattice(entry, "sub_basis")) != entry["index"]:
         raise CertificateError(f"{entry['label']}: index mismatch")
 
 
 def _verify_counting(entry) -> None:
-    _refuse_non_integers(entry)
     total = 1
     for t in entry["torsion_orders"]:
         total *= t
@@ -436,7 +463,6 @@ def _verify_counting(entry) -> None:
 def _verify_fixed_vectors(entry) -> None:
     from .exactlin import IntMatrix, det
 
-    _refuse_non_integers(entry)
     mats = [IntMatrix.from_rows(m) for m in entry["matrices"]]
     # one side for every matrix and vector, checked before the cubic det
     sides = {m.rows for m in mats} | {m.cols for m in mats} | set(map(len, entry["vectors"]))
@@ -455,53 +481,48 @@ def _verify_fixed_vectors(entry) -> None:
                 raise CertificateError(f"{entry['label']}: vector moves under the action")
 
 
-# Bit budget of numerator times denominator of a sample value the checker
-# re-decides.  Sampled slots are below 7,430 and sampled norms below 2**33, so
-# it never rejects a sample the package wrote, and it keeps the factoring of
-# each value cheap.
+# Bit budget of a sample value the checker re-decides.  Sampled slots are
+# below 7,430 and sampled norms below 2**33, so it never rejects a sample the
+# package wrote, and it keeps the factoring of each value cheap.
 MAX_SAMPLE_BITS = 64
 
-# Sample text read as a number: an integer or a fraction whose parts have at
-# most 20 digits, as every value within the budget has.  Other text would
-# reach ``Fraction``, which reads "1e10000000" by computing 10**10000000.
-# The package writes every sample as text, so any other JSON value, a float
-# included, is refused before it reaches arithmetic.  A value is then read
-# by ``wittq._num_den``, as replay reads it: integer text without loading
-# ``fractions``.
-_SAMPLE_TEXT = re.compile(r"[+-]?[0-9]{1,20}(/[0-9]{1,20})?")
+# Sample text read as a number: integer text of at most 20 digits, as every
+# value within the budget has, the text ``witt_trials_entry`` writes.  Any
+# other text or JSON value, a float included, is refused before it reaches
+# arithmetic.
+_SAMPLE_TEXT = re.compile(r"[+-]?[0-9]{1,20}")
 
 
 def _verify_witt_trials(entry) -> None:
-    from .wittq import _identity, _num_den, verify_case
+    from .wittq import _identity, verify_case
 
     cases, trials = entry["cases"], entry["trials"]
     slots = list(_identity(entry["identity"]).slots)
-    if type(trials) is not int or not 1 <= trials == len(cases) <= MAX_TRIALS:
+    if not 1 <= trials == len(cases) <= MAX_TRIALS:
         raise CertificateError(
             f"witt trials of {entry['identity']}: trials must equal the number of "
             f"cases, from 1 to {MAX_TRIALS}"
         )
     for i, case in enumerate(cases):
-        if type(case["trial"]) is not int or case["trial"] != i:
+        if case["trial"] != i:
             raise CertificateError(f"witt trial {i} of {entry['identity']}: trial out of order")
-        sample = tuple((k, v) for k, v in case["sample"])
-        if [k for k, _ in sample] != slots:
+        if [k for k, _ in case["sample"]] != slots:
             raise CertificateError(
                 f"witt trial {i} of {entry['identity']}: sample names are not the slots "
                 f"{', '.join(slots)}"
             )
-        for k, v in sample:
+        for k, v in case["sample"]:
             if not (isinstance(v, str) and _SAMPLE_TEXT.fullmatch(v)):
                 raise CertificateError(
                     f"witt trial {i} of {entry['identity']}: sample {k} is not a "
                     f"numeral within the {MAX_SAMPLE_BITS}-bit replay limit"
                 )
-            if _num_den(v).bit_length() > MAX_SAMPLE_BITS:
+            if int(v).bit_length() > MAX_SAMPLE_BITS:
                 raise CertificateError(
                     f"witt trial {i} of {entry['identity']}: sample {k} "
                     f"exceeds the {MAX_SAMPLE_BITS}-bit replay limit"
                 )
-        redone = verify_case(entry["identity"], sample)
+        redone = verify_case(entry["identity"], tuple((k, int(v)) for k, v in case["sample"]))
         if (
             list(redone.lhs) != case["lhs"]
             or list(redone.rhs) != case["rhs"]
@@ -575,6 +596,10 @@ def check_certificate(cert, replay: bool = True) -> tuple[bool, list[str]]:
         return False, [f"certificate has no {k!r} key" for k in missing]
     for i, entry in enumerate(entries):
         try:
+            if not _only_integers(entry):
+                raise CertificateError(
+                    f"{entry.get('label', entry['kind'])}: evidence holds a non-integer"
+                )
             _VERIFIERS[entry["kind"]](entry)
         except CertificateError as exc:
             failures.append(f"entry {i}: {exc}")

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import __version__, commands
-from .errors import InputError, InternalInconsistencyError
+from .errors import MAX_CERTIFICATE_BYTES, InputError, InternalInconsistencyError
 
 REPORT_FORMAT = "sdinv-report/1"
 
@@ -129,12 +129,23 @@ def _report(args, out) -> int:
     return _write([json.dumps(report, sort_keys=True)] if args.json else _lines(report), out)
 
 
+def _certificate_text(path: str) -> str:
+    """The text of a certificate file of at most ``MAX_CERTIFICATE_BYTES``.
+    A regular file's size is known before it is read; any other file, a pipe
+    say, is read to one byte past the limit."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = b"" if size > MAX_CERTIFICATE_BYTES else fh.read(MAX_CERTIFICATE_BYTES + 1)
+    if max(size, len(data)) > MAX_CERTIFICATE_BYTES:
+        raise ValueError(f"the file exceeds the limit of {MAX_CERTIFICATE_BYTES} bytes")
+    return data.decode("utf-8")
+
+
 def _run_checker(path: str, out) -> int:
     from .certificate import check_certificate
 
     try:
-        with open(path) as fh:
-            cert = json.load(fh)
+        cert = json.loads(_certificate_text(path))
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers malformed JSON and integers past the digit limit
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)

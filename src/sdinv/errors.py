@@ -32,3 +32,8 @@ MAX_TRIALS = 10_000
 # Numbers n of rank-1 factors of the ``gl2n:{n}`` / ``sl2n:{n}`` presets and
 # of the theorem rows; a preset or row outside the range is refused.
 N_RANGE = range(2, 9)
+
+# Largest certificate file the checker reads, in bytes; a larger file exits
+# with code 2 before it is read.  The largest certificate a command writes,
+# that of ``gamma report --preset split:128``, is 291,515,230 bytes.
+MAX_CERTIFICATE_BYTES = 300_000_000

@@ -4,8 +4,10 @@ certificates, indices, and the invariant-factor structure of finitely
 generated abelian groups presented as subquotients of lattices.
 
 All arithmetic uses arbitrary-precision integers.  Modular arithmetic
-appears only in non-membership certificates, which are verified
-independently of the code that produced them.
+appears only in non-membership certificates.  ``MembershipResult`` and
+``NonMembershipCertificate`` are results only: membership evidence is
+checked by the certificate checker (:mod:`sdinv.certificate`), from the
+entry a certificate writes and independently of the code that produced it.
 
 Conventions
 -----------
@@ -20,8 +22,7 @@ Hermite form does the routine work: YES membership is back-substitution down
 the triangular basis, with coordinates in that basis; the index of a
 full-rank lattice is the product of the pivots of its canonical basis;
 a kernel is read off the Hermite form of vectors augmented by an identity
-block.  Membership evidence is checked against the columns it is stated
-for, with no Hermite form.
+block.
 
 Smith normal form, computed with explicit transform accumulation so that the
 decomposition is a certificate (``U * A * V == D``), comes from one
@@ -475,40 +476,6 @@ class Lattice:
         return self._basis_coordinates(_ambient_vector(v, self)) is not None
 
 
-def _integers(*vectors) -> bool:
-    """Evidence is exact: a float would let rounding pass a false claim."""
-    return all(type(x) is int for vec in vectors for x in vec)
-
-
-def _pairing(functional, w) -> int:
-    return sum(map(operator.mul, functional, w))
-
-
-def _rebuilds(columns, coords, v) -> bool:
-    """``sum_j coords[j] * columns[j] == v``, shapes and integrality included."""
-    v = tuple(v)
-    if len(coords) != len(columns) or any(len(c) != len(v) for c in columns):
-        return False
-    if not _integers(coords, v, *columns):
-        return False
-    if not columns:
-        return not any(v)
-    return tuple(sum(map(operator.mul, row, coords)) for row in zip(*columns)) == v
-
-
-def _divisible_by_prime_power(x: int, p: int, e: int) -> bool:
-    """``p**e`` divides ``x``, decided in at most ``log_p |x| + 1`` divisions
-    without forming ``p**e``, so a huge stated ``e`` costs nothing."""
-    if x == 0:
-        return True
-    while e:
-        x, r = divmod(x, p)
-        if r:
-            return False
-        e -= 1
-    return True
-
-
 class NonMembershipCertificate(NamedTuple):
     """Witness that a vector is outside the span of some columns.
 
@@ -523,20 +490,6 @@ class NonMembershipCertificate(NamedTuple):
     prime: int | None = None
     power: int | None = None
 
-    def check(self, v, columns) -> bool:
-        if not _integers(self.functional, v, *columns):
-            return False
-        pairs = [_pairing(self.functional, g) for g in columns]
-        target = _pairing(self.functional, v)
-        if self.kind == "rank":
-            return target != 0 and not any(pairs)
-        p, e = self.prime, self.power
-        if self.kind != "modular" or type(p) is not int or type(e) is not int or p < 2 or e < 1:
-            return False
-        return not _divisible_by_prime_power(target, p, e) and all(
-            _divisible_by_prime_power(x, p, e) for x in pairs
-        )
-
 
 class MembershipResult(NamedTuple):
     """YES carries coordinates in the canonical basis; NO a certificate."""
@@ -544,12 +497,6 @@ class MembershipResult(NamedTuple):
     member: bool
     coordinates: tuple[int, ...] | None = None
     certificate: NonMembershipCertificate | None = None
-
-    def check(self, v, columns) -> bool:
-        """The evidence against the lattice spanned by ``columns``."""
-        if self.member:
-            return _rebuilds(columns, self.coordinates, v)
-        return self.certificate.check(v, columns)
 
 
 def _ambient_vector(v, lattice: Lattice) -> tuple[int, ...]:

@@ -22,9 +22,13 @@ Both assumptions are surfaced in reports and in the package documentation.
 
 Square classes are values
 -------------------------
-* A rational square class is its canonical squarefree integer.  The product
-  of two classes is ``(a // g) * (b // g)`` with ``g = gcd(a, b)``, so no
-  class carries a prime list.
+* Slot values are nonzero integers, from the sampler to the decision: a
+  rational p/q lies in the square class of the integer p*q, so integer
+  representatives reach every class.  A certificate writes a value as its
+  integer text.
+* A square class is its canonical squarefree integer.  The product of two
+  classes is ``(a // g) * (b // g)`` with ``g = gcd(a, b)``, so no class
+  carries a prime list.
 * Only the sampled slot values of an identity are factored, each once: the
   factoring gives its class and its odd primes of odd exponent.  Every
   entry of a form built from them is +-1 times a product of slot classes,
@@ -43,7 +47,6 @@ Square classes are values
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from collections.abc import Callable
 from functools import lru_cache
@@ -55,27 +58,13 @@ from .errors import MAX_TRIALS, InputError, InternalInconsistencyError
 
 Place = object  # "inf" or a prime number
 
-# Sample text that ``int`` reads: the value ``Fraction`` would give, without
-# loading ``fractions``.
-_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
-
 
 # ---------------------------------------------------------------------------
 # square classes and Hilbert symbols
 
 
-def _num_den(value) -> int:
-    """Numerator times denominator of a nonzero rational: an integer in the
-    same square class, with the same valuation parity at every prime."""
-    if isinstance(value, int):
-        n = value
-    elif isinstance(value, str) and _INTEGER_TEXT.fullmatch(value):
-        n = int(value)
-    else:
-        from fractions import Fraction
-
-        f = Fraction(value)
-        n = f.numerator * f.denominator
+def _nonzero(n: int) -> int:
+    """``n``, which has a square class only when it is nonzero."""
     if n == 0:
         raise InputError("square classes are defined for nonzero values only")
     return n
@@ -86,8 +75,7 @@ def _classes_and_places(values) -> tuple[list[int], tuple]:
     dividing one of them, each value factored once: its primes of odd
     exponent give both."""
     classes, primes = [], set()
-    for value in values:
-        n = _num_den(value)
+    for n in map(_nonzero, values):
         odd = [p for p, e in factorize(n) if e % 2]
         classes.append((-1 if n < 0 else 1) * prod(odd))
         primes.update(odd)
@@ -179,7 +167,7 @@ def _brauer_bit(pairs, place) -> int:
 
 
 def hilbert_symbol(a, b, place) -> int:
-    """Hilbert symbol (a, b) at a place of the rationals.
+    """Hilbert symbol (a, b) of nonzero integers at a place of the rationals.
 
     Returns +1 when z^2 = a x^2 + b y^2 has a nontrivial solution over the
     completion, -1 otherwise.  Symmetric and bimultiplicative.  The local
@@ -187,7 +175,7 @@ def hilbert_symbol(a, b, place) -> int:
     their square classes.
     """
     _check_place(place)
-    return -1 if _brauer_bit([(_num_den(a), _num_den(b))], place) else 1
+    return -1 if _brauer_bit([(_nonzero(a), _nonzero(b))], place) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +367,7 @@ def sample_norm(rng: SplitMix64, radicand: int) -> int:
     raise InternalInconsistencyError("norm sampling failed to find a nonzero value")
 
 
-def sample_chain_configuration(seed: int) -> tuple[tuple[str, str], ...]:
+def sample_chain_configuration(seed: int) -> tuple[tuple[str, int], ...]:
     """Sample of the slots a, b, c, d, x, y, z of the quaternions (a, b),
     (c, d), (a, b w), (c, d w) with w = x y z, whose Brauer sum vanishes and
     whose biquaternion chain constraints hold by construction.
@@ -410,7 +398,7 @@ def sample_chain_configuration(seed: int) -> tuple[tuple[str, str], ...]:
         if hilbert_symbol(ac, radicand, 2) != 1:
             # norms are split everywhere by construction; spot check
             raise InternalInconsistencyError("norm slot fails its local check")
-    return tuple((k, str(v)) for k, v in zip("abcdxyz", slots))
+    return tuple(zip("abcdxyz", slots))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +409,7 @@ class IdentityCase(NamedTuple):
     identity_id: str
     trial: int
     seed: int
-    sample: tuple[tuple[str, str], ...]
+    sample: tuple[tuple[str, int], ...]
     lhs: tuple[int, ...]
     rhs: tuple[int, ...]
     congruence_level: str  # "exact-Witt" or "mod-I4"
@@ -446,10 +434,10 @@ def _linked(a: int, b: int, c: int, d: int, w: int):
     return lhs, _pfisters((a, b, w), (c, d, -w), (a, bw, -1))
 
 
-def _sample_linked(rng: SplitMix64) -> tuple[tuple[str, str], ...]:
+def _sample_linked(rng: SplitMix64) -> tuple[tuple[str, int], ...]:
     """Square classes a, b, c, d and a norm x from the extension by a*c."""
     a, b, c, d = (sample_square_class(rng) for _ in "abcd")
-    return tuple(zip("abcdx", map(str, (a, b, c, d, sample_norm(rng, a * c)))))
+    return tuple(zip("abcdx", (a, b, c, d, sample_norm(rng, a * c))))
 
 
 class _Identity(NamedTuple):
@@ -461,12 +449,12 @@ class _Identity(NamedTuple):
     slots: str
     level: str  # "exact-Witt" or "mod-I4"
     sides: Callable
-    draw: Callable[[SplitMix64], tuple[tuple[str, str], ...]] | None = None
+    draw: Callable[[SplitMix64], tuple[tuple[str, int], ...]] | None = None
 
-    def sample(self, rng: SplitMix64) -> tuple[tuple[str, str], ...]:
+    def sample(self, rng: SplitMix64) -> tuple[tuple[str, int], ...]:
         if self.draw is not None:
             return self.draw(rng)
-        return tuple((k, str(sample_square_class(rng))) for k in self.slots)
+        return tuple((k, sample_square_class(rng)) for k in self.slots)
 
 
 _IDENTITIES = (
@@ -517,7 +505,7 @@ def verify_case(identity_id: str, sample, trial: int = -1, seed: int = -1) -> Id
 
 
 def verify_identity(identity_id: str, trials: int, seed: int) -> list[IdentityCase]:
-    """Run the named identity on deterministically sampled rational slots.
+    """Run the named identity on deterministically sampled integer slots.
 
     Every case carries its full sample, so any verdict can be replayed
     bit-for-bit from the report alone.

@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import subprocess
 import json
 import random
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -939,6 +941,80 @@ def test_checker_rejects_missing_file(capsys):
     assert code == 2
 
 
+# Runs ``python -m sdinv.cli ARGS`` from a small process, so that the peak RSS
+# that ``os.wait4`` reports is the command's own, not the pages of a large
+# parent that a forked child starts with; prints exit code, stderr, wall time
+# and peak RSS in bytes (``ru_maxrss`` is in kB on Linux).
+_LAUNCHER = """
+import json, os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen([sys.executable, "-m", "sdinv.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+_, status, usage = os.wait4(proc.pid, 0)
+elapsed = time.perf_counter() - start
+proc.returncode = os.waitstatus_to_exitcode(status)
+err = proc.communicate()[1].decode()
+print(json.dumps([proc.returncode, err, elapsed, usage.ru_maxrss * 1024]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kB on Linux")
+def test_checker_refuses_an_oversized_file_unread(tmp_path):
+    """A sparse file one byte past the limit is refused by its size: exit 2
+    with one error line within a second, and the process never holds the
+    file, its peak RSS staying far below the file's size."""
+    path = tmp_path / "big.json"
+    with open(path, "wb") as fh:
+        fh.truncate(errors.MAX_CERTIFICATE_BYTES + 1)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    launched = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, "--check-certificate", str(path)],
+        capture_output=True, env=env, timeout=60,
+    )
+    code, err, elapsed, peak = json.loads(launched.stdout)
+    assert (code, err) == (2, "error: cannot read certificate: the file exceeds the limit of "
+                              f"{errors.MAX_CERTIFICATE_BYTES} bytes\n")
+    assert elapsed < 1.0
+    assert peak < errors.MAX_CERTIFICATE_BYTES // 4, peak
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize(
+    "tail, code", [(b"", 3), (b" " * 2**23, 2)], ids=["at-the-limit", "past-it"]
+)
+def test_checker_reads_a_pipe_to_one_byte_past_the_limit(tail, code, tmp_path, monkeypatch, capsys):
+    """A pipe has no size to read first.  Under a 2-byte limit the text "[]"
+    is read and checked (it is not a JSON object: exit 3); followed by 8 MB
+    of JSON whitespace it is refused (exit 2) after one byte past the limit,
+    so the writer is cut off long before it is done."""
+    monkeypatch.setattr(cli, "MAX_CERTIFICATE_BYTES", 2)
+    fifo = tmp_path / "cert.fifo"
+    os.mkfifo(fifo)
+    data, written = b"[]" + tail, []
+
+    def feed():
+        fd, n = os.open(fifo, os.O_WRONLY), 0
+        try:
+            while n < len(data):
+                n += os.write(fd, data[n:n + 65536])
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+            written.append(n)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert run(["--check-certificate", str(fifo)])[0] == code
+    writer.join(10)
+    assert not writer.is_alive()
+    err = capsys.readouterr().err
+    assert ("exceeds the limit of 2 bytes" in err) == bool(tail), err
+    assert written[0] < 2**22 if tail else written[0] == 2
+
+
 @pytest.mark.parametrize("target", ["missing/cert.json", "."], ids=["missing-directory", "directory"])
 def test_unwritable_certificate_exits_2(target, tmp_path, capsys):
     """A certificate path that cannot be written is an input error: no report,
@@ -1381,6 +1457,29 @@ def test_entry_layer_accepts_without_replay(entry_certs, name, monkeypatch):
     assert ok, failures
 
 
+def test_the_integer_walk_runs_once_per_entry(entry_certs, monkeypatch):
+    """One exactness rule: ``check_certificate`` walks every entry once for
+    non-integers before its verifier, whatever its kind, and no verifier
+    walks it again."""
+    monkeypatch.setattr(certmod, "build_certificate", _no_replay)
+    walked = collections.Counter()
+    walk = certmod._only_integers
+
+    def counting(value):
+        walked[id(value)] += 1
+        return walk(value)
+
+    monkeypatch.setattr(certmod, "_only_integers", counting)
+    kinds = set()
+    for cert in entry_certs.values():
+        walked.clear()
+        assert certmod.check_certificate(cert, replay=False)[0]
+        for entry in cert["entries"]:
+            assert walked[id(entry)] == 1, entry.get("label", entry["kind"])
+            kinds.add(entry["kind"])
+    assert kinds == set(certmod._VERIFIERS)
+
+
 def _add_two(*field):
     return lambda entry: _tamper(entry, field, 2)
 
@@ -1443,29 +1542,30 @@ def test_entry_layer_checks_witt_slot_names(entry_certs, edit, monkeypatch):
 
 
 _TRIAL_0 = "entry 0: witt trial 0 of alpha2"
+_NOT_A_NUMERAL = f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"
 
 
 # (edited sample value, the checker's failure); a case's id is the value alone,
 # so a reworded refusal keeps the names of the cases
 _SAMPLE_VALUE_CASES = [
-    (2 ** 64, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    (2 ** 64, _NOT_A_NUMERAL),
     (str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
     ("-" + str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
-    (f"{2 ** 32}/{2 ** 32 + 1}", f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
-    (1e300, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-    ("x", f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-    ("1/0", "entry 0: malformed (Fraction(1, 0))"),
-    (None, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-    ([1], f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    (f"{2 ** 32}/{2 ** 32 + 1}", _NOT_A_NUMERAL),
+    (1e300, _NOT_A_NUMERAL),
+    ("x", _NOT_A_NUMERAL),
+    ("1/0", _NOT_A_NUMERAL),
+    (None, _NOT_A_NUMERAL),
+    ([1], _NOT_A_NUMERAL),
     ("-0", "entry 0: malformed (square classes are defined for nonzero values only)"),
-    ("0/3", "entry 0: malformed (square classes are defined for nonzero values only)"),
+    ("0/3", _NOT_A_NUMERAL),
     ("+7", f"{_TRIAL_0} fails replay"),
-    ("6/4", f"{_TRIAL_0} fails replay"),
-    (True, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-    (0.5, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    ("6/4", _NOT_A_NUMERAL),
+    (True, _NOT_A_NUMERAL),
+    (0.5, _NOT_A_NUMERAL),
     # the stored "-1" as a JSON number: same value, so only its type refuses it
-    (-1, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
-    (-1.0, f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"),
+    (-1, _NOT_A_NUMERAL),
+    (-1.0, _NOT_A_NUMERAL),
 ]
 
 
@@ -1475,9 +1575,9 @@ _SAMPLE_VALUE_CASES = [
 def test_checker_reads_every_sample_value_as_a_fraction_would(
     entry_certs, value, failure, monkeypatch
 ):
-    """Only text is read: integer text by ``int``, the rest by ``Fraction``,
-    each edited value refused with the same message either way.  A JSON
-    number or any other value is refused as not a numeral."""
+    """Only integer text is read, by ``int``, the text a certificate writes;
+    fraction text, a JSON number or any other value is refused as not a
+    numeral before it reaches arithmetic."""
     monkeypatch.setattr(certmod, "build_certificate", _no_replay)
     bad = json.loads(json.dumps(entry_certs["witt"]))
     sample = bad["entries"][0]["cases"][0]["sample"]
@@ -1759,24 +1859,6 @@ def test_modular_certificates_need_an_integer_prime_power(entry, ok):
     assert passed is ok, failures
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        # 1 is not in 2Z, yet 0.5 * 2 == 1
-        _membership([[2]], [1], member=True, coordinates=[0.5]),
-        # (147, 87) is 3 * (49, 29), yet rounding makes this pairing vanish on
-        # the column only
-        _membership([[49, 29]], [147, 87], member=False, certificate={
-            "obstruction": "rank", "functional": [0.7, -1.182758620689655],
-            "prime": None, "power": None}),
-    ],
-    ids=["float-coordinate", "float-functional"],
-)
-def test_float_evidence_is_refused(entry):
-    ok, failures = _entry_layer(entry)
-    assert not ok and "membership evidence fails" in failures[0], failures
-
-
 def _lattice_basis_entry(generators, canonical):
     return {"kind": "lattice_basis", "label": "crafted", "ambient_rank": 1,
             "generators": generators, "canonical_basis": canonical}
@@ -1787,42 +1869,67 @@ def _index_entry(sub_basis, index):
             "sub_basis": sub_basis, "index": index}
 
 
-# One number per entry kind that the checker read through ``int()`` or ``==``,
-# so that a float truncating to, or equal to, the honest value passed.
+# Honest evidence for the witt_trials cases: the first entry of both sides of a
+# Pfister identity is 1.
+_WITT_ENTRY = certmod.witt_trials_entry(wittq.verify_identity("alpha2", 2, 1))
+
+
+# (honest entry, {path: edited value}) per entry kind: each edit puts a number
+# that is not a JSON integer where the checker would read it through
+# ``int()``, ``==`` or a product, so that a float truncating to, equal to, or
+# rounding into a passing value passed.
 NON_INTEGER_EDITS = {
-    "index-sub-basis": (_index_entry([[2]], 2), ("sub_basis", 0, 0), 2.9),
-    "index-value": (_index_entry([[2]], 2), ("index",), 2.0),
-    "basis-generator": (_lattice_basis_entry([[2]], [[2]]), ("generators", 0, 0), 2.9),
-    "basis-canonical": (_lattice_basis_entry([[2]], [[2]]), ("canonical_basis", 0, 0), 2.0),
-    "basis-bool": (_lattice_basis_entry([[1]], [[1]]), ("generators", 0, 0), True),
-    "subquotient-sub-basis": (_cyclic_subquotient(2, [1]), ("sub_basis", 0, 0), 2.9),
-    "subquotient-factor": (_cyclic_subquotient(2, [1]), ("invariant_factors", 0), 2.0),
-    "subquotient-smith": (_cyclic_subquotient(2, [1]), ("smith", "D", 0, 0), 2.0),
-    "subquotient-relation": (_cyclic_subquotient(2, [1]), ("relation", 0, 0), 2.9),
-    "subquotient-free-rank": (_cyclic_subquotient(2, [1]), ("free_rank",), 0.0),
-    "subquotient-witness": (_cyclic_subquotient(2, [1]), ("witnesses", 0, 0), 1.0),
+    "index-sub-basis": (_index_entry([[2]], 2), {("sub_basis", 0, 0): 2.9}),
+    "index-value": (_index_entry([[2]], 2), {("index",): 2.0}),
+    "basis-generator": (_lattice_basis_entry([[2]], [[2]]), {("generators", 0, 0): 2.9}),
+    "basis-canonical": (_lattice_basis_entry([[2]], [[2]]), {("canonical_basis", 0, 0): 2.0}),
+    "basis-bool": (_lattice_basis_entry([[1]], [[1]]), {("generators", 0, 0): True}),
+    "subquotient-sub-basis": (_cyclic_subquotient(2, [1]), {("sub_basis", 0, 0): 2.9}),
+    "subquotient-factor": (_cyclic_subquotient(2, [1]), {("invariant_factors", 0): 2.0}),
+    "subquotient-smith": (_cyclic_subquotient(2, [1]), {("smith", "D", 0, 0): 2.0}),
+    "subquotient-relation": (_cyclic_subquotient(2, [1]), {("relation", 0, 0): 2.9}),
+    "subquotient-free-rank": (_cyclic_subquotient(2, [1]), {("free_rank",): 0.0}),
+    "subquotient-witness": (_cyclic_subquotient(2, [1]), {("witnesses", 0, 0): 1.0}),
     "fixed-vectors-matrix": (
         {"kind": "fixed_vectors", "label": "crafted", "matrices": [[[1, 0], [0, 1]]],
          "vectors": [[0, 1]]},
-        ("matrices", 0, 0, 0), 1.5,
+        {("matrices", 0, 0, 0): 1.5},
     ),
     "counting-order": (
         {"kind": "counting_identity", "torsion_orders": [2], "split_index": 1, "epsilons": [2],
          "holds": True},
-        ("torsion_orders", 0), 2.0,
+        {("torsion_orders", 0): 2.0},
     ),
+    # 1 is not in 2Z, yet 0.5 * 2 == 1
+    "float-coordinate": (
+        _membership([[2]], [2], member=True, coordinates=[1]),
+        {("vector", 0): 1, ("coordinates", 0): 0.5},
+    ),
+    # (147, 87) is 3 * (49, 29), yet rounding makes this pairing vanish on the
+    # column only
+    "float-functional": (
+        _membership([[49, 29]], [147, 88], member=False, certificate={
+            "obstruction": "rank", "functional": [29, -49], "prime": None, "power": None}),
+        {("vector", 1): 87, ("certificate", "functional"): [0.7, -1.182758620689655]},
+    ),
+    # [1.0] == [1], so only replay's JSON text told these from the honest ones
+    "witt-lhs": (_WITT_ENTRY, {("cases", 0, "lhs", 0): 1.0}),
+    "witt-rhs": (_WITT_ENTRY, {("cases", 0, "rhs", 0): 1.0}),
+    "witt-seed": (_WITT_ENTRY, {("seed",): float(_WITT_ENTRY["seed"])}),
+    "witt-trials": (_WITT_ENTRY, {("trials",): 2.0}),
 }
 
 
 @pytest.mark.parametrize("edit", NON_INTEGER_EDITS)
 def test_non_integer_evidence_is_refused(edit, tmp_path, capsys):
-    honest, path, value = NON_INTEGER_EDITS[edit]
+    honest, edits = NON_INTEGER_EDITS[edit]
     assert _entry_layer(honest)[0]
     entry = json.loads(json.dumps(honest))
-    node = entry
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    for path, value in edits.items():
+        node = entry
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
     ok, failures = _entry_layer(entry)
     assert not ok and "holds a non-integer" in failures[0], failures
     code, _ = run(["--check-certificate", str(_one_entry_cert(tmp_path, entry))])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdinv import exactlin, kgamma, roots
+from sdinv.certificate import CERT_FORMAT, check_certificate, membership_entry
 from sdinv.exactlin import (
     ContainmentError,
     FinAbelianGroup,
@@ -177,11 +178,18 @@ def test_verify_refuses_a_negative_diagonal_of_any_length(source, D):
 # --- membership --------------------------------------------------------------
 
 
+def _evidence_holds(v, lattice, res) -> bool:
+    """The checker's verdict, without replay, on the membership entry that a
+    certificate writes for ``res``."""
+    entry = membership_entry("membership", lattice, v, res)
+    return check_certificate({"format": CERT_FORMAT, "entries": [entry]}, replay=False)[0]
+
+
 def test_membership_zero_vector():
     lat = Lattice.from_columns(2, [(2, 0), (0, 2)])
     res = lattice_membership((0, 0), lat)
     assert res.member and res.coordinates == (0, 0)
-    assert res.check((0, 0), lat.basis_columns)
+    assert _evidence_holds((0, 0), lat, res)
 
 
 def test_membership_parity_obstruction():
@@ -190,7 +198,7 @@ def test_membership_parity_obstruction():
     assert not res.member
     cert = res.certificate
     assert cert.kind == "modular" and cert.prime == 2
-    assert res.check((1, 0), lat.basis_columns)
+    assert _evidence_holds((1, 0), lat, res)
 
 
 def test_membership_solves_linear_system():
@@ -207,7 +215,7 @@ def test_membership_rank_obstruction():
     res = lattice_membership((1, 0), lat)
     assert not res.member
     assert res.certificate.kind == "rank"
-    assert res.check((1, 0), lat.basis_columns)
+    assert _evidence_holds((1, 0), lat, res)
 
 
 def test_membership_dimension_mismatch():
@@ -229,7 +237,7 @@ vectors2 = st.tuples(
 def test_membership_certificates_verify(gens, v):
     lat = Lattice.from_columns(2, gens)
     res = lattice_membership(v, lat)
-    assert res.check(v, lat.basis_columns)
+    assert _evidence_holds(v, lat, res)
     if res.member:
         assert lat.basis.matvec(res.coordinates) == v
 
@@ -612,7 +620,7 @@ def test_yes_coordinates_rebuild_from_the_basis(gens, mix):
     assert tuple(
         sum(c * col[i] for c, col in zip(res.coordinates, lat.basis_columns)) for i in range(3)
     ) == v
-    assert res.check(v, lat.basis_columns)
+    assert _evidence_holds(v, lat, res)
 
 
 # Certificates the Smith-form decision gave before YES moved to the Hermite
@@ -643,7 +651,7 @@ def test_no_certificates_are_unchanged(rank, gens, v, kind, functional, prime, p
     assert not res.member and not lat.contains(v)
     cert = res.certificate
     assert (cert.kind, cert.functional, cert.prime, cert.power) == (kind, functional, prime, power)
-    assert res.check(v, lat.basis_columns)
+    assert _evidence_holds(v, lat, res)
 
 
 def test_kernel_basis_rejects_a_compression_that_drops_every_row(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdinv import cli, kgamma, roots
+from sdinv.certificate import CERT_FORMAT, check_certificate, membership_entry
 from sdinv.exactlin import (
     InputError,
     IntMatrix,
@@ -943,11 +944,13 @@ def test_conics4_membership_verdicts():
 
 
 def test_membership_certificates_check_out():
+    """Each answer's evidence passes the checker, without replay, on the
+    membership entry that a certificate writes for it."""
     filt = gamma_filtration("conics4")
-    el, res = filtration_membership("conics4", "4*y1*y2*y3*y4", 3)
-    assert res.check(el.y_vector(), filt.level(3).basis_columns)
-    el, res = filtration_membership("conics4", "4*y1*y2*y3", 2)
-    assert res.check(el.y_vector(), filt.level(2).basis_columns)
+    for expr, degree in (("4*y1*y2*y3*y4", 3), ("4*y1*y2*y3", 2)):
+        el, res = filtration_membership("conics4", expr, degree)
+        entry = membership_entry("membership", filt.level(degree), el.y_vector(), res)
+        assert check_certificate({"format": CERT_FORMAT, "entries": [entry]}, replay=False)[0]
 
 
 def test_filtration_parse_errors_surface():

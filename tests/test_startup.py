@@ -214,7 +214,7 @@ def test_import_sdinv_cli_loads_the_front_end_only():
     assert loaded == {"sdinv", "sdinv.cli", "sdinv.commands", "sdinv.errors"}
 
 
-def test_commands_imports_only_functools_and_errors_at_module_level():
+def test_commands_imports_only_future_and_errors_at_module_level():
     """Backends import the compute modules they run when they are called; at
     module level the command table imports ``errors`` alone."""
     tree = ast.parse(Path(SRC, "sdinv", "commands.py").read_text())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdinv.certificate import _SAMPLE_TEXT
 from sdinv.exactlin import InputError
 from sdinv.wittq import (
     IDENTITY_IDS,
@@ -32,9 +33,16 @@ from sdinv.wittq import (
 # the factored slots; tests build both from raw values here -------------------------
 
 
+def integer(value) -> int:
+    """Numerator times denominator of a nonzero rational: an integer in its
+    square class, the values the package takes."""
+    f = Fraction(value)
+    return f.numerator * f.denominator
+
+
 def square_class(value) -> int:
     """Canonical squarefree integer representative of a rational square class."""
-    return _classes_and_places([value])[0][0]
+    return _classes_and_places([integer(value)])[0][0]
 
 
 def relevant_places(entries) -> tuple:
@@ -224,8 +232,8 @@ def test_hilbert_symmetry_and_product_formula(a, b):
     places = relevant_places((ca, cb))
     prod = 1
     for v in places:
-        s = hilbert_symbol(a, b, v)
-        assert s == hilbert_symbol(b, a, v)
+        s = hilbert_symbol(integer(a), integer(b), v)
+        assert s == hilbert_symbol(integer(b), integer(a), v)
         prod *= s
     assert prod == 1
 
@@ -235,14 +243,15 @@ def test_hilbert_symmetry_and_product_formula(a, b):
 def test_hilbert_on_raw_rationals_matches_square_classes(a, b):
     ca, cb = square_class(a), square_class(b)
     for v in relevant_places((ca, cb)) + (3, 5, 7):
-        assert hilbert_symbol(a, b, v) == hilbert_symbol(ca, cb, v)
+        assert hilbert_symbol(integer(a), integer(b), v) == hilbert_symbol(ca, cb, v)
 
 
 @settings(max_examples=50, deadline=None)
 @given(rationals, rationals, rationals)
 def test_hilbert_bimultiplicative(a, b, c):
+    a, b, c, ac = integer(a), integer(b), integer(c), integer(a * c)
     for v in ("inf", 2, 3, 5, 7):
-        assert hilbert_symbol(a * c, b, v) == hilbert_symbol(a, b, v) * hilbert_symbol(c, b, v)
+        assert hilbert_symbol(ac, b, v) == hilbert_symbol(a, b, v) * hilbert_symbol(c, b, v)
 
 
 # --- square classes -----------------------------------------------------------------
@@ -260,9 +269,19 @@ def test_square_class_mul_matches_direct(a, b):
     assert square_class_mul(square_class(a), square_class(b)) == square_class(a * b)
 
 
+# Sample text the certificate checker reads: ASCII integer text.
+_CHECKER_READS = {"7", "+7", "-07"}
+
+
 @pytest.mark.parametrize("text", ["7", " 7 ", "+7", "-07", "1_0", "\u0663", "3/4", "-9/8"])
 def test_square_class_of_text_matches_fraction(text):
-    assert square_class(text) == square_class(Fraction(text))
+    """Sample text reaches a square class only through the certificate
+    checker, which reads integer text with ``int`` and refuses any other
+    text; what it reads is in the class of ``Fraction(text)``."""
+    read = _SAMPLE_TEXT.fullmatch(text) is not None
+    assert read == (text in _CHECKER_READS)
+    if read:
+        assert square_class(int(text)) == square_class(Fraction(text))
 
 
 def test_square_class_of_bad_text_raises_as_fraction_does():
@@ -270,6 +289,7 @@ def test_square_class_of_bad_text_raises_as_fraction_does():
         square_class("0")
     with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
         square_class("x")
+    assert _SAMPLE_TEXT.fullmatch("x") is None
 
 
 def test_small_prime_table_matches_trial_division():
@@ -645,7 +665,7 @@ def test_chain_configuration_brauer_relation(seed):
     where the sampler spot-checks them."""
     sample = sample_chain_configuration(seed)
     assert [k for k, _ in sample] == list("abcdxyz")
-    values = [int(v) for _, v in sample]
+    values = [v for _, v in sample]
     # inf, 2 and every odd prime dividing a slot: at any other prime each
     # symbol below has two unit arguments and is +1
     (A, B, C, D, X, Y, Z), places = _classes_and_places(values)
@@ -666,7 +686,7 @@ def test_chain_configuration_reproducible():
 
 def test_chain_same_first_slots_degenerate():
     sample = sample_chain_configuration(1)
-    (A, B, C, D, X, Y, Z), places = _classes_and_places([int(v) for _, v in sample])
+    (A, B, C, D, X, Y, Z), places = _classes_and_places([v for _, v in sample])
     w = square_class_mul(square_class_mul(X, Y), Z)
     quats = [(A, B), (C, D), (A, square_class_mul(B, w)), (C, square_class_mul(D, w))]
     # relation reduces along shared slots: (A, B) + (A, B w) = (A, w) and
@@ -694,13 +714,13 @@ def test_identity_fifty_trials(identity):
 
 
 def test_identity_trivial_slots_hyperbolic():
-    case = verify_case("twofold", (("x", "2"), ("y", "1"), ("z", "1")))
+    case = verify_case("twofold", (("x", 2), ("y", 1), ("z", 1)))
     assert case.verdict
     assert is_hyperbolic(DiagonalForm(case.lhs).perp(DiagonalForm(case.rhs).neg()))
 
 
 def test_identity_alpha2_all_minus_one():
-    case = verify_case("alpha2", (("a", "-1"), ("b", "-1")))
+    case = verify_case("alpha2", (("a", -1), ("b", -1)))
     assert case.verdict
     assert DiagonalForm(case.rhs).signature() == 8
 
@@ -807,8 +827,7 @@ def test_only_sampled_slots_are_factored(monkeypatch, identity, seed):
     cases = verify_identity(identity, 100, seed)
     assert len(trials) == len(cases) == 100
     for case, args in zip(cases, trials):
-        slots = [Fraction(v) for _, v in case.sample]
-        products = [abs(s.numerator * s.denominator) for s in slots]
+        products = [abs(v) for _, v in case.sample]
         assert args
         for n in args:
             assert any(m % n == 0 for m in products), (case.sample, n)
