@@ -5,19 +5,20 @@ list is built from the evidence its report was read from, so writing a
 certificate computes nothing the report did not.  Verification runs in two
 layers:
 
-* the algebraic layer refuses an entry that holds a number other than a
-  JSON integer, one rule for every kind, then re-verifies each entry on its
-  own terms with the exact linear algebra primitives (products of stored
-  transforms, membership coordinates, torsion witness orders) or, for
-  randomized trials, by re-deciding the stored samples.  A torsion witness is a bare vector: the
+* the algebraic layer refuses an entry whose fields break the typed rule,
+  one rule for every kind (numbers are JSON integers, flags are bools),
+  then re-verifies each entry on its own terms with the exact linear
+  algebra primitives (products of stored transforms, membership
+  coordinates, torsion witness orders) or, for randomized trials, by
+  re-deciding the stored samples.  A torsion witness is a bare vector: the
   stored Smith decomposition maps the subquotient onto the sum of the
   ``Z/d_i``, so the image of the witness under ``U`` proves its order with
   nothing factored;
 * the replay layer rebuilds the whole certificate from the stored command
-  echo, which is a pure function of it, and compares payloads, so any edit
-  of a semantic field is caught even when the edited value is internally
-  consistent.  The echo is read by the command table and must be in the
-  normalized form a report echoes.
+  echo, which is a pure function of it, and compares payloads by value, so
+  any edit of a semantic field is caught even when the edited value is
+  internally consistent.  The echo is read by the command table and must be
+  in the normalized form a report echoes.
 
 Negative claims (non-membership, exact torsion orders) therefore travel
 with evidence that an auditor can re-check without trusting the code that
@@ -26,7 +27,6 @@ produced them.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 from typing import TYPE_CHECKING
@@ -278,27 +278,46 @@ class CertificateError(Exception):
     pass
 
 
-# Evidence is exact: ``int()`` would truncate a float into a passing claim and
-# ``==`` takes 2.0 for 2, so every number of an entry must be a JSON integer
-# (a bool is not), checked on the whole entry before its verifier runs.  The
-# fields below hold text or a flag, and a rank obstruction leaves its prime
-# and power null.
-_NON_NUMBER_FIELDS = frozenset(
-    {"kind", "label", "holds", "obstruction", "member", "verdict", "identity", "level", "sample"}
-)
-_NULL_FIELDS = frozenset({"prime", "power"})
+# One typed rule for every field of an entry, checked on the whole entry
+# before its verifier runs.  Evidence is exact: ``int()`` would truncate a
+# float into a passing claim and ``==`` takes 2.0 for 2 and True for 1, so a
+# number is a JSON integer and a bool is not one.  The fields below hold a
+# flag, text, or the prime and power that a rank obstruction leaves null; a
+# sample holds slot names and the numeral text its verifier reads.  Every
+# other field holds numbers, through lists and dicts.  The rule also makes
+# replay's comparison of values as strict as a comparison of JSON text.
+_FIELD_TYPES = {
+    **dict.fromkeys(("member", "verdict", "holds"), (lambda v: type(v) is bool, "a bool")),
+    **dict.fromkeys(
+        ("kind", "label", "identity", "level", "obstruction"), (lambda v: type(v) is str, "text")
+    ),
+    **dict.fromkeys(
+        ("prime", "power"), (lambda v: v is None or type(v) is int, "null or an integer")
+    ),
+    "sample": (
+        lambda v: type(v) is list and all(type(p) is list and len(p) == 2 for p in v),
+        "a list of name and value pairs",
+    ),
+}
 
 
-def _only_integers(value) -> bool:
-    """Every number in ``value``, through lists and dict fields, is an int."""
+def _type_failure(value, field: str | None = None) -> str | None:
+    """Why ``value``, held by ``field``, breaks the typed rule, or None."""
+    rule = _FIELD_TYPES.get(field)
+    if rule is not None:
+        holds, what = rule
+        return None if holds(value) else f"{field} is not {what}"
     if isinstance(value, list):
-        return all(type(x) is int or _only_integers(x) for x in value)
+        for x in value:
+            if type(x) is not int and (why := _type_failure(x)):
+                return why
+        return None
     if isinstance(value, dict):
-        return all(
-            k in _NON_NUMBER_FIELDS or (v is None and k in _NULL_FIELDS) or _only_integers(v)
-            for k, v in value.items()
-        )
-    return type(value) is int
+        for k, v in value.items():
+            if why := _type_failure(v, k):
+                return why
+        return None
+    return None if type(value) is int else "evidence holds a non-integer"
 
 
 def _stated_lattice(entry, key: str) -> Lattice:
@@ -596,10 +615,8 @@ def check_certificate(cert, replay: bool = True) -> tuple[bool, list[str]]:
         return False, [f"certificate has no {k!r} key" for k in missing]
     for i, entry in enumerate(entries):
         try:
-            if not _only_integers(entry):
-                raise CertificateError(
-                    f"{entry.get('label', entry['kind'])}: evidence holds a non-integer"
-                )
+            if why := _type_failure(entry):
+                raise CertificateError(f"{entry.get('label', entry['kind'])}: {why}")
             _VERIFIERS[entry["kind"]](entry)
         except CertificateError as exc:
             failures.append(f"entry {i}: {exc}")
@@ -613,10 +630,10 @@ def check_certificate(cert, replay: bool = True) -> tuple[bool, list[str]]:
         except (Exception, SystemExit) as exc:
             failures.append(f"replay failed: {exc}")
         else:
-            a = json.dumps({k: cert[k] for k in ("command", "seed", "entries")}, sort_keys=True)
-            b = json.dumps(
-                {k: rebuilt[k] for k in ("command", "seed", "entries")}, sort_keys=True
-            )
-            if a != b:
+            # values, not text: the typed rule has held every entry to one
+            # type per field, and the seed is held to its exact type here
+            if type(cert["seed"]) is not type(rebuilt["seed"]) or any(
+                cert[k] != rebuilt[k] for k in ("command", "seed", "entries")
+            ):
                 failures.append("replay of the command echo disagrees with the payload")
     return not failures, failures

@@ -486,22 +486,35 @@ def _identity(identity_id: str) -> _Identity:
     )
 
 
-def verify_case(identity_id: str, sample, trial: int = -1, seed: int = -1) -> IdentityCase:
-    """Decide one case, numbered ``trial`` of the suite run with ``seed``.
-    Every entry of both sides is +-1 times a product of slot classes, so the
-    odd primes of the slots are the only places where the Hasse symbols can
-    differ, and only the slots are factored, each once."""
-    values, places = _classes_and_places(v for _, v in sample)
-    classes = dict(zip((k for k, _ in sample), values))
+# Each sample is decided once per process: a certificate check decides its
+# stored samples in the entry layer, and its replay draws the same samples
+# again.  The bound holds every case of one certificate, up to three suites
+# of MAX_TRIALS each (a theorem row runs at most three).
+@lru_cache(maxsize=3 * MAX_TRIALS)
+def _decision(identity_id: str, classes: tuple[int, ...], places: tuple):
+    """Both sides, the congruence level and the verdict of the identity on
+    the canonical classes of its slots, in slot order.  Every entry of both
+    sides is +-1 times a product of slot classes, so ``places``, inf, 2 and
+    the odd primes of the slots, are the only places where the Hasse symbols
+    can differ."""
     row = _identity(identity_id)
-    lhs, rhs = row.sides(*(classes[k] for k in row.slots))
+    lhs, rhs = row.sides(*classes)
     if row.level == "exact-Witt":
         verdict = witt_equivalent(lhs, rhs, places)
     else:
         verdict = in_power_of_i(lhs.perp(rhs.neg()), 4, places)
-    return IdentityCase(
-        identity_id, trial, seed, tuple(sample), lhs.entries, rhs.entries, row.level, verdict
-    )
+    return lhs.entries, rhs.entries, row.level, verdict
+
+
+def verify_case(identity_id: str, sample, trial: int = -1, seed: int = -1) -> IdentityCase:
+    """Decide one case, numbered ``trial`` of the suite run with ``seed``.
+    Only the slots are factored, each once, and classes already decided in
+    this process are not decided again."""
+    values, places = _classes_and_places(v for _, v in sample)
+    classes = dict(zip((k for k, _ in sample), values))
+    row = _identity(identity_id)
+    decision = _decision(identity_id, tuple(classes[k] for k in row.slots), places)
+    return IdentityCase(identity_id, trial, seed, tuple(sample), *decision)
 
 
 def verify_identity(identity_id: str, trials: int, seed: int) -> list[IdentityCase]:

@@ -1458,18 +1458,18 @@ def test_entry_layer_accepts_without_replay(entry_certs, name, monkeypatch):
 
 
 def test_the_integer_walk_runs_once_per_entry(entry_certs, monkeypatch):
-    """One exactness rule: ``check_certificate`` walks every entry once for
-    non-integers before its verifier, whatever its kind, and no verifier
-    walks it again."""
+    """One typed rule: ``check_certificate`` walks every entry once for
+    non-integers, and for flags and text of the wrong type, before its
+    verifier, whatever its kind, and no verifier walks it again."""
     monkeypatch.setattr(certmod, "build_certificate", _no_replay)
     walked = collections.Counter()
-    walk = certmod._only_integers
+    walk = certmod._type_failure
 
-    def counting(value):
+    def counting(value, field=None):
         walked[id(value)] += 1
-        return walk(value)
+        return walk(value, field)
 
-    monkeypatch.setattr(certmod, "_only_integers", counting)
+    monkeypatch.setattr(certmod, "_type_failure", counting)
     kinds = set()
     for cert in entry_certs.values():
         walked.clear()
@@ -1935,3 +1935,106 @@ def test_non_integer_evidence_is_refused(edit, tmp_path, capsys):
     code, _ = run(["--check-certificate", str(_one_entry_cert(tmp_path, entry))])
     assert code == 3
     assert "holds a non-integer" in capsys.readouterr().err
+
+
+# --- replay compares values ---------------------------------------------------------
+
+
+def _sample_value_as_a_number(cert):
+    pair = cert["entries"][0]["cases"][0]["sample"][0]
+    pair[1] = int(pair[1])
+
+
+def _swap_witnesses(cert):
+    """Exchange the witnesses of the two subquotients that have one."""
+    a, b = (e for e in cert["entries"] if e["kind"] == "subquotient" and e["witnesses"])
+    a["witnesses"], b["witnesses"] = b["witnesses"], a["witnesses"]
+
+
+def _swap_nesting_entries(cert):
+    """Exchange the first two chern-generator membership entries."""
+    entries = cert["entries"]
+    i, j = [i for i, e in enumerate(entries)
+            if e["kind"] == "membership" and e["label"].startswith("chern generator")][:2]
+    entries[i], entries[j] = entries[j], entries[i]
+
+
+_WITT_ARGV = ["witt", "verify", "--identity", "alpha2", "--trials", "3", "--seed", "1"]
+_DISAGREES = "certificate FAILED: replay of the command echo disagrees with the payload\n"
+
+# (command, edit of its certificate, the checker's stderr); each edit was
+# refused by the comparison of JSON text that replay used to run, and the
+# comparison of values must refuse it too
+REPLAY_EDITS = {
+    "seed-true": (_WITT_ARGV, lambda cert: cert.update(seed=True), _DISAGREES),
+    "seed-float": (_WITT_ARGV, lambda cert: cert.update(seed=float(cert["seed"])), _DISAGREES),
+    "extra-key": (_WITT_ARGV, lambda cert: cert["entries"][0].update(note=0), _DISAGREES),
+    "sample-int": (
+        _WITT_ARGV, _sample_value_as_a_number, f"certificate FAILED: {_NOT_A_NUMERAL}\n"
+    ),
+    # the two torsion witnesses of a theorem row, in lattices of ranks 15 and 16
+    "witnesses-swapped": (
+        ["theorem", "--n", "5"],
+        _swap_witnesses,
+        "certificate FAILED: entry 0: indecomposable invariant group: "
+        "witness 0 length differs from the ambient rank\n"
+        "certificate FAILED: entry 2: graded piece at degree 2: "
+        "witness 0 length differs from the ambient rank\n",
+    ),
+    # two entries that each pass on their own, in the other's place
+    "entries-swapped": (["inv3", "--preset", "sl2n:3"], _swap_nesting_entries, _DISAGREES),
+}
+
+
+@pytest.mark.parametrize("edit", REPLAY_EDITS)
+def test_replay_refuses_what_the_text_comparison_refused(edit, tmp_path, capsys):
+    argv, change, err = REPLAY_EDITS[edit]
+    path = tmp_path / "cert.json"
+    assert run(argv + ["--certificate", str(path)])[0] == 0
+    cert = json.loads(path.read_text())
+    change(cert)
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert run(["--check-certificate", str(path)]) == (3, "")
+    assert capsys.readouterr().err == err
+
+
+def _flag_holders(entry, flag):
+    """The entry, or the trial cases of a witt entry, that hold ``flag``."""
+    return [d for d in [entry] + entry.get("cases", []) if flag in d]
+
+
+@pytest.mark.parametrize("flag", ["member", "verdict", "holds"])
+def test_entry_layer_refuses_a_flag_written_as_a_number(entry_certs, flag, monkeypatch):
+    """A flag is a bool: ``1`` for true and ``0`` for false are refused
+    without replay, each in the first entry of every certificate that holds
+    the flag with that value."""
+    monkeypatch.setattr(certmod, "build_certificate", _no_replay)
+    edited = set()
+    for cert in entry_certs.values():
+        for value in (True, False):
+            i = next((i for i, e in enumerate(cert["entries"])
+                      if any(d[flag] is value for d in _flag_holders(e, flag))), None)
+            if i is None:
+                continue
+            bad = json.loads(json.dumps(cert))
+            holder = next(d for d in _flag_holders(bad["entries"][i], flag) if d[flag] is value)
+            holder[flag] = int(value)
+            ok, failures = certmod.check_certificate(bad, replay=False)
+            assert not ok and failures[0].startswith(f"entry {i}: "), failures
+            assert failures[0].endswith(f"{flag} is not a bool"), failures
+            edited.add(value)
+    assert True in edited
+
+
+def test_a_check_decides_each_stored_sample_once(tmp_path, monkeypatch):
+    """The entry layer decides each stored sample, and replay draws the same
+    samples again: each is decided once, by one ``witt_invariants`` call."""
+    path = tmp_path / "cert.json"
+    argv = ["witt", "verify", "--identity", "alpha4_full", "--trials", "20"]
+    assert run(argv + ["--certificate", str(path)])[0] == 0
+    cert = json.loads(path.read_text())
+    calls = _count_calls(monkeypatch, wittq, "witt_invariants")
+    wittq._decision.cache_clear()
+    assert certmod.check_certificate(cert) == (True, [])
+    assert len(calls) == 20

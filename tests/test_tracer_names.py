@@ -52,5 +52,6 @@ def test_witt_pass_reaches_every_span_the_witt_benchmark_requires(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(wittq, name, counting(name, getattr(wittq, name)))
+    wittq._decision.cache_clear()
     wittq.verify_identity("alpha4_full", 3, 1)
     assert all(calls.values()), calls

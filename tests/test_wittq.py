@@ -824,6 +824,7 @@ def test_only_sampled_slots_are_factored(monkeypatch, identity, seed):
 
     monkeypatch.setattr(wittq._Identity, "sample", sampling)
     monkeypatch.setattr(wittq, "factorize", recording)
+    wittq._decision.cache_clear()
     cases = verify_identity(identity, 100, seed)
     assert len(trials) == len(cases) == 100
     for case, args in zip(cases, trials):
@@ -853,6 +854,7 @@ def test_places_checked_once_per_form_or_relation(monkeypatch):
 
     monkeypatch.setattr(wittq, "_check_place", counting)
     monkeypatch.setattr(wittq, "_classes_and_places", listing)
+    wittq._decision.cache_clear()
     trials = 200
     verify_identity("alpha4_full", trials, 5)
     # per trial: the chain's Brauer relation, the form of the case, and the
@@ -876,6 +878,7 @@ def test_odd_prime_cache_tests_each_place_once_per_suite(monkeypatch):
 
     monkeypatch.setattr(wittq, "_check_place", recording)
     wittq._is_odd_prime.cache_clear()
+    wittq._decision.cache_clear()
     verify_identity("alpha4_full", 500, 1)
     odd = {p for p in places if isinstance(p, int) and p > 2}
     assert len(odd) > 256
