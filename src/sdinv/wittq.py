@@ -486,10 +486,10 @@ def _identity(identity_id: str) -> _Identity:
     )
 
 
-# Each sample is decided once per process: a certificate check decides its
-# stored samples in the entry layer, and its replay draws the same samples
-# again.  The bound holds every case of one certificate, up to three suites
-# of MAX_TRIALS each (a theorem row runs at most three).
+# The slot classes of a sample are decided once per process: a certificate
+# check decides its stored samples in the entry layer, and its replay draws
+# the same samples again.  The bound holds every case of one certificate, up
+# to three suites of MAX_TRIALS each (a theorem row runs at most three).
 @lru_cache(maxsize=3 * MAX_TRIALS)
 def _decision(identity_id: str, classes: tuple[int, ...], places: tuple):
     """Both sides, the congruence level and the verdict of the identity on
