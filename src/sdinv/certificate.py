@@ -10,10 +10,10 @@ layers:
   then re-verifies each entry on its own terms with the exact linear
   algebra primitives (products of stored transforms, membership
   coordinates, torsion witness orders) or, for randomized trials, by
-  re-deciding the stored samples.  A torsion witness is a bare vector: the
-  stored Smith decomposition maps the subquotient onto the sum of the
-  ``Z/d_i``, so the image of the witness under ``U`` proves its order with
-  nothing factored;
+  deciding the draws of the stored seed, which each stored sample must
+  equal.  A torsion witness is a bare vector: the stored Smith
+  decomposition maps the subquotient onto the sum of the ``Z/d_i``, so the
+  image of the witness under ``U`` proves its order with nothing factored;
 * the replay layer rebuilds the whole certificate from the stored command
   echo, which is a pure function of it, and compares payloads by value, so
   any edit of a semantic field is caught even when the edited value is
@@ -28,7 +28,6 @@ produced them.
 from __future__ import annotations
 
 import operator
-import re
 from typing import TYPE_CHECKING
 
 from . import __version__, commands
@@ -283,9 +282,10 @@ class CertificateError(Exception):
 # float into a passing claim and ``==`` takes 2.0 for 2 and True for 1, so a
 # number is a JSON integer and a bool is not one.  The fields below hold a
 # flag, text, or the prime and power that a rank obstruction leaves null; a
-# sample holds slot names and the numeral text its verifier reads.  Every
-# other field holds numbers, through lists and dicts.  The rule also makes
-# replay's comparison of values as strict as a comparison of JSON text.
+# sample holds the name and value pairs its verifier compares with the draw
+# of the seed.  Every other field holds numbers, through lists and dicts.
+# The rule also makes replay's comparison of values as strict as a
+# comparison of JSON text.
 _FIELD_TYPES = {
     **dict.fromkeys(("member", "verdict", "holds"), (lambda v: type(v) is bool, "a bool")),
     **dict.fromkeys(
@@ -347,10 +347,14 @@ def _stated_lattice(entry, key: str) -> Lattice:
 
 def _verify_lattice_basis(entry) -> None:
     """A stored basis equal to the Hermite form of the generators is
-    canonical."""
+    canonical.  The package states at most ``ambient_rank`` generators, and
+    more are refused before the Hermite form, whose cost grows with them."""
     from .exactlin import Lattice
 
-    lat = Lattice.from_columns(entry["ambient_rank"], entry["generators"])
+    rank, generators = entry["ambient_rank"], entry["generators"]
+    if len(generators) > rank:
+        raise CertificateError(f"{entry['label']}: more generators than the ambient rank")
+    lat = Lattice.from_columns(rank, generators)
     if list(lat.basis_columns) != [tuple(c) for c in entry["canonical_basis"]]:
         raise CertificateError(f"{entry['label']}: canonical basis mismatch")
 
@@ -500,57 +504,35 @@ def _verify_fixed_vectors(entry) -> None:
                 raise CertificateError(f"{entry['label']}: vector moves under the action")
 
 
-# Bit budget of a sample value the checker re-decides.  Sampled slots are
-# below 7,430 and sampled norms below 2**33, so it never rejects a sample the
-# package wrote, and it keeps the factoring of each value cheap.
-MAX_SAMPLE_BITS = 64
-
-# Sample text read as a number: integer text of at most 20 digits, as every
-# value within the budget has, the text ``witt_trials_entry`` writes.  Any
-# other text or JSON value, a float included, is refused before it reaches
-# arithmetic.
-_SAMPLE_TEXT = re.compile(r"[+-]?[0-9]{1,20}")
-
-
 def _verify_witt_trials(entry) -> None:
-    from .wittq import _identity, verify_case
+    """Each stored sample must be the draw of the entry's seed, so no stored
+    value is read as a number; the drawn sample is then decided."""
+    from .wittq import draws, verify_case
 
-    cases, trials = entry["cases"], entry["trials"]
-    slots = list(_identity(entry["identity"]).slots)
+    identity, cases, trials, seed = (entry[k] for k in ("identity", "cases", "trials", "seed"))
+    samples = draws(identity, trials, seed)
     if not 1 <= trials == len(cases) <= MAX_TRIALS:
         raise CertificateError(
-            f"witt trials of {entry['identity']}: trials must equal the number of "
+            f"witt trials of {identity}: trials must equal the number of "
             f"cases, from 1 to {MAX_TRIALS}"
         )
-    for i, case in enumerate(cases):
+    for i, (case, sample) in enumerate(zip(cases, samples)):
         if case["trial"] != i:
-            raise CertificateError(f"witt trial {i} of {entry['identity']}: trial out of order")
-        if [k for k, _ in case["sample"]] != slots:
+            raise CertificateError(f"witt trial {i} of {identity}: trial out of order")
+        if case["sample"] != [[k, str(v)] for k, v in sample]:
             raise CertificateError(
-                f"witt trial {i} of {entry['identity']}: sample names are not the slots "
-                f"{', '.join(slots)}"
+                f"witt trial {i} of {identity}: sample is not the draw of seed {seed}"
             )
-        for k, v in case["sample"]:
-            if not (isinstance(v, str) and _SAMPLE_TEXT.fullmatch(v)):
-                raise CertificateError(
-                    f"witt trial {i} of {entry['identity']}: sample {k} is not a "
-                    f"numeral within the {MAX_SAMPLE_BITS}-bit replay limit"
-                )
-            if int(v).bit_length() > MAX_SAMPLE_BITS:
-                raise CertificateError(
-                    f"witt trial {i} of {entry['identity']}: sample {k} "
-                    f"exceeds the {MAX_SAMPLE_BITS}-bit replay limit"
-                )
-        redone = verify_case(entry["identity"], tuple((k, int(v)) for k, v in case["sample"]))
+        redone = verify_case(identity, sample)
         if (
             list(redone.lhs) != case["lhs"]
             or list(redone.rhs) != case["rhs"]
             or redone.verdict != case["verdict"]
             or redone.congruence_level != case["level"]
         ):
-            raise CertificateError(f"witt trial {i} of {entry['identity']} fails replay")
+            raise CertificateError(f"witt trial {i} of {identity} fails replay")
         if not case["verdict"]:
-            raise CertificateError(f"witt trial {i} of {entry['identity']} records a failure")
+            raise CertificateError(f"witt trial {i} of {identity} records a failure")
 
 
 _VERIFIERS = {

@@ -43,12 +43,17 @@ Square classes are values
   times (-1)^((p-1)/2) for each pair whose two valuations are odd.
 * Places are validated once per form or relation, and the symbols of a
   form or relation are then evaluated on integers.
+* ``draws`` is the one map from a seed to the samples of a suite, for the
+  suite and the certificate checker alike.  A sampler only draws values;
+  ``verify_case`` factors them into the classes and places of the case, and
+  ``_decision`` derives the rest from those: the identity's hypotheses (the
+  chain's Brauer relation and norm spot checks), both sides and the verdict.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from math import gcd, prod
 from typing import NamedTuple
@@ -378,27 +383,22 @@ def sample_chain_configuration(seed: int) -> tuple[tuple[str, int], ...]:
     second first-slots, the closed-form case of the chain construction.
     """
     rng = SplitMix64(seed)
-    a = sample_square_class(rng)
-    b = sample_square_class(rng)
-    c = sample_square_class(rng)
-    d = sample_square_class(rng)
-    ac = a * c
-    x = sample_norm(rng, ac)
-    y = sample_norm(rng, ac)
-    z = sample_norm(rng, ac)
-    slots = (a, b, c, d, x, y, z)
-    (A, B, C, D, X, Y, Z), places = _classes_and_places(slots)
+    a, b, c, d = (sample_square_class(rng) for _ in "abcd")
+    x, y, z = (sample_norm(rng, a * c) for _ in "xyz")
+    return tuple(zip("abcdxyz", (a, b, c, d, x, y, z)))
+
+
+def _chain_hypotheses(places, a: int, b: int, c: int, d: int, x: int, y: int, z: int) -> bool:
+    """The chain's hypotheses on the classes of its slots: the quaternions
+    (a, b), (c, d), (a, b w), (c, d w) with w = x y z sum to zero in the
+    Brauer group, and the norms x, y, z from the extension by ac split at 2."""
     mul = square_class_mul
-    w = mul(mul(X, Y), Z)
-    quats = ((A, B), (C, D), (A, mul(B, w)), (C, mul(D, w)))
-    # every slot of the quaternions is a product of the sampled classes
-    if not brauer_relation_holds(quats, places):
-        raise InternalInconsistencyError("constructed chain violates the Brauer relation")
-    for radicand in (x, y, z):
-        if hilbert_symbol(ac, radicand, 2) != 1:
-            # norms are split everywhere by construction; spot check
-            raise InternalInconsistencyError("norm slot fails its local check")
-    return tuple(zip("abcdxyz", slots))
+    w = mul(mul(x, y), z)
+    quats = ((a, b), (c, d), (a, mul(b, w)), (c, mul(d, w)))
+    ac = mul(a, c)
+    return brauer_relation_holds(quats, places) and all(
+        hilbert_symbol(ac, norm, 2) == 1 for norm in (x, y, z)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +442,16 @@ def _sample_linked(rng: SplitMix64) -> tuple[tuple[str, int], ...]:
 
 class _Identity(NamedTuple):
     """One Witt identity: ``sides`` maps the canonical classes of the slots,
-    in the order of ``slots``, to both sides as diagonal forms, and ``draw``
-    samples the slots when they are not independent square classes."""
+    in the order of ``slots``, to both sides as diagonal forms, ``draw``
+    samples the slots when they are not independent square classes, and
+    ``hypotheses`` checks on the places and classes what ``draw`` builds in."""
 
     identity_id: str
     slots: str
     level: str  # "exact-Witt" or "mod-I4"
     sides: Callable
     draw: Callable[[SplitMix64], tuple[tuple[str, int], ...]] | None = None
+    hypotheses: Callable[..., bool] | None = None
 
     def sample(self, rng: SplitMix64) -> tuple[tuple[str, int], ...]:
         if self.draw is not None:
@@ -471,7 +473,7 @@ _IDENTITIES = (
     # the chain sampler gives a fully constrained configuration
     _Identity("alpha4_full", "abcdxyz", "mod-I4", lambda a, b, c, d, x, y, z: _linked(
         a, b, c, d, square_class_mul(square_class_mul(x, y), z)),
-        lambda rng: sample_chain_configuration(rng.next_u64() or 1)),
+        lambda rng: sample_chain_configuration(rng.next_u64() or 1), _chain_hypotheses),
 )
 
 IDENTITY_IDS = tuple(row.identity_id for row in _IDENTITIES)
@@ -487,17 +489,21 @@ def _identity(identity_id: str) -> _Identity:
 
 
 # The slot classes of a sample are decided once per process: a certificate
-# check decides its stored samples in the entry layer, and its replay draws
-# the same samples again.  The bound holds every case of one certificate, up
-# to three suites of MAX_TRIALS each (a theorem row runs at most three).
+# check decides the draws of its stored seeds in the entry layer, and its
+# replay draws the same samples again.  The bound holds every case of one
+# certificate, up to three suites of MAX_TRIALS each (a theorem row runs at
+# most three).
 @lru_cache(maxsize=3 * MAX_TRIALS)
 def _decision(identity_id: str, classes: tuple[int, ...], places: tuple):
     """Both sides, the congruence level and the verdict of the identity on
     the canonical classes of its slots, in slot order.  Every entry of both
     sides is +-1 times a product of slot classes, so ``places``, inf, 2 and
     the odd primes of the slots, are the only places where the Hasse symbols
-    can differ."""
+    can differ.  A drawn sample meets the identity's hypotheses by
+    construction, so one that breaks them is an internal inconsistency."""
     row = _identity(identity_id)
+    if row.hypotheses is not None and not row.hypotheses(places, *classes):
+        raise InternalInconsistencyError(f"a sample of {identity_id} breaks its hypotheses")
     lhs, rhs = row.sides(*classes)
     if row.level == "exact-Witt":
         verdict = witt_equivalent(lhs, rhs, places)
@@ -517,14 +523,22 @@ def verify_case(identity_id: str, sample, trial: int = -1, seed: int = -1) -> Id
     return IdentityCase(identity_id, trial, seed, tuple(sample), *decision)
 
 
+def draws(identity_id: str, trials: int, seed: int) -> Iterator[tuple[tuple[str, int], ...]]:
+    """The samples of the ``trials`` cases of the suite run with ``seed``, in
+    trial order: the one map from a seed to its samples, for the suite and
+    for the certificate checker alike."""
+    row = _identity(identity_id)
+    rng = SplitMix64((seed << 8) ^ 0x5D)
+    return (row.sample(rng) for _ in range(trials))
+
+
 def verify_identity(identity_id: str, trials: int, seed: int) -> list[IdentityCase]:
     """Run the named identity on deterministically sampled integer slots.
 
     Every case carries its full sample, so any verdict can be replayed
     bit-for-bit from the report alone.
     """
-    row = _identity(identity_id)
+    samples = draws(identity_id, trials, seed)
     if not 1 <= trials <= MAX_TRIALS:
         raise InputError(f"trials must be between 1 and {MAX_TRIALS}")
-    rng = SplitMix64((seed << 8) ^ 0x5D)
-    return [verify_case(identity_id, row.sample(rng), t, seed) for t in range(trials)]
+    return [verify_case(identity_id, sample, t, seed) for t, sample in enumerate(samples)]

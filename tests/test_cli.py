@@ -1490,6 +1490,14 @@ def _witness_times_its_order(entry):
     entry["witnesses"][0] = [d * x for x in entry["witnesses"][0]]
 
 
+def _trial_0_as_trial_1(entry):
+    """Trial 0 carries the sample, sides and verdict of trial 1: a consistent
+    case, but not the draw of the seed."""
+    first, second = entry["cases"][:2]
+    for key in ("sample", "lhs", "rhs", "verdict"):
+        first[key] = second[key]
+
+
 # (edit of an entry, test on the entry) of one kind of edit each
 ENTRY_EDITS = {
     "invariant factor": (
@@ -1504,6 +1512,7 @@ ENTRY_EDITS = {
     ),
     "trial count": (_add_two("trials"), lambda e: e["kind"] == "witt_trials"),
     "trial number": (_add_two("cases", 1, "trial"), lambda e: e["kind"] == "witt_trials"),
+    "trial swapped": (_trial_0_as_trial_1, lambda e: e["kind"] == "witt_trials"),
 }
 
 
@@ -1531,41 +1540,41 @@ def test_entry_layer_rejects_one_edit_without_replay(entry_certs, edit, monkeypa
     ids=["extra-slot", "missing-slot", "reordered-slots"],
 )
 def test_entry_layer_checks_witt_slot_names(entry_certs, edit, monkeypatch):
-    """Each sample names the identity's slots, in order: alpha2 has a and b."""
+    """Each sample names the identity's slots, in order, as the draw of the
+    seed does: alpha2 has a and b."""
     monkeypatch.setattr(certmod, "build_certificate", _no_replay)
     bad = json.loads(json.dumps(entry_certs["witt"]))
     edit(bad["entries"][0]["cases"][0]["sample"])
     ok, failures = certmod.check_certificate(bad, replay=False)
-    assert not ok and failures == [
-        "entry 0: witt trial 0 of alpha2: sample names are not the slots a, b"
-    ], failures
+    assert not ok and failures == [_NOT_THE_DRAW], failures
 
 
 _TRIAL_0 = "entry 0: witt trial 0 of alpha2"
-_NOT_A_NUMERAL = f"{_TRIAL_0}: sample a is not a numeral within the 64-bit replay limit"
+_NOT_THE_DRAW = f"{_TRIAL_0}: sample is not the draw of seed 1"
 
 
-# (edited sample value, the checker's failure); a case's id is the value alone,
-# so a reworded refusal keeps the names of the cases
+# edited sample values: the value a certificate writes for trial 0's slot a
+# is "-1", and every other value, a spelling of -1 or a number of the wrong
+# type included, is refused as not the draw
 _SAMPLE_VALUE_CASES = [
-    (2 ** 64, _NOT_A_NUMERAL),
-    (str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
-    ("-" + str(2 ** 64), f"{_TRIAL_0}: sample a exceeds the 64-bit replay limit"),
-    (f"{2 ** 32}/{2 ** 32 + 1}", _NOT_A_NUMERAL),
-    (1e300, _NOT_A_NUMERAL),
-    ("x", _NOT_A_NUMERAL),
-    ("1/0", _NOT_A_NUMERAL),
-    (None, _NOT_A_NUMERAL),
-    ([1], _NOT_A_NUMERAL),
-    ("-0", "entry 0: malformed (square classes are defined for nonzero values only)"),
-    ("0/3", _NOT_A_NUMERAL),
-    ("+7", f"{_TRIAL_0} fails replay"),
-    ("6/4", _NOT_A_NUMERAL),
-    (True, _NOT_A_NUMERAL),
-    (0.5, _NOT_A_NUMERAL),
+    (2 ** 64, _NOT_THE_DRAW),
+    (str(2 ** 64), _NOT_THE_DRAW),
+    ("-" + str(2 ** 64), _NOT_THE_DRAW),
+    (f"{2 ** 32}/{2 ** 32 + 1}", _NOT_THE_DRAW),
+    (1e300, _NOT_THE_DRAW),
+    ("x", _NOT_THE_DRAW),
+    ("1/0", _NOT_THE_DRAW),
+    (None, _NOT_THE_DRAW),
+    ([1], _NOT_THE_DRAW),
+    ("-0", _NOT_THE_DRAW),
+    ("0/3", _NOT_THE_DRAW),
+    ("+7", _NOT_THE_DRAW),
+    ("6/4", _NOT_THE_DRAW),
+    (True, _NOT_THE_DRAW),
+    (0.5, _NOT_THE_DRAW),
     # the stored "-1" as a JSON number: same value, so only its type refuses it
-    (-1, _NOT_A_NUMERAL),
-    (-1.0, _NOT_A_NUMERAL),
+    (-1, _NOT_THE_DRAW),
+    (-1.0, _NOT_THE_DRAW),
 ]
 
 
@@ -1575,9 +1584,9 @@ _SAMPLE_VALUE_CASES = [
 def test_checker_reads_every_sample_value_as_a_fraction_would(
     entry_certs, value, failure, monkeypatch
 ):
-    """Only integer text is read, by ``int``, the text a certificate writes;
-    fraction text, a JSON number or any other value is refused as not a
-    numeral before it reaches arithmetic."""
+    """No stored value is read as a number: each is compared with the text a
+    certificate writes for the draw of the seed, so fraction text, a JSON
+    number or any other value is refused before it reaches arithmetic."""
     monkeypatch.setattr(certmod, "build_certificate", _no_replay)
     bad = json.loads(json.dumps(entry_certs["witt"]))
     sample = bad["entries"][0]["cases"][0]["sample"]
@@ -1587,8 +1596,8 @@ def test_checker_reads_every_sample_value_as_a_fraction_would(
 
 
 def test_checker_bounds_witt_sample_size(tmp_path, capsys):
-    """A sample value edited to a product of two 60-bit primes is refused
-    before the checker would factor it."""
+    """A sample value edited to a product of two 60-bit primes is not the
+    draw of the seed, and is refused with nothing factored."""
     path = tmp_path / "alpha2.json"
     code, _ = run(["witt", "verify", "--identity", "alpha2", "--trials", "5",
                    "--certificate", str(path)])
@@ -1600,12 +1609,12 @@ def test_checker_bounds_witt_sample_size(tmp_path, capsys):
     code, _ = run(["--check-certificate", str(path)])
     assert code == 3
     assert time.perf_counter() - start < 5.0
-    assert f"{certmod.MAX_SAMPLE_BITS}-bit replay limit" in capsys.readouterr().err
+    assert "sample is not the draw of seed 1" in capsys.readouterr().err
 
 
 def test_checker_refuses_sample_text_before_parsing_it(tmp_path, capsys):
-    """``Fraction("1e10000000")`` computes 10**10000000; the checker refuses
-    the text before it is parsed."""
+    """``Fraction("1e10000000")`` computes 10**10000000; the checker compares
+    the text with the draw of the seed and never parses it."""
     path = tmp_path / "alpha2.json"
     code, _ = run(["witt", "verify", "--identity", "alpha2", "--trials", "5",
                    "--certificate", str(path)])
@@ -1617,7 +1626,7 @@ def test_checker_refuses_sample_text_before_parsing_it(tmp_path, capsys):
     code, _ = run(["--check-certificate", str(path)])
     assert code == 3
     assert time.perf_counter() - start < 2.0
-    assert f"{certmod.MAX_SAMPLE_BITS}-bit replay limit" in capsys.readouterr().err
+    assert "sample is not the draw of seed 1" in capsys.readouterr().err
 
 
 def _one_entry_cert(tmp_path, entry):
@@ -1864,6 +1873,23 @@ def _lattice_basis_entry(generators, canonical):
             "generators": generators, "canonical_basis": canonical}
 
 
+def test_entry_layer_refuses_more_generators_than_the_ambient_rank(tmp_path, capsys):
+    """129 generators at rank 128 are refused before the Hermite form, which
+    takes seconds on a hundred-odd random generators of that length."""
+    rng = random.Random(128)
+    generators = [[rng.randint(-9, 9) for _ in range(128)] for _ in range(129)]
+    entry = {"kind": "lattice_basis", "label": "crafted", "ambient_rank": 128,
+             "generators": generators, "canonical_basis": []}
+    path = _one_entry_cert(tmp_path, entry)
+    start = time.perf_counter()
+    assert _entry_layer(entry) == (
+        False, ["entry 0: crafted: more generators than the ambient rank"]
+    )
+    assert run(["--check-certificate", str(path)])[0] == 3
+    assert time.perf_counter() - start < 1.0
+    assert "more generators than the ambient rank" in capsys.readouterr().err
+
+
 def _index_entry(sub_basis, index):
     return {"kind": "index", "label": "crafted", "ambient_rank": 1,
             "sub_basis": sub_basis, "index": index}
@@ -1970,7 +1996,7 @@ REPLAY_EDITS = {
     "seed-float": (_WITT_ARGV, lambda cert: cert.update(seed=float(cert["seed"])), _DISAGREES),
     "extra-key": (_WITT_ARGV, lambda cert: cert["entries"][0].update(note=0), _DISAGREES),
     "sample-int": (
-        _WITT_ARGV, _sample_value_as_a_number, f"certificate FAILED: {_NOT_A_NUMERAL}\n"
+        _WITT_ARGV, _sample_value_as_a_number, f"certificate FAILED: {_NOT_THE_DRAW}\n"
     ),
     # the two torsion witnesses of a theorem row, in lattices of ranks 15 and 16
     "witnesses-swapped": (
@@ -2029,12 +2055,28 @@ def test_entry_layer_refuses_a_flag_written_as_a_number(entry_certs, flag, monke
 
 def test_a_check_decides_each_stored_sample_once(tmp_path, monkeypatch):
     """The entry layer decides each stored sample, and replay draws the same
-    samples again: each is decided once, by one ``witt_invariants`` call."""
+    samples again: each is decided once, by one ``witt_invariants`` call.
+    The chain sampler only draws values, so each sample is factored into its
+    classes and places once in each layer."""
     path = tmp_path / "cert.json"
     argv = ["witt", "verify", "--identity", "alpha4_full", "--trials", "20"]
     assert run(argv + ["--certificate", str(path)])[0] == 0
     cert = json.loads(path.read_text())
     calls = _count_calls(monkeypatch, wittq, "witt_invariants")
+    classified = _count_calls(monkeypatch, wittq, "_classes_and_places")
     wittq._decision.cache_clear()
     assert certmod.check_certificate(cert) == (True, [])
     assert len(calls) == 20
+    assert len(classified) == 40
+
+
+@pytest.mark.parametrize("identity", ["alpha2", "alpha4_full"])
+@pytest.mark.parametrize("seed", [8, -7, 14], ids=["v+1", "-v", "2v"])
+def test_entry_layer_refuses_an_edited_seed(identity, seed):
+    """Each stored sample is the draw of the entry's seed: the seed 7 of an
+    entry edited to v+1, -v or 2v is refused without replay."""
+    entry = certmod.witt_trials_entry(wittq.verify_identity(identity, 5, 7))
+    entry["seed"] = seed
+    ok, failures = _entry_layer(entry)
+    assert not ok and failures[0].startswith("entry 0: witt trial ")
+    assert failures[0].endswith(f" of {identity}: sample is not the draw of seed {seed}")

@@ -91,7 +91,8 @@ def test_certificate_module_loads_only_for_certificates(argv, modules, tmp_path)
 
 def test_witt_verify_loads_no_dataclasses_or_fractions(tmp_path):
     # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``;
-    # wittq's records are NamedTuples and integer sample text is read by ``int``
+    # wittq's records are NamedTuples, and the checker compares stored sample
+    # text with the text of the draw, never parsing it
     assert not _modules_after(*WITT) & {"dataclasses", "inspect", "fractions"}
     path = str(tmp_path / "cert.json")
     _modules_after(*WITT, "--certificate", path)

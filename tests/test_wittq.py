@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdinv.certificate import _SAMPLE_TEXT
+from sdinv.certificate import CERT_FORMAT, check_certificate, witt_trials_entry
+from sdinv.errors import InternalInconsistencyError
 from sdinv.exactlin import InputError
 from sdinv.wittq import (
     IDENTITY_IDS,
@@ -269,18 +270,18 @@ def test_square_class_mul_matches_direct(a, b):
     assert square_class_mul(square_class(a), square_class(b)) == square_class(a * b)
 
 
-# Sample text the certificate checker reads: ASCII integer text.
-_CHECKER_READS = {"7", "+7", "-07"}
-
-
 @pytest.mark.parametrize("text", ["7", " 7 ", "+7", "-07", "1_0", "\u0663", "3/4", "-9/8"])
 def test_square_class_of_text_matches_fraction(text):
-    """Sample text reaches a square class only through the certificate
-    checker, which reads integer text with ``int`` and refuses any other
-    text; what it reads is in the class of ``Fraction(text)``."""
-    read = _SAMPLE_TEXT.fullmatch(text) is not None
-    assert read == (text in _CHECKER_READS)
-    if read:
+    """Sample text reaches a square class only as the draw it must equal:
+    trial 0 of ``square_slot`` at seed 101 draws a = 7, and of the texts
+    here the certificate checker accepts only "7", the text a certificate
+    writes for it, whose class is that of ``Fraction(text)``."""
+    entry = witt_trials_entry(verify_identity("square_slot", 1, 101))
+    assert entry["cases"][0]["sample"] == [["a", "7"]]
+    entry["cases"][0]["sample"][0][1] = text
+    ok, _ = check_certificate({"format": CERT_FORMAT, "entries": [entry]}, replay=False)
+    assert ok == (text == "7")
+    if ok:
         assert square_class(int(text)) == square_class(Fraction(text))
 
 
@@ -289,7 +290,6 @@ def test_square_class_of_bad_text_raises_as_fraction_does():
         square_class("0")
     with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
         square_class("x")
-    assert _SAMPLE_TEXT.fullmatch("x") is None
 
 
 def test_small_prime_table_matches_trial_division():
@@ -662,7 +662,7 @@ def test_chain_configuration_brauer_relation(seed):
     (C, D w) with w = X Y Z, built from the seven sampled classes, sum to
     zero at every relevant place, and the norms x, y, z from the extension by
     ac satisfy (ac, x) = (ac, y) = (ac, z) = 1 at every place, not only at 2,
-    where the sampler spot-checks them."""
+    where the decision of a case spot-checks them."""
     sample = sample_chain_configuration(seed)
     assert [k for k, _ in sample] == list("abcdxyz")
     values = [v for _, v in sample]
@@ -676,6 +676,14 @@ def test_chain_configuration_brauer_relation(seed):
         assert brauer_oracle(quats, v) == 0, v
         for norm in values[4:]:
             assert _hilbert_bit(values[0] * values[2], norm, v) == 0, (norm, v)
+
+
+def test_a_sample_that_breaks_the_chain_hypotheses_is_an_internal_inconsistency():
+    """The decision checks what the chain sampler builds in: with z edited to
+    2, which breaks the hypotheses of the chain, no case is decided."""
+    sample = sample_chain_configuration(1)[:6] + (("z", 2),)
+    with pytest.raises(InternalInconsistencyError, match="breaks its hypotheses"):
+        verify_case("alpha4_full", sample)
 
 
 def test_chain_configuration_reproducible():
@@ -860,8 +868,8 @@ def test_places_checked_once_per_form_or_relation(monkeypatch):
     # per trial: the chain's Brauer relation, the form of the case, and the
     # three norm spot checks, each through ``hilbert_symbol`` at 2; the
     # places come from the one factoring of the sampled values
-    assert len(listed) == 2 * trials
-    assert len(checked) <= sum(listed) + 3 * trials
+    assert len(listed) == trials
+    assert len(checked) <= 2 * sum(listed) + 3 * trials
 
 
 def test_odd_prime_cache_tests_each_place_once_per_suite(monkeypatch):
